@@ -30,6 +30,9 @@ __all__ = [
     "validate",
 ]
 
+# Far above the rounding error of a share, far below any real fraction.
+_ROUNDING_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class AllocationPlan:
@@ -65,7 +68,12 @@ def allocate(similarities: Sequence[float], budget: int) -> AllocationPlan:
 
     inverse = 1.0 / values
     raw = inverse / inverse.sum() * budget
-    counts = [int(math.ceil(r)) for r in raw]
+    # A share that should be a whole number can come out a few ulps above
+    # it, depending on the scale of the similarities (equal ones, say);
+    # rounding that up would add an expert that reconciliation then takes
+    # from the wrong layer.
+    pre_reconciliation = tuple(int(math.ceil(r - _ROUNDING_SLACK)) for r in raw)
+    counts = list(pre_reconciliation)
 
     while sum(counts) > budget:
         candidates = [i for i in range(layers) if counts[i] > 1]
@@ -77,7 +85,7 @@ def allocate(similarities: Sequence[float], budget: int) -> AllocationPlan:
         budget=int(budget),
         similarities=tuple(float(v) for v in values),
         raw=tuple(float(r) for r in raw),
-        pre_reconciliation=tuple(int(math.ceil(r)) for r in raw),
+        pre_reconciliation=pre_reconciliation,
         new_experts=tuple(counts),
     )
 
@@ -152,10 +160,12 @@ def save_plan(plan: AllocationPlan, path: str | Path, *, csv_path: str | Path | 
 
 
 def load_plan(path: str | Path) -> AllocationPlan:
+    """Read a plan file and check it with :func:`validate` against its own
+    layer count; raises FormatError listing every problem."""
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
         layers = sorted(record["layers"], key=lambda row: row["index"])
-        return AllocationPlan(
+        plan = AllocationPlan(
             budget=int(record["budget"]),
             similarities=tuple(float(row["similarity"]) for row in layers),
             raw=tuple(float(row.get("raw", row["new_experts"])) for row in layers),
@@ -168,3 +178,7 @@ def load_plan(path: str | Path) -> AllocationPlan:
         )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: not a valid plan file: {exc}") from exc
+    problems = validate(plan, plan.layer_count)
+    if problems:
+        raise FormatError(f"{path}: invalid plan: {'; '.join(problems)}")
+    return plan

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .allocator import allocate, load_plan, save_plan
 from .corpus import TaggedCorpus, generate, language_specs, required_vocab
-from .errors import ConfigurationError, InvalidInputError, LayerMoEError
+from .errors import ConfigurationError, FormatError, InvalidInputError, LayerMoEError
 from .model import DenseModel, ModelConfig, MoEModel, load_model, save_model
 from .numerics import derive_seed
 from .profiler import profile_similarity, save_profile, select_classifier_layers
@@ -91,6 +91,8 @@ def _groups_arg(value: str) -> list[str]:
 
 def _cmd_gen_corpus(args) -> dict[str, Path]:
     spec_cfg = _load_json(args.spec)
+    if not isinstance(spec_cfg, dict) or not isinstance(spec_cfg.get("groups"), dict):
+        raise FormatError(f"{args.spec}: a corpus spec needs a 'groups' object")
     specs = language_specs(
         spec_cfg["groups"],
         block_size=spec_cfg.get("block_size", 48),

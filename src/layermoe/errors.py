@@ -43,4 +43,6 @@ class UnsupportedSimilarityError(LayerMoEError, ValueError):
 
 
 class FormatError(LayerMoEError, ValueError):
-    """A binary artifact with a bad magic number, version, or truncated payload."""
+    """An artifact or input file that cannot be parsed or breaks its invariants:
+    a bad magic number, version or truncated payload, missing keys, or an
+    invalid plan."""

@@ -8,7 +8,13 @@ any property of the internals.
 
 All arithmetic is float64. Graphs are only recorded when some input has
 ``requires_grad`` set, so evaluation with frozen parameters pays no tape
-cost and follows the exact same floating-point path as training.
+cost and follows the exact same floating-point path as training. In a
+recorded graph, the binary operations compute no gradient for an operand
+whose ``requires_grad`` is off when ``backward`` runs: a frozen weight costs
+its forward product only.
+
+``take_rows`` and ``scatter_rows`` need distinct row indices, because they
+move rows by assignment; they raise ``ValueError`` on a repeated row.
 """
 
 from __future__ import annotations
@@ -118,8 +124,11 @@ class Tensor:
         other = as_tensor(other)
         out = _node(self.data + other.data, (self, other))
         if out._parents:
-            a_shape, b_shape = self.data.shape, other.data.shape
-            out._backward = lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape))
+            a, b = self, other
+            out._backward = lambda g: (
+                _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+            )
         return out
 
     __radd__ = __add__
@@ -142,8 +151,8 @@ class Tensor:
         if out._parents:
             a, b = self, other
             out._backward = lambda g: (
-                _unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape),
+                _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
             )
         return out
 
@@ -155,8 +164,12 @@ class Tensor:
         if out._parents:
             a, b = self, other
             out._backward = lambda g: (
-                _unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+                _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+                (
+                    _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                    if b.requires_grad
+                    else None
+                ),
             )
         return out
 
@@ -178,8 +191,16 @@ class Tensor:
         if out._parents:
             a, b = self, other
             out._backward = lambda g: (
-                _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
+                (
+                    _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+                    if a.requires_grad
+                    else None
+                ),
+                (
+                    _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+                    if b.requires_grad
+                    else None
+                ),
             )
         return out
 
@@ -252,12 +273,12 @@ def _node(data: np.ndarray, parents: tuple) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
+    # never overflows. Computing both branches everywhere costs less than
+    # splitting the array by a mask and gives each element the same bits.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def silu(t: Tensor) -> Tensor:
@@ -322,15 +343,23 @@ def take_along(t: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
-def take_rows(t: Tensor, rows: np.ndarray) -> Tensor:
-    """Gather whole rows of a 2-d tensor."""
+def _distinct_rows(rows) -> np.ndarray:
     rows = np.asarray(rows)
+    if rows.size and np.bincount(rows).max() > 1:
+        raise ValueError("row indices must be distinct")
+    return rows
+
+
+def take_rows(t: Tensor, rows: np.ndarray) -> Tensor:
+    """Gather whole rows of a 2-d tensor; ``rows`` must be distinct."""
+    rows = _distinct_rows(rows)
     out = _node(t.data[rows], (t,))
     if out._parents:
 
         def bw(g):
             gt = np.zeros_like(t.data)
-            np.add.at(gt, rows, g)
+            # + 0.0 turns -0.0 into 0.0, as adding into zeros would.
+            gt[rows] = g + 0.0
             return (gt,)
 
         out._backward = bw
@@ -354,10 +383,12 @@ def take_pairs(t: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
 
 
 def scatter_rows(values: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
-    """Inverse of take_rows: place rows into a zero (num_rows, width) tensor."""
-    rows = np.asarray(rows)
+    """Inverse of take_rows: place rows into a zero (num_rows, width) tensor;
+    ``rows`` must be distinct."""
+    rows = _distinct_rows(rows)
     data = np.zeros((num_rows, values.data.shape[1]), dtype=np.float64)
-    np.add.at(data, rows, values.data)
+    # + 0.0 turns -0.0 into 0.0, as adding into zeros would.
+    data[rows] = values.data + 0.0
     out = _node(data, (values,))
     if out._parents:
         out._backward = lambda g: (g[rows],)

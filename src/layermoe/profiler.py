@@ -358,18 +358,23 @@ def save_profile(profile: SimilarityProfile, path: str | Path, *, csv_path: str 
 
 
 def load_profile(path: str | Path) -> SimilarityProfile:
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
-    layers = record["layers"]
-    new_old = np.array([row["s_new_old"] for row in layers], dtype=np.float64)
-    has_new_new = layers and layers[0]["s_new_new"] is not None
-    new_new = (
-        np.array([row["s_new_new"] for row in layers], dtype=np.float64) if has_new_new else None
-    )
-    indicated = np.array([row["s"] for row in layers], dtype=np.float64)
-    pair_sims = {
-        tuple(key.split("|")): np.asarray(values, dtype=np.float64)
-        for key, values in record.get("pairs", {}).items()
-    }
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+        layers = record["layers"]
+        new_old = np.array([row["s_new_old"] for row in layers], dtype=np.float64)
+        has_new_new = layers and layers[0]["s_new_new"] is not None
+        new_new = (
+            np.array([row["s_new_new"] for row in layers], dtype=np.float64)
+            if has_new_new
+            else None
+        )
+        indicated = np.array([row["s"] for row in layers], dtype=np.float64)
+        pair_sims = {
+            tuple(key.split("|")): np.asarray(values, dtype=np.float64)
+            for key, values in record.get("pairs", {}).items()
+        }
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"{path}: not a valid profile file: {exc}") from exc
     return SimilarityProfile(
         new_old,
         new_new,

@@ -24,7 +24,7 @@ from layermoe.numerics import (
     take_rows,
     value_and_grad,
 )
-from layermoe.numerics.autodiff import assemble_rows
+from layermoe.numerics.autodiff import _sigmoid, assemble_rows
 
 
 def rel_err(a, b, floor=1.0):
@@ -243,3 +243,60 @@ class TestSeededRng:
         assert SeededRng(0).algorithm == "pcg64/v1"
         with pytest.raises(ValueError):
             SeededRng(0, algorithm="mystery")
+
+
+def masked_sigmoid(x):
+    """Reference: the sigmoid that splits the array by sign and evaluates
+    each branch on its own part."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestTapeFastPaths:
+    EDGES = np.array(
+        [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 709.0, -709.0, 36.0, -36.0, 1e-300, -1e-300]
+    )
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 127, 7680])
+    def test_sigmoid_bitwise_equals_masked_form(self, size):
+        gen = SeededRng(size).generator()
+        x = gen.normal(0.0, 8.0, size=size)
+        n = min(size, self.EDGES.size)
+        x[:n] = self.EDGES[:n]
+        gen.shuffle(x)
+        assert _sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+        matrix = gen.normal(0.0, 4.0, size=(size, 3))
+        assert _sigmoid(matrix).tobytes() == masked_sigmoid(matrix).tobytes()
+
+    @pytest.mark.parametrize(
+        "op", [lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b, lambda a, b: a @ b]
+    )
+    def test_binary_ops_give_frozen_operands_no_gradient(self, op):
+        gen = SeededRng(10).generator()
+        for trainable in (0, 1):
+            operands = [Tensor(gen.normal(size=(3, 3)) + 3.0) for _ in range(2)]
+            operands[trainable].requires_grad = True
+            out = op(*operands)
+            grads = out._backward(np.ones(out.shape))
+            assert grads[1 - trainable] is None
+            assert grads[trainable].shape == (3, 3)
+
+    def test_row_moves_reject_duplicate_rows(self):
+        with pytest.raises(ValueError):
+            take_rows(Tensor(np.ones((4, 2))), np.array([0, 2, 0]))
+        with pytest.raises(ValueError):
+            scatter_rows(Tensor(np.ones((3, 2))), np.array([1, 3, 1]), 4)
+
+    def test_row_moves_match_add_at_on_signed_zeros(self):
+        values = np.array([[-0.0, 1.5], [2.0, -0.0]])
+        rows = np.array([3, 1])
+        expected = np.zeros((4, 2))
+        np.add.at(expected, rows, values)
+        assert scatter_rows(Tensor(values), rows, 4).data.tobytes() == expected.tobytes()
+        x = Tensor(np.ones((4, 2)), requires_grad=True)
+        (grad,) = take_rows(x, rows)._backward(values)
+        assert grad.tobytes() == expected.tobytes()
