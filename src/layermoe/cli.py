@@ -287,19 +287,25 @@ def _cmd_route_stats(args) -> dict[str, Path]:
 # pipeline
 
 
-def _apply_override(config: dict, dotted: str, raw: str) -> None:
-    keys = dotted.split(".")
-    node = config
-    for key in keys[:-1]:
+def _lacks(node, dotted: str) -> bool:
+    for key in dotted.split("."):
         if not isinstance(node, dict) or key not in node:
-            raise InvalidInputError(f"override path {dotted!r} not in config")
+            return True
         node = node[key]
-    if not isinstance(node, dict) or keys[-1] not in node:
+    return False
+
+
+def _apply_override(config: dict, dotted: str, raw: str) -> None:
+    if _lacks(config, dotted):
         raise InvalidInputError(f"override path {dotted!r} not in config")
+    *keys, last = dotted.split(".")
+    node = config
+    for key in keys:
+        node = node[key]
     try:
-        node[keys[-1]] = json.loads(raw)
+        node[last] = json.loads(raw)
     except json.JSONDecodeError:
-        node[keys[-1]] = raw
+        node[last] = raw
 
 
 def _resolve_pipeline_config(args) -> dict:
@@ -313,6 +319,23 @@ def _resolve_pipeline_config(args) -> dict:
         key, _, value = pair.partition("=")
         _apply_override(config, key.strip(), value.strip())
     return config
+
+
+def _check_pipeline_config(config) -> None:
+    """Raise FormatError naming every key that run_pipeline reads without a
+    default and the config lacks."""
+    stage = ["steps", "batch_size"]
+    required = ["languages.groups", "model", "corpus.tokens_per_language", "base.group"]
+    missing = [key for key in required + [f"base.{k}" for k in stage] if _lacks(config, key)]
+    expansions = config.get("expansions", []) if isinstance(config, dict) else []
+    if not isinstance(expansions, list):
+        raise FormatError("pipeline config: 'expansions' must be a list")
+    each = ["group", "budget"] + [f"stage{n}.{k}" for n in (1, 2) for k in stage]
+    for i, exp in enumerate(expansions):
+        missing += [f"expansions.{i}.{key}" for key in each if _lacks(exp, key)]
+    if missing:
+        raise FormatError(f"pipeline config lacks {', '.join(missing)}")
+
 
 def _recipe_from(cfg: dict, stage: str, seed: int) -> TrainingRecipe:
     return TrainingRecipe(
@@ -332,6 +355,7 @@ def _recipe_from(cfg: dict, stage: str, seed: int) -> TrainingRecipe:
 def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     """Chain corpus generation, dense training, and every configured
     expansion, evaluating after each stage. Deterministic given the config."""
+    _check_pipeline_config(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, Path] = {}
     seed = config.get("seed", 0)

@@ -9,7 +9,9 @@ Layout (little-endian):
             header's ``params`` order
 
 The header carries the model kind, config, language groups, expansion
-history, classifier layers, and each parameter's name and shape.
+history, classifier layers, and each parameter's name and shape. Loading
+checks that the parameters are exactly the names and shapes this structure
+implies.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from ..errors import FormatError
 from ..numerics import Tensor
 from .config import ModelConfig
-from .network import DenseModel, Expansion, Model, MoEModel
+from .network import DenseModel, Expansion, Model, MoEModel, param_shapes
 
 MAGIC = b"LMOE"
 VERSION = 1
@@ -96,14 +98,19 @@ def load_model(path: str | Path) -> Model:
 
     config = ModelConfig.from_dict(header["config"])
     if header["kind"] == "dense":
-        return DenseModel(config, params, header.get("groups", ()))
-    if header["kind"] == "moe":
+        model = DenseModel(config, params, header.get("groups", ()))
+    elif header["kind"] == "moe":
         history = [Expansion(g, tuple(c)) for g, c in header.get("expansion_history", [])]
-        return MoEModel(
-            config,
-            params,
-            header.get("base_groups", ()),
-            history,
-            header.get("classifier_layers", ()),
-        )
-    raise FormatError(f"{path}: unknown model kind {header['kind']!r}")
+        if any(len(e.new_experts) != config.layers for e in history):
+            raise FormatError(f"{path}: expansion history does not cover {config.layers} layers")
+        groups, layers = header.get("base_groups", ()), header.get("classifier_layers", ())
+        model = MoEModel(config, params, groups, history, layers)
+    else:
+        raise FormatError(f"{path}: unknown model kind {header['kind']!r}")
+    expected = param_shapes(model)
+    found = {name: p.data.shape for name, p in params.items()}
+    wrong = [n for n in sorted(expected.keys() | found.keys()) if found.get(n) != expected.get(n)]
+    if wrong:
+        detail = "; ".join(f"{n} {found.get(n)} != {expected.get(n)}" for n in wrong)
+        raise FormatError(f"{path}: parameters do not fit the model (found != expected): {detail}")
+    return model

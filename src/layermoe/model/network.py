@@ -15,14 +15,17 @@ depend on it, so it is pinned here):
 An upcycled layer holds expert 0 (the original dense FFN, frozen), any
 number of added experts, one router column per expert, and optionally a
 two-class classifier whose "old" verdict bypasses the router entirely at
-inference.
+inference. The gate is a row mask on the layer's single expert dispatch
+(``expert_mix``): a row where it fires gets expert 0 alone with weight
+exactly 1.0, so its output is ``E0(h) + h``. ``forward(mode="gated")``
+gates every layer that has a classifier and runs the others plain.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,15 +40,13 @@ from ..numerics import (
     Tensor,
     derive_seed,
     embedding,
+    expert_mix,
     silu,
     softmax,
     softmax_t,
     stack_columns,
     take_along,
-    take_pairs,
-    take_rows,
 )
-from ..numerics.autodiff import assemble_rows, scatter_rows
 from .config import ModelConfig
 
 RMS_EPS = 1e-6
@@ -58,6 +59,7 @@ TOKEN_EMB_STD = 1.0
 NEW_EXPERT_NOISE_STD = 0.01
 
 _MASK_CACHE: dict[int, np.ndarray] = {}
+_PARTS = ("gate", "up", "down")  # an expert's weights, in Expert's argument order
 
 
 class Expansion(NamedTuple):
@@ -81,11 +83,11 @@ class Expert:
 
 @dataclass
 class MoELayer:
-    """View of one layer's expert stage. ``experts`` are callables so tests
-    can substitute arbitrary functions; real models use :class:`Expert`."""
+    """View of one layer's expert stage: its experts, one router column per
+    expert, and an optional two-class classifier that gates the layer."""
 
     index: int
-    experts: Sequence[Callable[[Tensor], Tensor]]
+    experts: Sequence[Expert]
     router_columns: Sequence[Tensor]
     top_k: int
     classifier: Tensor | None = None
@@ -149,6 +151,20 @@ def _dense_param_specs(config: ModelConfig):
         yield f"blocks.{i}.ffn.down", (f, h), "normal"
     yield "out_norm", (h,), "ones"
     yield "head", (h, config.vocab), "normal"
+
+
+def param_shapes(model: "Model") -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter the model's structure implies."""
+    shapes = {name: shape for name, shape, _ in _dense_param_specs(model.config)}
+    if isinstance(model, MoEModel):
+        h = model.config.hidden
+        for i, count in enumerate(model.expert_counts()):
+            ffn = {part: shapes.pop(f"blocks.{i}.ffn.{part}") for part in _PARTS}
+            for e in range(count):
+                shapes.update({f"blocks.{i}.experts.{e}.{p}": s for p, s in ffn.items()})
+                shapes[f"blocks.{i}.router.{e}"] = (h,)
+        shapes.update({f"blocks.{i}.classifier": (h, 2) for i in model.classifier_layers})
+    return shapes
 
 
 class DenseModel:
@@ -230,11 +246,7 @@ class MoEModel:
     def layer(self, index: int) -> MoELayer:
         n = self.expert_counts()[index]
         experts = [
-            Expert(
-                self.params[f"blocks.{index}.experts.{e}.gate"],
-                self.params[f"blocks.{index}.experts.{e}.up"],
-                self.params[f"blocks.{index}.experts.{e}.down"],
-            )
+            Expert(*(self.params[f"blocks.{index}.experts.{e}.{part}"] for part in _PARTS))
             for e in range(n)
         ]
         cols = [self.params[f"blocks.{index}.router.{e}"] for e in range(n)]
@@ -314,9 +326,7 @@ def upcycle(
             continue
         params[name] = Tensor(p.data.copy())
     for i in range(config.layers):
-        base = {
-            part: dense.params[f"blocks.{i}.ffn.{part}"].data for part in ("gate", "up", "down")
-        }
+        base = {part: dense.params[f"blocks.{i}.ffn.{part}"].data for part in _PARTS}
         for part, arr in base.items():
             params[f"blocks.{i}.experts.0.{part}"] = Tensor(arr.copy())
         for j in range(counts[i]):
@@ -351,10 +361,7 @@ def extend_expansion(
     }
     existing = model.expert_counts()
     for i in range(config.layers):
-        base = {
-            part: model.params[f"blocks.{i}.experts.0.{part}"].data
-            for part in ("gate", "up", "down")
-        }
+        base = {part: model.params[f"blocks.{i}.experts.0.{part}"].data for part in _PARTS}
         for j in range(counts[i]):
             e = existing[i] + j
             spawned = _spawn_expert(config.seed, expansion_index, i, e, base, init, noise_std)
@@ -425,8 +432,7 @@ def route(x: np.ndarray, router: np.ndarray, top_k: int) -> tuple[np.ndarray, np
     if x.ndim != 1 or router.ndim != 2 or router.shape[0] != x.shape[0]:
         raise InvalidInputError(f"bad shapes for routing: {x.shape} @ {router.shape}")
     scores = softmax(x @ router)
-    k = min(top_k, router.shape[1])
-    indices = np.argsort(-scores, kind="stable")[:k]
+    indices = _select(scores[None, :], top_k)[0]
     selected = scores[indices]
     return indices, selected / selected.sum()
 
@@ -438,10 +444,8 @@ def _select(scores: np.ndarray, top_k: int) -> np.ndarray:
 
 def _moe_mix(hsa: Tensor, layer: MoELayer, mode: str) -> tuple[Tensor, _LayerGraph]:
     """Expert stage on flattened rows: weighted expert mix plus residual,
-    optionally overridden row-wise by the classifier gate."""
-    n_rows = hsa.shape[0]
-    n_experts = len(layer.experts)
-    if n_experts < 1 or len(layer.router_columns) != n_experts:
+    with the classifier gate as a row mask in ``gated`` mode."""
+    if not layer.experts or len(layer.router_columns) != len(layer.experts):
         raise ConfigurationError("layer needs one router column per expert")
     if mode not in ("plain", "gated"):
         raise InvalidInputError(f"unknown forward mode {mode!r}")
@@ -452,30 +456,9 @@ def _moe_mix(hsa: Tensor, layer: MoELayer, mode: str) -> tuple[Tensor, _LayerGra
     indices = _select(scores.data, layer.top_k)
     selected = take_along(scores, indices)
     weights = selected / selected.sum(axis=1, keepdims=True)
-
-    mixed = None
-    for e in range(n_experts):
-        rows, slots = np.nonzero(indices == e)
-        if rows.size == 0:
-            continue
-        we = take_pairs(weights, rows, slots).reshape((-1, 1))
-        ye = layer.experts[e](take_rows(hsa, rows)) * we
-        piece = scatter_rows(ye, rows, n_rows)
-        mixed = piece if mixed is None else mixed + piece
-    out = mixed + hsa
-
     cls_logits = (hsa @ layer.classifier) if layer.classifier is not None else None
-    gate_old = None
-    if mode == "gated":
-        gate_old = cls_logits.data.argmax(axis=1) == 0
-        old_rows = np.nonzero(gate_old)[0]
-        new_rows = np.nonzero(~gate_old)[0]
-        if old_rows.size:
-            bypass = layer.experts[0](take_rows(hsa, old_rows)) + take_rows(hsa, old_rows)
-            pieces = [(old_rows, bypass)]
-            if new_rows.size:
-                pieces.append((new_rows, take_rows(out, new_rows)))
-            out = assemble_rows(pieces, n_rows)
+    gate_old = cls_logits.data.argmax(axis=1) == 0 if mode == "gated" else None
+    out = expert_mix(hsa, weights, indices, layer.experts, gate_old) + hsa
     return out, _LayerGraph(scores, indices, weights, cls_logits, gate_old)
 
 
@@ -491,7 +474,10 @@ def forward_graph(
     model: Model, tokens: np.ndarray, *, mode: str = "plain", want_taps: bool = False
 ) -> _GraphResult:
     """Run the model, keeping the tape alive wherever parameters require
-    gradients. Returns tape-connected logits and per-layer routing values."""
+    gradients. Returns tape-connected logits and per-layer routing values.
+    ``mode="gated"`` gates every layer that has a classifier."""
+    if mode == "gated" and (not isinstance(model, MoEModel) or not model.classifier_layers):
+        raise ConfigurationError("gated mode needs a model with classifiers")
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
@@ -519,15 +505,11 @@ def forward_graph(
         if want_taps:
             taps.append(hsa.data.reshape(b, t, h))
         if is_moe:
-            out, graph = _moe_mix(hsa, model.layer(i), mode)
+            layer = model.layer(i)
+            out, graph = _moe_mix(hsa, layer, "plain" if layer.classifier is None else mode)
             layers.append(graph)
         else:
-            expert = Expert(
-                params[f"{prefix}.ffn.gate"],
-                params[f"{prefix}.ffn.up"],
-                params[f"{prefix}.ffn.down"],
-            )
-            out = expert(hsa) + hsa
+            out = Expert(*(params[f"{prefix}.ffn.{part}"] for part in _PARTS))(hsa) + hsa
         x = out.reshape((b, t, h))
     final = rmsnorm(x, params["out_norm"]).reshape((b * t, h))
     logits = (final @ params["head"]).reshape((b, t, config.vocab))
@@ -536,16 +518,8 @@ def forward_graph(
 
 def forward(model: Model, tokens: np.ndarray, mode: str = "plain") -> ForwardResult:
     """Inference forward: logits, per-layer router-input taps, routing trace."""
-    if mode == "gated" and (not isinstance(model, MoEModel) or not model.classifier_layers):
-        raise ConfigurationError("gated mode needs a model with classifiers")
-    tokens = np.asarray(tokens)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
-    graph_mode = "plain"
-    if mode == "gated":
-        graph_mode = "gated"
-    result = _run_gated_aware(model, tokens, graph_mode)
-    b, t = tokens.shape
+    result = forward_graph(model, tokens, mode=mode, want_taps=True)
+    b, t = result.logits.shape[:2]
     trace = None
     if result.layers is not None:
         trace = tuple(
@@ -563,36 +537,6 @@ def forward(model: Model, tokens: np.ndarray, mode: str = "plain") -> ForwardRes
             for g in result.layers
         )
     return ForwardResult(result.logits.data, np.stack(result.taps), trace)
-
-
-def _run_gated_aware(model: Model, tokens: np.ndarray, mode: str) -> _GraphResult:
-    # Gating only applies on layers that carry a classifier; forward_graph's
-    # _moe_mix gates per layer, so route "gated" only where one exists.
-    if mode != "gated":
-        return forward_graph(model, tokens, mode=mode, want_taps=True)
-    return _forward_mixed_gating(model, tokens)
-
-
-def _forward_mixed_gating(model: MoEModel, tokens: np.ndarray) -> _GraphResult:
-    config = model.config
-    b, t = tokens.shape
-    h = config.hidden
-    params = model.params
-    x = embedding(params["tok_emb"], tokens) + embedding(params["pos_emb"], np.arange(t))
-    layers: list[_LayerGraph] = []
-    taps: list[np.ndarray] = []
-    gate_set = set(model.classifier_layers)
-    for i in range(config.layers):
-        prefix = f"blocks.{i}"
-        x = x + _attention(x, params, prefix, config.heads)
-        hsa = rmsnorm(x, params[f"{prefix}.ffn_norm"]).reshape((b * t, h))
-        taps.append(hsa.data.reshape(b, t, h))
-        out, graph = _moe_mix(hsa, model.layer(i), "gated" if i in gate_set else "plain")
-        layers.append(graph)
-        x = out.reshape((b, t, h))
-    final = rmsnorm(x, params["out_norm"]).reshape((b * t, h))
-    logits = (final @ params["head"]).reshape((b, t, config.vocab))
-    return _GraphResult(logits, layers, taps)
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +563,7 @@ def partition_params(model: MoEModel, stage: str) -> tuple[tuple[str, ...], tupl
         for i in range(model.config.layers):
             start = 1 + sum(e.new_experts[i] for e in model.expansion_history[:last])
             for e in range(start, start + counts[i]):
-                trainable.extend(
-                    f"blocks.{i}.experts.{e}.{part}" for part in ("gate", "up", "down")
-                )
+                trainable.extend(f"blocks.{i}.experts.{e}.{part}" for part in _PARTS)
                 trainable.append(f"blocks.{i}.router.{e}")
         if not trainable:
             raise ConfigurationError("stage-1 trainable set is empty (no new experts)")

@@ -15,13 +15,12 @@ from .autodiff import (
     as_tensor,
     central_difference,
     embedding,
+    expert_mix,
     log_softmax,
-    scatter_rows,
     silu,
     stack_columns,
     take_along,
     take_pairs,
-    take_rows,
     value_and_grad,
     zero_grads,
 )
@@ -37,15 +36,14 @@ __all__ = [
     "cosine",
     "derive_seed",
     "embedding",
+    "expert_mix",
     "log_softmax",
-    "scatter_rows",
     "silu",
     "softmax",
     "softmax_t",
     "stack_columns",
     "take_along",
     "take_pairs",
-    "take_rows",
     "value_and_grad",
     "zero_grads",
 ]

@@ -13,8 +13,14 @@ recorded graph, the binary operations compute no gradient for an operand
 whose ``requires_grad`` is off when ``backward`` runs: a frozen weight costs
 its forward product only.
 
-``take_rows`` and ``scatter_rows`` need distinct row indices, because they
-move rows by assignment; they raise ``ValueError`` on a repeated row.
+``expert_mix`` is one node for a whole MoE layer: row ``r`` of its result
+is ``sum_j weights[r, j] * E[indices[r, j]](x[r])`` for SiLU-gated FFN
+experts ``E(v) = (silu(v @ gate) * (v @ up)) @ down``. It runs each expert
+once on its rows, in ascending order, with the same arithmetic per element
+as composing the ops above. A ``bypass`` row uses expert 0 alone with weight
+exactly 1.0 and gives its routing weights a zero gradient. The backward
+returns ``None`` for a frozen expert weight and skips an expert's inner
+gradients when neither ``x`` nor that expert's ``gate``/``up`` needs one.
 """
 
 from __future__ import annotations
@@ -28,15 +34,13 @@ from ..errors import NumericalFailureError
 __all__ = [
     "Tensor",
     "as_tensor",
-    "assemble_rows",
+    "expert_mix",
     "softmax",
     "log_softmax",
     "silu",
     "embedding",
     "take_along",
-    "take_rows",
     "take_pairs",
-    "scatter_rows",
     "stack_columns",
     "zero_grads",
     "value_and_grad",
@@ -343,29 +347,6 @@ def take_along(t: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
-def _distinct_rows(rows) -> np.ndarray:
-    rows = np.asarray(rows)
-    if rows.size and np.bincount(rows).max() > 1:
-        raise ValueError("row indices must be distinct")
-    return rows
-
-
-def take_rows(t: Tensor, rows: np.ndarray) -> Tensor:
-    """Gather whole rows of a 2-d tensor; ``rows`` must be distinct."""
-    rows = _distinct_rows(rows)
-    out = _node(t.data[rows], (t,))
-    if out._parents:
-
-        def bw(g):
-            gt = np.zeros_like(t.data)
-            # + 0.0 turns -0.0 into 0.0, as adding into zeros would.
-            gt[rows] = g + 0.0
-            return (gt,)
-
-        out._backward = bw
-    return out
-
-
 def take_pairs(t: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Gather scalar entries (rows[i], cols[i]) of a 2-d tensor."""
     rows = np.asarray(rows)
@@ -382,34 +363,82 @@ def take_pairs(t: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     return out
 
 
-def scatter_rows(values: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
-    """Inverse of take_rows: place rows into a zero (num_rows, width) tensor;
-    ``rows`` must be distinct."""
-    rows = _distinct_rows(rows)
-    data = np.zeros((num_rows, values.data.shape[1]), dtype=np.float64)
-    # + 0.0 turns -0.0 into 0.0, as adding into zeros would.
-    data[rows] = values.data + 0.0
-    out = _node(data, (values,))
-    if out._parents:
-        out._backward = lambda g: (g[rows],)
-    return out
+def _slot_sum(values: np.ndarray, pairs: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Put values[i] at flat (row, slot) pairs[i] of zeros (n, k, w); sum the slots."""
+    slots = np.zeros((n * k, values.shape[1]))
+    slots[pairs] = values
+    return slots.reshape(n, k, -1).sum(axis=1)
 
 
-def assemble_rows(pieces: Sequence[tuple[np.ndarray, Tensor]], num_rows: int) -> Tensor:
-    """Assemble disjoint row blocks into one (num_rows, width) tensor by
-    assignment, so each output row is bit-identical to its source row."""
-    width = pieces[0][1].data.shape[1]
-    data = np.empty((num_rows, width), dtype=np.float64)
-    filled = 0
-    for rows, values in pieces:
-        data[rows] = values.data
-        filled += len(rows)
-    if filled != num_rows:
-        raise ValueError("row pieces must partition the output")
-    out = _node(data, tuple(values for _, values in pieces))
+def expert_mix(
+    x: Tensor, weights: Tensor, indices: np.ndarray, experts: Sequence, bypass=None
+) -> Tensor:
+    """Weighted SiLU-FFN expert mix (module docstring); ``bypass``: (n,) bool rows."""
+    indices = np.asarray(indices)
+    n, k = indices.shape
+    if weights.data.shape != (n, k) or x.data.shape[0] != n:
+        raise ValueError("x, weights and indices disagree on rows or slots")
+    route, w, active = indices.copy(), weights.data.copy(), np.ones((n, k), dtype=bool)
+    if bypass is not None:
+        route[bypass, 0] = 0
+        w[bypass, 0] = 1.0
+        active[bypass, 1:] = False
+    pairs = np.flatnonzero(active)
+    owner = route.reshape(-1)[pairs]
+    # Stable, so each expert's rows stay in ascending order.
+    pairs = pairs[np.argsort(owner, kind="stable")]
+    ends = np.cumsum(np.bincount(owner, minlength=len(experts)))
+    rows, ws = pairs // k, w.reshape(-1)[pairs][:, None]
+    xs = x.data[rows]
+    ys = np.empty((pairs.size, experts[0].down.data.shape[1]))
+    params = tuple(p for ex in experts for p in (ex.gate, ex.up, ex.down))
+    # Without a tape, drop each expert's intermediates as soon as it is done.
+    tape = x.requires_grad or weights.requires_grad or any(p.requires_grad for p in params)
+    blocks = []
+    for e, (start, end) in enumerate(zip(np.concatenate(([0], ends[:-1])), ends)):
+        if end > start:
+            ex = experts[e]
+            a = xs[start:end] @ ex.gate.data
+            s = _sigmoid(a)
+            sa = a * s
+            u = xs[start:end] @ ex.up.data
+            m = sa * u
+            ys[start:end] = m @ ex.down.data
+            if tape:
+                blocks.append((e, start, end, a, s, sa, u, m))
+    out = _node(_slot_sum(ys * ws, pairs, n, k), (x, weights) + params)
     if out._parents:
-        row_sets = [np.asarray(rows) for rows, _ in pieces]
-        out._backward = lambda g: tuple(g[rows] for rows in row_sets)
+
+        def bw(g):
+            gs = g[rows]
+            dw = None
+            if weights.requires_grad:
+                dw = np.zeros((n, k))
+                dw.reshape(-1)[pairs] = (gs * ys).sum(axis=1)
+                if bypass is not None:
+                    dw[bypass] = 0.0
+            gys = gs * ws
+            dxs = np.empty_like(xs) if x.requires_grad else None
+            dparams: list = [None] * len(params)
+            for e, start, end, a, s, sa, u, m in blocks:
+                ex, gy, xe = experts[e], gys[start:end], xs[start:end]
+                if ex.down.requires_grad:
+                    dparams[3 * e + 2] = m.T @ gy
+                if dxs is None and not (ex.gate.requires_grad or ex.up.requires_grad):
+                    continue
+                dm = gy @ ex.down.data.T
+                du = dm * sa
+                da = (dm * u) * (s * (1.0 + a * (1.0 - s)))
+                if ex.gate.requires_grad:
+                    dparams[3 * e] = xe.T @ da
+                if ex.up.requires_grad:
+                    dparams[3 * e + 1] = xe.T @ du
+                if dxs is not None:
+                    dxs[start:end] = da @ ex.gate.data.T + du @ ex.up.data.T
+            dx = None if dxs is None else _slot_sum(dxs, pairs, n, k)
+            return (dx, dw, *dparams)
+
+        out._backward = bw
     return out
 
 

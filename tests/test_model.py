@@ -12,6 +12,8 @@ from layermoe.errors import (
 )
 from layermoe.model import (
     DenseModel,
+    Expansion,
+    Expert,
     ModelConfig,
     MoELayer,
     add_classifiers,
@@ -147,22 +149,34 @@ class TestRoute:
 
 class TestMoELayerForward:
     @staticmethod
-    def stub_layer(classifier=None):
-        # experts E0(x) = 2x and E1(x) = -x; router puts logits (2, 1) on
-        # x = (1, 0), so the renormalised weights are (0.73106, 0.26894)
+    def experts(count=2, seed=12):
+        gen = SeededRng(seed).generator()
+        shapes = ((2, 3), (2, 3), (3, 2))
+        return [
+            Expert(*(Tensor(gen.normal(0.0, 0.5, size=shape)) for shape in shapes))
+            for _ in range(count)
+        ]
+
+    @classmethod
+    def stub_layer(cls, classifier=None):
+        # two real experts E0, E1; router puts logits (2, 1) on x = (1, 0),
+        # so the renormalised weights are (0.73106, 0.26894)
         col0 = Tensor(np.array([2.0, 0.0]))
         col1 = Tensor(np.array([1.0, 0.0]))
         return MoELayer(
             index=0,
-            experts=[lambda t: t * 2.0, lambda t: -t],
+            experts=cls.experts(),
             router_columns=[col0, col1],
             top_k=2,
             classifier=classifier,
         )
 
     def test_weighted_mix_hand_example(self):
-        y = moe_layer_forward(np.array([1.0, 0.0]), self.stub_layer())
-        np.testing.assert_allclose(y, [2.19318, 0.0], atol=1e-4)
+        layer = self.stub_layer()
+        x = np.array([1.0, 0.0])
+        e0, e1 = (expert(Tensor(x[None, :])).data[0] for expert in layer.experts)
+        y = moe_layer_forward(x, layer)
+        np.testing.assert_allclose(y, 0.73106 * e0 + 0.26894 * e1 + x, atol=1e-4)
 
     def test_gate_bypasses_router_exactly(self):
         # zero classifier logits tie everywhere and argmax resolves to class 0
@@ -170,7 +184,7 @@ class TestMoELayerForward:
         layer = self.stub_layer(Tensor(np.zeros((2, 2))))
         x = SeededRng(9).generator().normal(size=(7, 2))
         gated = moe_layer_forward(x, layer, mode="gated")
-        expected = 2.0 * x + x  # E0(x) + x, same arithmetic path
+        expected = (layer.experts[0](Tensor(x)) + Tensor(x)).data  # E0(x) + x
         np.testing.assert_array_equal(gated, expected)
 
     def test_gate_new_tokens_route_normally(self):
@@ -182,9 +196,11 @@ class TestMoELayerForward:
         )
 
     def test_single_expert_layer(self):
-        layer = MoELayer(0, [lambda t: t * 3.0], [Tensor(np.zeros(2))], top_k=2)
+        (expert,) = self.experts(count=1)
+        layer = MoELayer(0, [expert], [Tensor(np.zeros(2))], top_k=2)
         x = np.array([0.5, -1.0])
-        np.testing.assert_array_equal(moe_layer_forward(x, layer), 3.0 * x + x)
+        expected = (expert(Tensor(x[None, :])) + Tensor(x[None, :])).data[0]
+        np.testing.assert_array_equal(moe_layer_forward(x, layer), expected)
 
     def test_gated_without_classifier_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -252,6 +268,26 @@ class TestForward:
         assert result.trace[0].gate_old is None
         # zero classifier logits tie, argmax picks class 0 = old everywhere
         np.testing.assert_array_equal(result.trace[1].gate_old, True)
+
+    def test_gated_mode_gates_exactly_the_classifier_layers(self):
+        config = tiny_config(layers=3)
+        dense3 = DenseModel.create(config, groups=("g0",))
+        model = upcycle(dense3, [2, 3, 1], "g1")
+        gen = SeededRng(22).generator()
+        for name, param in model.params.items():
+            if ".router." in name:
+                param.data[:] = gen.normal(size=param.data.shape)
+        add_classifiers(model, [0, 2])  # zero logits: the gate fires on every row
+        tokens = sample_tokens(config)
+        gated = forward(model, tokens, mode="gated")
+        assert [t.gate_old is not None for t in gated.trace] == [True, False, True]
+        np.testing.assert_array_equal(gated.trace[0].gate_old, True)
+        np.testing.assert_array_equal(gated.trace[2].gate_old, True)
+        # gated layer 0 runs expert 0 (the dense FFN) alone, bit for bit
+        reference = forward(dense3, tokens)
+        np.testing.assert_array_equal(gated.taps[1], reference.taps[1])
+        # layer 1 has no classifier, so it still mixes its routed experts
+        assert np.abs(gated.taps[2] - reference.taps[2]).max() > 1e-6
 
 
 class TestPartition:
@@ -388,3 +424,34 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_model(path)
+
+    def test_structure_mismatch_rejected(self, dense, tmp_path):
+        def broken(edit):
+            model = upcycle(dense, [1, 2], "g1")
+            add_classifiers(model, [1])
+            edit(model)
+            path = tmp_path / "broken.lmoe"
+            save_model(model, path)
+            with pytest.raises(FormatError) as info:
+                load_model(path)
+            return str(info.value)
+
+        assert "blocks.1.experts.1.up" in broken(lambda m: m.params.pop("blocks.1.experts.1.up"))
+        assert "blocks.0.router.9" in broken(
+            lambda m: m.params.update({"blocks.0.router.9": Tensor(np.zeros(16))})
+        )
+        assert "blocks.0.experts.0.down" in broken(
+            lambda m: m.params.update({"blocks.0.experts.0.down": Tensor(np.zeros((16, 12)))})
+        )
+        assert "blocks.0.classifier" in broken(lambda m: setattr(m, "classifier_layers", (0, 1)))
+        assert "experts.3" in broken(
+            lambda m: setattr(m, "expansion_history", (Expansion("g1", (1, 3)),))
+        )
+        assert "cover 2 layers" in broken(
+            lambda m: setattr(m, "expansion_history", (Expansion("g1", (1, 2, 0)),))
+        )
+        dense_copy = DenseModel(dense.config, dict(dense.params), dense.groups)
+        del dense_copy.params["head"]
+        save_model(dense_copy, tmp_path / "dense.lmoe")
+        with pytest.raises(FormatError):
+            load_model(tmp_path / "dense.lmoe")

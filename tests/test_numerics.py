@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from layermoe.errors import DegenerateVectorError, InvalidInputError, NumericalFailureError
+from layermoe.model import Expert
 from layermoe.numerics import (
     SeededRng,
     Tensor,
@@ -13,18 +14,17 @@ from layermoe.numerics import (
     cosine,
     derive_seed,
     embedding,
+    expert_mix,
     log_softmax,
-    scatter_rows,
     silu,
     softmax,
     softmax_t,
     stack_columns,
     take_along,
     take_pairs,
-    take_rows,
     value_and_grad,
 )
-from layermoe.numerics.autodiff import _sigmoid, assemble_rows
+from layermoe.numerics.autodiff import _sigmoid
 
 
 def rel_err(a, b, floor=1.0):
@@ -195,25 +195,10 @@ class TestOpGradients:
         gen = SeededRng(7).generator()
         x = Tensor(gen.normal(size=(5, 3)))
         idx = np.array([[0, 2], [1, 1], [2, 0], [0, 1], [2, 2]])
-        rows = np.array([0, 2, 4])
         self.check(lambda: (take_along(x, idx) ** 2).sum(), {"x": x})
-        self.check(lambda: (take_rows(x, rows) ** 2).sum(), {"x": x})
         self.check(
             lambda: (take_pairs(x, np.array([0, 1, 4]), np.array([2, 0, 1])) ** 2).sum(),
             {"x": x},
-        )
-        v = Tensor(gen.normal(size=(3, 3)))
-        self.check(lambda: (scatter_rows(v, rows, 6) ** 2).sum(), {"v": v})
-
-    def test_assemble_rows(self):
-        gen = SeededRng(8).generator()
-        a = Tensor(gen.normal(size=(2, 3)))
-        b = Tensor(gen.normal(size=(3, 3)))
-        rows_a = np.array([0, 3])
-        rows_b = np.array([1, 2, 4])
-        self.check(
-            lambda: (assemble_rows([(rows_a, a * 2.0), (rows_b, b * 0.5)], 5) ** 2).sum(),
-            {"a": a, "b": b},
         )
 
     def test_stack_columns_embedding(self):
@@ -285,18 +270,104 @@ class TestTapeFastPaths:
             assert grads[1 - trainable] is None
             assert grads[trainable].shape == (3, 3)
 
-    def test_row_moves_reject_duplicate_rows(self):
-        with pytest.raises(ValueError):
-            take_rows(Tensor(np.ones((4, 2))), np.array([0, 2, 0]))
-        with pytest.raises(ValueError):
-            scatter_rows(Tensor(np.ones((3, 2))), np.array([1, 3, 1]), 4)
 
-    def test_row_moves_match_add_at_on_signed_zeros(self):
-        values = np.array([[-0.0, 1.5], [2.0, -0.0]])
-        rows = np.array([3, 1])
-        expected = np.zeros((4, 2))
-        np.add.at(expected, rows, values)
-        assert scatter_rows(Tensor(values), rows, 4).data.tobytes() == expected.tobytes()
-        x = Tensor(np.ones((4, 2)), requires_grad=True)
-        (grad,) = take_rows(x, rows)._backward(values)
-        assert grad.tobytes() == expected.tobytes()
+def mix_case(seed=30, rows=9, hidden=4, ffn=5, routed=4, k=2):
+    """Rows, routing and routed + 1 experts; the last expert gets no rows."""
+    gen = SeededRng(seed).generator()
+    shapes = ((hidden, ffn), (hidden, ffn), (ffn, hidden))
+    experts = [
+        Expert(*(Tensor(gen.normal(0.0, 0.5, size=shape)) for shape in shapes))
+        for _ in range(routed + 1)
+    ]
+    x = Tensor(gen.normal(size=(rows, hidden)))
+    indices = np.argsort(-gen.normal(size=(rows, routed)), axis=1, kind="stable")[:, :k]
+    weights = Tensor(gen.uniform(0.1, 1.0, size=(rows, k)))
+    return x, weights, indices, experts
+
+
+def mix_params(x, weights, experts):
+    params = {"x": x, "weights": weights}
+    for e, expert in enumerate(experts):
+        params.update({f"{e}.gate": expert.gate, f"{e}.up": expert.up, f"{e}.down": expert.down})
+    return params
+
+
+def composed_mix(x, weights, indices, experts, bypass=None):
+    """Reference: the per-expert tape composition that expert_mix fuses.
+    One-hot matmuls gather each expert's rows and scatter its weighted
+    outputs back; a bypass row keeps E0(x) alone."""
+    n = x.shape[0]
+    mixed = None
+    for e, expert in enumerate(experts):
+        rows, slots = np.nonzero(indices == e)
+        if rows.size == 0:
+            continue
+        pick = np.zeros((rows.size, n))
+        pick[np.arange(rows.size), rows] = 1.0
+        we = take_pairs(weights, rows, slots).reshape((-1, 1))
+        piece = Tensor(pick.T) @ (expert(Tensor(pick) @ x) * we)
+        mixed = piece if mixed is None else mixed + piece
+    if bypass is None:
+        return mixed
+    fired = bypass.astype(np.float64)[:, None]
+    return mixed * Tensor(1.0 - fired) + experts[0](x) * Tensor(fired)
+
+
+BYPASS = np.array([False, True, False, False, True, False, True, False, False])
+
+
+class TestExpertMix:
+    @pytest.mark.parametrize("bypass", [None, BYPASS])
+    def test_matches_central_differences(self, bypass):
+        x, weights, indices, experts = mix_case()
+        params = mix_params(x, weights, experts)
+        TestOpGradients().check(
+            lambda: (expert_mix(x, weights, indices, experts, bypass) ** 2).sum(), params
+        )
+
+    @pytest.mark.parametrize("bypass", [None, BYPASS])
+    def test_matches_tape_composition(self, bypass):
+        x, weights, indices, experts = mix_case(seed=31)
+        params = mix_params(x, weights, experts)
+        fused = expert_mix(x, weights, indices, experts, bypass)
+        reference = composed_mix(x, weights, indices, experts, bypass)
+        assert rel_err(fused.data, reference.data) < 1e-12
+        _, got = value_and_grad(
+            lambda: (expert_mix(x, weights, indices, experts, bypass) ** 2).sum(), params
+        )
+        _, want = value_and_grad(
+            lambda: (composed_mix(x, weights, indices, experts, bypass) ** 2).sum(), params
+        )
+        for name in params:
+            assert rel_err(got[name], want[name]) < 1e-12, name
+
+    def test_frozen_experts_get_none(self):
+        x, weights, indices, experts = mix_case()
+        x.requires_grad = True
+        for part in (experts[1].gate, experts[1].up, experts[1].down):
+            part.requires_grad = True
+        out = expert_mix(x, weights, indices, experts)
+        grads = out._backward(np.ones(out.shape))
+        assert grads[0].shape == x.shape
+        assert grads[1] is None  # weights are frozen
+        expert_grads = [grads[2 + 3 * e : 5 + 3 * e] for e in range(len(experts))]
+        assert all(g is None for e, trio in enumerate(expert_grads) if e != 1 for g in trio)
+        assert [g.shape for g in expert_grads[1]] == [(4, 5), (4, 5), (5, 4)]
+        # only down trainable and x frozen: no inner gradients at all
+        x.requires_grad = False
+        experts[1].gate.requires_grad = experts[1].up.requires_grad = False
+        grads = out._backward(np.ones(out.shape))
+        assert grads[0] is None and grads[2 + 3] is None and grads[3 + 3] is None
+        assert grads[4 + 3].shape == (5, 4)
+
+    def test_bypass_rows_take_expert_zero_alone(self):
+        x, weights, indices, experts = mix_case()
+        every = np.ones(x.shape[0], dtype=bool)
+        out = expert_mix(x, weights, indices, experts, every)
+        np.testing.assert_array_equal(out.data, experts[0](x).data)
+        weights.requires_grad = True
+        out = expert_mix(x, weights, indices, experts, BYPASS)
+        np.testing.assert_allclose(out.data[BYPASS], experts[0](x).data[BYPASS], rtol=1e-15)
+        _, dw, *_ = out._backward(np.ones(out.shape))
+        np.testing.assert_array_equal(dw[BYPASS], 0.0)
+        assert (dw[~BYPASS] != 0.0).all()
