@@ -26,7 +26,6 @@ __all__ = [
     "allocate",
     "load_plan",
     "save_plan",
-    "uniform_plan",
     "validate",
 ]
 
@@ -87,22 +86,6 @@ def allocate(similarities: Sequence[float], budget: int) -> AllocationPlan:
         raw=tuple(float(r) for r in raw),
         pre_reconciliation=pre_reconciliation,
         new_experts=tuple(counts),
-    )
-
-
-def uniform_plan(layer_count: int, per_layer: int) -> AllocationPlan:
-    """The uniform baseline: the same number of new experts on every layer."""
-    if layer_count < 1 or per_layer < 0:
-        raise BudgetError("need at least one layer and a non-negative count")
-    counts = (per_layer,) * layer_count
-    share = float(per_layer)
-    return AllocationPlan(
-        budget=per_layer * layer_count,
-        similarities=(1.0,) * layer_count,
-        raw=(share,) * layer_count,
-        pre_reconciliation=counts,
-        new_experts=counts,
-        meta={"uniform": True},
     )
 
 

@@ -3,8 +3,8 @@ allocation, expansion, review, evaluation, and full pipelines.
 
 Every artifact-producing command writes a manifest (``<out>.manifest.json``)
 holding the resolved arguments, package version, and output hashes; the
-``replay`` command re-runs a manifest and reproduces the same bytes. Errors
-exit nonzero with a one-line JSON record on stderr.
+``replay`` command re-runs a manifest and fails unless every output's sha256
+matches the recorded one. Errors exit 2 with a one-line JSON record on stderr.
 
 Pipeline config precedence: file < LAYERMOE_OVERRIDES environment variable
 (semicolon-separated dotted key=value pairs) < repeated ``--set key=value``.
@@ -28,7 +28,6 @@ from .model import DenseModel, ModelConfig, MoEModel, load_model, save_model
 from .numerics import derive_seed
 from .profiler import profile_similarity, save_profile, select_classifier_layers
 from .trainer import (
-    DenseRecipe,
     TrainingRecipe,
     evaluate,
     lifelong_expand,
@@ -108,15 +107,17 @@ def _cmd_gen_corpus(args) -> dict[str, Path]:
 
 def _cmd_train_base(args) -> dict[str, Path]:
     model_cfg = _load_json(args.config)
-    model_cfg.setdefault("seed", args.seed)
-    config = ModelConfig.from_dict(model_cfg)
+    if not isinstance(model_cfg, dict):
+        raise FormatError(f"{args.config}: a model config is a JSON object")
+    config = ModelConfig.from_dict({"seed": args.seed, **model_cfg})
     corpus = TaggedCorpus.load_jsonl(args.corpus).subset_groups([args.group])
     if len(corpus) == 0:
         raise InvalidInputError(f"corpus has no sequences in group {args.group!r}")
     if corpus.sequences.max() >= config.vocab:
         raise InvalidInputError("corpus token ids exceed the model vocabulary")
     model = DenseModel.create(config, groups=(args.group,))
-    recipe = DenseRecipe(
+    recipe = TrainingRecipe(
+        stage="dense",
         steps=args.steps,
         batch_size=args.batch_size,
         seed=derive_seed(args.seed, "train-base"),
@@ -131,7 +132,7 @@ def _cmd_train_base(args) -> dict[str, Path]:
     return {"model": out, "losses": losses}
 
 
-def _profile_languages(model, corpus, old_groups, new_groups):
+def _profile_languages(corpus, old_groups, new_groups):
     group_of = corpus.group_of()
     old = [l for l in corpus.language_set() if group_of[l] in set(old_groups)]
     new = [l for l in corpus.language_set() if group_of[l] in set(new_groups)]
@@ -143,7 +144,7 @@ def _profile_languages(model, corpus, old_groups, new_groups):
 def _cmd_profile(args) -> dict[str, Path]:
     model = load_model(args.model)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
-    old, new = _profile_languages(model, corpus, _groups_arg(args.old), _groups_arg(args.new))
+    old, new = _profile_languages(corpus, _groups_arg(args.old), _groups_arg(args.new))
     profile = profile_similarity(
         model,
         corpus,
@@ -208,7 +209,7 @@ def _cmd_review(args) -> dict[str, Path]:
     layers: tuple[int, ...] = ()
     profile_out = None
     if args.classifier_count > 0:
-        old, new = _profile_languages(model, corpus, model.old_groups, [new_group])
+        old, new = _profile_languages(corpus, model.old_groups, [new_group])
         profile = profile_similarity(
             model, corpus, old, new, q=args.q, seed=derive_seed(args.seed, "review-profile")
         )
@@ -264,39 +265,42 @@ def _cmd_eval(args) -> dict[str, Path]:
     return {"metrics": out, "metrics_csv": csv_out}
 
 
-def _cmd_route_stats(args) -> dict[str, Path]:
-    model = load_model(args.model)
-    if not isinstance(model, MoEModel):
-        raise ConfigurationError("route-stats needs an expanded checkpoint")
-    corpus = TaggedCorpus.load_jsonl(args.corpus)
-    metrics = evaluate(
-        model, corpus, mode=args.mode, max_sequences_per_language=args.max_sequences
-    )
-    record = {
-        "mode": metrics.mode,
-        "routing_old_fraction": metrics.routing_old_fraction,
-        "classifier_accuracy": metrics.classifier_accuracy,
-        "expert_utilization": metrics.expert_utilization,
-    }
-    out = Path(args.out)
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return {"stats": out}
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 
 
-def _lacks(node, dotted: str) -> bool:
+_MISSING = object()
+# (key, type, required) of every value run_pipeline reads from a training
+# stage, from the config, and from each expansion.
+_STAGE_KEYS = [("steps", int, True), ("batch_size", int, True)] + [
+    (key, (int, float), False)
+    for key in ("learning_rate", "momentum", "balance_weight", "lpr_weight", "cls_weight")
+]
+_PIPELINE_KEYS = [
+    ("languages.groups", dict, True),
+    ("model", dict, True),
+    ("corpus.tokens_per_language", int, True),
+    ("base.group", str, True),
+] + [(f"base.{key}", kind, required) for key, kind, required in _STAGE_KEYS]
+_EXPANSION_KEYS = [
+    ("group", str, True),
+    ("budget", int, True),
+    ("q", int, False),
+    ("classifier_count", int, False),
+] + [(f"stage{n}.{key}", kind, required) for n in (1, 2) for key, kind, required in _STAGE_KEYS]
+
+
+def _get(node, dotted: str):
+    """The value at a dotted key path, or _MISSING."""
     for key in dotted.split("."):
         if not isinstance(node, dict) or key not in node:
-            return True
+            return _MISSING
         node = node[key]
-    return False
+    return node
 
 
 def _apply_override(config: dict, dotted: str, raw: str) -> None:
-    if _lacks(config, dotted):
+    if _get(config, dotted) is _MISSING:
         raise InvalidInputError(f"override path {dotted!r} not in config")
     *keys, last = dotted.split(".")
     node = config
@@ -323,18 +327,25 @@ def _resolve_pipeline_config(args) -> dict:
 
 def _check_pipeline_config(config) -> None:
     """Raise FormatError naming every key that run_pipeline reads without a
-    default and the config lacks."""
-    stage = ["steps", "batch_size"]
-    required = ["languages.groups", "model", "corpus.tokens_per_language", "base.group"]
-    missing = [key for key in required + [f"base.{k}" for k in stage] if _lacks(config, key)]
+    default and the config lacks, and every value it reads of the wrong type
+    (a bool is not an int here)."""
     expansions = config.get("expansions", []) if isinstance(config, dict) else []
     if not isinstance(expansions, list):
         raise FormatError("pipeline config: 'expansions' must be a list")
-    each = ["group", "budget"] + [f"stage{n}.{k}" for n in (1, 2) for k in stage]
-    for i, exp in enumerate(expansions):
-        missing += [f"expansions.{i}.{key}" for key in each if _lacks(exp, key)]
-    if missing:
-        raise FormatError(f"pipeline config lacks {', '.join(missing)}")
+    nodes = [("", config, _PIPELINE_KEYS)]
+    nodes += [(f"expansions.{i}.", exp, _EXPANSION_KEYS) for i, exp in enumerate(expansions)]
+    missing, wrong = [], []
+    for prefix, node, keys in nodes:
+        for key, kind, required in keys:
+            value = _get(node, key)
+            if value is _MISSING:
+                missing += [prefix + key] if required else []
+            elif isinstance(value, bool) or not isinstance(value, kind):
+                wrong.append(prefix + key)
+    problems = [f"lacks {', '.join(missing)}"] if missing else []
+    problems += [f"has a value of the wrong type at {', '.join(wrong)}"] if wrong else []
+    if problems:
+        raise FormatError(f"pipeline config {'; '.join(problems)}")
 
 
 def _recipe_from(cfg: dict, stage: str, seed: int) -> TrainingRecipe:
@@ -368,9 +379,7 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
         overlap=lang_cfg.get("overlap", 0.0),
         seed=seed,
     )
-    model_cfg = dict(config["model"])
-    model_cfg.setdefault("seed", seed)
-    model_config = ModelConfig.from_dict(model_cfg)
+    model_config = ModelConfig.from_dict({"seed": seed, **config["model"]})
     if required_vocab(specs) > model_config.vocab:
         raise ConfigurationError(
             f"language layout needs vocab {required_vocab(specs)}, model has {model_config.vocab}"
@@ -388,13 +397,7 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     base_cfg = config["base"]
     base_group = base_cfg["group"]
     dense = DenseModel.create(model_config, groups=(base_group,))
-    dense_recipe = DenseRecipe(
-        steps=base_cfg["steps"],
-        batch_size=base_cfg["batch_size"],
-        seed=derive_seed(seed, "base"),
-        learning_rate=base_cfg.get("learning_rate", 5e-5),
-        momentum=base_cfg.get("momentum", 0.0),
-    )
+    dense_recipe = _recipe_from(base_cfg, "dense", derive_seed(seed, "base"))
     base_reports = train_dense(dense, corpus.subset_groups([base_group]), dense_recipe)
     base_path = out_dir / "base.lmoe"
     save_model(dense, base_path)
@@ -417,7 +420,6 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
         expansion_seed = derive_seed(seed, "expansion", index, group)
         model, result = lifelong_expand(
             model,
-            dense,
             corpus,
             group,
             exp_cfg["budget"],
@@ -465,22 +467,30 @@ def _cmd_run_pipeline(args) -> dict[str, Path]:
 
 def _cmd_replay(args) -> dict[str, Path]:
     manifest = _load_json(args.manifest)
-    command = manifest["command"]
-    if command == "replay":
-        raise InvalidInputError("cannot replay a replay manifest")
-    handler, _ = _COMMANDS[command]
-    replay_args = argparse.Namespace(**manifest["arguments"])
-    outputs = handler(replay_args)
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if not isinstance(command, str) or command not in _COMMANDS or command == "replay":
+        raise FormatError(f"{args.manifest}: no replayable command, found {command!r}")
+    arguments, recorded = manifest.get("arguments"), manifest.get("outputs")
+    if not isinstance(arguments, dict) or not isinstance(recorded, dict):
+        raise FormatError(f"{args.manifest}: a manifest needs 'arguments' and 'outputs' objects")
+    replay_args = argparse.Namespace(**arguments)
+    try:
+        outputs = _COMMANDS[command](replay_args)
+    except AttributeError as exc:
+        if exc.obj is not replay_args:
+            raise
+        raise FormatError(f"{args.manifest}: arguments lack {exc.name!r}") from None
+    want = {name: e.get("sha256") for name, e in recorded.items() if isinstance(e, dict)}
+    found = {name: _sha256(path) for name, path in outputs.items()}
+    differ = sorted(n for n in want.keys() | found.keys() if want.get(n) != found.get(n))
+    if differ:
+        raise FormatError(f"{args.manifest}: replay does not reproduce {', '.join(differ)}")
     _write_manifest(command, vars(replay_args), outputs)
     return outputs
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _build_parser() -> _Parser:
@@ -492,7 +502,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tokens", type=int, required=True, help="token budget per language")
     p.add_argument("--seq-len", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train-base", help="train the dense backbone")
     p.add_argument("--config", required=True, help="JSON model config")
@@ -503,7 +513,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--learning-rate", type=float, default=5e-5)
     p.add_argument("--momentum", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("profile", help="per-layer similarity profile")
     p.add_argument("--model", required=True)
@@ -513,13 +523,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=int, default=512)
     p.add_argument("--literal-new-new", action="store_true")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("allocate", help="turn a profile into an expert plan")
     p.add_argument("--profile", required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
 
     p = sub.add_parser("expand", help="upcycle a dense model and run stage 1")
     p.add_argument("--model", required=True)
@@ -533,7 +542,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--momentum", type=float, default=0.0)
     p.add_argument("--balance-weight", type=float, default=0.01)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("review", help="stage-2 router review with classifiers")
     p.add_argument("--model", required=True)
@@ -550,7 +559,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cls-weight", type=float, default=0.1)
     p.add_argument("--cls-mode", choices=("standard_ce", "literal_paper"), default="standard_ce")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("eval", help="per-language perplexity and routing stats")
     p.add_argument("--model", required=True)
@@ -559,40 +568,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--old-groups", default="")
     p.add_argument("--max-sequences", type=int, default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("route-stats", help="routing fractions and utilisation")
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=("plain", "gated"), default="plain")
-    p.add_argument("--max-sequences", type=int, default=None)
-    p.add_argument("--out", required=True)
-    _add_common(p)
 
     p = sub.add_parser("run-pipeline", help="full single/lifelong expansion pipeline")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    _add_common(p)
 
     p = sub.add_parser("replay", help="re-run a recorded manifest")
     p.add_argument("--manifest", required=True)
-    _add_common(p)
 
     return parser
 
 
 _COMMANDS = {
-    "gen-corpus": (_cmd_gen_corpus, None),
-    "train-base": (_cmd_train_base, None),
-    "profile": (_cmd_profile, None),
-    "allocate": (_cmd_allocate, None),
-    "expand": (_cmd_expand, None),
-    "review": (_cmd_review, None),
-    "eval": (_cmd_eval, None),
-    "route-stats": (_cmd_route_stats, None),
-    "run-pipeline": (_cmd_run_pipeline, None),
-    "replay": (_cmd_replay, None),
+    "gen-corpus": _cmd_gen_corpus,
+    "train-base": _cmd_train_base,
+    "profile": _cmd_profile,
+    "allocate": _cmd_allocate,
+    "expand": _cmd_expand,
+    "review": _cmd_review,
+    "eval": _cmd_eval,
+    "run-pipeline": _cmd_run_pipeline,
+    "replay": _cmd_replay,
 }
 
 
@@ -600,8 +597,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handler, _ = _COMMANDS[args.command]
-        outputs = handler(args)
+        outputs = _COMMANDS[args.command](args)
         if args.command != "replay":
             _write_manifest(args.command, vars(args), outputs)
         for name, path in outputs.items():

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import FormatError, InvalidInputError
 from .numerics import SeededRng, derive_seed
 
 BOS_ID = 0
@@ -140,10 +140,6 @@ class LanguageSampler:
         return out
 
 
-def make_language(spec: SyntheticLanguageSpec, seed: int) -> LanguageSampler:
-    return LanguageSampler(spec, seed)
-
-
 @dataclass(frozen=True)
 class TaggedCorpus:
     """Fixed-length sequences with a language and group tag per sequence."""
@@ -220,14 +216,16 @@ class TaggedCorpus:
     def load_jsonl(cls, path: str | Path) -> "TaggedCorpus":
         sequences, languages, groups = [], [], []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
                     continue
-                record = json.loads(line)
-                sequences.append(record["tokens"])
-                languages.append(record["lang"])
-                groups.append(record["group"])
+                try:
+                    record = json.loads(line)
+                    sequences.append(record["tokens"])
+                    languages.append(record["lang"])
+                    groups.append(record["group"])
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    raise FormatError(f"{path}:{number}: not a corpus record: {exc!r}") from None
         if not sequences:
             raise InvalidInputError(f"{path}: empty corpus")
         lengths = {len(s) for s in sequences}
@@ -248,7 +246,7 @@ def generate(
     per_language = math.ceil(tokens_per_language / sequence_length)
     sequences, languages, groups = [], [], []
     for spec in specs:
-        sampler = make_language(spec, derive_seed(seed, "language", spec.language))
+        sampler = LanguageSampler(spec, derive_seed(seed, "language", spec.language))
         for _ in range(per_language):
             sequences.append(sampler.sequence(sequence_length))
             languages.append(spec.language)

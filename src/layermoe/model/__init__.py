@@ -16,9 +16,7 @@ from .network import (
     forward,
     forward_graph,
     hash_params,
-    moe_layer_forward,
     partition_params,
-    route,
     upcycle,
 )
 
@@ -38,9 +36,7 @@ __all__ = [
     "forward_graph",
     "hash_params",
     "load_model",
-    "moe_layer_forward",
     "partition_params",
-    "route",
     "save_model",
     "upcycle",
 ]

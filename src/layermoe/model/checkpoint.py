@@ -74,6 +74,10 @@ def load_model(path: str | Path) -> Model:
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
+    keys = header if isinstance(header, dict) else {}
+    missing = [k for k in ("kind", "config", "params") if k not in keys]
+    if missing:
+        raise FormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
 
     expected = sum(
         int(np.prod(entry["shape"], dtype=np.int64)) for entry in header["params"]

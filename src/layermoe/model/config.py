@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 from ..errors import ConfigurationError
 
@@ -39,4 +39,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Build from a mapping of int fields; raises ConfigurationError naming
+        every missing key, unknown key and non-int value."""
+        if not isinstance(d, dict):
+            raise ConfigurationError("a model config is a mapping of its fields")
+        known = cls.__dataclass_fields__
+        missing = [k for k, f in known.items() if f.default is MISSING and k not in d]
+        problems = [f"lacks {', '.join(missing)}"] if missing else []
+        problems += [f"has unknown key {k!r}" for k in d if k not in known]
+        problems += [f"{k} is not an int" for k, v in d.items() if k in known and type(v) is not int]
+        if problems:
+            raise ConfigurationError(f"model config {'; '.join(problems)}")
         return cls(**d)

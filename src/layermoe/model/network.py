@@ -42,7 +42,6 @@ from ..numerics import (
     embedding,
     expert_mix,
     silu,
-    softmax,
     softmax_t,
     stack_columns,
     take_along,
@@ -289,7 +288,6 @@ def _spawn_expert(
     expert: int,
     base: dict[str, np.ndarray],
     init: str,
-    noise_std: float,
 ) -> dict[str, np.ndarray]:
     out = {}
     for part, arr in base.items():
@@ -297,7 +295,7 @@ def _spawn_expert(
             derive_seed(model_seed, "expansion", expansion, "layer", layer, "expert", expert, part)
         ).generator()
         if init == "inherit":
-            out[part] = arr + rng.normal(0.0, noise_std, size=arr.shape)
+            out[part] = arr + rng.normal(0.0, NEW_EXPERT_NOISE_STD, size=arr.shape)
         elif init == "random":
             out[part] = rng.normal(0.0, INIT_STD, size=arr.shape)
         else:
@@ -305,14 +303,7 @@ def _spawn_expert(
     return out
 
 
-def upcycle(
-    dense: DenseModel,
-    plan,
-    group: str,
-    *,
-    init: str = "inherit",
-    noise_std: float = NEW_EXPERT_NOISE_STD,
-) -> MoEModel:
+def upcycle(dense: DenseModel, plan, group: str, *, init: str = "inherit") -> MoEModel:
     """Turn a dense model into an MoE: per layer, expert 0 is the original
     FFN and ``plan`` new experts are added (default: copies of expert 0 plus
     seeded Gaussian noise). Routers start at zero, so routing begins uniform
@@ -331,7 +322,7 @@ def upcycle(
             params[f"blocks.{i}.experts.0.{part}"] = Tensor(arr.copy())
         for j in range(counts[i]):
             e = 1 + j
-            spawned = _spawn_expert(config.seed, 0, i, e, base, init, noise_std)
+            spawned = _spawn_expert(config.seed, 0, i, e, base, init)
             for part, arr in spawned.items():
                 params[f"blocks.{i}.experts.{e}.{part}"] = Tensor(arr)
         for e in range(1 + counts[i]):
@@ -339,14 +330,7 @@ def upcycle(
     return MoEModel(config, params, dense.groups, [Expansion(group, counts)])
 
 
-def extend_expansion(
-    model: MoEModel,
-    plan,
-    group: str,
-    *,
-    init: str = "inherit",
-    noise_std: float = NEW_EXPERT_NOISE_STD,
-) -> MoEModel:
+def extend_expansion(model: MoEModel, plan, group: str, *, init: str = "inherit") -> MoEModel:
     """Add a further expansion to an existing MoE model. New experts copy the
     layer's expert 0 (the original dense FFN) plus noise; classifiers from the
     previous expansion are dropped, since the next review stage re-selects
@@ -364,7 +348,7 @@ def extend_expansion(
         base = {part: model.params[f"blocks.{i}.experts.0.{part}"].data for part in _PARTS}
         for j in range(counts[i]):
             e = existing[i] + j
-            spawned = _spawn_expert(config.seed, expansion_index, i, e, base, init, noise_std)
+            spawned = _spawn_expert(config.seed, expansion_index, i, e, base, init)
             for part, arr in spawned.items():
                 params[f"blocks.{i}.experts.{e}.{part}"] = Tensor(arr)
             params[f"blocks.{i}.router.{e}"] = Tensor(np.zeros(config.hidden))
@@ -418,25 +402,6 @@ def _attention(x: Tensor, params: dict[str, Tensor], prefix: str, heads: int) ->
     return (ctx @ params[f"{prefix}.wo"]).reshape((b, t, h))
 
 
-def route(x: np.ndarray, router: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Select min(top_k, n_experts) experts for one hidden vector.
-
-    Returns (indices, weights): indices in descending-score order with ties
-    broken toward the lower expert index; weights are the selected softmax
-    scores renormalised to sum to one.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    router = np.asarray(router, dtype=np.float64)
-    if top_k < 1:
-        raise InvalidInputError("top_k must be >= 1")
-    if x.ndim != 1 or router.ndim != 2 or router.shape[0] != x.shape[0]:
-        raise InvalidInputError(f"bad shapes for routing: {x.shape} @ {router.shape}")
-    scores = softmax(x @ router)
-    indices = _select(scores[None, :], top_k)[0]
-    selected = scores[indices]
-    return indices, selected / selected.sum()
-
-
 def _select(scores: np.ndarray, top_k: int) -> np.ndarray:
     k = min(top_k, scores.shape[1])
     return np.argsort(-scores, axis=1, kind="stable")[:, :k]
@@ -460,14 +425,6 @@ def _moe_mix(hsa: Tensor, layer: MoELayer, mode: str) -> tuple[Tensor, _LayerGra
     gate_old = cls_logits.data.argmax(axis=1) == 0 if mode == "gated" else None
     out = expert_mix(hsa, weights, indices, layer.experts, gate_old) + hsa
     return out, _LayerGraph(scores, indices, weights, cls_logits, gate_old)
-
-
-def moe_layer_forward(x: np.ndarray, layer: MoELayer, mode: str = "plain") -> np.ndarray:
-    """One layer's expert stage on a single hidden vector or a row batch."""
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    out, _ = _moe_mix(Tensor(arr.reshape(1, -1) if single else arr), layer, mode)
-    return out.data[0] if single else out.data
 
 
 def forward_graph(

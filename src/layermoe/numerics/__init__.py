@@ -25,10 +25,9 @@ from .autodiff import (
     zero_grads,
 )
 from .autodiff import softmax as softmax_t
-from .rng import ALGORITHM, SeededRng, derive_seed
+from .rng import SeededRng, derive_seed
 
 __all__ = [
-    "ALGORITHM",
     "SeededRng",
     "Tensor",
     "as_tensor",
@@ -39,7 +38,6 @@ __all__ = [
     "expert_mix",
     "log_softmax",
     "silu",
-    "softmax",
     "softmax_t",
     "stack_columns",
     "take_along",
@@ -47,21 +45,6 @@ __all__ = [
     "value_and_grad",
     "zero_grads",
 ]
-
-
-def softmax(values) -> np.ndarray:
-    """Probability vector of ``values`` along the last axis, max-subtracted.
-
-    Raises InvalidInputError on non-finite input.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise InvalidInputError("softmax of an empty vector")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("softmax input must be finite")
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cosine(u, v) -> float:

@@ -87,9 +87,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- autograd ----------------------------------------------------------
 
     def backward(self, grad: np.ndarray | None = None) -> None:
@@ -378,13 +375,13 @@ def expert_mix(
     n, k = indices.shape
     if weights.data.shape != (n, k) or x.data.shape[0] != n:
         raise ValueError("x, weights and indices disagree on rows or slots")
-    route, w, active = indices.copy(), weights.data.copy(), np.ones((n, k), dtype=bool)
+    chosen, w, active = indices.copy(), weights.data.copy(), np.ones((n, k), dtype=bool)
     if bypass is not None:
-        route[bypass, 0] = 0
+        chosen[bypass, 0] = 0
         w[bypass, 0] = 1.0
         active[bypass, 1:] = False
     pairs = np.flatnonzero(active)
-    owner = route.reshape(-1)[pairs]
+    owner = chosen.reshape(-1)[pairs]
     # Stable, so each expert's rows stay in ascending order.
     pairs = pairs[np.argsort(owner, kind="stable")]
     ends = np.cumsum(np.bincount(owner, minlength=len(experts)))

@@ -1,4 +1,4 @@
-"""Seeded randomness with one fixed, versioned generator algorithm.
+"""Seeded randomness with one fixed generator algorithm, PCG64.
 
 Every stochastic operation in the package draws from a PCG64 stream built
 here, so a given (seed, call sequence) pair produces the same values on any
@@ -9,11 +9,9 @@ SHA-256, which keeps them independent of call order and of each other.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-ALGORITHM = "pcg64/v1"
 
 
 def derive_seed(seed: int, *tags) -> int:
@@ -31,16 +29,7 @@ class SeededRng:
     """A reproducible random source: identical seed, identical draw sequence."""
 
     seed: int
-    algorithm: str = field(default=ALGORITHM)
-
-    def __post_init__(self):
-        if self.algorithm != ALGORITHM:
-            raise ValueError(f"unknown rng algorithm {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this seed's stream."""
         return np.random.Generator(np.random.PCG64(self.seed))
-
-    def spawn(self, *tags) -> "SeededRng":
-        """Independent child source; same tags always give the same child."""
-        return SeededRng(derive_seed(self.seed, *tags))

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import csv
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,17 +32,14 @@ from .errors import (
 from .model import Model, forward
 from .numerics import SeededRng, cosine, derive_seed
 
-HSA_MAGIC = b"HSAD"
-HSA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class CandidateSet:
     """Sampled router-input vectors for one language at one layer.
 
-    Vectors are stored as float32, the on-disk dump precision, so a
-    write/read round trip is bit-exact; similarity arithmetic upcasts to
-    float64.
+    Vectors are rounded to float32 and similarity arithmetic upcasts them
+    to float64. Profile values are defined on these float32-rounded taps:
+    keeping more precision would change the bytes of every saved profile.
     """
 
     language: str
@@ -266,58 +262,7 @@ def select_classifier_layers(new_old: Sequence[float], count: int) -> tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# file formats
-
-
-def write_hsa_dump(sets: Sequence[CandidateSet], path: str | Path) -> None:
-    """Binary dump of one language's candidate sets, layers 0..L-1 in order."""
-    if not sets:
-        raise InvalidInputError("nothing to write")
-    ordered = sorted(sets, key=lambda s: s.layer)
-    language = ordered[0].language
-    q, width = ordered[0].size, ordered[0].width
-    for i, s in enumerate(ordered):
-        if s.language != language or s.size != q or s.width != width:
-            raise InvalidInputError("candidate sets disagree on language, Q, or width")
-        if s.layer != i:
-            raise InvalidInputError("candidate sets must cover layers 0..L-1 exactly")
-    lang_bytes = language.encode("utf-8")
-    if len(lang_bytes) > 255:
-        raise InvalidInputError("language id longer than 255 bytes")
-    with open(path, "wb") as fh:
-        fh.write(HSA_MAGIC)
-        fh.write(struct.pack("<IIIQB", HSA_VERSION, len(ordered), width, q, len(lang_bytes)))
-        fh.write(lang_bytes)
-        for s in ordered:
-            fh.write(np.ascontiguousarray(s.vectors, dtype="<f4").tobytes())
-
-
-def read_hsa_dump(path: str | Path) -> list[CandidateSet]:
-    raw = Path(path).read_bytes()
-    head = 4 + struct.calcsize("<IIIQB")
-    if len(raw) < head or raw[:4] != HSA_MAGIC:
-        raise FormatError(f"{path}: not an HSA dump (bad magic)")
-    version, layers, width, q, lang_len = struct.unpack("<IIIQB", raw[4:head])
-    if version != HSA_VERSION:
-        raise FormatError(f"{path}: unsupported HSA dump version {version}")
-    if len(raw) < head + lang_len:
-        raise FormatError(f"{path}: truncated language id")
-    language = raw[head : head + lang_len].decode("utf-8")
-    payload = raw[head + lang_len :]
-    expected = layers * q * width * 4
-    if len(payload) != expected:
-        raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    out = []
-    block = q * width * 4
-    for layer in range(layers):
-        vecs = np.frombuffer(payload, dtype="<f4", count=q * width, offset=layer * block)
-        out.append(CandidateSet(language, layer, vecs.reshape(q, width).astype(np.float32)))
-    return out
-
-
-def hsa_dump_roundtrip(sets: Sequence[CandidateSet], path: str | Path) -> list[CandidateSet]:
-    write_hsa_dump(sets, path)
-    return read_hsa_dump(path)
+# profile files
 
 
 def save_profile(profile: SimilarityProfile, path: str | Path, *, csv_path: str | Path | None = None) -> None:

@@ -55,7 +55,8 @@ REVIEW_RATIO = (1, 2)
 
 @dataclass(frozen=True)
 class TrainingRecipe:
-    """Hyperparameters of one training stage.
+    """Hyperparameters of one training stage: "dense" (pre-training the
+    backbone), "stage1" or "stage2".
 
     ``balance_weight``, ``lpr_weight`` and ``cls_weight`` are the composite
     loss weights (defaults 0.01, 0.1, 0.1). ``cls_mode`` selects between a
@@ -75,7 +76,7 @@ class TrainingRecipe:
     cls_mode: str = "standard_ce"
 
     def __post_init__(self):
-        if self.stage not in ("stage1", "stage2"):
+        if self.stage not in ("dense", "stage1", "stage2"):
             raise ConfigurationError(f"unknown stage {self.stage!r}")
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigurationError("steps must be >= 0 and batch_size >= 1")
@@ -223,20 +224,20 @@ class SGD:
 def _train(
     model: Model,
     corpus: TaggedCorpus,
-    recipe_like,
+    recipe: TrainingRecipe,
     trainable: Sequence[str],
     build_loss,
     stream: str,
 ) -> list[LossReport]:
     params = {name: model.params[name] for name in trainable}
-    gen = SeededRng(derive_seed(recipe_like.seed, stream)).generator()
-    optimizer = SGD(params, recipe_like.learning_rate, recipe_like.momentum)
+    gen = SeededRng(derive_seed(recipe.seed, stream)).generator()
+    optimizer = SGD(params, recipe.learning_rate, recipe.momentum)
     reports: list[LossReport] = []
     try:
         for p in params.values():
             p.requires_grad = True
-        for step in range(recipe_like.steps):
-            idx = gen.integers(0, len(corpus), size=recipe_like.batch_size)
+        for step in range(recipe.steps):
+            idx = gen.integers(0, len(corpus), size=recipe.batch_size)
             total, parts = build_loss(idx)
             value = total.item()
             if not math.isfinite(value):
@@ -250,17 +251,6 @@ def _train(
             p.requires_grad = False
             p.grad = None
     return reports
-
-
-@dataclass(frozen=True)
-class DenseRecipe:
-    """Hyperparameters for pre-training the dense backbone."""
-
-    steps: int
-    batch_size: int
-    seed: int
-    learning_rate: float = 5e-5
-    momentum: float = 0.0
 
 
 def stage1_batch_loss(model: MoEModel, tokens: np.ndarray, recipe: TrainingRecipe):
@@ -296,8 +286,12 @@ def stage2_batch_loss(
     return total, {"ntp": ntp.item(), "balance": 0.0, "lpr": lpr.item(), "cls": cls_value}
 
 
-def train_dense(model: DenseModel, corpus: TaggedCorpus, recipe: DenseRecipe) -> list[LossReport]:
+def train_dense(
+    model: DenseModel, corpus: TaggedCorpus, recipe: TrainingRecipe
+) -> list[LossReport]:
     """Next-token pre-training of the dense backbone; updates every parameter."""
+    if recipe.stage != "dense":
+        raise ConfigurationError("recipe is not a dense recipe")
     if len(corpus) == 0:
         raise InvalidInputError("empty corpus")
 
@@ -437,7 +431,6 @@ def evaluate(
     *,
     old_groups: Sequence[str] | None = None,
     max_sequences_per_language: int | None = None,
-    batch_size: int = 32,
 ) -> EvalMetrics:
     """Per-language perplexity plus routing and classifier statistics.
 
@@ -445,6 +438,7 @@ def evaluate(
     old-to-expert-0 fraction counts old-language tokens whose top-1 routed
     expert is 0; on gated layers a fired gate counts as expert 0.
     """
+    batch_size = 32  # sequences per forward pass
     is_moe = isinstance(model, MoEModel)
     if old_groups is None:
         old_groups = model.old_groups if is_moe else ()
@@ -536,7 +530,6 @@ def default_classifier_count(lifelong: bool, layer_count: int) -> int:
 
 def lifelong_expand(
     model: Model,
-    dense_reference: DenseModel | None,
     corpus: TaggedCorpus,
     new_group: str,
     budget: int,
@@ -547,9 +540,6 @@ def lifelong_expand(
     seed: int = 0,
     classifier_count: int | None = None,
     review_ratio: tuple[int, int] = REVIEW_RATIO,
-    plan: AllocationPlan | None = None,
-    literal_new_new: bool = False,
-    init: str = "inherit",
 ) -> tuple[MoEModel, ExpansionResult]:
     """One full expansion: profile on the current model, allocate the budget,
     extend the layers (freezing everything pre-existing), run stage 1 on the
@@ -559,11 +549,8 @@ def lifelong_expand(
     ``classifier_count`` defaults to 7 when expanding a dense model (single
     expansion) and 5 when extending an already expanded one (lifelong),
     clipped to the layer count; 0 disables classifiers (recipe2.cls_weight
-    must then be 0). ``plan`` overrides the similarity-driven allocation, for
-    uniform or ablation budgets.
+    must then be 0).
     """
-    if dense_reference is not None and dense_reference.config != model.config:
-        raise ConfigurationError("dense reference does not match the model config")
     proficient = model.proficient_groups if isinstance(model, MoEModel) else model.groups
     if new_group in proficient:
         raise InvalidInputError(f"group {new_group!r} is already proficient")
@@ -582,16 +569,14 @@ def lifelong_expand(
         new_languages,
         q=q,
         seed=derive_seed(seed, "profile-before"),
-        literal_new_new=literal_new_new,
     )
-    if plan is None:
-        plan = allocate(profile_before.indicated, budget)
+    plan = allocate(profile_before.indicated, budget)
 
     if isinstance(model, MoEModel):
-        expanded = extend_expansion(model, plan, new_group, init=init)
+        expanded = extend_expansion(model, plan, new_group)
         lifelong = True
     else:
-        expanded = upcycle(model, plan, new_group, init=init)
+        expanded = upcycle(model, plan, new_group)
         lifelong = False
 
     new_corpus = corpus.subset_groups([new_group])
@@ -609,7 +594,6 @@ def lifelong_expand(
             new_languages,
             q=q,
             seed=derive_seed(seed, "profile-stage1"),
-            literal_new_new=literal_new_new,
         )
         layers = select_classifier_layers(profile_stage1.new_old, classifier_count)
         add_classifiers(expanded, layers)

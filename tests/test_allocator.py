@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layermoe.allocator import allocate, load_plan, save_plan, uniform_plan, validate
+from layermoe.allocator import allocate, load_plan, save_plan, validate
 from layermoe.errors import BudgetError, UnsupportedSimilarityError
 from layermoe.numerics import SeededRng
 
@@ -129,9 +129,3 @@ class TestPlanIO:
         assert loaded.budget == 11
         np.testing.assert_allclose(loaded.raw, plan.raw)
         assert (tmp_path / "plan.csv").exists()
-
-    def test_uniform_plan(self):
-        plan = uniform_plan(4, 2)
-        assert plan.new_experts == (2, 2, 2, 2)
-        assert plan.budget == 8
-        assert validate(plan, 4) == []

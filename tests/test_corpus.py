@@ -6,11 +6,11 @@ import pytest
 from layermoe.corpus import (
     BOS_ID,
     NUM_SPECIALS,
+    LanguageSampler,
     SyntheticLanguageSpec,
     TaggedCorpus,
     generate,
     language_specs,
-    make_language,
     required_vocab,
     review_mixture,
 )
@@ -24,7 +24,7 @@ def two_specs(overlap, block_size=40):
 
 
 def sampled_token_set(spec, n_tokens, seed=0):
-    sampler = make_language(spec, seed)
+    sampler = LanguageSampler(spec, seed)
     seq = sampler.sequence(n_tokens)
     return set(int(t) for t in seq if t >= NUM_SPECIALS)
 
@@ -54,14 +54,14 @@ class TestMakeLanguage:
 
     def test_transition_rows_are_distributions(self):
         spec = two_specs(0.3)[0]
-        sampler = make_language(spec, 0)
+        sampler = LanguageSampler(spec, 0)
         np.testing.assert_allclose(sampler.transitions.sum(axis=1), 1.0, atol=1e-12)
         assert (sampler.transitions >= 0).all()
 
     def test_sampler_deterministic(self):
         spec = two_specs(0.0)[0]
-        s1 = make_language(spec, 9).sequence(64)
-        s2 = make_language(spec, 9).sequence(64)
+        s1 = LanguageSampler(spec, 9).sequence(64)
+        s2 = LanguageSampler(spec, 9).sequence(64)
         np.testing.assert_array_equal(s1, s2)
         assert s1[0] == BOS_ID
 

@@ -21,12 +21,11 @@ from layermoe.model import (
     forward,
     hash_params,
     load_model,
-    moe_layer_forward,
     partition_params,
-    route,
     save_model,
     upcycle,
 )
+from layermoe.model.network import _moe_mix
 from layermoe.numerics import SeededRng, Tensor
 
 
@@ -107,6 +106,21 @@ class TestUpcycle:
         assert hash_params(dense, sorted(dense.params)) == before
 
 
+def route(x, router, top_k):
+    """Routing of one hidden vector through _moe_mix: (indices, weights)."""
+    zeros = [Tensor(np.zeros(shape)) for shape in ((len(x), 1), (len(x), 1), (1, len(x)))]
+    columns = [Tensor(column) for column in np.asarray(router, dtype=np.float64).T]
+    layer = MoELayer(0, [Expert(*zeros)] * len(columns), columns, top_k)
+    _, graph = _moe_mix(Tensor(np.asarray(x, dtype=np.float64)[None, :]), layer, "plain")
+    return graph.indices[0], graph.weights.data[0]
+
+
+def layer_mix(x, layer, mode="plain"):
+    """_moe_mix on a row batch: the output array and the layer graph."""
+    out, graph = _moe_mix(Tensor(x), layer, mode)
+    return out.data, graph
+
+
 class TestRoute:
     def test_hand_example(self):
         h = 4
@@ -173,38 +187,50 @@ class TestMoELayerForward:
 
     def test_weighted_mix_hand_example(self):
         layer = self.stub_layer()
-        x = np.array([1.0, 0.0])
-        e0, e1 = (expert(Tensor(x[None, :])).data[0] for expert in layer.experts)
-        y = moe_layer_forward(x, layer)
+        x = np.array([[1.0, 0.0]])
+        e0, e1 = (expert(Tensor(x)).data for expert in layer.experts)
+        y, graph = layer_mix(x, layer)
         np.testing.assert_allclose(y, 0.73106 * e0 + 0.26894 * e1 + x, atol=1e-4)
+        np.testing.assert_array_equal(graph.indices, [[0, 1]])
+        np.testing.assert_allclose(graph.weights.data, [[0.73106, 0.26894]], atol=1e-5)
 
     def test_gate_bypasses_router_exactly(self):
         # zero classifier logits tie everywhere and argmax resolves to class 0
         # ("old"), so every row takes the bypass
         layer = self.stub_layer(Tensor(np.zeros((2, 2))))
         x = SeededRng(9).generator().normal(size=(7, 2))
-        gated = moe_layer_forward(x, layer, mode="gated")
+        gated, graph = layer_mix(x, layer, mode="gated")
         expected = (layer.experts[0](Tensor(x)) + Tensor(x)).data  # E0(x) + x
         np.testing.assert_array_equal(gated, expected)
+        assert graph.gate_old.all()
+        # routing is still recorded for the losses; the gate only masks it
+        order = np.argsort(-graph.scores.data, axis=1, kind="stable")
+        np.testing.assert_array_equal(graph.indices, order)
 
     def test_gate_new_tokens_route_normally(self):
         classifier = Tensor(np.array([[-5.0, 5.0], [0.0, 0.0]]))  # always "new"
         layer = self.stub_layer(classifier)
         x = np.array([[1.0, 0.0]])
-        np.testing.assert_array_equal(
-            moe_layer_forward(x, layer, mode="gated"), moe_layer_forward(x, layer)
-        )
+        gated, gated_graph = layer_mix(x, layer, mode="gated")
+        plain, plain_graph = layer_mix(x, layer)
+        np.testing.assert_array_equal(gated, plain)
+        assert not gated_graph.gate_old.any()
+        np.testing.assert_array_equal(gated_graph.indices, plain_graph.indices)
+        np.testing.assert_array_equal(gated_graph.weights.data, plain_graph.weights.data)
 
     def test_single_expert_layer(self):
         (expert,) = self.experts(count=1)
         layer = MoELayer(0, [expert], [Tensor(np.zeros(2))], top_k=2)
-        x = np.array([0.5, -1.0])
-        expected = (expert(Tensor(x[None, :])) + Tensor(x[None, :])).data[0]
-        np.testing.assert_array_equal(moe_layer_forward(x, layer), expected)
+        x = np.array([[0.5, -1.0]])
+        expected = (expert(Tensor(x)) + Tensor(x)).data
+        y, graph = layer_mix(x, layer)
+        np.testing.assert_array_equal(y, expected)
+        np.testing.assert_array_equal(graph.indices, [[0]])
+        np.testing.assert_array_equal(graph.weights.data, [[1.0]])
 
     def test_gated_without_classifier_rejected(self):
         with pytest.raises(ConfigurationError):
-            moe_layer_forward(np.array([1.0, 0.0]), self.stub_layer(), mode="gated")
+            layer_mix(np.array([[1.0, 0.0]]), self.stub_layer(), mode="gated")
 
 
 class TestForward:

@@ -1,7 +1,5 @@
 """Candidate sets, pairwise similarity (fast path vs brute force), indicated
-similarity, classifier-layer selection, and the HSA dump format."""
-
-import struct
+similarity, classifier-layer selection, and profile files."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from hypothesis import strategies as st
 from layermoe.corpus import generate, language_specs
 from layermoe.errors import (
     DegenerateVectorError,
-    FormatError,
     InvalidInputError,
     SampleSizeError,
 )
@@ -20,16 +17,13 @@ from layermoe.numerics import SeededRng
 from layermoe.profiler import (
     CandidateSet,
     collect_candidates,
-    hsa_dump_roundtrip,
     indicated_similarity,
     load_profile,
     pair_similarity,
     pair_similarity_exhaustive,
     profile_similarity,
-    read_hsa_dump,
     save_profile,
     select_classifier_layers,
-    write_hsa_dump,
 )
 
 
@@ -202,52 +196,6 @@ class TestCollectCandidates:
         p1 = profile_similarity(model, corpus, ["a1", "a2"], ["b1"], q=512, seed=1)
         p2 = profile_similarity(model, corpus, ["a1", "a2"], ["b1"], q=512, seed=2)
         assert np.max(np.abs(p1.indicated - p2.indicated)) < 0.05
-
-
-class TestHsaDump:
-    def make_sets(self, layers=2, q=3, width=4, language="lang"):
-        gen = SeededRng(7).generator()
-        return [
-            CandidateSet(language, layer, gen.normal(size=(q, width)).astype(np.float32))
-            for layer in range(layers)
-        ]
-
-    def test_roundtrip_bitwise(self, tmp_path):
-        sets = self.make_sets()
-        loaded = hsa_dump_roundtrip(sets, tmp_path / "dump.hsad")
-        assert len(loaded) == len(sets)
-        for a, b in zip(sets, loaded):
-            assert b.language == a.language and b.layer == a.layer
-            assert a.vectors.tobytes() == b.vectors.tobytes()
-
-    def test_file_size_arithmetic(self, tmp_path):
-        sets = self.make_sets(layers=2, q=3, width=4, language="lang")
-        path = tmp_path / "dump.hsad"
-        write_hsa_dump(sets, path)
-        header = 4 + struct.calcsize("<IIIQB") + len(b"lang")
-        assert path.stat().st_size == header + 2 * 3 * 4 * 4
-
-    def test_corrupted_magic(self, tmp_path):
-        path = tmp_path / "dump.hsad"
-        write_hsa_dump(self.make_sets(), path)
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"XXXX"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
-            read_hsa_dump(path)
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "dump.hsad"
-        write_hsa_dump(self.make_sets(), path)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(FormatError):
-            read_hsa_dump(path)
-
-    def test_inconsistent_sets_rejected(self, tmp_path):
-        sets = self.make_sets()
-        sets[1] = CandidateSet("other", 1, sets[1].vectors)
-        with pytest.raises(InvalidInputError):
-            write_hsa_dump(sets, tmp_path / "dump.hsad")
 
 
 class TestProfileIO:

@@ -20,7 +20,6 @@ from layermoe.numerics import SeededRng, Tensor, central_difference, value_and_g
 from layermoe.trainer import (
     LIFELONG_CLASSIFIER_LAYERS,
     SINGLE_EXPANSION_CLASSIFIER_LAYERS,
-    DenseRecipe,
     TrainingRecipe,
     balance_loss,
     balance_loss_layer,
@@ -368,10 +367,11 @@ class TestDenseTraining:
         dense = DenseModel.create(config, groups=("g0",))
         specs = language_specs({"g0": ["a"]}, block_size=10, shared_size=10, seed=1)
         corpus = generate(specs, 400, config.context, seed=2)
-        reports = train_dense(
-            dense, corpus, DenseRecipe(steps=60, batch_size=8, seed=3, learning_rate=0.5)
-        )
+        recipe = TrainingRecipe(stage="dense", steps=60, batch_size=8, seed=3, learning_rate=0.5)
+        reports = train_dense(dense, corpus, recipe)
         assert reports[-1].ntp < reports[0].ntp
+        with pytest.raises(ConfigurationError):
+            train_dense(dense, corpus, recipe1())
 
 
 class TestLifelongExpand:
@@ -385,14 +385,13 @@ class TestLifelongExpand:
         )
         corpus = generate(specs, 500, config.context, seed=6)
         dense = DenseModel.create(config, groups=("g0",))
-        train_dense(dense, corpus.subset_groups(["g0"]),
-                    DenseRecipe(steps=30, batch_size=4, seed=1, learning_rate=0.5))
+        recipe = TrainingRecipe(stage="dense", steps=30, batch_size=4, seed=1, learning_rate=0.5)
+        train_dense(dense, corpus.subset_groups(["g0"]), recipe)
         return dense, corpus
 
-    def expand(self, model, dense, corpus, group, seed, budget=3):
+    def expand(self, model, corpus, group, seed, budget=3):
         return lifelong_expand(
             model,
-            dense,
             corpus,
             group,
             budget,
@@ -405,7 +404,7 @@ class TestLifelongExpand:
 
     def test_two_expansions_structure_and_freeze(self):
         dense, corpus = self.tiny_world()
-        model, first = self.expand(dense, dense, corpus, "g1", seed=21)
+        model, first = self.expand(dense, corpus, "g1", seed=21)
         assert sum(first.plan.new_experts) == 3
         first_expert_names = [
             n
@@ -413,7 +412,7 @@ class TestLifelongExpand:
             if ".experts." in n and model.expert_origin(int(n.split(".")[1]), int(n.split(".")[3])) == 0
         ]
         first_hash = hash_params(model, first_expert_names)
-        model2, second = self.expand(model, dense, corpus, "g2", seed=22)
+        model2, second = self.expand(model, corpus, "g2", seed=22)
         assert sum(second.plan.new_experts) == 3
         counts = model2.expert_counts()
         assert all(
@@ -426,10 +425,10 @@ class TestLifelongExpand:
 
     def test_order_sensitivity_recorded(self):
         dense, corpus = self.tiny_world()
-        path_ab_model, _ = self.expand(dense, dense, corpus, "g1", seed=33)
-        path_ab_model, _ = self.expand(path_ab_model, dense, corpus, "g2", seed=34)
-        path_ba_model, _ = self.expand(dense, dense, corpus, "g2", seed=33)
-        path_ba_model, _ = self.expand(path_ba_model, dense, corpus, "g1", seed=34)
+        path_ab_model, _ = self.expand(dense, corpus, "g1", seed=33)
+        path_ab_model, _ = self.expand(path_ab_model, corpus, "g2", seed=34)
+        path_ba_model, _ = self.expand(dense, corpus, "g2", seed=33)
+        path_ba_model, _ = self.expand(path_ba_model, corpus, "g1", seed=34)
         ppl_ab = evaluate(path_ab_model, corpus, max_sequences_per_language=8).perplexity
         ppl_ba = evaluate(path_ba_model, corpus, max_sequences_per_language=8).perplexity
         # the learning order influences the outcome; record both vectors
@@ -440,7 +439,7 @@ class TestLifelongExpand:
     def test_group_already_known_rejected(self):
         dense, corpus = self.tiny_world()
         with pytest.raises(InvalidInputError):
-            self.expand(dense, dense, corpus, "g0", seed=5)
+            self.expand(dense, corpus, "g0", seed=5)
 
     def test_classifier_count_defaults(self):
         assert SINGLE_EXPANSION_CLASSIFIER_LAYERS == 7
