@@ -270,24 +270,52 @@ def _cmd_eval(args) -> dict[str, Path]:
 
 
 _MISSING = object()
-# (key, type, required) of every value run_pipeline reads from a training
+
+
+def _of(*types):
+    """A check that a value has one of ``types``; a bool is not an int here."""
+    return lambda value: not isinstance(value, bool) and isinstance(value, types)
+
+
+_INT, _NUMBER, _STR, _OBJECT = _of(int), _of(int, float), _of(str), _of(dict)
+
+
+def _language_groups(groups) -> bool:
+    return isinstance(groups, dict) and all(
+        isinstance(languages, list) and all(map(_STR, languages)) for languages in groups.values()
+    )
+
+
+def _review_ratio(ratio) -> bool:
+    return isinstance(ratio, list) and len(ratio) == 2 and all(_INT(n) and n >= 0 for n in ratio)
+
+
+# (key, check, required) of every value run_pipeline reads from a training
 # stage, from the config, and from each expansion.
-_STAGE_KEYS = [("steps", int, True), ("batch_size", int, True)] + [
-    (key, (int, float), False)
+_STAGE_KEYS = [("steps", _INT, True), ("batch_size", _INT, True)] + [
+    (key, _NUMBER, False)
     for key in ("learning_rate", "momentum", "balance_weight", "lpr_weight", "cls_weight")
 ]
 _PIPELINE_KEYS = [
-    ("languages.groups", dict, True),
-    ("model", dict, True),
-    ("corpus.tokens_per_language", int, True),
-    ("base.group", str, True),
-] + [(f"base.{key}", kind, required) for key, kind, required in _STAGE_KEYS]
+    ("seed", _INT, False),
+    ("languages.groups", _language_groups, True),
+    ("languages.block_size", _INT, False),
+    ("languages.shared_size", _INT, False),
+    ("languages.overlap", _NUMBER, False),
+    ("model", _OBJECT, True),
+    ("corpus.tokens_per_language", _INT, True),
+    ("evaluation", _OBJECT, False),
+    ("evaluation.max_sequences_per_language", _INT, False),
+    ("evaluation.mode", lambda mode: mode in ("plain", "gated"), False),
+    ("base.group", _STR, True),
+] + [(f"base.{key}", check, required) for key, check, required in _STAGE_KEYS]
 _EXPANSION_KEYS = [
-    ("group", str, True),
-    ("budget", int, True),
-    ("q", int, False),
-    ("classifier_count", int, False),
-] + [(f"stage{n}.{key}", kind, required) for n in (1, 2) for key, kind, required in _STAGE_KEYS]
+    ("group", _STR, True),
+    ("budget", _INT, True),
+    ("q", _INT, False),
+    ("classifier_count", _INT, False),
+    ("review_ratio", _review_ratio, False),
+] + [(f"stage{n}.{key}", check, required) for n in (1, 2) for key, check, required in _STAGE_KEYS]
 
 
 def _get(node, dotted: str):
@@ -327,8 +355,10 @@ def _resolve_pipeline_config(args) -> dict:
 
 def _check_pipeline_config(config) -> None:
     """Raise FormatError naming every key that run_pipeline reads without a
-    default and the config lacks, and every value it reads of the wrong type
-    (a bool is not an int here)."""
+    default and the config lacks, and every value it reads that fails its
+    check: the wrong type (a bool is not an int here), a language group that
+    is not a list of strings, a ``review_ratio`` that is not two
+    non-negative ints, or an unknown ``evaluation.mode``."""
     expansions = config.get("expansions", []) if isinstance(config, dict) else []
     if not isinstance(expansions, list):
         raise FormatError("pipeline config: 'expansions' must be a list")
@@ -336,11 +366,11 @@ def _check_pipeline_config(config) -> None:
     nodes += [(f"expansions.{i}.", exp, _EXPANSION_KEYS) for i, exp in enumerate(expansions)]
     missing, wrong = [], []
     for prefix, node, keys in nodes:
-        for key, kind, required in keys:
+        for key, check, required in keys:
             value = _get(node, key)
             if value is _MISSING:
                 missing += [prefix + key] if required else []
-            elif isinstance(value, bool) or not isinstance(value, kind):
+            elif not check(value):
                 wrong.append(prefix + key)
     problems = [f"lacks {', '.join(missing)}"] if missing else []
     problems += [f"has a value of the wrong type at {', '.join(wrong)}"] if wrong else []

@@ -221,11 +221,22 @@ class TaggedCorpus:
                     continue
                 try:
                     record = json.loads(line)
-                    sequences.append(record["tokens"])
-                    languages.append(record["lang"])
-                    groups.append(record["group"])
+                    tokens, lang, group = record["tokens"], record["lang"], record["group"]
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise FormatError(f"{path}:{number}: not a corpus record: {exc!r}") from None
+                if not (
+                    isinstance(tokens, list)
+                    and all(isinstance(t, int) and not isinstance(t, bool) for t in tokens)
+                    and isinstance(lang, str)
+                    and isinstance(group, str)
+                ):
+                    raise FormatError(
+                        f"{path}:{number}: a corpus record needs 'tokens' as a list of ints "
+                        "and 'lang' and 'group' as strings"
+                    )
+                sequences.append(tokens)
+                languages.append(lang)
+                groups.append(group)
         if not sequences:
             raise InvalidInputError(f"{path}: empty corpus")
         lengths = {len(s) for s in sequences}

@@ -60,6 +60,16 @@ def save_model(model: Model, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f8").tobytes())
 
 
+def _is_param_entry(entry) -> bool:
+    """A header ``params`` entry: a string name and a shape of non-negative ints."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        return False
+    shape = entry.get("shape")
+    return isinstance(shape, list) and all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
+    )
+
+
 def load_model(path: str | Path) -> Model:
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != MAGIC:
@@ -78,6 +88,14 @@ def load_model(path: str | Path) -> Model:
     missing = [k for k in ("kind", "config", "params") if k not in keys]
     if missing:
         raise FormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    if not isinstance(header["params"], list):
+        raise FormatError(f"{path}: checkpoint header 'params' must be a list")
+    for index, entry in enumerate(header["params"]):
+        if not _is_param_entry(entry):
+            raise FormatError(
+                f"{path}: header params entry {index} needs a string 'name' and a 'shape' "
+                f"of non-negative ints, found {entry!r}"
+            )
 
     expected = sum(
         int(np.prod(entry["shape"], dtype=np.int64)) for entry in header["params"]

@@ -4,11 +4,13 @@ Fixed architecture (expert-copy initialisation and the checkpoint format
 depend on it, so it is pinned here):
 
 - learned token and position embeddings, no dropout, no biases anywhere;
-- per block: ``x <- x + attention(rmsnorm(x))`` with causal multi-head
-  attention, then ``h = rmsnorm(x)`` and the block output is
-  ``experts(h) + h``. That normalised post-attention state ``h`` is exactly
-  what the router, the classifier, the profiler tap, and the expert inputs
-  all see;
+- per block: ``x <- x + attention(x)`` with causal multi-head attention
+  on the raw residual stream, then ``h = rmsnorm(x)`` and the block output
+  is ``experts(h) + h``. That normalised post-attention state ``h`` is
+  exactly what the router, the classifier, the profiler tap, and the expert
+  inputs all see. Each block's ``attn_norm`` gain is created and stored in
+  checkpoints, but nothing reads it. Each attention and each rmsnorm is
+  one tape node (``autodiff.attention``, ``autodiff.rms_norm``);
 - experts are SiLU-gated FFNs ``down(silu(h @ gate) * (h @ up))``;
 - final rmsnorm, untied linear head.
 
@@ -38,9 +40,11 @@ from ..errors import (
 from ..numerics import (
     SeededRng,
     Tensor,
+    attention,
     derive_seed,
     embedding,
     expert_mix,
+    rms_norm,
     silu,
     softmax_t,
     stack_columns,
@@ -374,11 +378,6 @@ def add_classifiers(model: MoEModel, layers: Sequence[int]) -> MoEModel:
 # forward passes
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = RMS_EPS) -> Tensor:
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    return x * (ms + eps) ** -0.5 * gain
-
-
 def _causal_mask(length: int) -> np.ndarray:
     mask = _MASK_CACHE.get(length)
     if mask is None:
@@ -389,17 +388,8 @@ def _causal_mask(length: int) -> np.ndarray:
 
 
 def _attention(x: Tensor, params: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
-    b, t, h = x.shape
-    dh = h // heads
-    flat = x.reshape((b * t, h))
-
-    def split(name):
-        return (flat @ params[f"{prefix}.{name}"]).reshape((b, t, heads, dh)).transpose((0, 2, 1, 3))
-
-    q, k, v = split("wq"), split("wk"), split("wv")
-    att = softmax_t(q @ k.transpose((0, 1, 3, 2)) * (dh**-0.5) + Tensor(_causal_mask(t)))
-    ctx = (att @ v).transpose((0, 2, 1, 3)).reshape((b * t, h))
-    return (ctx @ params[f"{prefix}.wo"]).reshape((b, t, h))
+    weights = (params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv", "wo"))
+    return attention(x, *weights, _causal_mask(x.shape[1]), heads)
 
 
 def _select(scores: np.ndarray, top_k: int) -> np.ndarray:
@@ -458,7 +448,7 @@ def forward_graph(
     for i in range(config.layers):
         prefix = f"blocks.{i}"
         x = x + _attention(x, params, prefix, config.heads)
-        hsa = rmsnorm(x, params[f"{prefix}.ffn_norm"]).reshape((b * t, h))
+        hsa = rms_norm(x, params[f"{prefix}.ffn_norm"], RMS_EPS).reshape((b * t, h))
         if want_taps:
             taps.append(hsa.data.reshape(b, t, h))
         if is_moe:
@@ -468,7 +458,7 @@ def forward_graph(
         else:
             out = Expert(*(params[f"{prefix}.ffn.{part}"] for part in _PARTS))(hsa) + hsa
         x = out.reshape((b, t, h))
-    final = rmsnorm(x, params["out_norm"]).reshape((b * t, h))
+    final = rms_norm(x, params["out_norm"], RMS_EPS).reshape((b * t, h))
     logits = (final @ params["head"]).reshape((b, t, config.vocab))
     return _GraphResult(logits, layers, taps)
 

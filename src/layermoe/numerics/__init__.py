@@ -13,10 +13,12 @@ from ..errors import DegenerateVectorError, InvalidInputError
 from .autodiff import (
     Tensor,
     as_tensor,
+    attention,
     central_difference,
     embedding,
     expert_mix,
     log_softmax,
+    rms_norm,
     silu,
     stack_columns,
     take_along,
@@ -31,12 +33,14 @@ __all__ = [
     "SeededRng",
     "Tensor",
     "as_tensor",
+    "attention",
     "central_difference",
     "cosine",
     "derive_seed",
     "embedding",
     "expert_mix",
     "log_softmax",
+    "rms_norm",
     "silu",
     "softmax_t",
     "stack_columns",

@@ -21,6 +21,16 @@ as composing the ops above. A ``bypass`` row uses expert 0 alone with weight
 exactly 1.0 and gives its routing weights a zero gradient. The backward
 returns ``None`` for a frozen expert weight and skips an expert's inner
 gradients when neither ``x`` nor that expert's ``gate``/``up`` needs one.
+
+``attention`` and ``rms_norm`` are one node each for a transformer block's
+causal multi-head attention and for an RMS norm. Their forward runs the
+numpy operations of the composed form in the same order, so their outputs
+are bit-identical to it; without a tape they keep no intermediates. Their
+hand-written backward returns ``None`` for a frozen operand, and attention
+skips the q/k/v branch when ``x``, ``wq``, ``wk`` and ``wv`` are all frozen.
+Each sums the gradient of ``x`` in the order the composed tape did (q, then
+k, then v; the norm's ``x * r`` term before the two of ``x * x``), so
+training stays bit-identical too.
 """
 
 from __future__ import annotations
@@ -34,7 +44,9 @@ from ..errors import NumericalFailureError
 __all__ = [
     "Tensor",
     "as_tensor",
+    "attention",
     "expert_mix",
+    "rms_norm",
     "softmax",
     "log_softmax",
     "silu",
@@ -291,14 +303,90 @@ def silu(t: Tensor) -> Tensor:
     return out
 
 
+def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+
+
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along ``axis``."""
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(t.data, axis)
     out = _node(y, (t,))
     if out._parents:
-        out._backward = lambda g: ((g - (g * y).sum(axis=axis, keepdims=True)) * y,)
+        out._backward = lambda g: (_softmax_grad(g, y, axis),)
+    return out
+
+
+def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
+    """``x * (mean(x * x, -1) + eps) ** -0.5 * gain`` as one node (module docstring)."""
+    h = x.data.shape[-1]
+    me = (x.data * x.data).sum(axis=-1, keepdims=True) * (1.0 / h) + eps
+    r = me**-0.5
+    xr = x.data * r
+    out = _node(xr * gain.data, (x, gain))
+    if out._parents:
+
+        def bw(g):
+            dgain = _unbroadcast(g * xr, gain.data.shape) if gain.requires_grad else None
+            if not x.requires_grad:
+                return None, dgain
+            dxr = g * gain.data
+            dr = _unbroadcast(dxr * x.data, r.shape)
+            dsq = dr * -0.5 * me**-1.5 * (1.0 / h) * x.data
+            # The tape's order: x * r first, then both operands of x * x.
+            return dxr * r + dsq + dsq, dgain
+
+        out._backward = bw
+    return out
+
+
+def attention(
+    x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, mask: np.ndarray, heads: int
+) -> Tensor:
+    """Multi-head attention of a (batch, length, hidden) ``x`` as one node:
+    ``softmax(q @ k.T * dh**-0.5 + mask) @ v`` per head, then ``@ wo``."""
+    b, t, h = x.data.shape
+    dh = h // heads
+    scale = dh**-0.5
+    flat = x.data.reshape((b * t, h))
+
+    def split(w):
+        return (flat @ w.data).reshape((b, t, heads, dh)).transpose((0, 2, 1, 3))
+
+    q, k, v = split(wq), split(wk), split(wv)
+    att = _softmax(q @ np.swapaxes(k, -1, -2) * scale + mask, -1)
+    ctx = np.transpose(att @ v, (0, 2, 1, 3)).reshape((b * t, h))
+    out = _node((ctx @ wo.data).reshape((b, t, h)), (x, wq, wk, wv, wo))
+    if out._parents:
+
+        def merge(d, w):
+            """Gradients of ``flat`` and ``w`` from that of the head view of ``flat @ w``."""
+            dproj = np.transpose(d, (0, 2, 1, 3)).reshape((b * t, h))
+            dw = np.swapaxes(flat, -1, -2) @ dproj if w.requires_grad else None
+            return (dproj @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None), dw
+
+        def bw(g):
+            dout = g.reshape((b * t, h))
+            dwo = np.swapaxes(ctx, -1, -2) @ dout if wo.requires_grad else None
+            if not (x.requires_grad or wq.requires_grad or wk.requires_grad or wv.requires_grad):
+                return None, None, None, None, dwo
+            dc = (dout @ np.swapaxes(wo.data, -1, -2)).reshape((b, t, heads, dh))
+            dc = np.transpose(dc, (0, 2, 1, 3))
+            dfq = dfk = dwq = dwk = None
+            if x.requires_grad or wq.requires_grad or wk.requires_grad:
+                ds = _softmax_grad(dc @ np.swapaxes(v, -1, -2), att, -1) * scale
+                dfq, dwq = merge(ds @ k, wq)
+                dfk, dwk = merge(np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2), wk)
+            dfv, dwv = merge(np.swapaxes(att, -1, -2) @ dc, wv)
+            # ``flat`` sums its three consumers in the tape's order: q, k, v.
+            dx = ((dfq + dfk) + dfv).reshape((b, t, h)) if x.requires_grad else None
+            return dx, dwq, dwk, dwv, dwo
+
+        out._backward = bw
     return out
 
 

@@ -125,6 +125,37 @@ def test_run_pipeline_rejects_values_of_the_wrong_type(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "change, wrong",
+    [
+        ({"seed": "1"}, "seed"),
+        ({"languages": {"groups": {"g0": "ab", "g1": ["b"]}}}, "languages.groups"),
+        (
+            {"languages": {"groups": {"g0": ["a"]}, "block_size": 8.0, "overlap": "0.3"}},
+            "languages.block_size, languages.overlap",
+        ),
+        (
+            {"evaluation": {"max_sequences_per_language": "8"}},
+            "evaluation.max_sequences_per_language",
+        ),
+        ({"evaluation": {"mode": "routed"}}, "evaluation.mode"),
+        ({"review_ratio": [1]}, "expansions.0.review_ratio"),
+    ],
+    ids=["seed", "groups", "language-layout", "eval-sequences", "eval-mode", "review-ratio"],
+)
+def test_run_pipeline_checks_every_value_it_reads(tmp_path, capsys, change, wrong):
+    config = pipeline_config()
+    if "review_ratio" in change:
+        config["expansions"][0].update(change)
+    else:
+        config.update(change)
+    argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
+    record = run_failing(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert record["error"] == "FormatError"
+    assert record["message"].endswith("wrong type at " + wrong)
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_pipeline_rejects_an_empty_model_config(tmp_path, capsys):
     config = write_json(tmp_path / "pipeline.json", pipeline_config(model={}))
     argv = ["run-pipeline", "--config", config, "--out-dir", str(tmp_path / "out")]
@@ -164,12 +195,38 @@ def test_checkpoint_header_without_params_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "params, detail",
+    [
+        ([{"name": "x"}], "entry 0"),
+        ([{"name": "x", "shape": [2]}, {"name": "y", "shape": [2, True]}], "entry 1"),
+        ([{"name": "x", "shape": [-1]}], "entry 0"),
+        ([{"name": 3, "shape": [2]}], "entry 0"),
+        ({"x": [2]}, "'params' must be a list"),
+    ],
+    ids=["no-shape", "bool-dimension", "negative-dimension", "int-name", "not-a-list"],
+)
+def test_checkpoint_header_with_a_malformed_params_entry_is_rejected(
+    tmp_path, capsys, params, detail
+):
+    header = json.dumps({"kind": "dense", "config": {"layers": 1}, "params": params})
+    path = tmp_path / "bad.lmoe"
+    path.write_bytes(b"LMOE" + struct.pack("<IQ", 1, len(header)) + header.encode("utf-8"))
+    argv = ["eval", "--model", str(path), "--corpus", str(tmp_path / "c.jsonl")]
+    record = run_failing(argv + ["--out", str(tmp_path / "metrics.json")], capsys)
+    assert record["error"] == "FormatError"
+    assert detail in record["message"]
+
+
+@pytest.mark.parametrize(
     "second_line, detail",
     [
         ('{"lang": "a", "group": "g0", "tokens": [0, 2', "JSONDecodeError"),
         ('{"lang": "a", "tokens": [0, 2]}', "KeyError('group')"),
+        ('{"lang": "a", "group": "g0", "tokens": "abc"}', "'tokens' as a list of ints"),
+        ('{"lang": "a", "group": "g0", "tokens": [0, true]}', "'tokens' as a list of ints"),
+        ('{"lang": 7, "group": "g0", "tokens": [0, 2]}', "'lang' and 'group' as strings"),
     ],
-    ids=["truncated", "no-group"],
+    ids=["truncated", "no-group", "string-tokens", "bool-token", "int-lang"],
 )
 def test_malformed_corpus_line_is_rejected(tmp_path, capsys, second_line, detail):
     corpus = tmp_path / "corpus.jsonl"

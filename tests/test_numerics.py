@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 
 from layermoe.errors import DegenerateVectorError, NumericalFailureError
 from layermoe.model import Expert
+from layermoe.model.network import _causal_mask
 from layermoe.numerics import (
     SeededRng,
     Tensor,
+    attention,
     central_difference,
     cosine,
     derive_seed,
     embedding,
     expert_mix,
     log_softmax,
+    rms_norm,
     silu,
     softmax_t,
     stack_columns,
@@ -363,3 +366,105 @@ class TestExpertMix:
         _, dw, *_ = out._backward(np.ones(out.shape))
         np.testing.assert_array_equal(dw[BYPASS], 0.0)
         assert (dw[~BYPASS] != 0.0).all()
+
+
+def composed_attention(x, wq, wk, wv, wo, mask, heads):
+    """Reference: the tape composition that ``attention`` fuses."""
+    b, t, h = x.shape
+    dh = h // heads
+    flat = x.reshape((b * t, h))
+
+    def split(w):
+        return (flat @ w).reshape((b, t, heads, dh)).transpose((0, 2, 1, 3))
+
+    q, k, v = split(wq), split(wk), split(wv)
+    att = softmax_t(q @ k.transpose((0, 1, 3, 2)) * (dh**-0.5) + Tensor(mask))
+    ctx = (att @ v).transpose((0, 2, 1, 3)).reshape((b * t, h))
+    return (ctx @ wo).reshape((b, t, h))
+
+
+def composed_rms_norm(x, gain, eps):
+    """Reference: the tape composition that ``rms_norm`` fuses."""
+    ms = (x * x).mean(axis=-1, keepdims=True)
+    return x * (ms + eps) ** -0.5 * gain
+
+
+EPS = 1e-6
+WEIGHTS = ("wq", "wk", "wv", "wo")
+
+
+def block_case(batch=2, length=5, hidden=8, heads=2, seed=40):
+    """A residual stream, attention weights, a norm gain and output weights."""
+    gen = SeededRng(seed).generator()
+    params = {"x": Tensor(gen.normal(size=(batch, length, hidden)))}
+    params.update({w: Tensor(gen.normal(0.0, 0.3, size=(hidden, hidden))) for w in WEIGHTS})
+    params["gain"] = Tensor(gen.uniform(0.5, 1.5, size=hidden))
+    coeff = Tensor(gen.normal(size=(batch, length, hidden)))
+    return params, _causal_mask(length), heads, coeff
+
+
+def block(params, mask, heads, attend=attention, norm=rms_norm):
+    """One block as the network wires it: the norm of ``x + attention(x)``."""
+    x = params["x"]
+    return norm(x + attend(x, *(params[w] for w in WEIGHTS), mask, heads), params["gain"], EPS)
+
+
+class TestBlockOps:
+    @pytest.mark.parametrize("shape", [(2, 5, 8, 2), (1, 3, 6, 3)])
+    def test_matches_central_differences(self, shape):
+        params, mask, heads, coeff = block_case(*shape)
+        TestOpGradients().check(lambda: (block(params, mask, heads) * coeff).sum(), params)
+
+    @pytest.mark.parametrize("trainable", ["x", "all"])
+    @pytest.mark.parametrize("shape", [(2, 5, 8, 2), (3, 7, 12, 1), (8, 15, 32, 4)])
+    def test_bitwise_equal_to_tape_composition(self, shape, trainable):
+        params, mask, heads, coeff = block_case(*shape, seed=41)
+        x, gain = params["x"], params["gain"]
+        weights = [params[w] for w in WEIGHTS]
+        np.testing.assert_array_equal(
+            attention(x, *weights, mask, heads).data,
+            composed_attention(x, *weights, mask, heads).data,
+        )
+        np.testing.assert_array_equal(
+            rms_norm(x, gain, EPS).data, composed_rms_norm(x, gain, EPS).data
+        )
+        wanted = {"x": x} if trainable == "x" else params
+        got = value_and_grad(lambda: (block(params, mask, heads) * coeff).sum(), wanted)
+        composed = (composed_attention, composed_rms_norm)
+        want = value_and_grad(lambda: (block(params, mask, heads, *composed) * coeff).sum(), wanted)
+        assert got[0] == want[0]
+        for name in wanted:
+            np.testing.assert_array_equal(got[1][name], want[1][name], err_msg=name)
+
+    def test_frozen_operands_get_none(self):
+        params, mask, heads, _ = block_case()
+        x, gain = params["x"], params["gain"]
+        weights = [params[w] for w in WEIGHTS]
+        assert attention(x, *weights, mask, heads)._parents == ()
+        assert rms_norm(x, gain, EPS)._parents == ()
+        for trainable in ("x", "wv", "wo"):
+            params[trainable].requires_grad = True
+            out = attention(x, *weights, mask, heads)
+            grads = out._backward(np.ones(out.shape))
+            for name, grad in zip(("x",) + WEIGHTS, grads):
+                assert (grad is None) == (name != trainable), (trainable, name)
+            params[trainable].requires_grad = False
+        for trainable in (x, gain):
+            trainable.requires_grad = True
+            out = rms_norm(x, gain, EPS)
+            dx, dgain = out._backward(np.ones(out.shape))
+            assert (dx is None) == (trainable is gain) and (dgain is None) == (trainable is x)
+            trainable.requires_grad = False
+
+    def test_attention_is_causal(self):
+        params, mask, heads, _ = block_case(length=6)
+        weights = [params[w] for w in WEIGHTS]
+        x = params["x"].data
+        base = attention(Tensor(x), *weights, mask, heads).data
+        gen = SeededRng(42).generator()
+        for p in range(x.shape[1] - 1):
+            moved = x.copy()
+            moved[:, p + 1] += gen.normal(size=moved[:, p + 1].shape)
+            out = attention(Tensor(moved), *weights, mask, heads).data
+            np.testing.assert_array_equal(out[:, : p + 1], base[:, : p + 1])
+            assert (out[:, p + 1] != base[:, p + 1]).all()
