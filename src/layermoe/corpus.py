@@ -140,6 +140,10 @@ class LanguageSampler:
         return out
 
 
+def _is_token_id(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
+
+
 @dataclass(frozen=True)
 class TaggedCorpus:
     """Fixed-length sequences with a language and group tag per sequence."""
@@ -226,13 +230,13 @@ class TaggedCorpus:
                     raise FormatError(f"{path}:{number}: not a corpus record: {exc!r}") from None
                 if not (
                     isinstance(tokens, list)
-                    and all(isinstance(t, int) and not isinstance(t, bool) for t in tokens)
+                    and all(_is_token_id(t) for t in tokens)
                     and isinstance(lang, str)
                     and isinstance(group, str)
                 ):
                     raise FormatError(
-                        f"{path}:{number}: a corpus record needs 'tokens' as a list of ints "
-                        "and 'lang' and 'group' as strings"
+                        f"{path}:{number}: a corpus record needs 'tokens' as a list of "
+                        "non-negative 64-bit ints and 'lang' and 'group' as strings"
                     )
                 sequences.append(tokens)
                 languages.append(lang)

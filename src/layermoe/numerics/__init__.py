@@ -57,8 +57,11 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise InvalidInputError(f"cosine needs equal-length vectors, got {u.shape} and {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    su = np.abs(u).max(initial=0.0)
+    sv = np.abs(v).max(initial=0.0)
+    if su == 0.0 or sv == 0.0:
         raise DegenerateVectorError("cosine of a zero-norm vector is undefined")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    # Scaled to a largest entry of 1, a squared norm can neither underflow
+    # nor overflow: on [2.2e-159, 0] the unscaled norm kept 7 digits.
+    u, v = u / su, v / sv
+    return float(np.clip(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0))

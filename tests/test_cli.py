@@ -222,11 +222,12 @@ def test_checkpoint_header_with_a_malformed_params_entry_is_rejected(
     [
         ('{"lang": "a", "group": "g0", "tokens": [0, 2', "JSONDecodeError"),
         ('{"lang": "a", "tokens": [0, 2]}', "KeyError('group')"),
-        ('{"lang": "a", "group": "g0", "tokens": "abc"}', "'tokens' as a list of ints"),
-        ('{"lang": "a", "group": "g0", "tokens": [0, true]}', "'tokens' as a list of ints"),
+        ('{"lang": "a", "group": "g0", "tokens": "abc"}', "'tokens' as a list of"),
+        ('{"lang": "a", "group": "g0", "tokens": [0, true]}', "'tokens' as a list of"),
+        ('{"lang": "a", "group": "g0", "tokens": [0, 18446744073709551616]}', "64-bit ints"),
         ('{"lang": 7, "group": "g0", "tokens": [0, 2]}', "'lang' and 'group' as strings"),
     ],
-    ids=["truncated", "no-group", "string-tokens", "bool-token", "int-lang"],
+    ids=["truncated", "no-group", "string-tokens", "bool-token", "huge-token", "int-lang"],
 )
 def test_malformed_corpus_line_is_rejected(tmp_path, capsys, second_line, detail):
     corpus = tmp_path / "corpus.jsonl"

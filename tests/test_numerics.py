@@ -394,7 +394,8 @@ WEIGHTS = ("wq", "wk", "wv", "wo")
 
 
 def block_case(batch=2, length=5, hidden=8, heads=2, seed=40):
-    """A residual stream, attention weights, a norm gain and output weights."""
+    """A residual stream, attention weights and a norm gain (the trainable
+    set), the causal mask, and coefficients that make the block a loss."""
     gen = SeededRng(seed).generator()
     params = {"x": Tensor(gen.normal(size=(batch, length, hidden)))}
     params.update({w: Tensor(gen.normal(0.0, 0.3, size=(hidden, hidden))) for w in WEIGHTS})
@@ -410,6 +411,9 @@ def block(params, mask, heads, attend=attention, norm=rms_norm):
 
 
 class TestBlockOps:
+    """``attention`` and ``rms_norm`` against central differences and, bit
+    for bit, against the tape composition they replace."""
+
     @pytest.mark.parametrize("shape", [(2, 5, 8, 2), (1, 3, 6, 3)])
     def test_matches_central_differences(self, shape):
         params, mask, heads, coeff = block_case(*shape)
