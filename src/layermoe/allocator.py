@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, FormatError, UnsupportedSimilarityError
+from .schema import Int, List, by_index, check, load_json, problems
 
 __all__ = [
     "AllocationPlan",
@@ -142,26 +143,28 @@ def save_plan(plan: AllocationPlan, path: str | Path, *, csv_path: str | Path | 
                 writer.writerow([i, repr(plan.similarities[i]), plan.new_experts[i]])
 
 
+_LAYER = {"index": int, "similarity": lambda v: not problems(v, float) and v > 0,
+          "new_experts": int, "raw?": float, "pre_reconciliation?": int}
+_PLAN = {"budget": int, "layers": List(_LAYER, lo=1), "classifier_layers?": [Int(0)], "mode?": {}}
+
+
 def load_plan(path: str | Path) -> AllocationPlan:
     """Read a plan file and check it with :func:`validate` against its own
     layer count; raises FormatError listing every problem."""
-    try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-        layers = sorted(record["layers"], key=lambda row: row["index"])
-        plan = AllocationPlan(
-            budget=int(record["budget"]),
-            similarities=tuple(float(row["similarity"]) for row in layers),
-            raw=tuple(float(row.get("raw", row["new_experts"])) for row in layers),
-            pre_reconciliation=tuple(
-                int(row.get("pre_reconciliation", row["new_experts"])) for row in layers
-            ),
-            new_experts=tuple(int(row["new_experts"]) for row in layers),
-            classifier_layers=tuple(record.get("classifier_layers", ())),
-            meta=record.get("mode", {}),
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: not a valid plan file: {exc}") from exc
-    problems = validate(plan, plan.layer_count)
-    if problems:
-        raise FormatError(f"{path}: invalid plan: {'; '.join(problems)}")
+    record = check(load_json(path), _PLAN, f"{path}: plan")
+    layers = by_index(record["layers"], f"{path}: plan")
+    plan = AllocationPlan(
+        budget=record["budget"],
+        similarities=tuple(float(row["similarity"]) for row in layers),
+        raw=tuple(float(row.get("raw", row["new_experts"])) for row in layers),
+        pre_reconciliation=tuple(
+            row.get("pre_reconciliation", row["new_experts"]) for row in layers
+        ),
+        new_experts=tuple(row["new_experts"] for row in layers),
+        classifier_layers=tuple(record.get("classifier_layers", ())),
+        meta=record.get("mode", {}),
+    )
+    violations = validate(plan, plan.layer_count)
+    if violations:
+        raise FormatError(f"{path}: invalid plan: {'; '.join(violations)}")
     return plan

@@ -2,12 +2,16 @@
 allocation, expansion, review, evaluation, and full pipelines.
 
 Every artifact-producing command writes a manifest (``<out>.manifest.json``)
-holding the resolved arguments, package version, and output hashes; the
-``replay`` command re-runs a manifest and fails unless every output's sha256
-matches the recorded one. Errors exit 2 with a one-line JSON record on stderr.
+holding the resolved arguments, package version, and output hashes. The
+``replay`` command rebuilds a command line from a manifest's arguments,
+parses it with the same parser as ``main``, re-runs it, and fails unless
+every output's sha256 matches the recorded one. Errors exit 2 with a
+one-line JSON record on stderr.
 
 Pipeline config precedence: file < LAYERMOE_OVERRIDES environment variable
 (semicolon-separated dotted key=value pairs) < repeated ``--set key=value``.
+``main`` puts the environment's pairs ahead of the ``--set`` ones, so a
+manifest records every override and ``replay`` never reads the environment.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .allocator import allocate, load_plan, save_plan
 from .corpus import TaggedCorpus, generate, language_specs, required_vocab
@@ -27,6 +33,7 @@ from .errors import ConfigurationError, FormatError, InvalidInputError, LayerMoE
 from .model import DenseModel, ModelConfig, MoEModel, load_model, save_model
 from .numerics import derive_seed
 from .profiler import profile_similarity, save_profile, select_classifier_layers
+from .schema import Int, List, Map, check, load_json, problems
 from .trainer import (
     TrainingRecipe,
     evaluate,
@@ -71,13 +78,18 @@ def _write_manifest(command: str, args: dict, outputs: dict[str, Path]) -> Path:
     return path
 
 
-def _load_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise InvalidInputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
+# A language layout, as in gen-corpus --spec and a pipeline's "languages".
+_LANGUAGES = {"groups": Map([str]), "block_size?": int, "shared_size?": int, "overlap?": float}
+
+
+def _language_specs(cfg: dict, seed: int):
+    return language_specs(
+        cfg["groups"],
+        block_size=cfg.get("block_size", 48),
+        shared_size=cfg.get("shared_size"),
+        overlap=cfg.get("overlap", 0.0),
+        seed=seed,
+    )
 
 
 def _groups_arg(value: str) -> list[str]:
@@ -89,16 +101,8 @@ def _groups_arg(value: str) -> list[str]:
 
 
 def _cmd_gen_corpus(args) -> dict[str, Path]:
-    spec_cfg = _load_json(args.spec)
-    if not isinstance(spec_cfg, dict) or not isinstance(spec_cfg.get("groups"), dict):
-        raise FormatError(f"{args.spec}: a corpus spec needs a 'groups' object")
-    specs = language_specs(
-        spec_cfg["groups"],
-        block_size=spec_cfg.get("block_size", 48),
-        shared_size=spec_cfg.get("shared_size"),
-        overlap=spec_cfg.get("overlap", 0.0),
-        seed=args.seed,
-    )
+    spec_cfg = check(load_json(args.spec), _LANGUAGES, f"{args.spec}: corpus spec")
+    specs = _language_specs(spec_cfg, args.seed)
     corpus = generate(specs, args.tokens, args.seq_len, args.seed)
     out = Path(args.out)
     corpus.save_jsonl(out)
@@ -106,9 +110,7 @@ def _cmd_gen_corpus(args) -> dict[str, Path]:
 
 
 def _cmd_train_base(args) -> dict[str, Path]:
-    model_cfg = _load_json(args.config)
-    if not isinstance(model_cfg, dict):
-        raise FormatError(f"{args.config}: a model config is a JSON object")
+    model_cfg = check(load_json(args.config), {}, f"{args.config}: model config")
     config = ModelConfig.from_dict({"seed": args.seed, **model_cfg})
     corpus = TaggedCorpus.load_jsonl(args.corpus).subset_groups([args.group])
     if len(corpus) == 0:
@@ -269,71 +271,13 @@ def _cmd_eval(args) -> dict[str, Path]:
 # pipeline
 
 
-_MISSING = object()
-
-
-def _of(*types):
-    """A check that a value has one of ``types``; a bool is not an int here."""
-    return lambda value: not isinstance(value, bool) and isinstance(value, types)
-
-
-_INT, _NUMBER, _STR, _OBJECT = _of(int), _of(int, float), _of(str), _of(dict)
-
-
-def _language_groups(groups) -> bool:
-    return isinstance(groups, dict) and all(
-        isinstance(languages, list) and all(map(_STR, languages)) for languages in groups.values()
-    )
-
-
-def _review_ratio(ratio) -> bool:
-    return isinstance(ratio, list) and len(ratio) == 2 and all(_INT(n) and n >= 0 for n in ratio)
-
-
-# (key, check, required) of every value run_pipeline reads from a training
-# stage, from the config, and from each expansion.
-_STAGE_KEYS = [("steps", _INT, True), ("batch_size", _INT, True)] + [
-    (key, _NUMBER, False)
-    for key in ("learning_rate", "momentum", "balance_weight", "lpr_weight", "cls_weight")
-]
-_PIPELINE_KEYS = [
-    ("seed", _INT, False),
-    ("languages.groups", _language_groups, True),
-    ("languages.block_size", _INT, False),
-    ("languages.shared_size", _INT, False),
-    ("languages.overlap", _NUMBER, False),
-    ("model", _OBJECT, True),
-    ("corpus.tokens_per_language", _INT, True),
-    ("evaluation", _OBJECT, False),
-    ("evaluation.max_sequences_per_language", _INT, False),
-    ("evaluation.mode", lambda mode: mode in ("plain", "gated"), False),
-    ("base.group", _STR, True),
-] + [(f"base.{key}", check, required) for key, check, required in _STAGE_KEYS]
-_EXPANSION_KEYS = [
-    ("group", _STR, True),
-    ("budget", _INT, True),
-    ("q", _INT, False),
-    ("classifier_count", _INT, False),
-    ("review_ratio", _review_ratio, False),
-] + [(f"stage{n}.{key}", check, required) for n in (1, 2) for key, check, required in _STAGE_KEYS]
-
-
-def _get(node, dotted: str):
-    """The value at a dotted key path, or _MISSING."""
-    for key in dotted.split("."):
-        if not isinstance(node, dict) or key not in node:
-            return _MISSING
-        node = node[key]
-    return node
-
-
 def _apply_override(config: dict, dotted: str, raw: str) -> None:
-    if _get(config, dotted) is _MISSING:
-        raise InvalidInputError(f"override path {dotted!r} not in config")
     *keys, last = dotted.split(".")
     node = config
     for key in keys:
-        node = node[key]
+        node = node.get(key) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or last not in node:
+        raise InvalidInputError(f"override path {dotted!r} not in config")
     try:
         node[last] = json.loads(raw)
     except json.JSONDecodeError:
@@ -341,11 +285,8 @@ def _apply_override(config: dict, dotted: str, raw: str) -> None:
 
 
 def _resolve_pipeline_config(args) -> dict:
-    config = _load_json(args.config)
-    env = os.environ.get("LAYERMOE_OVERRIDES", "")
-    pairs = [p for p in env.split(";") if p.strip()]
-    pairs += list(args.set or ())
-    for pair in pairs:
+    config = load_json(args.config)
+    for pair in args.set or ():
         if "=" not in pair:
             raise InvalidInputError(f"override {pair!r} is not key=value")
         key, _, value = pair.partition("=")
@@ -353,29 +294,22 @@ def _resolve_pipeline_config(args) -> dict:
     return config
 
 
-def _check_pipeline_config(config) -> None:
-    """Raise FormatError naming every key that run_pipeline reads without a
-    default and the config lacks, and every value it reads that fails its
-    check: the wrong type (a bool is not an int here), a language group that
-    is not a list of strings, a ``review_ratio`` that is not two
-    non-negative ints, or an unknown ``evaluation.mode``."""
-    expansions = config.get("expansions", []) if isinstance(config, dict) else []
-    if not isinstance(expansions, list):
-        raise FormatError("pipeline config: 'expansions' must be a list")
-    nodes = [("", config, _PIPELINE_KEYS)]
-    nodes += [(f"expansions.{i}.", exp, _EXPANSION_KEYS) for i, exp in enumerate(expansions)]
-    missing, wrong = [], []
-    for prefix, node, keys in nodes:
-        for key, check, required in keys:
-            value = _get(node, key)
-            if value is _MISSING:
-                missing += [prefix + key] if required else []
-            elif not check(value):
-                wrong.append(prefix + key)
-    problems = [f"lacks {', '.join(missing)}"] if missing else []
-    problems += [f"has a value of the wrong type at {', '.join(wrong)}"] if wrong else []
-    if problems:
-        raise FormatError(f"pipeline config {'; '.join(problems)}")
+_RATES = ("learning_rate", "momentum", "balance_weight", "lpr_weight", "cls_weight")
+_STAGE = {"steps": int, "batch_size": int, **{f"{key}?": float for key in _RATES},
+          "cls_mode?": {"standard_ce", "literal_paper"}}
+# Every value run_pipeline reads; ModelConfig.from_dict checks the model's.
+_PIPELINE = {
+    "seed?": int,
+    "languages": _LANGUAGES,
+    "model": {},
+    "corpus": {"tokens_per_language": int},
+    "evaluation?": {"max_sequences_per_language?": Int(1), "mode?": {"plain", "gated"}},
+    "base": {"group": str, **_STAGE},
+    "expansions?": [
+        {"group": str, "budget": int, "q?": int, "classifier_count?": int,
+         "review_ratio?": List(Int(0), 2, 2), "stage1": _STAGE, "stage2": _STAGE}
+    ],
+}
 
 
 def _recipe_from(cfg: dict, stage: str, seed: int) -> TrainingRecipe:
@@ -396,19 +330,12 @@ def _recipe_from(cfg: dict, stage: str, seed: int) -> TrainingRecipe:
 def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     """Chain corpus generation, dense training, and every configured
     expansion, evaluating after each stage. Deterministic given the config."""
-    _check_pipeline_config(config)
+    check(config, _PIPELINE, "pipeline config")
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, Path] = {}
     seed = config.get("seed", 0)
 
-    lang_cfg = config["languages"]
-    specs = language_specs(
-        lang_cfg["groups"],
-        block_size=lang_cfg.get("block_size", 48),
-        shared_size=lang_cfg.get("shared_size"),
-        overlap=lang_cfg.get("overlap", 0.0),
-        seed=seed,
-    )
+    specs = _language_specs(config["languages"], seed)
     model_config = ModelConfig.from_dict({"seed": seed, **config["model"]})
     if required_vocab(specs) > model_config.vocab:
         raise ConfigurationError(
@@ -496,26 +423,26 @@ def _cmd_run_pipeline(args) -> dict[str, Path]:
 
 
 def _cmd_replay(args) -> dict[str, Path]:
-    manifest = _load_json(args.manifest)
-    command = manifest.get("command") if isinstance(manifest, dict) else None
-    if not isinstance(command, str) or command not in _COMMANDS or command == "replay":
-        raise FormatError(f"{args.manifest}: no replayable command, found {command!r}")
-    arguments, recorded = manifest.get("arguments"), manifest.get("outputs")
-    if not isinstance(arguments, dict) or not isinstance(recorded, dict):
-        raise FormatError(f"{args.manifest}: a manifest needs 'arguments' and 'outputs' objects")
-    replay_args = argparse.Namespace(**arguments)
+    manifest = check(load_json(args.manifest), _MANIFEST, f"{args.manifest}: manifest")
+    argv = [manifest["command"]]
+    for dest, value in manifest["arguments"].items():
+        flag = "--" + dest.replace("_", "-")
+        for v in value if isinstance(value, list) else [value]:  # a list repeats the flag
+            if v is True:
+                argv.append(flag)
+            elif v is not None and v is not False:
+                argv.append(f"{flag}={v}")
     try:
-        outputs = _COMMANDS[command](replay_args)
-    except AttributeError as exc:
-        if exc.obj is not replay_args:
-            raise
-        raise FormatError(f"{args.manifest}: arguments lack {exc.name!r}") from None
-    want = {name: e.get("sha256") for name, e in recorded.items() if isinstance(e, dict)}
+        replay_args = _build_parser().parse_args(argv)
+    except _CliError as exc:
+        raise FormatError(f"{args.manifest}: arguments: {exc}") from None
+    outputs = _COMMANDS[replay_args.command](replay_args)
+    want = {name: entry["sha256"] for name, entry in manifest["outputs"].items()}
     found = {name: _sha256(path) for name, path in outputs.items()}
     differ = sorted(n for n in want.keys() | found.keys() if want.get(n) != found.get(n))
     if differ:
         raise FormatError(f"{args.manifest}: replay does not reproduce {', '.join(differ)}")
-    _write_manifest(command, vars(replay_args), outputs)
+    _write_manifest(replay_args.command, vars(replay_args), outputs)
     return outputs
 
 
@@ -621,19 +548,32 @@ _COMMANDS = {
     "run-pipeline": _cmd_run_pipeline,
     "replay": _cmd_replay,
 }
+_MANIFEST = {
+    "command": set(_COMMANDS) - {"replay"},
+    "arguments": Map(
+        lambda v: v is None or isinstance(v, (bool, int, float, str)) or not problems(v, [str])
+    ),
+    "outputs": Map({"sha256": str}),
+}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        outputs = _COMMANDS[args.command](args)
+        if args.command == "run-pipeline":
+            env = os.environ.get("LAYERMOE_OVERRIDES", "").split(";")
+            args.set = [pair for pair in env if pair.strip()] + (args.set or []) or None
+        # A computation that overflows or turns NaN fails the command with
+        # one error record, instead of numpy warnings ahead of a later error.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            outputs = _COMMANDS[args.command](args)
         if args.command != "replay":
             _write_manifest(args.command, vars(args), outputs)
         for name, path in outputs.items():
             print(f"{name}\t{path}")
         return 0
-    except (LayerMoEError, OSError) as exc:
+    except (LayerMoEError, OSError, FloatingPointError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

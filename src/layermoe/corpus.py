@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidInputError
 from .numerics import SeededRng, derive_seed
+from .schema import Int, check
 
 BOS_ID = 0
 PAD_ID = 1
@@ -101,6 +102,8 @@ def language_specs(
                 )
             )
             cursor += block_size
+    if not specs:
+        raise InvalidInputError("the language groups name no language")
     return specs
 
 
@@ -140,8 +143,7 @@ class LanguageSampler:
         return out
 
 
-def _is_token_id(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
+_RECORD = {"lang": str, "group": str, "tokens": [Int(0, 2**63 - 1)]}
 
 
 @dataclass(frozen=True)
@@ -165,10 +167,6 @@ class TaggedCorpus:
 
     def __len__(self) -> int:
         return len(self.sequences)
-
-    @property
-    def length(self) -> int:
-        return self.sequences.shape[1]
 
     def language_set(self) -> tuple[str, ...]:
         seen = dict.fromkeys(self.languages)
@@ -225,22 +223,12 @@ class TaggedCorpus:
                     continue
                 try:
                     record = json.loads(line)
-                    tokens, lang, group = record["tokens"], record["lang"], record["group"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise FormatError(f"{path}:{number}: not a corpus record: {exc!r}") from None
-                if not (
-                    isinstance(tokens, list)
-                    and all(_is_token_id(t) for t in tokens)
-                    and isinstance(lang, str)
-                    and isinstance(group, str)
-                ):
-                    raise FormatError(
-                        f"{path}:{number}: a corpus record needs 'tokens' as a list of "
-                        "non-negative 64-bit ints and 'lang' and 'group' as strings"
-                    )
-                sequences.append(tokens)
-                languages.append(lang)
-                groups.append(group)
+                check(record, _RECORD, f"{path}:{number}: corpus record")
+                sequences.append(record["tokens"])
+                languages.append(record["lang"])
+                groups.append(record["group"])
         if not sequences:
             raise InvalidInputError(f"{path}: empty corpus")
         lengths = {len(s) for s in sequences}

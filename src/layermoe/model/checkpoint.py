@@ -17,6 +17,7 @@ implies.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from ..errors import FormatError
 from ..numerics import Tensor
+from ..schema import Int, List, check, problems
 from .config import ModelConfig
 from .network import DenseModel, Expansion, Model, MoEModel, param_shapes
 
@@ -60,14 +62,23 @@ def save_model(model: Model, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f8").tobytes())
 
 
-def _is_param_entry(entry) -> bool:
-    """A header ``params`` entry: a string name and a shape of non-negative ints."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-        return False
-    shape = entry.get("shape")
-    return isinstance(shape, list) and all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
-    )
+def _header_spec(header) -> dict:
+    """The header's spec. Counts are at most the number of params present, so
+    nothing is enumerated beyond what the file holds; classifier layers and
+    history fit ``config.layers`` (taken as 0 when malformed, which is reported)."""
+    found = header if isinstance(header, dict) else {}
+    n = len(found["params"]) if isinstance(found.get("params"), list) else 0
+    layers = found["config"].get("layers") if isinstance(found.get("config"), dict) else 0
+    layers = 0 if problems(layers, int) else layers
+    return {
+        "kind": {"dense", "moe"},
+        "config": {"layers?": Int(1, n)},
+        "params": [{"name": str, "shape": [Int(0)]}],
+        "groups?": [str],
+        "base_groups?": [str],
+        "expansion_history?": [(str, List(Int(0, n), layers, layers))],
+        "classifier_layers?": [Int(0, layers - 1)],
+    }
 
 
 def load_model(path: str | Path) -> Model:
@@ -82,24 +93,11 @@ def load_model(path: str | Path) -> Model:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
-    keys = header if isinstance(header, dict) else {}
-    missing = [k for k in ("kind", "config", "params") if k not in keys]
-    if missing:
-        raise FormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
-    if not isinstance(header["params"], list):
-        raise FormatError(f"{path}: checkpoint header 'params' must be a list")
-    for index, entry in enumerate(header["params"]):
-        if not _is_param_entry(entry):
-            raise FormatError(
-                f"{path}: header params entry {index} needs a string 'name' and a 'shape' "
-                f"of non-negative ints, found {entry!r}"
-            )
+    check(header, _header_spec(header), f"{path}: checkpoint header")
 
-    expected = sum(
-        int(np.prod(entry["shape"], dtype=np.int64)) for entry in header["params"]
-    )
+    expected = sum(math.prod(entry["shape"]) for entry in header["params"])
     payload = raw[16 + hlen :]
     if len(payload) != expected * 8:
         raise FormatError(
@@ -110,7 +108,7 @@ def load_model(path: str | Path) -> Model:
     offset = 0
     for entry in header["params"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64))
+        count = math.prod(shape)
         block = np.frombuffer(payload, dtype="<f8", count=count, offset=offset * 8)
         offset += count
         data = block.astype(np.float64).reshape(shape)
@@ -121,14 +119,12 @@ def load_model(path: str | Path) -> Model:
     config = ModelConfig.from_dict(header["config"])
     if header["kind"] == "dense":
         model = DenseModel(config, params, header.get("groups", ()))
-    elif header["kind"] == "moe":
+    else:
         history = [Expansion(g, tuple(c)) for g, c in header.get("expansion_history", [])]
-        if any(len(e.new_experts) != config.layers for e in history):
-            raise FormatError(f"{path}: expansion history does not cover {config.layers} layers")
         groups, layers = header.get("base_groups", ()), header.get("classifier_layers", ())
         model = MoEModel(config, params, groups, history, layers)
-    else:
-        raise FormatError(f"{path}: unknown model kind {header['kind']!r}")
+        if sum(model.expert_counts()) > len(params):
+            raise FormatError(f"{path}: expansion history has more experts than parameters")
     expected = param_shapes(model)
     found = {name: p.data.shape for name, p in params.items()}
     wrong = [n for n in sorted(expected.keys() | found.keys()) if found.get(n) != expected.get(n)]

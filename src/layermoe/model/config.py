@@ -31,8 +31,8 @@ class ModelConfig:
             raise ConfigurationError("hidden must be divisible by heads")
         if self.top_k < 1:
             raise ConfigurationError("top_k must be >= 1")
-        if min(self.vocab, self.ffn, self.context) < 1:
-            raise ConfigurationError("vocab, ffn and context must be >= 1")
+        if min(self.hidden, self.vocab, self.ffn, self.context) < 1:
+            raise ConfigurationError("hidden, vocab, ffn and context must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -235,17 +235,6 @@ class MoEModel:
                 counts[i] += c
         return tuple(counts)
 
-    def expert_origin(self, layer: int, expert: int) -> int:
-        """Expansion index that created an expert; -1 for the dense FFN."""
-        if expert == 0:
-            return -1
-        cursor = 1
-        for k, exp in enumerate(self.expansion_history):
-            cursor += exp.new_experts[layer]
-            if expert < cursor:
-                return k
-        raise InvalidInputError(f"layer {layer} has no expert {expert}")
-
     def layer(self, index: int) -> MoELayer:
         n = self.expert_counts()[index]
         experts = [

@@ -3,8 +3,8 @@
 A small tape: every operation records its parent tensors and a closure that
 maps the output gradient to parent gradients. Only the operations the toy
 transformer and its losses need are implemented. The correctness contract is
-agreement with central finite differences (see ``central_difference``), not
-any property of the internals.
+agreement with central finite differences (the tests' oracle), not any
+property of the internals.
 
 All arithmetic is float64. Graphs are only recorded when some input has
 ``requires_grad`` set, so evaluation with frozen parameters pays no tape
@@ -35,11 +35,9 @@ training stays bit-identical too.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from ..errors import NumericalFailureError
 
 __all__ = [
     "Tensor",
@@ -55,8 +53,6 @@ __all__ = [
     "take_pairs",
     "stack_columns",
     "zero_grads",
-    "value_and_grad",
-    "central_difference",
 ]
 
 
@@ -538,56 +534,3 @@ def stack_columns(columns: Sequence[Tensor]) -> Tensor:
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None
-
-
-def value_and_grad(
-    loss_fn: Callable[[], Tensor], params: Mapping[str, Tensor]
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Evaluate a scalar loss and return its gradient for every named parameter.
-
-    Parameters not touched by the loss get zero gradients. Raises
-    NumericalFailureError if the loss is non-finite.
-    """
-    previous = {name: p.requires_grad for name, p in params.items()}
-    try:
-        for p in params.values():
-            p.requires_grad = True
-            p.grad = None
-        loss = loss_fn()
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NumericalFailureError(f"loss is not finite: {value}")
-        loss.backward()
-        grads = {
-            name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for name, p in params.items()
-        }
-        return value, grads
-    finally:
-        for name, p in params.items():
-            p.requires_grad = previous[name]
-            p.grad = None
-
-
-def central_difference(
-    loss_fn: Callable[[], Tensor], params: Mapping[str, Tensor], eps: float = 1e-5
-) -> dict[str, np.ndarray]:
-    """Finite-difference gradients, (f(p+eps) - f(p-eps)) / (2 eps) per entry.
-
-    Only evaluates the forward pass, so it is independent of the tape and
-    serves as the oracle for ``value_and_grad``.
-    """
-    grads: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        grad = np.zeros_like(flat)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            plus = loss_fn().item()
-            flat[i] = original - eps
-            minus = loss_fn().item()
-            flat[i] = original
-            grad[i] = (plus - minus) / (2.0 * eps)
-        grads[name] = grad.reshape(p.data.shape)
-    return grads

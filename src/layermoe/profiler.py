@@ -8,8 +8,7 @@ that get a routing classifier.
 
 Mean pairwise cosine over two sets factorises: it equals the dot product of
 the two sets' mean unit-normalised vectors. That algebraic fast path is the
-production implementation; the quadratic double loop is kept as the test
-oracle (``pair_similarity_exhaustive``).
+production implementation; the quadratic double loop is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from .errors import (
     SampleSizeError,
 )
 from .model import Model, forward
-from .numerics import SeededRng, cosine, derive_seed
+from .numerics import SeededRng, derive_seed
+from .schema import List, Map, by_index, check, load_json, problems
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,6 @@ class CandidateSet:
             raise DegenerateVectorError("candidate set contains a zero-norm vector")
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
-
-    @property
-    def size(self) -> int:
-        return len(self.vectors)
 
     @property
     def width(self) -> int:
@@ -122,16 +118,6 @@ def pair_similarity(a: CandidateSet, b: CandidateSet) -> float:
         return (rows / norms).mean(axis=0)
 
     return float(np.clip(np.dot(centroid(a), centroid(b)), -1.0, 1.0))
-
-
-def pair_similarity_exhaustive(a: CandidateSet, b: CandidateSet) -> float:
-    """Quadratic reference: average cosine over every pair, one at a time."""
-    _check_comparable(a, b)
-    total = 0.0
-    for u in a.vectors.astype(np.float64):
-        for v in b.vectors.astype(np.float64):
-            total += cosine(u, v)
-    return total / (a.size * b.size)
 
 
 @dataclass(frozen=True)
@@ -302,29 +288,26 @@ def save_profile(profile: SimilarityProfile, path: str | Path, *, csv_path: str 
             )
 
 
+_LAYER = {"index": int, "s_new_old": float, "s": float,
+          "s_new_new": lambda v: v is None or not problems(v, float)}
+_PROFILE = {"layers": List(_LAYER, lo=1), "pairs?": Map([float]), "old_languages?": [str],
+            "new_languages?": [str], "meta?": {}}
+
+
 def load_profile(path: str | Path) -> SimilarityProfile:
-    try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-        layers = record["layers"]
-        new_old = np.array([row["s_new_old"] for row in layers], dtype=np.float64)
-        has_new_new = layers and layers[0]["s_new_new"] is not None
-        new_new = (
-            np.array([row["s_new_new"] for row in layers], dtype=np.float64)
-            if has_new_new
-            else None
-        )
-        indicated = np.array([row["s"] for row in layers], dtype=np.float64)
-        pair_sims = {
+    record = check(load_json(path), _PROFILE, f"{path}: profile")
+    layers = by_index(record["layers"], f"{path}: profile")
+    new_new = [row["s_new_new"] for row in layers]
+    if len({v is None for v in new_new}) > 1:
+        raise FormatError(f"{path}: profile s_new_new is null on some layers only")
+    return SimilarityProfile(
+        np.array([row["s_new_old"] for row in layers], dtype=np.float64),
+        None if new_new[0] is None else np.array(new_new, dtype=np.float64),
+        np.array([row["s"] for row in layers], dtype=np.float64),
+        {
             tuple(key.split("|")): np.asarray(values, dtype=np.float64)
             for key, values in record.get("pairs", {}).items()
-        }
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise FormatError(f"{path}: not a valid profile file: {exc}") from exc
-    return SimilarityProfile(
-        new_old,
-        new_new,
-        indicated,
-        pair_sims,
+        },
         tuple(record.get("old_languages", ())),
         tuple(record.get("new_languages", ())),
         record.get("meta", {}),

@@ -1,0 +1,120 @@
+"""One declarative checker for the JSON artifacts the program reads.
+
+A spec is a literal: ``int``, ``float`` (a finite int or float), ``str``, a
+set of strings (one of them), ``[item]`` (a list of ``item``), a tuple (a
+list with one value per spec, in order) or a dict (an object with those
+keys; a key ending in "?" is optional). ``Int``, ``List`` and ``Map`` add
+bounds and objects with any keys; any other callable is a predicate. A bool
+is never an int or a number.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any
+
+from .errors import FormatError
+
+
+@dataclass(frozen=True)
+class Int:
+    lo: int | None = None
+    hi: int | None = None
+
+
+@dataclass(frozen=True)
+class List:
+    item: Any
+    lo: int = 0
+    hi: int | None = None
+
+
+@dataclass(frozen=True)
+class Map:
+    item: Any
+
+
+def _leaf(spec, v) -> bool:
+    if spec is int or isinstance(spec, Int):
+        lo, hi = (spec.lo, spec.hi) if spec is not int else (None, None)
+        is_int = isinstance(v, int) and not isinstance(v, bool)
+        return is_int and (lo is None or lo <= v) and (hi is None or v <= hi)
+    if spec is float:
+        is_number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        return is_number and abs(v) <= sys.float_info.max
+    if isinstance(spec, set):
+        return isinstance(v, str) and v in spec
+    return isinstance(v, str) if spec is str else spec(v)
+
+
+def _parts(spec, value) -> list | None:
+    """(key, spec, value) of each part of a list or map; None if it does not fit."""
+    spec = List(spec[0]) if isinstance(spec, list) else spec
+    if isinstance(spec, (List, tuple)):
+        lo, hi = (spec.lo, spec.hi) if isinstance(spec, List) else (len(spec), len(spec))
+        if not isinstance(value, list) or len(value) < lo or (hi is not None and len(value) > hi):
+            return None
+        specs = [spec.item] * len(value) if isinstance(spec, List) else spec
+        return list(zip(range(len(value)), specs, value))
+    if isinstance(spec, Map):
+        return [(k, spec.item, v) for k, v in value.items()] if isinstance(value, dict) else None
+    return [] if _leaf(spec, value) else None
+
+
+def _walk(spec, value, path: str, missing: list, wrong: list) -> None:
+    at = (lambda key: f"{path}.{key}") if path else str
+    if isinstance(spec, dict) and isinstance(value, dict):
+        for name, sub in spec.items():
+            key = name.rstrip("?")
+            if key in value:
+                _walk(sub, value[key], at(key), missing, wrong)
+            elif key == name:  # a required object is reported by its required keys
+                inner = [k for k in sub if not k.endswith("?")] if isinstance(sub, dict) else []
+                missing += [f"{at(key)}.{k}" for k in inner] or [at(key)]
+        return
+    parts = None if isinstance(spec, dict) else _parts(spec, value)
+    if parts is None:
+        wrong.append(path or "the top level")
+    for key, sub, item in parts or ():
+        if isinstance(sub, (dict, list, tuple, List, Map)):
+            _walk(sub, item, at(key), missing, wrong)
+        elif not _leaf(sub, item):  # inline: a corpus line has one leaf per token
+            wrong.append(at(key))
+
+
+def problems(value, spec) -> list[str]:
+    """What is wrong with ``value`` under ``spec``: ``lacks a, b`` and
+    ``has a value of the wrong type at x, y``; empty when it matches."""
+    missing: list[str] = []
+    wrong: list[str] = []
+    _walk(spec, value, "", missing, wrong)
+    found = [f"lacks {', '.join(missing)}"] if missing else []
+    return found + ([f"has a value of the wrong type at {', '.join(wrong)}"] if wrong else [])
+
+
+def check(value, spec, what: str):
+    """``value`` if it matches ``spec``; otherwise one FormatError that names
+    ``what``, every missing key and every wrong path."""
+    found = problems(value, spec)
+    if found:
+        raise FormatError(f"{what} {'; '.join(found)}")
+    return value
+
+
+def by_index(rows: list[dict], what: str) -> list[dict]:
+    """``rows`` sorted by their int ``index``, which must run over 0..n-1."""
+    rows = sorted(rows, key=lambda row: row["index"])
+    if [row["index"] for row in rows] != list(range(len(rows))):
+        raise FormatError(f"{what} layer indices are not 0..{len(rows) - 1}")
+    return rows
+
+
+def load_json(path: str | Path):
+    """The JSON value in a file; FormatError when the file is not JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None

@@ -438,6 +438,8 @@ def evaluate(
     old-to-expert-0 fraction counts old-language tokens whose top-1 routed
     expert is 0; on gated layers a fired gate counts as expert 0.
     """
+    if max_sequences_per_language is not None and max_sequences_per_language < 1:
+        raise InvalidInputError("max_sequences_per_language must be >= 1")
     batch_size = 32  # sequences per forward pass
     is_moe = isinstance(model, MoEModel)
     if old_groups is None:

@@ -1,0 +1,92 @@
+"""Reference implementations the tests compare the package against: tape
+gradients against central finite differences, and the profiler's centroid
+fast path against the quadratic pair loop over exact cosines."""
+
+from __future__ import annotations
+
+from typing import Callable, Mapping
+
+import numpy as np
+
+from layermoe.errors import DegenerateVectorError, InvalidInputError, NumericalFailureError
+from layermoe.numerics import Tensor
+from layermoe.profiler import CandidateSet, _check_comparable
+
+
+def value_and_grad(
+    loss_fn: Callable[[], Tensor], params: Mapping[str, Tensor]
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Evaluate a scalar loss and return its gradient for every named parameter.
+
+    Parameters not touched by the loss get zero gradients. Raises
+    NumericalFailureError if the loss is non-finite.
+    """
+    previous = {name: p.requires_grad for name, p in params.items()}
+    try:
+        for p in params.values():
+            p.requires_grad = True
+            p.grad = None
+        loss = loss_fn()
+        value = loss.item()
+        if not np.isfinite(value):
+            raise NumericalFailureError(f"loss is not finite: {value}")
+        loss.backward()
+        grads = {
+            name: (p.grad if p.grad is not None else np.zeros_like(p.data))
+            for name, p in params.items()
+        }
+        return value, grads
+    finally:
+        for name, p in params.items():
+            p.requires_grad = previous[name]
+            p.grad = None
+
+
+def central_difference(
+    loss_fn: Callable[[], Tensor], params: Mapping[str, Tensor], eps: float = 1e-5
+) -> dict[str, np.ndarray]:
+    """Finite-difference gradients, (f(p+eps) - f(p-eps)) / (2 eps) per entry.
+
+    Only evaluates the forward pass, so it is independent of the tape and
+    serves as the oracle for ``value_and_grad``.
+    """
+    grads: dict[str, np.ndarray] = {}
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        grad = np.zeros_like(flat)
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + eps
+            plus = loss_fn().item()
+            flat[i] = original - eps
+            minus = loss_fn().item()
+            flat[i] = original
+            grad[i] = (plus - minus) / (2.0 * eps)
+        grads[name] = grad.reshape(p.data.shape)
+    return grads
+
+
+def cosine(u, v) -> float:
+    """Cosine similarity of two nonzero vectors, clamped to [-1, 1]."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape or u.ndim != 1:
+        raise InvalidInputError(f"cosine needs equal-length vectors, got {u.shape} and {v.shape}")
+    su = np.abs(u).max(initial=0.0)
+    sv = np.abs(v).max(initial=0.0)
+    if su == 0.0 or sv == 0.0:
+        raise DegenerateVectorError("cosine of a zero-norm vector is undefined")
+    # Scaled to a largest entry of 1, a squared norm can neither underflow
+    # nor overflow: on [2.2e-159, 0] the unscaled norm kept 7 digits.
+    u, v = u / su, v / sv
+    return float(np.clip(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0))
+
+
+def pair_similarity_exhaustive(a: CandidateSet, b: CandidateSet) -> float:
+    """Quadratic reference: average cosine over every pair, one at a time."""
+    _check_comparable(a, b)
+    total = 0.0
+    for u in a.vectors.astype(np.float64):
+        for v in b.vectors.astype(np.float64):
+            total += cosine(u, v)
+    return total / (len(a.vectors) * len(b.vectors))

@@ -2,11 +2,17 @@
 a malformed input file exits 2 with one JSON line on stderr and no
 traceback."""
 
+import copy
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import layermoe
 from layermoe.cli import main
 from layermoe.model import DenseModel, ModelConfig, save_model, upcycle
 
@@ -28,6 +34,13 @@ def write_json(path, record):
 def test_allocate_rejects_profile_without_layers(tmp_path, capsys):
     profile = write_json(tmp_path / "profile.json", {"pairs": {}})
     argv = ["allocate", "--profile", profile, "--budget", "4", "--out", str(tmp_path / "p.json")]
+    assert run_failing(argv, capsys)["error"] == "FormatError"
+
+
+def test_deeply_nested_json_is_rejected(tmp_path, capsys):
+    profile = tmp_path / "profile.json"
+    profile.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["allocate", "--profile", str(profile), "--budget", "4", "--out", str(tmp_path / "p.json")]
     assert run_failing(argv, capsys)["error"] == "FormatError"
 
 
@@ -129,7 +142,7 @@ def test_run_pipeline_rejects_values_of_the_wrong_type(tmp_path, capsys):
     "change, wrong",
     [
         ({"seed": "1"}, "seed"),
-        ({"languages": {"groups": {"g0": "ab", "g1": ["b"]}}}, "languages.groups"),
+        ({"languages": {"groups": {"g0": "ab", "g1": ["b"]}}}, "languages.groups.g0"),
         (
             {"languages": {"groups": {"g0": ["a"]}, "block_size": 8.0, "overlap": "0.3"}},
             "languages.block_size, languages.overlap",
@@ -138,10 +151,22 @@ def test_run_pipeline_rejects_values_of_the_wrong_type(tmp_path, capsys):
             {"evaluation": {"max_sequences_per_language": "8"}},
             "evaluation.max_sequences_per_language",
         ),
+        (
+            {"evaluation": {"max_sequences_per_language": 0}},
+            "evaluation.max_sequences_per_language",
+        ),
         ({"evaluation": {"mode": "routed"}}, "evaluation.mode"),
         ({"review_ratio": [1]}, "expansions.0.review_ratio"),
     ],
-    ids=["seed", "groups", "language-layout", "eval-sequences", "eval-mode", "review-ratio"],
+    ids=[
+        "seed",
+        "groups",
+        "language-layout",
+        "eval-sequences",
+        "eval-no-sequences",
+        "eval-mode",
+        "review-ratio",
+    ],
 )
 def test_run_pipeline_checks_every_value_it_reads(tmp_path, capsys, change, wrong):
     config = pipeline_config()
@@ -172,7 +197,7 @@ def test_run_pipeline_rejects_an_empty_model_config(tmp_path, capsys):
             "ConfigurationError",
             ["unknown key 'dropout'", "hidden is not an int"],
         ),
-        ([2, 8], "FormatError", ["a model config is a JSON object"]),
+        ([2, 8], "FormatError", ["model config has a value of the wrong type at the top level"]),
     ],
     ids=["bad-keys", "not-an-object"],
 )
@@ -197,11 +222,11 @@ def test_checkpoint_header_without_params_is_rejected(tmp_path, capsys):
 @pytest.mark.parametrize(
     "params, detail",
     [
-        ([{"name": "x"}], "entry 0"),
-        ([{"name": "x", "shape": [2]}, {"name": "y", "shape": [2, True]}], "entry 1"),
-        ([{"name": "x", "shape": [-1]}], "entry 0"),
-        ([{"name": 3, "shape": [2]}], "entry 0"),
-        ({"x": [2]}, "'params' must be a list"),
+        ([{"name": "x"}], "lacks params.0.shape"),
+        ([{"name": "x", "shape": [2]}, {"name": "y", "shape": [2, True]}], "at params.1.shape.1"),
+        ([{"name": "x", "shape": [-1]}], "at params.0.shape.0"),
+        ([{"name": 3, "shape": [2]}], "at params.0.name"),
+        ({"x": [2]}, "wrong type at config.layers, params"),
     ],
     ids=["no-shape", "bool-dimension", "negative-dimension", "int-name", "not-a-list"],
 )
@@ -221,11 +246,11 @@ def test_checkpoint_header_with_a_malformed_params_entry_is_rejected(
     "second_line, detail",
     [
         ('{"lang": "a", "group": "g0", "tokens": [0, 2', "JSONDecodeError"),
-        ('{"lang": "a", "tokens": [0, 2]}', "KeyError('group')"),
-        ('{"lang": "a", "group": "g0", "tokens": "abc"}', "'tokens' as a list of"),
-        ('{"lang": "a", "group": "g0", "tokens": [0, true]}', "'tokens' as a list of"),
-        ('{"lang": "a", "group": "g0", "tokens": [0, 18446744073709551616]}', "64-bit ints"),
-        ('{"lang": 7, "group": "g0", "tokens": [0, 2]}', "'lang' and 'group' as strings"),
+        ('{"lang": "a", "tokens": [0, 2]}', "lacks group"),
+        ('{"lang": "a", "group": "g0", "tokens": "abc"}', "wrong type at tokens"),
+        ('{"lang": "a", "group": "g0", "tokens": [0, true]}', "wrong type at tokens.1"),
+        ('{"lang": "a", "group": "g0", "tokens": [0, 18446744073709551616]}', "at tokens.1"),
+        ('{"lang": 7, "group": "g0", "tokens": [0, 2]}', "wrong type at lang"),
     ],
     ids=["truncated", "no-group", "string-tokens", "bool-token", "huge-token", "int-lang"],
 )
@@ -252,9 +277,9 @@ def test_train_base_rejects_negative_steps(tmp_path, capsys):
 @pytest.mark.parametrize(
     "manifest, detail",
     [
-        ({"arguments": {}, "outputs": {}}, "found None"),
-        ({"command": "route-stats"}, "found 'route-stats'"),
-        ({"command": "eval", "arguments": {"mode": "plain"}, "outputs": {}}, "lack 'model'"),
+        ({"arguments": {}, "outputs": {}}, "lacks command"),
+        ({"command": "route-stats"}, "wrong type at command"),
+        ({"command": "eval", "arguments": {"mode": "plain"}, "outputs": {}}, "--model"),
     ],
     ids=["no-command", "unknown-command", "missing-argument"],
 )
@@ -312,3 +337,270 @@ def test_every_command_runs_and_replays_to_the_same_bytes(tmp_path, capsys):
     assert failure["error"] == "FormatError"
     assert failure["message"].endswith("replay does not reproduce losses, model")
     assert json.loads((tmp_path / "base.lmoe.manifest.json").read_text()) == record
+
+
+def test_eval_rejects_fewer_than_one_sequence_per_language(tmp_path, capsys):
+    model = tmp_path / "dense.lmoe"
+    save_model(DenseModel.create(ModelConfig(**TINY_MODEL), groups=("g0",)), model)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"lang": "a", "group": "g0", "tokens": [0, 3, 4]}\n')
+    argv = ["eval", "--model", str(model), "--corpus", str(corpus), "--max-sequences", "0"]
+    record = run_failing(argv + ["--out", str(tmp_path / "metrics.json")], capsys)
+    assert record["error"] == "InvalidInputError"
+    assert not (tmp_path / "metrics.json").exists()
+
+
+def test_run_pipeline_records_environment_overrides_and_replays_without_them(
+    tmp_path, capsys, monkeypatch
+):
+    config = write_json(tmp_path / "pipeline.json", pipeline_config())
+    out = tmp_path / "out"
+    monkeypatch.setenv("LAYERMOE_OVERRIDES", "seed=5; base.steps=2")
+    run_ok(["run-pipeline", "--config", config, "--out-dir", str(out), "--set", "seed=3"], capsys)
+    manifest = out / "pipeline.config.json.manifest.json"
+    recorded = json.loads(manifest.read_text())["arguments"]["set"]
+    assert recorded == ["seed=5", " base.steps=2", "seed=3"]
+    resolved = json.loads((out / "pipeline.config.json").read_text())
+    assert (resolved["seed"], resolved["base"]["steps"]) == (3, 2)
+
+    written = {p: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setenv("LAYERMOE_OVERRIDES", "base.steps=3")
+    run_ok(["replay", "--manifest", str(manifest)], capsys)
+    assert {p: p.read_bytes() for p in out.iterdir()} == written
+
+
+# ---------------------------------------------------------------------------
+# single-field mutations of every artifact kind
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A valid file of each kind, written by the commands that make them."""
+    root = tmp_path_factory.mktemp("artifacts")
+    names = ("c.jsonl", "base.lmoe", "profile.json", "plan.json", "moe.lmoe", "rev.lmoe")
+    path = {name: str(root / name) for name in names}
+    spec = write_json(root / "spec.json", {"groups": {"g0": ["a"], "g1": ["b"]}, "block_size": 8})
+    path["model.json"] = write_json(root / "model.json", TINY_MODEL)
+    train = ["--corpus", path["c.jsonl"], "--steps", "1", "--batch-size", "2"]
+    for argv in [
+        ["gen-corpus", "--spec", spec, "--tokens", "128", "--seq-len", "8"]
+        + ["--out", path["c.jsonl"]],
+        ["train-base", "--config", path["model.json"], *train, "--group", "g0"]
+        + ["--out", path["base.lmoe"]],
+        ["profile", "--model", path["base.lmoe"], "--corpus", path["c.jsonl"], "--old", "g0"]
+        + ["--new", "g1", "--q", "8", "--out", path["profile.json"]],
+        ["allocate", "--profile", path["profile.json"], "--budget", "3"]
+        + ["--out", path["plan.json"]],
+        ["expand", "--model", path["base.lmoe"], "--plan", path["plan.json"], *train]
+        + ["--group", "g1", "--out", path["moe.lmoe"]],
+        ["review", "--model", path["moe.lmoe"], *train, "--classifier-count", "1", "--q", "8"]
+        + ["--out", path["rev.lmoe"]],
+    ]:
+        assert main(argv) == 0, argv
+    return path
+
+
+def read_header(path):
+    raw = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    return json.loads(raw[16 : 16 + hlen]), raw[16 + hlen :]
+
+
+def write_checkpoint(path, header, payload):
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    Path(path).write_bytes(b"LMOE" + struct.pack("<IQ", 1, len(encoded)) + encoded + payload)
+
+
+def artifact_kind(kind, path):
+    """(a valid record, how to write a mutated one to a file, the command
+    that reads that file) for one artifact kind."""
+
+    def json_file(target, record):
+        Path(target).write_text(json.dumps(record), encoding="utf-8")
+
+    if kind == "pipeline-config":
+        config = pipeline_config(evaluation={"max_sequences_per_language": 4, "mode": "plain"})
+        config["languages"].update(shared_size=8, overlap=0.5)
+        config["base"].update(learning_rate=0.01, momentum=0.0)
+        config["expansions"][0].update(classifier_count=1, review_ratio=[1, 2])
+        config["expansions"][0]["stage2"] = {"steps": 1, "batch_size": 2, "cls_mode": "standard_ce"}
+        return config, json_file, lambda f: ["run-pipeline", "--config", f, "--out-dir", f + ".d"]
+    if kind == "corpus-record":
+        lines = Path(path["c.jsonl"]).read_text().splitlines(keepends=True)
+
+        def corpus_file(target, record):
+            Path(target).write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+
+        argv = ["train-base", "--config", path["model.json"], "--group", "g0", "--steps", "1"]
+        record = json.loads(lines[0])
+        return record, corpus_file, lambda f: argv + ["--corpus", f, "--out", f + ".m"]
+    if kind in ("dense-header", "moe-header"):
+        header, payload = read_header(path["base.lmoe" if kind == "dense-header" else "rev.lmoe"])
+        mode = "gated" if kind == "moe-header" else "plain"
+        argv = ["eval", "--corpus", path["c.jsonl"], "--mode", mode]
+        return (
+            header,
+            lambda target, record: write_checkpoint(target, record, payload),
+            lambda f: argv + ["--model", f, "--out", f + ".json"],
+        )
+    if kind == "profile":
+        argv = ["allocate", "--budget", "3"]
+        record = json.loads(Path(path["profile.json"]).read_text())
+        return record, json_file, lambda f: argv + ["--profile", f, "--out", f + ".plan"]
+    if kind == "plan":
+        argv = ["expand", "--model", path["base.lmoe"], "--corpus", path["c.jsonl"]]
+        argv += ["--group", "g1"]
+        record = json.loads(Path(path["plan.json"]).read_text())
+        return record, json_file, lambda f: argv + ["--steps", "1", "--plan", f, "--out", f + ".m"]
+    record = json.loads(Path(path["plan.json"] + ".manifest.json").read_text())
+    return record, json_file, lambda f: ["replay", "--manifest", f]
+
+
+KINDS = [
+    "pipeline-config",
+    "corpus-record",
+    "dense-header",
+    "moe-header",
+    "profile",
+    "plan",
+    "manifest",
+]
+DELETE = object()
+MUTATIONS = [None, "x", True, -1, 0, 1.5, 1e308, [], {}, DELETE]
+
+
+def field_paths(node, path=()):
+    """Every object key, and the first item of every list, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from field_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        yield path + (0,)
+        yield from field_paths(node[0], path + (0,))
+
+
+def mutated(record, path, value):
+    record = copy.deepcopy(record)
+    node = record
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return record
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_single_field_mutation_exits_0_or_2(tmp_path, capsys, monkeypatch, artifacts, kind):
+    """Replace one field with each of MUTATIONS, run the command that reads
+    the file, and require exit 0, or exit 2 with one JSON line on stderr."""
+    monkeypatch.chdir(tmp_path)  # a replayed --out of "x" lands here
+    record, write, command = artifact_kind(kind, artifacts)
+    failures = []
+    for n, path in enumerate(field_paths(record)):
+        for m, value in enumerate(MUTATIONS):
+            if value == 1e308 and "expansion_history" in path:
+                continue  # unbounded at the parent: run in a memory-capped subprocess below
+            target = str(tmp_path / f"{n}.{m}")
+            write(target, mutated(record, path, value))
+            code = main(command(target))
+            err = capsys.readouterr().err.strip().splitlines()
+            if not (code == 0 or (code == 2 and len(err) == 1 and json.loads(err[0]))):
+                failures.append((path, value, code, err))
+    assert not failures
+
+
+def edit(path, value):
+    return lambda record: mutated(record, path, value)
+
+
+def extend(path, extra):
+    """Add ``extra`` to the value at ``path``; adding 0.5 to an int keeps
+    what ``int()`` reads from it."""
+
+    def change(record):
+        node = record
+        for key in path:
+            node = node[key]
+        return mutated(record, path, node + extra)
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "kind, change",
+    [
+        ("moe-header", edit(("base_groups",), "x")),
+        ("moe-header", extend(("classifier_layers", 0), 0.5)),
+        ("moe-header", edit(("classifier_layers",), None)),
+        ("moe-header", extend(("expansion_history", 0), [0])),
+        ("plan", extend(("layers", 0, "new_experts"), 0.5)),
+        ("plan", edit(("layers", 1, "index"), 0)),
+        ("plan", edit(("classifier_layers",), "x")),
+        ("profile", edit(("layers", 0, "s"), True)),
+        ("profile", edit(("old_languages",), "abc")),
+        ("profile", edit(("old_languages",), 5)),
+        ("manifest", edit(("arguments", "budget"), "x")),
+        ("manifest", edit(("arguments", "out"), None)),
+    ],
+    ids=[
+        "string-base-groups",
+        "fractional-classifier-layer",
+        "null-classifier-layers",
+        "three-element-history-entry",
+        "fractional-new-experts",
+        "repeated-index",
+        "string-plan-classifier-layers",
+        "bool-similarity",
+        "string-old-languages",
+        "int-old-languages",
+        "string-budget",
+        "null-out",
+    ],
+)
+def test_reported_input_faults_exit_2(tmp_path, capsys, monkeypatch, artifacts, kind, change):
+    """Each was accepted silently or ended in a traceback before every
+    artifact was read through one checker."""
+    monkeypatch.chdir(tmp_path)
+    record, write, command = artifact_kind(kind, artifacts)
+    write(str(tmp_path / "artifact"), change(record))
+    assert run_failing(command(str(tmp_path / "artifact")), capsys)["error"] == "FormatError"
+
+
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from layermoe.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        ("moe-header", ("expansion_history", 0, 1, 0), 1e308),
+        ("dense-header", ("config", "layers"), 10**9),
+    ],
+    ids=["huge-expansion-count", "billion-layers"],
+)
+def test_unbounded_header_counts_are_rejected_before_allocating(
+    tmp_path, artifacts, kind, path, value
+):
+    """At the parent these hung or ran out of memory; run them with a 2 GB
+    address-space limit and a timeout so a regression fails only this test."""
+    record, write, command = artifact_kind(kind, artifacts)
+    write(str(tmp_path / "model.lmoe"), mutated(record, path, value))
+    source = str(Path(layermoe.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED, *command(str(tmp_path / "model.lmoe"))],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=env,
+    )
+    assert done.returncode == 2
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "FormatError"

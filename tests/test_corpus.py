@@ -120,7 +120,7 @@ class TestReviewMixture:
         mix = review_mixture(old, new, 1, 2, seed=3)
         mask = mix.old_token_mask(["g0"])
         for row in range(len(mix)):
-            for col in range(mix.length):
+            for col in range(mix.sequences.shape[1]):
                 expected = mix.groups[row] == "g0" and mix.sequences[row, col] >= NUM_SPECIALS
                 assert mask[row, col] == expected
 

@@ -473,7 +473,7 @@ class TestCheckpoint:
         assert "experts.3" in broken(
             lambda m: setattr(m, "expansion_history", (Expansion("g1", (1, 3)),))
         )
-        assert "cover 2 layers" in broken(
+        assert "wrong type at expansion_history.0.1" in broken(
             lambda m: setattr(m, "expansion_history", (Expansion("g1", (1, 2, 0)),))
         )
         dense_copy = DenseModel(dense.config, dict(dense.params), dense.groups)

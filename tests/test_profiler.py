@@ -20,11 +20,11 @@ from layermoe.profiler import (
     indicated_similarity,
     load_profile,
     pair_similarity,
-    pair_similarity_exhaustive,
     profile_similarity,
     save_profile,
     select_classifier_layers,
 )
+from oracles import pair_similarity_exhaustive
 
 
 def candidate(vectors, language="x", layer=0):
