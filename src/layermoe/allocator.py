@@ -118,7 +118,8 @@ def validate(plan: AllocationPlan, layer_count: int) -> list[str]:
     return problems
 
 
-def save_plan(plan: AllocationPlan, path: str | Path, *, csv_path: str | Path | None = None) -> None:
+def save_plan(plan: AllocationPlan, path: str | Path) -> None:
+    """JSON plan plus a CSV mirror (``path`` with suffix ``.csv``)."""
     record = {
         "budget": plan.budget,
         "layers": [
@@ -135,12 +136,11 @@ def save_plan(plan: AllocationPlan, path: str | Path, *, csv_path: str | Path | 
         "mode": plan.meta,
     }
     Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "similarity", "new_experts"])
-            for i in range(plan.layer_count):
-                writer.writerow([i, repr(plan.similarities[i]), plan.new_experts[i]])
+    with open(Path(path).with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["layer", "similarity", "new_experts"])
+        for i in range(plan.layer_count):
+            writer.writerow([i, repr(plan.similarities[i]), plan.new_experts[i]])
 
 
 _LAYER = {"index": int, "similarity": lambda v: not problems(v, float) and v > 0,

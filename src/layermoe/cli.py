@@ -1,5 +1,6 @@
 """Command-line front door: corpus generation, base training, profiling,
-allocation, expansion, review, evaluation, and full pipelines.
+allocation, expansion, review, evaluation, and full pipelines. ``expand``
+and ``review`` run the same two steps as each expansion of ``run-pipeline``.
 
 Every artifact-producing command writes a manifest (``<out>.manifest.json``)
 holding the resolved arguments, package version, and output hashes. The
@@ -21,7 +22,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,18 +33,17 @@ from .corpus import TaggedCorpus, generate, language_specs, required_vocab
 from .errors import ConfigurationError, FormatError, InvalidInputError, LayerMoEError
 from .model import DenseModel, ModelConfig, MoEModel, load_model, save_model
 from .numerics import derive_seed
-from .profiler import profile_similarity, save_profile, select_classifier_layers
+from .profiler import load_profile, profile_similarity, save_profile
 from .schema import Int, List, Map, check, load_json, problems
 from .trainer import (
     TrainingRecipe,
     evaluate,
+    expand,
     lifelong_expand,
+    review,
     save_reports_csv,
-    stage1_train,
-    stage2_train,
     train_dense,
 )
-from .model import add_classifiers, upcycle
 
 
 class _CliError(LayerMoEError, ValueError):
@@ -96,6 +96,22 @@ def _groups_arg(value: str) -> list[str]:
     return [part for part in value.split(",") if part]
 
 
+def _recipe(values: dict, stage: str, seed: int) -> TrainingRecipe:
+    """A stage's recipe from a pipeline stage config or a command's
+    arguments; a rate that ``values`` lacks keeps its TrainingRecipe default."""
+    names = [f.name for f in fields(TrainingRecipe) if f.name not in ("stage", "seed")]
+    return TrainingRecipe(stage, seed=seed, **{n: values[n] for n in names if n in values})
+
+
+def _save_trained(model, reports, out: str) -> dict[str, Path]:
+    """A trained checkpoint plus its per-step losses in ``<out>.losses.csv``."""
+    out = Path(out)
+    save_model(model, out)
+    losses = out.with_suffix(out.suffix + ".losses.csv")
+    save_reports_csv(reports, losses)
+    return {"model": out, "losses": losses}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -118,71 +134,34 @@ def _cmd_train_base(args) -> dict[str, Path]:
     if corpus.sequences.max() >= config.vocab:
         raise InvalidInputError("corpus token ids exceed the model vocabulary")
     model = DenseModel.create(config, groups=(args.group,))
-    recipe = TrainingRecipe(
-        stage="dense",
-        steps=args.steps,
-        batch_size=args.batch_size,
-        seed=derive_seed(args.seed, "train-base"),
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-    )
-    reports = train_dense(model, corpus, recipe)
-    out = Path(args.out)
-    save_model(model, out)
-    losses = out.with_suffix(out.suffix + ".losses.csv")
-    save_reports_csv(reports, losses)
-    return {"model": out, "losses": losses}
-
-
-def _profile_languages(corpus, old_groups, new_groups):
-    group_of = corpus.group_of()
-    old = [l for l in corpus.language_set() if group_of[l] in set(old_groups)]
-    new = [l for l in corpus.language_set() if group_of[l] in set(new_groups)]
-    if not old or not new:
-        raise InvalidInputError("old/new groups not found in the corpus")
-    return old, new
+    recipe = _recipe(vars(args), "dense", derive_seed(args.seed, "train-base"))
+    return _save_trained(model, train_dense(model, corpus, recipe), args.out)
 
 
 def _cmd_profile(args) -> dict[str, Path]:
     model = load_model(args.model)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
-    old, new = _profile_languages(corpus, _groups_arg(args.old), _groups_arg(args.new))
     profile = profile_similarity(
         model,
         corpus,
-        old,
-        new,
+        corpus.languages_in(_groups_arg(args.old)),
+        corpus.languages_in(_groups_arg(args.new)),
         q=args.q,
         seed=args.seed,
         literal_new_new=args.literal_new_new,
     )
     out = Path(args.out)
-    csv_out = out.with_suffix(".csv")
-    save_profile(profile, out, csv_path=csv_out)
-    return {"profile": out, "profile_csv": csv_out}
+    save_profile(profile, out)
+    return {"profile": out, "profile_csv": out.with_suffix(".csv")}
 
 
 def _cmd_allocate(args) -> dict[str, Path]:
-    from .profiler import load_profile
-
     profile = load_profile(args.profile)
     plan = allocate(profile.indicated, args.budget)
     plan = replace(plan, meta={"profile": profile.meta, "mode": "layerwise"})
     out = Path(args.out)
-    save_plan(plan, out, csv_path=out.with_suffix(".csv"))
+    save_plan(plan, out)
     return {"plan": out, "plan_csv": out.with_suffix(".csv")}
-
-
-def _stage1_recipe(args) -> TrainingRecipe:
-    return TrainingRecipe(
-        stage="stage1",
-        steps=args.steps,
-        batch_size=args.batch_size,
-        seed=derive_seed(args.seed, "stage1"),
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        balance_weight=args.balance_weight,
-    )
 
 
 def _cmd_expand(args) -> dict[str, Path]:
@@ -190,62 +169,32 @@ def _cmd_expand(args) -> dict[str, Path]:
     if not isinstance(dense, DenseModel):
         raise ConfigurationError("expand starts from a dense checkpoint")
     plan = load_plan(args.plan)
-    corpus = TaggedCorpus.load_jsonl(args.corpus).subset_groups([args.group])
-    model = upcycle(dense, plan, args.group, init=args.init)
-    model, reports = stage1_train(model, corpus, _stage1_recipe(args))
-    out = Path(args.out)
-    save_model(model, out)
-    losses = out.with_suffix(out.suffix + ".losses.csv")
-    save_reports_csv(reports, losses)
-    return {"model": out, "losses": losses}
+    corpus = TaggedCorpus.load_jsonl(args.corpus)
+    recipe = _recipe(vars(args), "stage1", derive_seed(args.seed, "stage1"))
+    model, reports = expand(dense, plan, corpus, args.group, recipe, init=args.init)
+    return _save_trained(model, reports, args.out)
 
 
 def _cmd_review(args) -> dict[str, Path]:
-    from .corpus import review_mixture
-
     model = load_model(args.model)
     if not isinstance(model, MoEModel):
         raise ConfigurationError("review needs an expanded checkpoint")
     corpus = TaggedCorpus.load_jsonl(args.corpus)
-    new_group = model.expansion_history[-1].group
-    layers: tuple[int, ...] = ()
-    profile_out = None
-    if args.classifier_count > 0:
-        old, new = _profile_languages(corpus, model.old_groups, [new_group])
-        profile = profile_similarity(
-            model, corpus, old, new, q=args.q, seed=derive_seed(args.seed, "review-profile")
-        )
-        layers = select_classifier_layers(profile.new_old, args.classifier_count)
-        add_classifiers(model, layers)
+    model, profile, reports = review(
+        model,
+        corpus,
+        _recipe(vars(args), "stage2", derive_seed(args.seed, "stage2")),
+        classifier_count=args.classifier_count,
+        q=args.q,
+        profile_seed=derive_seed(args.seed, "review-profile"),
+        mix_seed=derive_seed(args.seed, "review-mix"),
+        review_ratio=(args.ratio_old, args.ratio_new),
+    )
+    outputs = _save_trained(model, reports, args.out)
+    if profile is not None:
         profile_out = Path(args.out).with_suffix(".profile.json")
         save_profile(profile, profile_out)
-    recipe = TrainingRecipe(
-        stage="stage2",
-        steps=args.steps,
-        batch_size=args.batch_size,
-        seed=derive_seed(args.seed, "stage2"),
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        lpr_weight=args.lpr_weight,
-        cls_weight=args.cls_weight if layers else 0.0,
-        cls_mode=args.cls_mode,
-    )
-    review = review_mixture(
-        corpus.subset_groups(model.old_groups),
-        corpus.subset_groups([new_group]),
-        args.ratio_old,
-        args.ratio_new,
-        derive_seed(args.seed, "review-mix"),
-    )
-    model, reports = stage2_train(model, review, recipe, layers)
-    out = Path(args.out)
-    save_model(model, out)
-    losses = out.with_suffix(out.suffix + ".losses.csv")
-    save_reports_csv(reports, losses)
-    outputs = {"model": out, "losses": losses}
-    if profile_out is not None:
-        outputs["profile"] = profile_out
-        outputs["profile_csv"] = profile_out.with_suffix(".csv")
+        outputs.update(profile=profile_out, profile_csv=profile_out.with_suffix(".csv"))
     return outputs
 
 
@@ -312,21 +261,6 @@ _PIPELINE = {
 }
 
 
-def _recipe_from(cfg: dict, stage: str, seed: int) -> TrainingRecipe:
-    return TrainingRecipe(
-        stage=stage,
-        steps=cfg["steps"],
-        batch_size=cfg["batch_size"],
-        seed=seed,
-        learning_rate=cfg.get("learning_rate", 5e-5),
-        momentum=cfg.get("momentum", 0.0),
-        balance_weight=cfg.get("balance_weight", 0.01),
-        lpr_weight=cfg.get("lpr_weight", 0.1),
-        cls_weight=cfg.get("cls_weight", 0.1),
-        cls_mode=cfg.get("cls_mode", "standard_ce"),
-    )
-
-
 def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     """Chain corpus generation, dense training, and every configured
     expansion, evaluating after each stage. Deterministic given the config."""
@@ -354,7 +288,7 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     base_cfg = config["base"]
     base_group = base_cfg["group"]
     dense = DenseModel.create(model_config, groups=(base_group,))
-    dense_recipe = _recipe_from(base_cfg, "dense", derive_seed(seed, "base"))
+    dense_recipe = _recipe(base_cfg, "dense", derive_seed(seed, "base"))
     base_reports = train_dense(dense, corpus.subset_groups([base_group]), dense_recipe)
     base_path = out_dir / "base.lmoe"
     save_model(dense, base_path)
@@ -380,8 +314,8 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
             corpus,
             group,
             exp_cfg["budget"],
-            _recipe_from(exp_cfg["stage1"], "stage1", derive_seed(expansion_seed, "stage1")),
-            _recipe_from(exp_cfg["stage2"], "stage2", derive_seed(expansion_seed, "stage2")),
+            _recipe(exp_cfg["stage1"], "stage1", derive_seed(expansion_seed, "stage1")),
+            _recipe(exp_cfg["stage2"], "stage2", derive_seed(expansion_seed, "stage2")),
             q=exp_cfg.get("q", 512),
             seed=expansion_seed,
             classifier_count=exp_cfg.get("classifier_count"),
@@ -391,7 +325,7 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
         save_profile(result.profile_before, profile_path)
         outputs[f"profile_{tag}"] = profile_path
         plan_path = out_dir / f"plan.{tag}.json"
-        save_plan(result.plan, plan_path, csv_path=plan_path.with_suffix(".csv"))
+        save_plan(result.plan, plan_path)
         outputs[f"plan_{tag}"] = plan_path
         if result.profile_stage1 is not None:
             stage1_profile_path = out_dir / f"profile.stage1.{tag}.json"
@@ -450,6 +384,15 @@ def _cmd_replay(args) -> dict[str, Path]:
 # argument wiring
 
 
+def _add_training_options(p, steps: int, *weights: str) -> None:
+    """Step and batch options, and the rates with TrainingRecipe's defaults."""
+    p.add_argument("--steps", type=int, default=steps)
+    p.add_argument("--batch-size", type=int, default=8)
+    defaults = {f.name: f.default for f in fields(TrainingRecipe)}
+    for name in ("learning_rate", "momentum", *weights):
+        p.add_argument("--" + name.replace("_", "-"), type=float, default=defaults[name])
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="layermoe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -465,10 +408,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="JSON model config")
     p.add_argument("--corpus", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--learning-rate", type=float, default=5e-5)
-    p.add_argument("--momentum", type=float, default=0.0)
+    _add_training_options(p, 300)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 
@@ -493,11 +433,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--group", required=True)
     p.add_argument("--init", choices=("inherit", "random"), default="inherit")
-    p.add_argument("--steps", type=int, default=400)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--learning-rate", type=float, default=5e-5)
-    p.add_argument("--momentum", type=float, default=0.0)
-    p.add_argument("--balance-weight", type=float, default=0.01)
+    _add_training_options(p, 400, "balance_weight")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 
@@ -508,12 +444,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=int, default=512)
     p.add_argument("--ratio-old", type=int, default=1)
     p.add_argument("--ratio-new", type=int, default=2)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--learning-rate", type=float, default=5e-5)
-    p.add_argument("--momentum", type=float, default=0.0)
-    p.add_argument("--lpr-weight", type=float, default=0.1)
-    p.add_argument("--cls-weight", type=float, default=0.1)
+    _add_training_options(p, 200, "lpr_weight", "cls_weight")
     p.add_argument("--cls-mode", choices=("standard_ce", "literal_paper"), default="standard_ce")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -548,11 +479,11 @@ _COMMANDS = {
     "run-pipeline": _cmd_run_pipeline,
     "replay": _cmd_replay,
 }
+_ARGUMENT = lambda v: v is None or isinstance(v, (bool, int, float, str))
 _MANIFEST = {
     "command": set(_COMMANDS) - {"replay"},
-    "arguments": Map(
-        lambda v: v is None or isinstance(v, (bool, int, float, str)) or not problems(v, [str])
-    ),
+    # replay repeats a flag per list item; --set is the one repeatable option.
+    "arguments": Map(_ARGUMENT, {"set": lambda v: v is None or not problems(v, [str])}),
     "outputs": Map({"sha256": str}),
 }
 

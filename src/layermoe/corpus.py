@@ -175,6 +175,14 @@ class TaggedCorpus:
     def group_of(self) -> dict[str, str]:
         return {lang: grp for lang, grp in zip(self.languages, self.groups)}
 
+    def languages_in(self, groups: Iterable[str]) -> tuple[str, ...]:
+        """The languages of ``groups``, in order of first appearance."""
+        keep, group_of = set(groups), self.group_of()
+        found = tuple(lang for lang in self.language_set() if group_of[lang] in keep)
+        if not found:
+            raise InvalidInputError(f"corpus has no languages in groups {sorted(keep)}")
+        return found
+
     def subset_groups(self, groups: Iterable[str]) -> "TaggedCorpus":
         keep = set(groups)
         idx = [i for i, g in enumerate(self.groups) if g in keep]

@@ -323,7 +323,7 @@ def upcycle(dense: DenseModel, plan, group: str, *, init: str = "inherit") -> Mo
     return MoEModel(config, params, dense.groups, [Expansion(group, counts)])
 
 
-def extend_expansion(model: MoEModel, plan, group: str, *, init: str = "inherit") -> MoEModel:
+def extend_expansion(model: MoEModel, plan, group: str) -> MoEModel:
     """Add a further expansion to an existing MoE model. New experts copy the
     layer's expert 0 (the original dense FFN) plus noise; classifiers from the
     previous expansion are dropped, since the next review stage re-selects
@@ -341,7 +341,7 @@ def extend_expansion(model: MoEModel, plan, group: str, *, init: str = "inherit"
         base = {part: model.params[f"blocks.{i}.experts.0.{part}"].data for part in _PARTS}
         for j in range(counts[i]):
             e = existing[i] + j
-            spawned = _spawn_expert(config.seed, expansion_index, i, e, base, init)
+            spawned = _spawn_expert(config.seed, expansion_index, i, e, base, "inherit")
             for part, arr in spawned.items():
                 params[f"blocks.{i}.experts.{e}.{part}"] = Tensor(arr)
             params[f"blocks.{i}.router.{e}"] = Tensor(np.zeros(config.hidden))

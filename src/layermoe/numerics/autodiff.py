@@ -92,9 +92,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     # -- autograd ----------------------------------------------------------
 
     def backward(self, grad: np.ndarray | None = None) -> None:

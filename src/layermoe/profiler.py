@@ -251,8 +251,9 @@ def select_classifier_layers(new_old: Sequence[float], count: int) -> tuple[int,
 # profile files
 
 
-def save_profile(profile: SimilarityProfile, path: str | Path, *, csv_path: str | Path | None = None) -> None:
-    """JSON profile plus a CSV mirror shaped for per-layer similarity plots."""
+def save_profile(profile: SimilarityProfile, path: str | Path) -> None:
+    """JSON profile plus a CSV mirror (``path`` with suffix ``.csv``) shaped
+    for per-layer similarity plots."""
     path = Path(path)
     record = {
         "layers": [
@@ -273,8 +274,7 @@ def save_profile(profile: SimilarityProfile, path: str | Path, *, csv_path: str 
         "meta": profile.meta,
     }
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    csv_path = Path(csv_path) if csv_path is not None else path.with_suffix(".csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with open(path.with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "s_new_old", "s_new_new", "s"])
         for i in range(profile.layer_count):

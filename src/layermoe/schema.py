@@ -4,15 +4,15 @@ A spec is a literal: ``int``, ``float`` (a finite int or float), ``str``, a
 set of strings (one of them), ``[item]`` (a list of ``item``), a tuple (a
 list with one value per spec, in order) or a dict (an object with those
 keys; a key ending in "?" is optional). ``Int``, ``List`` and ``Map`` add
-bounds and objects with any keys; any other callable is a predicate. A bool
-is never an int or a number.
+bounds and objects with any keys (``Map.named`` gives some keys their own
+spec); any other callable is a predicate. A bool is never an int or a number.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -35,6 +35,7 @@ class List:
 @dataclass(frozen=True)
 class Map:
     item: Any
+    named: dict = field(default_factory=dict)
 
 
 def _leaf(spec, v) -> bool:
@@ -60,7 +61,8 @@ def _parts(spec, value) -> list | None:
         specs = [spec.item] * len(value) if isinstance(spec, List) else spec
         return list(zip(range(len(value)), specs, value))
     if isinstance(spec, Map):
-        return [(k, spec.item, v) for k, v in value.items()] if isinstance(value, dict) else None
+        items = value.items() if isinstance(value, dict) else None
+        return None if items is None else [(k, spec.named.get(k, spec.item), v) for k, v in items]
     return [] if _leaf(spec, value) else None
 
 

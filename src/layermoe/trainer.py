@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -382,14 +382,7 @@ class EvalMetrics:
     expert_utilization: dict[int, list[int]] | None
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "perplexity": self.perplexity,
-            "token_counts": self.token_counts,
-            "routing_old_fraction": self.routing_old_fraction,
-            "classifier_accuracy": self.classifier_accuracy,
-            "expert_utilization": self.expert_utilization,
-        }
+        return asdict(self)
 
     def save_json(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -417,11 +410,6 @@ class EvalMetrics:
                     writer.writerow(
                         ["expert_utilization", layer, " ".join(map(str, self.expert_utilization[layer]))]
                     )
-
-
-def _log_softmax_np(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def evaluate(
@@ -465,7 +453,7 @@ def evaluate(
             seqs = part.sequences[start : start + batch_size]
             inputs, targets = seqs[:, :-1], seqs[:, 1:]
             result = forward(model, inputs, mode=mode)
-            log_probs = _log_softmax_np(result.logits)
+            log_probs = log_softmax(Tensor(result.logits)).data
             nll = -np.take_along_axis(log_probs, targets[..., None], axis=-1)
             nll_sum[language] = nll_sum.get(language, 0.0) + float(nll.sum())
             nll_count[language] = nll_count.get(language, 0) + int(targets.size)
@@ -516,11 +504,9 @@ def evaluate(
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    group: str
     plan: AllocationPlan
     profile_before: SimilarityProfile
     profile_stage1: SimilarityProfile | None
-    classifier_layers: tuple[int, ...]
     stage1_reports: list[LossReport] = field(repr=False, default_factory=list)
     stage2_reports: list[LossReport] = field(repr=False, default_factory=list)
 
@@ -528,6 +514,59 @@ class ExpansionResult:
 def default_classifier_count(lifelong: bool, layer_count: int) -> int:
     base = LIFELONG_CLASSIFIER_LAYERS if lifelong else SINGLE_EXPANSION_CLASSIFIER_LAYERS
     return min(base, layer_count)
+
+
+def expand(
+    model: Model,
+    plan,
+    corpus: TaggedCorpus,
+    group: str,
+    recipe: TrainingRecipe,
+    *,
+    init: str,
+) -> tuple[MoEModel, list[LossReport]]:
+    """Stage 1 of an expansion: give ``group`` the experts of ``plan`` by
+    upcycling a dense model (``init`` as in :func:`upcycle`) or extending an
+    MoE one (new experts always copy expert 0), then train them on the
+    group's sequences in ``corpus``."""
+    if isinstance(model, MoEModel):
+        expanded = extend_expansion(model, plan, group)
+    else:
+        expanded = upcycle(model, plan, group, init=init)
+    return stage1_train(expanded, corpus.subset_groups([group]), recipe)
+
+
+def review(
+    model: MoEModel,
+    corpus: TaggedCorpus,
+    recipe: TrainingRecipe,
+    *,
+    classifier_count: int,
+    q: int,
+    profile_seed: int,
+    mix_seed: int,
+    review_ratio: tuple[int, int],
+) -> tuple[MoEModel, SimilarityProfile | None, list[LossReport]]:
+    """Stage 2 of the newest expansion. With ``classifier_count`` > 0, profile
+    the model and place that many classifiers on the layers where the new
+    group's languages are most like the old ones; with none, the recipe's
+    classifier term is dropped. Then review the routers on ``review_ratio``
+    (old, new) sequences per language of old and new groups. Returns the
+    model, the profile (None without classifiers) and the losses."""
+    new_group = model.expansion_history[-1].group
+    profile = None
+    layers: tuple[int, ...] = ()
+    if classifier_count > 0:
+        old, new = corpus.languages_in(model.old_groups), corpus.languages_in([new_group])
+        profile = profile_similarity(model, corpus, old, new, q=q, seed=profile_seed)
+        layers = select_classifier_layers(profile.new_old, classifier_count)
+        add_classifiers(model, layers)
+    else:
+        recipe = replace(recipe, cls_weight=0.0)
+    old_part, new_part = corpus.subset_groups(model.old_groups), corpus.subset_groups([new_group])
+    mixture = review_mixture(old_part, new_part, *review_ratio, mix_seed)
+    model, reports = stage2_train(model, mixture, recipe, layers)
+    return model, profile, reports
 
 
 def lifelong_expand(
@@ -544,73 +583,41 @@ def lifelong_expand(
     review_ratio: tuple[int, int] = REVIEW_RATIO,
 ) -> tuple[MoEModel, ExpansionResult]:
     """One full expansion: profile on the current model, allocate the budget,
-    extend the layers (freezing everything pre-existing), run stage 1 on the
-    new group, re-profile on the stage-1 model to place classifiers, then run
-    stage 2 with "old" covering every previously known group.
+    :func:`expand` (freezing everything pre-existing) and :func:`review`,
+    with "old" covering every previously known group.
 
     ``classifier_count`` defaults to 7 when expanding a dense model (single
     expansion) and 5 when extending an already expanded one (lifelong),
-    clipped to the layer count; 0 disables classifiers (recipe2.cls_weight
-    must then be 0).
+    clipped to the layer count; 0 disables classifiers and the classifier
+    term of stage 2.
     """
-    proficient = model.proficient_groups if isinstance(model, MoEModel) else model.groups
+    lifelong = isinstance(model, MoEModel)
+    proficient = model.proficient_groups if lifelong else model.groups
     if new_group in proficient:
         raise InvalidInputError(f"group {new_group!r} is already proficient")
-    group_of = corpus.group_of()
-    old_languages = tuple(l for l in corpus.language_set() if group_of[l] in proficient)
-    new_languages = tuple(l for l in corpus.language_set() if group_of[l] == new_group)
-    if not new_languages:
-        raise InvalidInputError(f"corpus has no languages in group {new_group!r}")
-    if not old_languages:
-        raise InvalidInputError("corpus has no languages in the proficient groups")
-
     profile_before = profile_similarity(
         model,
         corpus,
-        old_languages,
-        new_languages,
+        corpus.languages_in(proficient),
+        corpus.languages_in([new_group]),
         q=q,
         seed=derive_seed(seed, "profile-before"),
     )
     plan = allocate(profile_before.indicated, budget)
-
-    if isinstance(model, MoEModel):
-        expanded = extend_expansion(model, plan, new_group)
-        lifelong = True
-    else:
-        expanded = upcycle(model, plan, new_group)
-        lifelong = False
-
-    new_corpus = corpus.subset_groups([new_group])
-    expanded, reports1 = stage1_train(expanded, new_corpus, recipe1)
-
+    expanded, reports1 = expand(model, plan, corpus, new_group, recipe1, init="inherit")
     if classifier_count is None:
         classifier_count = default_classifier_count(lifelong, model.config.layers)
-    profile_stage1 = None
-    layers: tuple[int, ...] = ()
-    if classifier_count > 0:
-        profile_stage1 = profile_similarity(
-            expanded,
-            corpus,
-            old_languages,
-            new_languages,
-            q=q,
-            seed=derive_seed(seed, "profile-stage1"),
-        )
-        layers = select_classifier_layers(profile_stage1.new_old, classifier_count)
-        add_classifiers(expanded, layers)
-
-    review = review_mixture(
-        corpus.subset_groups(expanded.old_groups),
-        new_corpus,
-        review_ratio[0],
-        review_ratio[1],
-        derive_seed(seed, "review"),
+    expanded, profile_stage1, reports2 = review(
+        expanded,
+        corpus,
+        recipe2,
+        classifier_count=classifier_count,
+        q=q,
+        profile_seed=derive_seed(seed, "profile-stage1"),
+        mix_seed=derive_seed(seed, "review"),
+        review_ratio=review_ratio,
     )
-    expanded, reports2 = stage2_train(expanded, review, recipe2, layers)
-    return expanded, ExpansionResult(
-        new_group, plan, profile_before, profile_stage1, layers, reports1, reports2
-    )
+    return expanded, ExpansionResult(plan, profile_before, profile_stage1, reports1, reports2)
 
 
 def save_reports_csv(reports: Sequence[LossReport], path: str | Path) -> None:

@@ -121,7 +121,7 @@ class TestPlanIO:
         plan = allocate([0.9, 0.45, 0.3], 11)
         plan = replace(plan, classifier_layers=(0, 2), meta={"mode": "layerwise"})
         path = tmp_path / "plan.json"
-        save_plan(plan, path, csv_path=tmp_path / "plan.csv")
+        save_plan(plan, path)
         loaded = load_plan(path)
         assert loaded.new_experts == plan.new_experts
         assert loaded.pre_reconciliation == plan.pre_reconciliation

@@ -280,8 +280,13 @@ def test_train_base_rejects_negative_steps(tmp_path, capsys):
         ({"arguments": {}, "outputs": {}}, "lacks command"),
         ({"command": "route-stats"}, "wrong type at command"),
         ({"command": "eval", "arguments": {"mode": "plain"}, "outputs": {}}, "--model"),
+        (
+            {"command": "allocate", "outputs": {},
+             "arguments": {"profile": "p.json", "budget": ["2", "3"], "out": "plan.json"}},
+            "wrong type at arguments.budget",
+        ),
     ],
-    ids=["no-command", "unknown-command", "missing-argument"],
+    ids=["no-command", "unknown-command", "missing-argument", "list-for-a-single-value"],
 )
 def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, manifest, detail):
     argv = ["replay", "--manifest", write_json(tmp_path / "m.manifest.json", manifest)]
@@ -348,6 +353,18 @@ def test_eval_rejects_fewer_than_one_sequence_per_language(tmp_path, capsys):
     record = run_failing(argv + ["--out", str(tmp_path / "metrics.json")], capsys)
     assert record["error"] == "InvalidInputError"
     assert not (tmp_path / "metrics.json").exists()
+
+
+def test_profile_names_a_group_missing_from_the_corpus(tmp_path, capsys):
+    model = tmp_path / "dense.lmoe"
+    save_model(DenseModel.create(ModelConfig(**TINY_MODEL), groups=("g0",)), model)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"lang": "a", "group": "g0", "tokens": [0, 3, 4]}\n')
+    argv = ["profile", "--model", str(model), "--corpus", str(corpus), "--old", "g0", "--new", "gX"]
+    record = run_failing(argv + ["--out", str(tmp_path / "profile.json")], capsys)
+    assert record["error"] == "InvalidInputError"
+    assert "['gX']" in record["message"]
+    assert not (tmp_path / "profile.json").exists()
 
 
 def test_run_pipeline_records_environment_overrides_and_replays_without_them(

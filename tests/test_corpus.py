@@ -162,3 +162,11 @@ class TestTaggedCorpus:
         group_of = corpus.group_of()
         for lang, group in zip(corpus.languages, corpus.groups):
             assert group_of[lang] == group
+
+    def test_languages_in_keeps_first_appearance_order(self):
+        tags = ("c", "a", "c", "b", "d"), ("g1", "g0", "g1", "g0", "g2")
+        corpus = TaggedCorpus(np.zeros((5, 3), dtype=np.int64), *tags)
+        assert corpus.languages_in(["g0", "g1"]) == ("c", "a", "b")
+        assert corpus.languages_in(("g2",)) == ("d",)
+        with pytest.raises(InvalidInputError, match=r"no languages in groups \['g3', 'g4'\]"):
+            corpus.languages_in(["g4", "g3"])

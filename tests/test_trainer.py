@@ -16,9 +16,10 @@ from layermoe.model import (
     partition_params,
     upcycle,
 )
-from layermoe.numerics import SeededRng, Tensor
+from layermoe.numerics import SeededRng, Tensor, derive_seed
 from layermoe.trainer import (
     LIFELONG_CLASSIFIER_LAYERS,
+    REVIEW_RATIO,
     SINGLE_EXPANSION_CLASSIFIER_LAYERS,
     TrainingRecipe,
     balance_loss,
@@ -26,9 +27,11 @@ from layermoe.trainer import (
     cls_loss,
     default_classifier_count,
     evaluate,
+    expand,
     lifelong_expand,
     lpr_loss,
     ntp_loss,
+    review,
     stage1_batch_loss,
     stage1_train,
     stage2_batch_loss,
@@ -390,18 +393,54 @@ class TestLifelongExpand:
         train_dense(dense, corpus.subset_groups(["g0"]), recipe)
         return dense, corpus
 
-    def expand(self, model, corpus, group, seed, budget=3):
+    @staticmethod
+    def recipes(seed, **stage2):
+        return (
+            recipe1(steps=20, batch_size=4, learning_rate=0.5, seed=seed),
+            recipe2(steps=20, batch_size=4, learning_rate=0.5, seed=seed + 1, **stage2),
+        )
+
+    def expand(self, model, corpus, group, seed, budget=3, classifier_count=1, **stage2):
         return lifelong_expand(
             model,
             corpus,
             group,
             budget,
-            recipe1(steps=20, batch_size=4, learning_rate=0.5, seed=seed),
-            recipe2(steps=20, batch_size=4, learning_rate=0.5, seed=seed + 1),
+            *self.recipes(seed, **stage2),
             q=32,
             seed=seed,
-            classifier_count=1,
+            classifier_count=classifier_count,
         )
+
+    def test_expand_then_review_reproduce_lifelong_expand(self):
+        dense, corpus = self.tiny_world()
+        model = dense  # upcycled by the first expansion, extended by the second
+        for group, seed in (("g1", 21), ("g2", 22)):
+            expanded, result = self.expand(model, corpus, group, seed)
+            stage1, stage2 = self.recipes(seed)
+            stepped, _ = expand(model, result.plan, corpus, group, stage1, init="inherit")
+            stepped, profile, _ = review(
+                stepped,
+                corpus,
+                stage2,
+                classifier_count=1,
+                q=32,
+                profile_seed=derive_seed(seed, "profile-stage1"),
+                mix_seed=derive_seed(seed, "review"),
+                review_ratio=REVIEW_RATIO,
+            )
+            assert stepped.fingerprint() == expanded.fingerprint()
+            assert stepped.classifier_layers == expanded.classifier_layers
+            np.testing.assert_array_equal(profile.new_old, result.profile_stage1.new_old)
+            model = expanded
+
+    def test_no_classifiers_drop_the_classifier_term(self):
+        dense, corpus = self.tiny_world()
+        default, result = self.expand(dense, corpus, "g1", seed=21, classifier_count=0)
+        zero, _ = self.expand(dense, corpus, "g1", seed=21, classifier_count=0, cls_weight=0.0)
+        assert self.recipes(21)[1].cls_weight > 0
+        assert default.classifier_layers == () and result.profile_stage1 is None
+        assert default.fingerprint() == zero.fingerprint()
 
     def test_two_expansions_structure_and_freeze(self):
         dense, corpus = self.tiny_world()
