@@ -265,7 +265,6 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     """Chain corpus generation, dense training, and every configured
     expansion, evaluating after each stage. Deterministic given the config."""
     check(config, _PIPELINE, "pipeline config")
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, Path] = {}
     seed = config.get("seed", 0)
 
@@ -275,6 +274,13 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
         raise ConfigurationError(
             f"language layout needs vocab {required_vocab(specs)}, model has {model_config.vocab}"
         )
+    for index, exp_cfg in enumerate(config.get("expansions", ())):
+        count = exp_cfg.get("classifier_count", 0)
+        if not 0 <= count <= model_config.layers:
+            raise ConfigurationError(
+                f"expansions.{index}.classifier_count {count} outside 0..{model_config.layers}"
+            )
+    out_dir.mkdir(parents=True, exist_ok=True)
     corpus = generate(
         specs,
         config["corpus"]["tokens_per_language"],

@@ -31,6 +31,22 @@ skips the q/k/v branch when ``x``, ``wq``, ``wk`` and ``wv`` are all frozen.
 Each sums the gradient of ``x`` in the order the composed tape did (q, then
 k, then v; the norm's ``x * r`` term before the two of ``x * x``), so
 training stays bit-identical too.
+
+The elementwise kernels are written for speed but keep the bits of their
+plain numpy forms, which the tests keep as references. ``_sigmoid`` divides
+once by ``1 + e`` (its comment says why that is exact). ``_softmax`` takes
+each row's max with one ``maximum`` per column instead of one reduction per
+short row; max does not round, and a tie between +0 and -0 cannot change
+``exp(a - max)``. It keeps numpy's own row sum, whose pairwise order defines
+the bits, and works over its input to avoid temporaries. ``attention``
+scales and masks its new score array in place. It keeps ``q @ k.T`` on the
+strided view of ``k``: a contiguous copy of ``k.T`` runs faster but changes
+the bits for some head widths (16, at lengths such as 9). Without a tape,
+``expert_mix`` builds each expert's ``silu(a) * u`` in place and writes its
+product with ``down`` straight into the output rows; a product does not
+depend on the order of its operands. Masked attention scores cost ``exp``
+about three times an ordinary one, but clamping them first is slower still,
+so they stay.
 """
 
 from __future__ import annotations
@@ -280,11 +296,19 @@ def _node(data: np.ndarray, parents: tuple) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
-    # never overflows. Computing both branches everywhere costs less than
-    # splitting the array by a mask and gives each element the same bits.
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # never overflows. Each element gets the bits of its branch alone: the
+    # numerator max(e, x >= 0) is exactly 1.0 where x >= 0 (there e <= 1) and
+    # exactly e below, because max returns one of its operands, and e + 1.0
+    # is 1.0 + e. NaN stays NaN. One division replaces np.where between two
+    # quotients, whose data-dependent select cost more than the arithmetic;
+    # reusing e's buffer saves two temporaries the size of x.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0)
+    e += 1.0
+    num /= e
+    return num
 
 
 def silu(t: Tensor) -> Tensor:
@@ -296,21 +320,36 @@ def silu(t: Tensor) -> Tensor:
     return out
 
 
-def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(a - a.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)`` as a ``maximum`` over the columns:
+    one pass per column instead of one reduction per short row. Max does not
+    round, so the value is the same; a tie between +0 and -0 may pick the
+    other zero, which no later ``a - m`` can tell apart through ``exp``."""
+    m = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(m, a[..., j : j + 1], out=m)
+    return m
 
 
-def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+def _softmax(a: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis, written over ``a``. The sum
+    keeps numpy's pairwise order over each row, which defines the bits."""
+    a -= _row_max(a)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along ``axis``."""
-    y = _softmax(t.data, axis)
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
+
+
+def softmax(t: Tensor) -> Tensor:
+    """Max-subtracted softmax over the last axis."""
+    y = _softmax(t.data.copy())
     out = _node(y, (t,))
     if out._parents:
-        out._backward = lambda g: (_softmax_grad(g, y, axis),)
+        out._backward = lambda g: (_softmax_grad(g, y),)
     return out
 
 
@@ -351,7 +390,10 @@ def attention(
         return (flat @ w.data).reshape((b, t, heads, dh)).transpose((0, 2, 1, 3))
 
     q, k, v = split(wq), split(wk), split(wv)
-    att = _softmax(q @ np.swapaxes(k, -1, -2) * scale + mask, -1)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= scale
+    scores += mask
+    att = _softmax(scores)
     ctx = np.transpose(att @ v, (0, 2, 1, 3)).reshape((b * t, h))
     out = _node((ctx @ wo.data).reshape((b, t, h)), (x, wq, wk, wv, wo))
     if out._parents:
@@ -371,7 +413,7 @@ def attention(
             dc = np.transpose(dc, (0, 2, 1, 3))
             dfq = dfk = dwq = dwk = None
             if x.requires_grad or wq.requires_grad or wk.requires_grad:
-                ds = _softmax_grad(dc @ np.swapaxes(v, -1, -2), att, -1) * scale
+                ds = _softmax_grad(dc @ np.swapaxes(v, -1, -2), att) * scale
                 dfq, dwq = merge(ds @ k, wq)
                 dfk, dwk = merge(np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2), wk)
             dfv, dwv = merge(np.swapaxes(att, -1, -2) @ dc, wv)
@@ -478,13 +520,20 @@ def expert_mix(
             ex = experts[e]
             a = xs[start:end] @ ex.gate.data
             s = _sigmoid(a)
-            sa = a * s
             u = xs[start:end] @ ex.up.data
-            m = sa * u
-            ys[start:end] = m @ ex.down.data
             if tape:
+                sa = a * s
+                m = sa * u
                 blocks.append((e, start, end, a, s, sa, u, m))
-    out = _node(_slot_sum(ys * ws, pairs, n, k), (x, weights) + params)
+            else:
+                # s * a is a * s bit for bit; no backward needs the factors.
+                m = s
+                m *= a
+                m *= u
+            np.matmul(m, ex.down.data, out=ys[start:end])
+    # The backward reads the unweighted ys; without one, weight them in place.
+    weighted = ys * ws if tape else np.multiply(ys, ws, out=ys)
+    out = _node(_slot_sum(weighted, pairs, n, k), (x, weights) + params)
     if out._parents:
 
         def bw(g):

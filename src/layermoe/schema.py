@@ -51,6 +51,18 @@ def _leaf(spec, v) -> bool:
     return isinstance(v, str) if spec is str else spec(v)
 
 
+def _all_ints(spec, values: list) -> bool:
+    """True only if every item passes ``_leaf(spec, item)`` for an int spec:
+    one type pass and a min/max instead of a leaf call per item. False sends
+    the list to the item-by-item walk, which names each wrong item."""
+    lo, hi = (spec.lo, spec.hi) if isinstance(spec, Int) else (None, None)
+    if not values:
+        return True
+    if not set(map(type, values)) <= {int}:  # also rejects bool, an int subclass
+        return False
+    return (lo is None or min(values) >= lo) and (hi is None or max(values) <= hi)
+
+
 def _parts(spec, value) -> list | None:
     """(key, spec, value) of each part of a list or map; None if it does not fit."""
     spec = List(spec[0]) if isinstance(spec, list) else spec
@@ -58,6 +70,9 @@ def _parts(spec, value) -> list | None:
         lo, hi = (spec.lo, spec.hi) if isinstance(spec, List) else (len(spec), len(spec))
         if not isinstance(value, list) or len(value) < lo or (hi is not None and len(value) > hi):
             return None
+        if isinstance(spec, List) and (spec.item is int or isinstance(spec.item, Int)):
+            if _all_ints(spec.item, value):
+                return []
         specs = [spec.item] * len(value) if isinstance(spec, List) else spec
         return list(zip(range(len(value)), specs, value))
     if isinstance(spec, Map):

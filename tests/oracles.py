@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the package against: tape
-gradients against central finite differences, and the profiler's centroid
-fast path against the quadratic pair loop over exact cosines."""
+gradients against central finite differences, the fast elementwise kernels
+against their plain numpy forms, and the profiler's centroid fast path
+against the quadratic pair loop over exact cosines."""
 
 from __future__ import annotations
 
@@ -64,6 +65,24 @@ def central_difference(
             grad[i] = (plus - minus) / (2.0 * eps)
         grads[name] = grad.reshape(p.data.shape)
     return grads
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Reference for ``autodiff._sigmoid``: split the array by sign and
+    evaluate each branch on its own part."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def plain_softmax(a: np.ndarray) -> np.ndarray:
+    """Reference for ``autodiff._softmax``: the plain max-subtracted softmax
+    over the last axis, leaving ``a`` as it was."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cosine(u, v) -> float:

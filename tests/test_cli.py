@@ -181,6 +181,17 @@ def test_run_pipeline_checks_every_value_it_reads(tmp_path, capsys, change, wron
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("count", [9, -1])
+def test_run_pipeline_rejects_a_classifier_count_beyond_the_layers(tmp_path, capsys, count):
+    config = pipeline_config()
+    config["expansions"][0]["classifier_count"] = count
+    argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
+    record = run_failing(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert record["error"] == "ConfigurationError"
+    assert f"expansions.0.classifier_count {count} outside 0..2" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_pipeline_rejects_an_empty_model_config(tmp_path, capsys):
     config = write_json(tmp_path / "pipeline.json", pipeline_config(model={}))
     argv = ["run-pipeline", "--config", config, "--out-dir", str(tmp_path / "out")]

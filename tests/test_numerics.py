@@ -23,8 +23,8 @@ from layermoe.numerics import (
     take_along,
     take_pairs,
 )
-from layermoe.numerics.autodiff import _sigmoid
-from oracles import central_difference, cosine, value_and_grad
+from layermoe.numerics.autodiff import _sigmoid, _softmax
+from oracles import central_difference, cosine, masked_sigmoid, plain_softmax, value_and_grad
 
 
 def rel_err(a, b, floor=1.0):
@@ -223,20 +223,18 @@ class TestSeededRng:
         assert isinstance(SeededRng(0).generator().bit_generator, np.random.PCG64)
 
 
-def masked_sigmoid(x):
-    """Reference: the sigmoid that splits the array by sign and evaluates
-    each branch on its own part."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def assert_same_bits(got, want):
+    """Equal bytes, except that a NaN only has to stay a NaN: no kernel
+    promises the sign or payload of one."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestTapeFastPaths:
     EDGES = np.array(
-        [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 709.0, -709.0, 36.0, -36.0, 1e-300, -1e-300]
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 745.0, -745.0, 709.0, -709.0, 36.0, -36.0]
+        + [1e-300, -1e-300]
     )
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 127, 7680])
@@ -246,9 +244,40 @@ class TestTapeFastPaths:
         n = min(size, self.EDGES.size)
         x[:n] = self.EDGES[:n]
         gen.shuffle(x)
-        assert _sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+        assert_same_bits(_sigmoid(x), masked_sigmoid(x))
         matrix = gen.normal(0.0, 4.0, size=(size, 3))
         assert _sigmoid(matrix).tobytes() == masked_sigmoid(matrix).tobytes()
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9, 15, 16, 17])
+    def test_softmax_bitwise_on_masked_attention_rows(self, length):
+        gen = SeededRng(50 + length).generator()
+        scores = gen.normal(0.0, 3.0, size=(5, 4, length, length)) + _causal_mask(length)
+        assert _softmax(scores.copy()).tobytes() == plain_softmax(scores).tobytes()
+
+    @pytest.mark.parametrize("columns", range(2, 10))
+    def test_softmax_bitwise_on_router_rows(self, columns):
+        gen = SeededRng(60 + columns).generator()
+        logits = gen.normal(0.0, 2.0, size=(97, columns))
+        logits[:3] = 0.0  # every column ties at the max
+        logits[3, :2] = 50.0
+        assert _softmax(logits.copy()).tobytes() == plain_softmax(logits).tobytes()
+
+    def test_softmax_bitwise_on_signed_zero_ties(self):
+        rows = np.array(
+            [
+                [-0.0, 0.0, -1.0],
+                [0.0, -0.0, -1.0],
+                [-0.0, -0.0, -0.0],
+                [-1.0, -0.0, 0.0],
+                [-2.0, 0.0, -0.0],
+                [-np.inf, -0.0, 0.0],
+            ]
+        )
+        assert _softmax(rows.copy()).tobytes() == plain_softmax(rows).tobytes()
+        # The tape op leaves its input alone; ``_softmax`` overwrites it.
+        t = Tensor(rows)
+        assert softmax_t(t).data.tobytes() == plain_softmax(rows).tobytes()
+        assert t.data.tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize(
         "op", [lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b, lambda a, b: a @ b]
@@ -418,7 +447,9 @@ class TestBlockOps:
         TestOpGradients().check(lambda: (block(params, mask, heads) * coeff).sum(), params)
 
     @pytest.mark.parametrize("trainable", ["x", "all"])
-    @pytest.mark.parametrize("shape", [(2, 5, 8, 2), (3, 7, 12, 1), (8, 15, 32, 4)])
+    @pytest.mark.parametrize(
+        "shape", [(2, 5, 8, 2), (3, 7, 12, 1), (8, 15, 32, 4), (64, 15, 32, 4), (3, 9, 32, 2)]
+    )
     def test_bitwise_equal_to_tape_composition(self, shape, trainable):
         params, mask, heads, coeff = block_case(*shape, seed=41)
         x, gain = params["x"], params["gain"]

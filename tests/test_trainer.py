@@ -12,11 +12,12 @@ from layermoe.model import (
     ModelConfig,
     add_classifiers,
     forward,
+    forward_graph,
     hash_params,
     partition_params,
     upcycle,
 )
-from layermoe.numerics import SeededRng, Tensor, derive_seed
+from layermoe.numerics import SeededRng, Tensor, autodiff, derive_seed
 from layermoe.trainer import (
     LIFELONG_CLASSIFIER_LAYERS,
     REVIEW_RATIO,
@@ -38,7 +39,7 @@ from layermoe.trainer import (
     stage2_train,
     train_dense,
 )
-from oracles import central_difference, value_and_grad
+from oracles import central_difference, masked_sigmoid, plain_softmax, value_and_grad
 from util import clone_model, gradcheck_setup, rel_err
 
 
@@ -229,6 +230,50 @@ class TestGradientContracts:
             trainable, _ = partition_params(model, stage_sets[name])
             params = {n: model.params[n] for n in trainable}
             self.check(loss_fn, params)
+
+
+class TestFastKernelsKeepBits:
+    """The whole model gives the same bits with the plain reference sigmoid
+    and softmax patched into ``autodiff``: a gated forward at batch 64 and
+    the loss and gradients of one stage-1 step."""
+
+    def outputs(self, model, tokens, params):
+        gated = forward(model, tokens[:, :-1], mode="gated").logits
+        loss = value_and_grad(lambda: stage1_batch_loss(model, tokens, recipe1())[0], params)
+        return gated, loss
+
+    def test_forward_and_stage1_step(self, monkeypatch):
+        _, model, corpus = gradcheck_setup(plan=(2, 3), classifier_layers=(0, 1))
+        tokens = corpus.sequences[:64]
+        assert tokens.shape[0] == 64
+        trace = forward(model, tokens[:, :-1], mode="gated").trace
+        assert all(0 < layer.gate_old.mean() < 1 for layer in trace)
+        trainable, _ = partition_params(model, "stage1")
+        params = {n: model.params[n] for n in trainable}
+        fast_logits, (fast_loss, fast_grads) = self.outputs(model, tokens, params)
+        monkeypatch.setattr(autodiff, "_sigmoid", masked_sigmoid)
+        monkeypatch.setattr(autodiff, "_softmax", plain_softmax)
+        logits, (loss, grads) = self.outputs(model, tokens, params)
+        assert fast_logits.tobytes() == logits.tobytes()
+        assert fast_loss == loss
+        for name in params:
+            assert fast_grads[name].tobytes() == grads[name].tobytes(), name
+
+    def test_untaped_forward_matches_taped_forward(self):
+        """Without a tape the expert mix works in place; with one it keeps
+        every intermediate. Both give the same logits."""
+        _, model, corpus = gradcheck_setup(plan=(2, 3), classifier_layers=(0, 1))
+        tokens = corpus.sequences[:64, :-1]
+        untaped = forward(model, tokens, mode="gated").logits
+        try:
+            for p in model.params.values():
+                p.requires_grad = True
+            taped = forward_graph(model, tokens, mode="gated").logits
+        finally:
+            for p in model.params.values():
+                p.requires_grad = False
+        assert taped._parents
+        assert untaped.tobytes() == taped.data.tobytes()
 
 
 class TestStage1Train:
