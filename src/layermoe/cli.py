@@ -343,9 +343,7 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
         save_model(model, model_path)
         outputs[f"model_{tag}"] = model_path
 
-        mode = eval_cfg.get("mode", "gated" if model.classifier_layers else "plain")
-        if mode == "gated" and not model.classifier_layers:
-            mode = "plain"
+        mode = eval_cfg.get("mode", "gated") if model.classifier_layers else "plain"
         metrics = evaluate(model, corpus, mode=mode, max_sequences_per_language=max_sequences)
         metrics_path = out_dir / f"metrics.{tag}.json"
         metrics.save_json(metrics_path)

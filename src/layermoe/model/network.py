@@ -21,6 +21,11 @@ inference. The gate is a row mask on the layer's single expert dispatch
 (``expert_mix``): a row where it fires gets expert 0 alone with weight
 exactly 1.0, so its output is ``E0(h) + h``. ``forward(mode="gated")``
 gates every layer that has a classifier and runs the others plain.
+
+The expert stage works on the ``n = batch * length`` positions flattened to
+rows, in batch-major order: row ``r`` is position ``r % length`` of sequence
+``r // length``. Each MoE layer's routing decisions are one ``LayerTrace``
+over those rows, the same record for the losses and for evaluation.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from ..numerics import (
     silu,
     softmax_t,
     stack_columns,
-    take_along,
+    take_pairs,
 )
 from .config import ModelConfig
 
@@ -89,7 +94,6 @@ class MoELayer:
     """View of one layer's expert stage: its experts, one router column per
     expert, and an optional two-class classifier that gates the layer."""
 
-    index: int
     experts: Sequence[Expert]
     router_columns: Sequence[Tensor]
     top_k: int
@@ -98,37 +102,31 @@ class MoELayer:
 
 @dataclass(frozen=True)
 class LayerTrace:
-    """Routing decisions of one layer for a forwarded batch."""
+    """Routing decisions of one MoE layer over the ``n`` flattened rows of a
+    forwarded batch (row ``r`` is position ``r % length`` of sequence
+    ``r // length``). The tensors stay on the tape when training."""
 
-    indices: np.ndarray  # (batch, length, k) selected experts, best first
-    weights: np.ndarray  # (batch, length, k) renormalised mixing weights
-    scores: np.ndarray  # (batch, length, n_experts) full softmax scores
-    classifier_logits: np.ndarray | None
-    gate_old: np.ndarray | None  # (batch, length) bool where the gate fired
+    scores: Tensor  # (n, n_experts) full softmax scores
+    indices: np.ndarray  # (n, k) selected experts, best first
+    weights: Tensor  # (n, k) renormalised mixing weights
+    classifier_logits: Tensor | None  # (n, 2) where the layer has a classifier
+    gate_old: np.ndarray | None  # (n,) bool where the gate fired, gated layers only
 
 
 @dataclass(frozen=True)
 class ForwardResult:
+    """Inference forward. ``trace`` holds one ``LayerTrace`` per layer over
+    flat rows (None for dense models); logits and taps keep the batch shape."""
+
     logits: np.ndarray  # (batch, length, vocab)
     taps: np.ndarray  # (layers, batch, length, hidden) router inputs
-    trace: tuple[LayerTrace, ...] | None  # None for dense models
-
-
-@dataclass
-class _LayerGraph:
-    """Tape-connected per-layer quantities the losses consume."""
-
-    scores: Tensor  # (n, N)
-    indices: np.ndarray  # (n, k)
-    weights: Tensor  # (n, k)
-    classifier_logits: Tensor | None
-    gate_old: np.ndarray | None
+    trace: tuple[LayerTrace, ...] | None
 
 
 @dataclass
 class _GraphResult:
     logits: Tensor  # (batch, length, vocab)
-    layers: list[_LayerGraph] | None
+    layers: tuple[LayerTrace, ...] | None
     taps: list[np.ndarray]
 
 
@@ -243,7 +241,7 @@ class MoEModel:
         ]
         cols = [self.params[f"blocks.{index}.router.{e}"] for e in range(n)]
         cls = self.params.get(f"blocks.{index}.classifier")
-        return MoELayer(index, experts, cols, self.config.top_k, cls)
+        return MoELayer(experts, cols, self.config.top_k, cls)
 
     def fingerprint(self) -> str:
         return hash_params(self, sorted(self.params))
@@ -274,53 +272,46 @@ def _plan_counts(plan, layers: int) -> tuple[int, ...]:
     return counts
 
 
-def _spawn_expert(
-    model_seed: int,
-    expansion: int,
-    layer: int,
-    expert: int,
-    base: dict[str, np.ndarray],
-    init: str,
-) -> dict[str, np.ndarray]:
-    out = {}
-    for part, arr in base.items():
-        rng = SeededRng(
-            derive_seed(model_seed, "expansion", expansion, "layer", layer, "expert", expert, part)
-        ).generator()
-        if init == "inherit":
-            out[part] = arr + rng.normal(0.0, NEW_EXPERT_NOISE_STD, size=arr.shape)
-        elif init == "random":
-            out[part] = rng.normal(0.0, INIT_STD, size=arr.shape)
-        else:
-            raise InvalidInputError(f"unknown expert init {init!r}")
-    return out
+def _add_experts(model: MoEModel, plan, group: str, init: str) -> MoEModel:
+    """Copy of ``model`` without classifiers, plus ``group``'s expansion: per
+    layer, ``plan`` new experts with zero router columns. A new expert is the
+    layer's expert 0 plus seeded Gaussian noise (``init="inherit"``) or
+    seeded weights drawn from scratch (``"random"``)."""
+    config = model.config
+    counts = _plan_counts(plan, config.layers)
+    expansion = len(model.expansion_history)
+    params = {
+        name: Tensor(p.data.copy())
+        for name, p in model.params.items()
+        if not name.endswith(".classifier")
+    }
+    for i, existing in enumerate(model.expert_counts()):
+        for e in range(existing, existing + counts[i]):
+            for part in _PARTS:
+                base = model.params[f"blocks.{i}.experts.0.{part}"].data
+                tag = ("expansion", expansion, "layer", i, "expert", e, part)
+                rng = SeededRng(derive_seed(config.seed, *tag)).generator()
+                if init == "inherit":
+                    data = base + rng.normal(0.0, NEW_EXPERT_NOISE_STD, size=base.shape)
+                elif init == "random":
+                    data = rng.normal(0.0, INIT_STD, size=base.shape)
+                else:
+                    raise InvalidInputError(f"unknown expert init {init!r}")
+                params[f"blocks.{i}.experts.{e}.{part}"] = Tensor(data)
+            params[f"blocks.{i}.router.{e}"] = Tensor(np.zeros(config.hidden))
+    history = list(model.expansion_history) + [Expansion(group, counts)]
+    return MoEModel(config, params, model.base_groups, history)
 
 
 def upcycle(dense: DenseModel, plan, group: str, *, init: str = "inherit") -> MoEModel:
     """Turn a dense model into an MoE: per layer, expert 0 is the original
     FFN and ``plan`` new experts are added (default: copies of expert 0 plus
     seeded Gaussian noise). Routers start at zero, so routing begins uniform
-    with deterministic tie-breaking."""
-    config = dense.config
-    counts = _plan_counts(plan, config.layers)
-    h = config.hidden
-    params: dict[str, Tensor] = {}
-    for name, p in dense.params.items():
-        if ".ffn." in name:
-            continue
-        params[name] = Tensor(p.data.copy())
-    for i in range(config.layers):
-        base = {part: dense.params[f"blocks.{i}.ffn.{part}"].data for part in _PARTS}
-        for part, arr in base.items():
-            params[f"blocks.{i}.experts.0.{part}"] = Tensor(arr.copy())
-        for j in range(counts[i]):
-            e = 1 + j
-            spawned = _spawn_expert(config.seed, 0, i, e, base, init)
-            for part, arr in spawned.items():
-                params[f"blocks.{i}.experts.{e}.{part}"] = Tensor(arr)
-        for e in range(1 + counts[i]):
-            params[f"blocks.{i}.router.{e}"] = Tensor(np.zeros(h))
-    return MoEModel(config, params, dense.groups, [Expansion(group, counts)])
+    with deterministic tie-breaking. ``dense`` is left untouched."""
+    params = {name.replace(".ffn.", ".experts.0."): p for name, p in dense.params.items()}
+    for i in range(dense.config.layers):
+        params[f"blocks.{i}.router.0"] = Tensor(np.zeros(dense.config.hidden))
+    return _add_experts(MoEModel(dense.config, params, dense.groups, ()), plan, group, init)
 
 
 def extend_expansion(model: MoEModel, plan, group: str) -> MoEModel:
@@ -328,25 +319,7 @@ def extend_expansion(model: MoEModel, plan, group: str) -> MoEModel:
     layer's expert 0 (the original dense FFN) plus noise; classifiers from the
     previous expansion are dropped, since the next review stage re-selects
     layers and trains fresh ones against the enlarged old group."""
-    config = model.config
-    counts = _plan_counts(plan, config.layers)
-    expansion_index = len(model.expansion_history)
-    params = {
-        name: Tensor(p.data.copy())
-        for name, p in model.params.items()
-        if not name.endswith(".classifier")
-    }
-    existing = model.expert_counts()
-    for i in range(config.layers):
-        base = {part: model.params[f"blocks.{i}.experts.0.{part}"].data for part in _PARTS}
-        for j in range(counts[i]):
-            e = existing[i] + j
-            spawned = _spawn_expert(config.seed, expansion_index, i, e, base, "inherit")
-            for part, arr in spawned.items():
-                params[f"blocks.{i}.experts.{e}.{part}"] = Tensor(arr)
-            params[f"blocks.{i}.router.{e}"] = Tensor(np.zeros(config.hidden))
-    history = list(model.expansion_history) + [Expansion(group, counts)]
-    return MoEModel(config, params, model.base_groups, history, ())
+    return _add_experts(model, plan, group, "inherit")
 
 
 def add_classifiers(model: MoEModel, layers: Sequence[int]) -> MoEModel:
@@ -386,33 +359,32 @@ def _select(scores: np.ndarray, top_k: int) -> np.ndarray:
     return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
-def _moe_mix(hsa: Tensor, layer: MoELayer, mode: str) -> tuple[Tensor, _LayerGraph]:
-    """Expert stage on flattened rows: weighted expert mix plus residual,
-    with the classifier gate as a row mask in ``gated`` mode."""
+def _moe_mix(hsa: Tensor, layer: MoELayer, gated: bool) -> tuple[Tensor, LayerTrace]:
+    """Expert stage on flattened rows: weighted expert mix plus residual.
+    With ``gated`` (only for a layer with a classifier), the classifier's
+    "old" verdict is a row mask that sends the row to expert 0 alone."""
     if not layer.experts or len(layer.router_columns) != len(layer.experts):
         raise ConfigurationError("layer needs one router column per expert")
-    if mode not in ("plain", "gated"):
-        raise InvalidInputError(f"unknown forward mode {mode!r}")
-    if mode == "gated" and layer.classifier is None:
-        raise ConfigurationError(f"layer {layer.index} has no classifier to gate with")
 
     scores = softmax_t(hsa @ stack_columns(layer.router_columns))
     indices = _select(scores.data, layer.top_k)
-    selected = take_along(scores, indices)
+    selected = take_pairs(scores, np.arange(len(indices))[:, None], indices)
     weights = selected / selected.sum(axis=1, keepdims=True)
     cls_logits = (hsa @ layer.classifier) if layer.classifier is not None else None
-    gate_old = cls_logits.data.argmax(axis=1) == 0 if mode == "gated" else None
+    gate_old = cls_logits.data.argmax(axis=1) == 0 if gated else None
     out = expert_mix(hsa, weights, indices, layer.experts, gate_old) + hsa
-    return out, _LayerGraph(scores, indices, weights, cls_logits, gate_old)
+    return out, LayerTrace(scores, indices, weights, cls_logits, gate_old)
 
 
-def forward_graph(
-    model: Model, tokens: np.ndarray, *, mode: str = "plain", want_taps: bool = False
-) -> _GraphResult:
+def forward_graph(model: Model, tokens: np.ndarray, *, mode: str = "plain") -> _GraphResult:
     """Run the model, keeping the tape alive wherever parameters require
-    gradients. Returns tape-connected logits and per-layer routing values.
-    ``mode="gated"`` gates every layer that has a classifier."""
-    if mode == "gated" and (not isinstance(model, MoEModel) or not model.classifier_layers):
+    gradients. Returns tape-connected logits, per-layer router-input taps
+    and per-layer routing records. ``mode="gated"`` gates every layer that
+    has a classifier."""
+    if mode not in ("plain", "gated"):
+        raise InvalidInputError(f"unknown forward mode {mode!r}")
+    is_moe = isinstance(model, MoEModel)
+    if mode == "gated" and not (is_moe and model.classifier_layers):
         raise ConfigurationError("gated mode needs a model with classifiers")
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
@@ -431,48 +403,29 @@ def forward_graph(
     h = config.hidden
     params = model.params
     x = embedding(params["tok_emb"], tokens) + embedding(params["pos_emb"], np.arange(t))
-    is_moe = isinstance(model, MoEModel)
-    layers: list[_LayerGraph] | None = [] if is_moe else None
+    layers: list[LayerTrace] = []
     taps: list[np.ndarray] = []
     for i in range(config.layers):
         prefix = f"blocks.{i}"
         x = x + _attention(x, params, prefix, config.heads)
         hsa = rms_norm(x, params[f"{prefix}.ffn_norm"], RMS_EPS).reshape((b * t, h))
-        if want_taps:
-            taps.append(hsa.data.reshape(b, t, h))
+        taps.append(hsa.data.reshape(b, t, h))
         if is_moe:
             layer = model.layer(i)
-            out, graph = _moe_mix(hsa, layer, "plain" if layer.classifier is None else mode)
-            layers.append(graph)
+            out, trace = _moe_mix(hsa, layer, mode == "gated" and layer.classifier is not None)
+            layers.append(trace)
         else:
             out = Expert(*(params[f"{prefix}.ffn.{part}"] for part in _PARTS))(hsa) + hsa
         x = out.reshape((b, t, h))
     final = rms_norm(x, params["out_norm"], RMS_EPS).reshape((b * t, h))
     logits = (final @ params["head"]).reshape((b, t, config.vocab))
-    return _GraphResult(logits, layers, taps)
+    return _GraphResult(logits, tuple(layers) if is_moe else None, taps)
 
 
 def forward(model: Model, tokens: np.ndarray, mode: str = "plain") -> ForwardResult:
     """Inference forward: logits, per-layer router-input taps, routing trace."""
-    result = forward_graph(model, tokens, mode=mode, want_taps=True)
-    b, t = result.logits.shape[:2]
-    trace = None
-    if result.layers is not None:
-        trace = tuple(
-            LayerTrace(
-                indices=g.indices.reshape(b, t, -1),
-                weights=g.weights.data.reshape(b, t, -1),
-                scores=g.scores.data.reshape(b, t, -1),
-                classifier_logits=(
-                    g.classifier_logits.data.reshape(b, t, 2)
-                    if g.classifier_logits is not None
-                    else None
-                ),
-                gate_old=g.gate_old.reshape(b, t) if g.gate_old is not None else None,
-            )
-            for g in result.layers
-        )
-    return ForwardResult(result.logits.data, np.stack(result.taps), trace)
+    result = forward_graph(model, tokens, mode=mode)
+    return ForwardResult(result.logits.data, np.stack(result.taps), result.layers)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .autodiff import (
     rms_norm,
     silu,
     stack_columns,
-    take_along,
     take_pairs,
     zero_grads,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "silu",
     "softmax_t",
     "stack_columns",
-    "take_along",
     "take_pairs",
     "zero_grads",
 ]

@@ -65,7 +65,6 @@ __all__ = [
     "log_softmax",
     "silu",
     "embedding",
-    "take_along",
     "take_pairs",
     "stack_columns",
     "zero_grads",
@@ -425,13 +424,14 @@ def attention(
     return out
 
 
-def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(t: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
+    shifted = t.data - t.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - lse
     out = _node(y, (t,))
     if out._parents:
-        out._backward = lambda g: (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
+        out._backward = lambda g: (g - np.exp(y) * g.sum(axis=-1, keepdims=True),)
     return out
 
 
@@ -451,24 +451,10 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     return out
 
 
-def take_along(t: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather along the last axis of a 2-d tensor; indices has the output shape."""
-    indices = np.asarray(indices)
-    out = _node(np.take_along_axis(t.data, indices, axis=1), (t,))
-    if out._parents:
-        rows = np.arange(t.data.shape[0])[:, None]
-
-        def bw(g):
-            gt = np.zeros_like(t.data)
-            np.add.at(gt, (rows, indices), g)
-            return (gt,)
-
-        out._backward = bw
-    return out
-
-
 def take_pairs(t: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Gather scalar entries (rows[i], cols[i]) of a 2-d tensor."""
+    """Gather entries ``t[rows, cols]`` of a 2-d tensor. ``rows`` and ``cols``
+    broadcast against each other, so an ``(n, 1)`` column of row numbers with
+    ``(n, k)`` columns picks ``k`` entries per row."""
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     out = _node(t.data[rows, cols], (t,))

@@ -84,8 +84,6 @@ def collect_candidates(
     chosen = positions[gen.choice(len(positions), size=q, replace=False)]
 
     needed = np.unique(chosen[:, 0])
-    row_of = {int(s): i for i, s in enumerate(needed)}
-    layer_vectors: list[np.ndarray] | None = None
     chunk = 32
     taps_rows = []
     for start in range(0, len(needed), chunk):
@@ -93,10 +91,11 @@ def collect_candidates(
         taps_rows.append(forward(model, batch).taps)
     taps = np.concatenate(taps_rows, axis=1)  # (layers, seqs, length, hidden)
 
-    rows = np.fromiter((row_of[int(s)] for s in chosen[:, 0]), dtype=np.int64, count=q)
-    cols = chosen[:, 1]
-    layer_vectors = [taps[layer, rows, cols].astype(np.float32) for layer in range(taps.shape[0])]
-    return [CandidateSet(language, layer, vecs) for layer, vecs in enumerate(layer_vectors)]
+    rows, cols = np.searchsorted(needed, chosen[:, 0]), chosen[:, 1]
+    return [
+        CandidateSet(language, layer, tap[rows, cols].astype(np.float32))
+        for layer, tap in enumerate(taps)
+    ]
 
 
 def _check_comparable(a: CandidateSet, b: CandidateSet) -> None:

@@ -459,17 +459,18 @@ def evaluate(
             nll_count[language] = nll_count.get(language, 0) + int(targets.size)
             if result.trace is None:
                 continue
-            old_mask = old_mask_all[start : start + batch_size][:, :-1]
-            valid = valid_all[start : start + batch_size][:, :-1]
+            # The trace is over flat rows; flatten the masks to match.
+            old_mask = old_mask_all[start : start + batch_size][:, :-1].reshape(-1)
+            valid = valid_all[start : start + batch_size][:, :-1].reshape(-1)
             old_total += int(old_mask.sum())
             if utilization is None:
                 utilization = {
-                    i: np.zeros(t.scores.shape[-1], dtype=np.int64)
+                    i: np.zeros(t.scores.shape[1], dtype=np.int64)
                     for i, t in enumerate(result.trace)
                 }
             has_classifier = False
             for i, trace in enumerate(result.trace):
-                top1 = trace.indices[..., 0]
+                top1 = trace.indices[:, 0]
                 if trace.gate_old is not None:
                     top1 = np.where(trace.gate_old, 0, top1)
                 old_top1_e0[i] += int((top1[old_mask] == 0).sum())
@@ -478,7 +479,7 @@ def evaluate(
                 )
                 if trace.classifier_logits is not None:
                     has_classifier = True
-                    pred = trace.classifier_logits.argmax(axis=-1)
+                    pred = trace.classifier_logits.data.argmax(axis=1)
                     want = np.where(old_mask, 0, 1)
                     cls_hits[i] = cls_hits.get(i, 0) + int((pred[valid] == want[valid]).sum())
             if has_classifier:

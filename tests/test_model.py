@@ -19,14 +19,15 @@ from layermoe.model import (
     add_classifiers,
     extend_expansion,
     forward,
+    forward_graph,
     hash_params,
     load_model,
     partition_params,
     save_model,
     upcycle,
 )
-from layermoe.model.network import _moe_mix
-from layermoe.numerics import SeededRng, Tensor
+from layermoe.model.network import NEW_EXPERT_NOISE_STD, _moe_mix
+from layermoe.numerics import SeededRng, Tensor, derive_seed
 
 
 def tiny_config(**overrides):
@@ -74,7 +75,7 @@ class TestUpcycle:
         dense_out = forward(dense, tokens)
         trace = moe_out.trace[0]
         assert trace.indices.shape[-1] == 1
-        np.testing.assert_array_equal(trace.weights, 1.0)
+        np.testing.assert_array_equal(trace.weights.data, 1.0)
         # layer 0 mixes only the original FFN, so the whole dense layer-0
         # computation is preserved; taps of layer 1 must agree exactly
         np.testing.assert_array_equal(moe_out.taps[1], dense_out.taps[1])
@@ -105,20 +106,39 @@ class TestUpcycle:
         upcycle(dense, [2, 2], "g1")
         assert hash_params(dense, sorted(dense.params)) == before
 
+    def test_added_experts_follow_the_seed_scheme(self, dense):
+        """Upcycling and extending add experts the same way: expert 0 plus
+        noise seeded by expansion, layer, expert number and part."""
+        first = upcycle(dense, [1, 2], "g1")
+        model = extend_expansion(first, [2, 1], "g2")
+        assert model.expert_counts() == (4, 4)
+        for i, first_count in enumerate((1, 2)):
+            for e in range(1, 4):
+                expansion = 0 if e <= first_count else 1
+                for part in ("gate", "up", "down"):
+                    base = dense.params[f"blocks.{i}.ffn.{part}"].data
+                    tag = ("expansion", expansion, "layer", i, "expert", e, part)
+                    gen = SeededRng(derive_seed(dense.config.seed, *tag)).generator()
+                    want = (base + gen.normal(0.0, NEW_EXPERT_NOISE_STD, size=base.shape)).tobytes()
+                    name = f"blocks.{i}.experts.{e}.{part}"
+                    assert model.params[name].data.tobytes() == want
+                    if expansion == 0:
+                        assert first.params[name].data.tobytes() == want
+
 
 def route(x, router, top_k):
     """Routing of one hidden vector through _moe_mix: (indices, weights)."""
     zeros = [Tensor(np.zeros(shape)) for shape in ((len(x), 1), (len(x), 1), (1, len(x)))]
     columns = [Tensor(column) for column in np.asarray(router, dtype=np.float64).T]
-    layer = MoELayer(0, [Expert(*zeros)] * len(columns), columns, top_k)
-    _, graph = _moe_mix(Tensor(np.asarray(x, dtype=np.float64)[None, :]), layer, "plain")
-    return graph.indices[0], graph.weights.data[0]
+    layer = MoELayer([Expert(*zeros)] * len(columns), columns, top_k)
+    _, trace = _moe_mix(Tensor(np.asarray(x, dtype=np.float64)[None, :]), layer, False)
+    return trace.indices[0], trace.weights.data[0]
 
 
-def layer_mix(x, layer, mode="plain"):
-    """_moe_mix on a row batch: the output array and the layer graph."""
-    out, graph = _moe_mix(Tensor(x), layer, mode)
-    return out.data, graph
+def layer_mix(x, layer, gated=False):
+    """_moe_mix on a row batch: the output array and the layer's trace."""
+    out, trace = _moe_mix(Tensor(x), layer, gated)
+    return out.data, trace
 
 
 class TestRoute:
@@ -178,7 +198,6 @@ class TestMoELayerForward:
         col0 = Tensor(np.array([2.0, 0.0]))
         col1 = Tensor(np.array([1.0, 0.0]))
         return MoELayer(
-            index=0,
             experts=cls.experts(),
             router_columns=[col0, col1],
             top_k=2,
@@ -199,7 +218,7 @@ class TestMoELayerForward:
         # ("old"), so every row takes the bypass
         layer = self.stub_layer(Tensor(np.zeros((2, 2))))
         x = SeededRng(9).generator().normal(size=(7, 2))
-        gated, graph = layer_mix(x, layer, mode="gated")
+        gated, graph = layer_mix(x, layer, gated=True)
         expected = (layer.experts[0](Tensor(x)) + Tensor(x)).data  # E0(x) + x
         np.testing.assert_array_equal(gated, expected)
         assert graph.gate_old.all()
@@ -211,7 +230,7 @@ class TestMoELayerForward:
         classifier = Tensor(np.array([[-5.0, 5.0], [0.0, 0.0]]))  # always "new"
         layer = self.stub_layer(classifier)
         x = np.array([[1.0, 0.0]])
-        gated, gated_graph = layer_mix(x, layer, mode="gated")
+        gated, gated_graph = layer_mix(x, layer, gated=True)
         plain, plain_graph = layer_mix(x, layer)
         np.testing.assert_array_equal(gated, plain)
         assert not gated_graph.gate_old.any()
@@ -220,17 +239,13 @@ class TestMoELayerForward:
 
     def test_single_expert_layer(self):
         (expert,) = self.experts(count=1)
-        layer = MoELayer(0, [expert], [Tensor(np.zeros(2))], top_k=2)
+        layer = MoELayer([expert], [Tensor(np.zeros(2))], top_k=2)
         x = np.array([[0.5, -1.0]])
         expected = (expert(Tensor(x)) + Tensor(x)).data
         y, graph = layer_mix(x, layer)
         np.testing.assert_array_equal(y, expected)
         np.testing.assert_array_equal(graph.indices, [[0]])
         np.testing.assert_array_equal(graph.weights.data, [[1.0]])
-
-    def test_gated_without_classifier_rejected(self):
-        with pytest.raises(ConfigurationError):
-            layer_mix(np.array([[1.0, 0.0]]), self.stub_layer(), mode="gated")
 
 
 class TestForward:
@@ -246,8 +261,8 @@ class TestForward:
         model = upcycle(dense, [2, 2], "g1")  # 3 experts, top-2, zero routers
         result = forward(model, sample_tokens(dense.config))
         for trace in result.trace:
-            assert set(map(tuple, trace.indices.reshape(-1, 2))) == {(0, 1)}
-            np.testing.assert_array_equal(trace.weights, 0.5)
+            assert set(map(tuple, trace.indices)) == {(0, 1)}
+            np.testing.assert_array_equal(trace.weights.data, 0.5)
 
     def test_routing_weight_invariants(self, dense):
         gen = SeededRng(21).generator()
@@ -260,10 +275,9 @@ class TestForward:
             n = model.expert_counts()[i]
             k = min(dense.config.top_k, n)
             assert trace.indices.shape[-1] == k
-            flat = trace.indices.reshape(-1, k)
-            assert all(len(set(row.tolist())) == k for row in flat)
-            assert (trace.weights > 0).all()
-            np.testing.assert_allclose(trace.weights.sum(axis=-1), 1.0, atol=1e-12)
+            assert all(len(set(row.tolist())) == k for row in trace.indices)
+            assert (trace.weights.data > 0).all()
+            np.testing.assert_allclose(trace.weights.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_bitwise_deterministic(self, dense):
         model = upcycle(dense, [2, 2], "g1")
@@ -281,6 +295,38 @@ class TestForward:
             forward(dense, np.zeros((1, config.context + 1), dtype=int))
         with pytest.raises(InvalidInputError):
             forward(dense, np.array([[0, config.vocab]]))
+
+    @pytest.mark.parametrize("moe", [False, True])
+    def test_unknown_mode_rejected(self, dense, moe):
+        model = upcycle(dense, [1, 1], "g1") if moe else dense
+        with pytest.raises(InvalidInputError):
+            forward(model, sample_tokens(dense.config), mode="bogus")
+
+    @pytest.mark.parametrize("mode", ["plain", "gated"])
+    def test_trace_is_the_graph_record_over_flat_rows(self, dense, mode):
+        model = upcycle(dense, [2, 1], "g1")
+        add_classifiers(model, [0, 1])
+        model.params["blocks.1.classifier"].data[:] = SeededRng(23).generator().normal(
+            size=(dense.config.hidden, 2)
+        )
+        tokens = sample_tokens(dense.config, batch=3, length=7)
+        trace = forward(model, tokens, mode=mode).trace
+        graph = forward_graph(model, tokens, mode=mode).layers
+        assert len(trace) == len(graph) == dense.config.layers
+        for i, (record, expected) in enumerate(zip(trace, graph)):
+            n_experts = model.expert_counts()[i]
+            assert record.indices.shape == (21, min(dense.config.top_k, n_experts))
+            assert record.scores.shape == (21, n_experts)
+            assert record.classifier_logits.shape == (21, 2)
+            if mode == "gated":
+                assert record.gate_old.shape == (21,)
+                assert expected.gate_old.tobytes() == record.gate_old.tobytes()
+            else:
+                assert record.gate_old is None and expected.gate_old is None
+            assert expected.indices.tobytes() == record.indices.tobytes()
+            for name in ("scores", "weights", "classifier_logits"):
+                got, want = getattr(record, name).data, getattr(expected, name).data
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_gated_needs_classifiers(self, dense):
         model = upcycle(dense, [1, 1], "g1")
