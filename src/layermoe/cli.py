@@ -221,16 +221,20 @@ def _cmd_eval(args) -> dict[str, Path]:
 
 
 def _apply_override(config: dict, dotted: str, raw: str) -> None:
-    *keys, last = dotted.split(".")
+    """Replace the value at a dotted path that ``config`` already has; a
+    list is entered by its index (``expansions.1.budget``)."""
     node = config
-    for key in keys:
-        node = node.get(key) if isinstance(node, dict) else None
-    if not isinstance(node, dict) or last not in node:
-        raise InvalidInputError(f"override path {dotted!r} not in config")
+    for key in dotted.split("."):
+        parent = node
+        if isinstance(node, list) and key.isdecimal() and int(key) < len(node):
+            key = int(key)
+        elif not (isinstance(node, dict) and key in node):
+            raise InvalidInputError(f"override path {dotted!r} not in config")
+        node = parent[key]
     try:
-        node[last] = json.loads(raw)
+        parent[key] = json.loads(raw)
     except json.JSONDecodeError:
-        node[last] = raw
+        parent[key] = raw
 
 
 def _resolve_pipeline_config(args) -> dict:

@@ -1,12 +1,15 @@
 """Losses, two-stage training with frozen-parameter discipline, lifelong
 expansion, and evaluation.
 
-Stage 1 trains the newly added experts and their router columns on
-new-language data (next-token loss plus a load-balance term). Stage 2 trains
-all routers and the classifiers on a mixed review corpus (next-token loss
-plus a prior-routing term that pulls old-language tokens to expert 0, plus a
-classifier term). Everything else stays bitwise frozen; the partition comes
-from :func:`layermoe.model.partition_params`.
+A recipe's stage picks the loss terms and the trainable set; every stage
+runs the same loss (:func:`batch_loss`) and the same loop. Dense training
+moves every parameter on the next-token loss. Stage 1 trains the newly added
+experts and their router columns on new-language data (next-token loss plus
+a load-balance term). Stage 2 trains all routers and the classifiers on a
+mixed review corpus (next-token loss plus a prior-routing term that pulls
+old-language tokens to expert 0, plus a classifier term on the layers that
+carry one). Everything else stays bitwise frozen; the partition comes from
+:func:`layermoe.model.partition_params`.
 
 Cross-layer reduction uses the mean over MoE layers for the balance, prior-
 routing and classifier losses so their weights keep meaning as the model
@@ -56,7 +59,8 @@ REVIEW_RATIO = (1, 2)
 @dataclass(frozen=True)
 class TrainingRecipe:
     """Hyperparameters of one training stage: "dense" (pre-training the
-    backbone), "stage1" or "stage2".
+    backbone), "stage1" or "stage2". The stage picks the loss terms and the
+    trainable set; a weight the stage does not use is ignored.
 
     ``balance_weight``, ``lpr_weight`` and ``cls_weight`` are the composite
     loss weights (defaults 0.01, 0.1, 0.1). ``cls_mode`` selects between a
@@ -88,9 +92,8 @@ class TrainingRecipe:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Per-step loss components. ``total`` is composed exactly as
-    ntp + balance_weight * balance (stage 1) or
-    ntp + lpr_weight * lpr + cls_weight * cls (stage 2)."""
+    """Per-step loss components, with ``total`` composed by :func:`batch_loss`;
+    a term the stage does not use reads 0."""
 
     step: int
     total: float
@@ -221,16 +224,53 @@ class SGD:
                 p.data -= self.learning_rate * p.grad
 
 
-def _train(
+def batch_loss(
     model: Model,
-    corpus: TaggedCorpus,
+    tokens: np.ndarray,
     recipe: TrainingRecipe,
-    trainable: Sequence[str],
-    build_loss,
-    stream: str,
+    old_mask: np.ndarray | None = None,
+    valid_mask: np.ndarray | None = None,
+) -> tuple[Tensor, dict[str, float]]:
+    """The recipe's stage loss on one batch, and its parts. Dense: ntp.
+    Stage 1: ntp + balance_weight * balance. Stage 2: ntp + lpr_weight * lpr,
+    plus cls_weight * cls when a layer carries a classifier. Stage 2's masks
+    cover the fed positions, i.e. tokens[:, :-1] flattened."""
+    graph = forward_graph(model, tokens[:, :-1])
+    ntp = ntp_loss(graph.logits, tokens[:, 1:])
+    total = ntp
+    parts = {"ntp": ntp.item(), "balance": 0.0, "lpr": 0.0, "cls": 0.0}
+    if recipe.stage == "stage1":
+        balance = balance_loss([(g.scores, g.indices) for g in graph.layers])
+        total = ntp + recipe.balance_weight * balance
+        parts["balance"] = balance.item()
+    elif recipe.stage == "stage2":
+        lpr = lpr_loss([g.scores for g in graph.layers], old_mask)
+        total = ntp + recipe.lpr_weight * lpr
+        parts["lpr"] = lpr.item()
+        logits = [g.classifier_logits for g in graph.layers if g.classifier_logits is not None]
+        if logits:
+            cls = cls_loss(logits, old_mask, valid_mask, recipe.cls_mode)
+            total = total + recipe.cls_weight * cls
+            parts["cls"] = cls.item()
+    return total, parts
+
+
+def _train(
+    model: Model, corpus: TaggedCorpus, recipe: TrainingRecipe, stage: str
 ) -> list[LossReport]:
+    """SGD on :func:`batch_loss` for a ``stage`` recipe, over batches drawn
+    from the stage's own stream. Dense training moves every parameter;
+    stages 1 and 2 move the set :func:`partition_params` gives them."""
+    if recipe.stage != stage:
+        raise ConfigurationError(f"recipe is not a {stage} recipe")
+    if len(corpus) == 0:
+        raise InvalidInputError(f"empty {stage} corpus")
+    trainable = sorted(model.params) if stage == "dense" else partition_params(model, stage)[0]
     params = {name: model.params[name] for name in trainable}
-    gen = SeededRng(derive_seed(recipe.seed, stream)).generator()
+    gen = SeededRng(derive_seed(recipe.seed, stage)).generator()
+    masks = ()  # stage 2's old and valid masks over the fed positions
+    if stage == "stage2":
+        masks = (corpus.old_token_mask(model.old_groups)[:, :-1], corpus.token_mask()[:, :-1])
     optimizer = SGD(params, recipe.learning_rate, recipe.momentum)
     reports: list[LossReport] = []
     try:
@@ -238,10 +278,11 @@ def _train(
             p.requires_grad = True
         for step in range(recipe.steps):
             idx = gen.integers(0, len(corpus), size=recipe.batch_size)
-            total, parts = build_loss(idx)
+            batch_masks = (m[idx].reshape(-1) for m in masks)
+            total, parts = batch_loss(model, corpus.sequences[idx], recipe, *batch_masks)
             value = total.item()
             if not math.isfinite(value):
-                raise NumericalFailureError(f"{stream} loss became non-finite at step {step}")
+                raise NumericalFailureError(f"{stage} loss became non-finite at step {step}")
             zero_grads(params.values())
             total.backward()
             optimizer.step()
@@ -253,55 +294,11 @@ def _train(
     return reports
 
 
-def stage1_batch_loss(model: MoEModel, tokens: np.ndarray, recipe: TrainingRecipe):
-    """Composite stage-1 loss on one batch: ntp + balance_weight * balance."""
-    graph = forward_graph(model, tokens[:, :-1])
-    ntp = ntp_loss(graph.logits, tokens[:, 1:])
-    balance = balance_loss([(g.scores, g.indices) for g in graph.layers])
-    total = ntp + recipe.balance_weight * balance
-    return total, {"ntp": ntp.item(), "balance": balance.item(), "lpr": 0.0, "cls": 0.0}
-
-
-def stage2_batch_loss(
-    model: MoEModel,
-    tokens: np.ndarray,
-    old_mask: np.ndarray,
-    valid_mask: np.ndarray,
-    recipe: TrainingRecipe,
-    classifier_layers: Sequence[int],
-):
-    """Composite stage-2 loss on one batch:
-    ntp + lpr_weight * lpr (+ cls_weight * cls on classifier layers).
-    Masks cover the fed positions, i.e. tokens[:, :-1] flattened."""
-    graph = forward_graph(model, tokens[:, :-1])
-    ntp = ntp_loss(graph.logits, tokens[:, 1:])
-    lpr = lpr_loss([g.scores for g in graph.layers], old_mask)
-    total = ntp + recipe.lpr_weight * lpr
-    cls_value = 0.0
-    if classifier_layers:
-        logits = [graph.layers[i].classifier_logits for i in classifier_layers]
-        cls = cls_loss(logits, old_mask, valid_mask, recipe.cls_mode)
-        total = total + recipe.cls_weight * cls
-        cls_value = cls.item()
-    return total, {"ntp": ntp.item(), "balance": 0.0, "lpr": lpr.item(), "cls": cls_value}
-
-
 def train_dense(
     model: DenseModel, corpus: TaggedCorpus, recipe: TrainingRecipe
 ) -> list[LossReport]:
     """Next-token pre-training of the dense backbone; updates every parameter."""
-    if recipe.stage != "dense":
-        raise ConfigurationError("recipe is not a dense recipe")
-    if len(corpus) == 0:
-        raise InvalidInputError("empty corpus")
-
-    def build(idx):
-        tokens = corpus.sequences[idx]
-        graph = forward_graph(model, tokens[:, :-1])
-        loss = ntp_loss(graph.logits, tokens[:, 1:])
-        return loss, {"ntp": loss.item(), "balance": 0.0, "lpr": 0.0, "cls": 0.0}
-
-    return _train(model, corpus, recipe, sorted(model.params), build, "dense")
+    return _train(model, corpus, recipe, "dense")
 
 
 def stage1_train(
@@ -310,62 +307,31 @@ def stage1_train(
     """New-expert pretraining: only the current expansion's experts and their
     router columns move; the dense backbone and earlier expansions stay
     bitwise unchanged."""
-    if recipe.stage != "stage1":
-        raise ConfigurationError("recipe is not a stage-1 recipe")
     if not model.expansion_history:
         raise ConfigurationError("model has no expansion to train")
     current_group = model.expansion_history[-1].group
-    if len(corpus_new) == 0:
-        raise InvalidInputError("empty stage-1 corpus")
     stray = set(corpus_new.groups) - {current_group}
     if stray:
         raise InvalidInputError(
             f"stage-1 corpus must contain only group {current_group!r}, found {sorted(stray)}"
         )
-    trainable, _ = partition_params(model, "stage1")
-
-    def build(idx):
-        return stage1_batch_loss(model, corpus_new.sequences[idx], recipe)
-
-    reports = _train(model, corpus_new, recipe, trainable, build, "stage1")
-    return model, reports
+    return model, _train(model, corpus_new, recipe, "stage1")
 
 
 def stage2_train(
-    model: MoEModel,
-    review_corpus: TaggedCorpus,
-    recipe: TrainingRecipe,
-    classifier_layers: Sequence[int] = (),
+    model: MoEModel, review_corpus: TaggedCorpus, recipe: TrainingRecipe
 ) -> tuple[MoEModel, list[LossReport]]:
-    """Router review on mixed data: all router columns plus the classifiers
-    train; experts and backbone stay bitwise unchanged. With cls_weight 0 and
-    no classifiers this is exactly prior-routing review (the baseline form).
-    Training always routes plainly; the classifier gate is inference-only.
+    """Router review on mixed data: all router columns plus the model's
+    classifiers train; experts and backbone stay bitwise unchanged. With
+    cls_weight 0 and no classifiers this is exactly prior-routing review (the
+    baseline form). Training always routes plainly; the classifier gate is
+    inference-only.
     """
-    if recipe.stage != "stage2":
-        raise ConfigurationError("recipe is not a stage-2 recipe")
-    layers = tuple(sorted(int(i) for i in classifier_layers))
-    if layers != model.classifier_layers:
-        raise ConfigurationError(
-            f"model carries classifiers on {model.classifier_layers}, recipe expects {layers}"
-        )
-    if recipe.cls_weight > 0 and not layers:
+    if recipe.cls_weight > 0 and not model.classifier_layers:
         raise ConfigurationError("cls_weight > 0 but no classifier layers configured")
-    old_groups = model.old_groups
-    old_mask_all = review_corpus.old_token_mask(old_groups)
-    if not old_mask_all.any():
+    if not review_corpus.old_token_mask(model.old_groups).any():
         raise InvalidInputError("review corpus has no old-language tokens")
-    valid_all = review_corpus.token_mask()
-    trainable, _ = partition_params(model, "stage2")
-
-    def build(idx):
-        tokens = review_corpus.sequences[idx]
-        old_mask = old_mask_all[idx][:, :-1].reshape(-1)
-        valid = valid_all[idx][:, :-1].reshape(-1)
-        return stage2_batch_loss(model, tokens, old_mask, valid, recipe, layers)
-
-    reports = _train(model, review_corpus, recipe, trainable, build, "stage2")
-    return model, reports
+    return model, _train(model, review_corpus, recipe, "stage2")
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +361,11 @@ class EvalMetrics:
             writer.writerow(["metric", "key", "value"])
             for lang in sorted(self.perplexity):
                 writer.writerow(["perplexity", lang, repr(self.perplexity[lang])])
-            if self.routing_old_fraction:
-                for layer in sorted(self.routing_old_fraction):
-                    writer.writerow(
-                        ["routing_old_fraction", layer, repr(self.routing_old_fraction[layer])]
-                    )
-            if self.classifier_accuracy:
-                for layer in sorted(self.classifier_accuracy):
-                    writer.writerow(
-                        ["classifier_accuracy", layer, repr(self.classifier_accuracy[layer])]
-                    )
-            if self.expert_utilization:
-                for layer in sorted(self.expert_utilization):
-                    writer.writerow(
-                        ["expert_utilization", layer, " ".join(map(str, self.expert_utilization[layer]))]
-                    )
+            for name in ("routing_old_fraction", "classifier_accuracy"):
+                values = getattr(self, name) or {}
+                writer.writerows([name, layer, repr(values[layer])] for layer in sorted(values))
+            for layer, counts in sorted((self.expert_utilization or {}).items()):
+                writer.writerow(["expert_utilization", layer, " ".join(map(str, counts))])
 
 
 def evaluate(
@@ -424,7 +380,8 @@ def evaluate(
 
     Perplexity is exp of the mean next-token negative log-likelihood. The
     old-to-expert-0 fraction counts old-language tokens whose top-1 routed
-    expert is 0; on gated layers a fired gate counts as expert 0.
+    expert is 0; on gated layers a fired gate counts as expert 0. Dense
+    models have no routing, classifier or utilization statistics.
     """
     if max_sequences_per_language is not None and max_sequences_per_language < 1:
         raise InvalidInputError("max_sequences_per_language must be >= 1")
@@ -432,70 +389,56 @@ def evaluate(
     is_moe = isinstance(model, MoEModel)
     if old_groups is None:
         old_groups = model.old_groups if is_moe else ()
-    old_groups = tuple(old_groups)
+    counts = model.expert_counts() if is_moe else ()
+    classifier_layers = model.classifier_layers if is_moe else ()
 
     nll_sum: dict[str, float] = {}
     nll_count: dict[str, int] = {}
-    layer_count = model.config.layers
-    old_top1_e0 = np.zeros(layer_count, dtype=np.int64)
-    old_total = 0
-    cls_hits: dict[int, int] = {}
-    cls_valid_total = 0
-    utilization: dict[int, np.ndarray] | None = None
+    old_top1_e0 = np.zeros(len(counts), dtype=np.int64)
+    utilization = [np.zeros(n, dtype=np.int64) for n in counts]
+    cls_hits = dict.fromkeys(classifier_layers, 0)
+    old_total = valid_total = 0
 
     for language in corpus.language_set():
         part = corpus.subset_language(language)
         if max_sequences_per_language is not None:
             part = part.take(range(min(len(part), max_sequences_per_language)))
-        old_mask_all = part.old_token_mask(old_groups)
-        valid_all = part.token_mask()
+        # The trace is over flat rows; flatten the fed positions' masks to match.
+        fed = part.sequences.shape[1] - 1
+        old_all = part.old_token_mask(old_groups)[:, :-1].reshape(-1)
+        valid_all = part.token_mask()[:, :-1].reshape(-1)
+        nll_sum[language], nll_count[language] = 0.0, 0
         for start in range(0, len(part), batch_size):
             seqs = part.sequences[start : start + batch_size]
             inputs, targets = seqs[:, :-1], seqs[:, 1:]
             result = forward(model, inputs, mode=mode)
             log_probs = log_softmax(Tensor(result.logits)).data
             nll = -np.take_along_axis(log_probs, targets[..., None], axis=-1)
-            nll_sum[language] = nll_sum.get(language, 0.0) + float(nll.sum())
-            nll_count[language] = nll_count.get(language, 0) + int(targets.size)
-            if result.trace is None:
-                continue
-            # The trace is over flat rows; flatten the masks to match.
-            old_mask = old_mask_all[start : start + batch_size][:, :-1].reshape(-1)
-            valid = valid_all[start : start + batch_size][:, :-1].reshape(-1)
+            nll_sum[language] += float(nll.sum())
+            nll_count[language] += int(targets.size)
+            rows = slice(start * fed, (start + len(seqs)) * fed)
+            old_mask, valid = old_all[rows], valid_all[rows]
             old_total += int(old_mask.sum())
-            if utilization is None:
-                utilization = {
-                    i: np.zeros(t.scores.shape[1], dtype=np.int64)
-                    for i, t in enumerate(result.trace)
-                }
-            has_classifier = False
-            for i, trace in enumerate(result.trace):
+            valid_total += int(valid.sum())
+            for i, trace in enumerate(result.trace or ()):
                 top1 = trace.indices[:, 0]
                 if trace.gate_old is not None:
                     top1 = np.where(trace.gate_old, 0, top1)
                 old_top1_e0[i] += int((top1[old_mask] == 0).sum())
-                utilization[i] += np.bincount(
-                    trace.indices.reshape(-1), minlength=utilization[i].size
-                )
+                utilization[i] += np.bincount(trace.indices.reshape(-1), minlength=counts[i])
                 if trace.classifier_logits is not None:
-                    has_classifier = True
                     pred = trace.classifier_logits.data.argmax(axis=1)
                     want = np.where(old_mask, 0, 1)
-                    cls_hits[i] = cls_hits.get(i, 0) + int((pred[valid] == want[valid]).sum())
-            if has_classifier:
-                cls_valid_total += int(valid.sum())
+                    cls_hits[i] += int((pred[valid] == want[valid]).sum())
 
     perplexity = {lang: math.exp(nll_sum[lang] / nll_count[lang]) for lang in nll_sum}
-    routing = None
-    accuracy = None
-    util_out = None
-    if is_moe:
+    routing = accuracy = util_out = None
+    if is_moe and nll_count:
         if old_total:
-            routing = {i: float(old_top1_e0[i]) / old_total for i in range(layer_count)}
-        if cls_hits and cls_valid_total:
-            accuracy = {i: cls_hits[i] / cls_valid_total for i in sorted(cls_hits)}
-        if utilization is not None:
-            util_out = {i: u.tolist() for i, u in utilization.items()}
+            routing = {i: float(old_top1_e0[i]) / old_total for i in range(len(counts))}
+        if cls_hits and valid_total:
+            accuracy = {i: hits / valid_total for i, hits in cls_hits.items()}
+        util_out = {i: u.tolist() for i, u in enumerate(utilization)}
     return EvalMetrics(mode, perplexity, dict(nll_count), routing, accuracy, util_out)
 
 
@@ -566,7 +509,7 @@ def review(
         recipe = replace(recipe, cls_weight=0.0)
     old_part, new_part = corpus.subset_groups(model.old_groups), corpus.subset_groups([new_group])
     mixture = review_mixture(old_part, new_part, *review_ratio, mix_seed)
-    model, reports = stage2_train(model, mixture, recipe, layers)
+    model, reports = stage2_train(model, mixture, recipe)
     return model, profile, reports
 
 

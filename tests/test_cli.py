@@ -397,6 +397,38 @@ def test_run_pipeline_records_environment_overrides_and_replays_without_them(
     assert {p: p.read_bytes() for p in out.iterdir()} == written
 
 
+def test_overrides_step_into_lists_by_index(tmp_path, capsys, monkeypatch):
+    config = pipeline_config()
+    config["expansions"][0]["classifier_count"] = 0
+    path = write_json(tmp_path / "pipeline.json", config)
+    out = tmp_path / "out"
+    monkeypatch.setenv("LAYERMOE_OVERRIDES", "expansions.0.classifier_count=1")
+    argv = ["run-pipeline", "--config", path, "--out-dir", str(out)]
+    outputs = run_ok(argv + ["--set", "expansions.0.stage2.steps=2"], capsys)
+    resolved = json.loads((out / "pipeline.config.json").read_text())["expansions"][0]
+    assert (resolved["classifier_count"], resolved["stage2"]["steps"]) == (1, 2)
+    assert "profile_stage1_0_g1" in outputs
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        "expansions.1.budget=3",
+        "expansions.x.budget=3",
+        "expansions.-1.budget=3",
+        "seed.0=1",
+        "expansions.0.stage9.steps=1",
+    ],
+)
+def test_override_outside_the_config_exits_2(tmp_path, capsys, pair):
+    config = write_json(tmp_path / "pipeline.json", pipeline_config())
+    argv = ["run-pipeline", "--config", config, "--out-dir", str(tmp_path / "out"), "--set", pair]
+    record = run_failing(argv, capsys)
+    assert record["error"] == "InvalidInputError"
+    assert "not in config" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # single-field mutations of every artifact kind
 
