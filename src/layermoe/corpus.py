@@ -127,9 +127,7 @@ class LanguageSampler:
         self._gen = SeededRng(derive_seed(seed, "sample", spec.language)).generator()
 
     def sequence(self, length: int) -> np.ndarray:
-        """One sequence of ``length`` tokens: BOS followed by a chain."""
-        if length < 2:
-            raise InvalidInputError("sequence length must be >= 2")
+        """One sequence of ``length >= 2`` tokens: BOS followed by a chain."""
         out = np.empty(length, dtype=np.int64)
         out[0] = BOS_ID
         top = len(self.support) - 1
@@ -158,6 +156,8 @@ class TaggedCorpus:
         seq = np.asarray(self.sequences, dtype=np.int64)
         if seq.ndim != 2:
             raise InvalidInputError("sequences must be a (n, length) array")
+        if seq.shape[1] < 2:
+            raise InvalidInputError("sequences need at least two tokens: an input and a target")
         if len(self.languages) != len(seq) or len(self.groups) != len(seq):
             raise InvalidInputError("every sequence needs a language and group tag")
         if seq.size and seq.min() < 0:
@@ -252,6 +252,8 @@ def generate(
     seed: int,
 ) -> TaggedCorpus:
     """Equal token budget per language; deterministic given the seed."""
+    if sequence_length < 2:
+        raise InvalidInputError("sequence length must be >= 2")
     if tokens_per_language < sequence_length:
         raise InvalidInputError("tokens_per_language must be >= sequence_length")
     per_language = math.ceil(tokens_per_language / sequence_length)

@@ -10,7 +10,8 @@ depend on it, so it is pinned here):
   exactly what the router, the classifier, the profiler tap, and the expert
   inputs all see. Each block's ``attn_norm`` gain is created and stored in
   checkpoints, but nothing reads it. Each attention and each rmsnorm is
-  one tape node (``autodiff.attention``, ``autodiff.rms_norm``);
+  one tape node (``autodiff.attention``, ``autodiff.rms_norm``), each
+  router two (``autodiff.route``: the scores and the top-k weights);
 - experts are SiLU-gated FFNs ``down(silu(h @ gate) * (h @ up))``;
 - final rmsnorm, untied linear head.
 
@@ -50,10 +51,8 @@ from ..numerics import (
     embedding,
     expert_mix,
     rms_norm,
+    route,
     silu,
-    softmax_t,
-    stack_columns,
-    take_pairs,
 )
 from .config import ModelConfig
 
@@ -104,7 +103,8 @@ class MoELayer:
 class LayerTrace:
     """Routing decisions of one MoE layer over the ``n`` flattened rows of a
     forwarded batch (row ``r`` is position ``r % length`` of sequence
-    ``r // length``). The tensors stay on the tape when training."""
+    ``r // length``). ``scores``, ``indices`` and ``weights`` are what
+    ``autodiff.route`` returns; the tensors stay on the tape when training."""
 
     scores: Tensor  # (n, n_experts) full softmax scores
     indices: np.ndarray  # (n, k) selected experts, best first
@@ -354,22 +354,13 @@ def _attention(x: Tensor, params: dict[str, Tensor], prefix: str, heads: int) ->
     return attention(x, *weights, _causal_mask(x.shape[1]), heads)
 
 
-def _select(scores: np.ndarray, top_k: int) -> np.ndarray:
-    k = min(top_k, scores.shape[1])
-    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
-
-
 def _moe_mix(hsa: Tensor, layer: MoELayer, gated: bool) -> tuple[Tensor, LayerTrace]:
     """Expert stage on flattened rows: weighted expert mix plus residual.
     With ``gated`` (only for a layer with a classifier), the classifier's
     "old" verdict is a row mask that sends the row to expert 0 alone."""
     if not layer.experts or len(layer.router_columns) != len(layer.experts):
         raise ConfigurationError("layer needs one router column per expert")
-
-    scores = softmax_t(hsa @ stack_columns(layer.router_columns))
-    indices = _select(scores.data, layer.top_k)
-    selected = take_pairs(scores, np.arange(len(indices))[:, None], indices)
-    weights = selected / selected.sum(axis=1, keepdims=True)
+    scores, indices, weights = route(hsa, layer.router_columns, layer.top_k)
     cls_logits = (hsa @ layer.classifier) if layer.classifier is not None else None
     gate_old = cls_logits.data.argmax(axis=1) == 0 if gated else None
     out = expert_mix(hsa, weights, indices, layer.experts, gate_old) + hsa

@@ -15,12 +15,11 @@ from .autodiff import (
     expert_mix,
     log_softmax,
     rms_norm,
+    route,
     silu,
-    stack_columns,
     take_pairs,
     zero_grads,
 )
-from .autodiff import softmax as softmax_t
 from .rng import SeededRng, derive_seed
 
 __all__ = [
@@ -33,9 +32,8 @@ __all__ = [
     "expert_mix",
     "log_softmax",
     "rms_norm",
+    "route",
     "silu",
-    "softmax_t",
-    "stack_columns",
     "take_pairs",
     "zero_grads",
 ]

@@ -22,6 +22,18 @@ exactly 1.0 and gives its routing weights a zero gradient. The backward
 returns ``None`` for a frozen expert weight and skips an expert's inner
 gradients when neither ``x`` nor that expert's ``gate``/``up`` needs one.
 
+``route`` is an MoE layer's router as two nodes. ``scores`` is the softmax
+of ``x @ stack(columns)`` over every expert. ``weights`` holds each row's
+top-k scores, renormalised to sum to 1; the top-k comes from a stable sort
+of ``-scores``, so experts whose zero router columns tie go lowest id first.
+There are two nodes because two kinds of reader need them: the balance and
+prior-routing losses read ``scores``, and ``expert_mix`` reads ``weights``,
+whose gradient flows back through ``scores``. The columns stay one tensor
+per expert (the freeze rules and checkpoints name each), and the backward
+of ``scores`` returns ``None`` for a frozen one. Forward and backward run
+the numpy operations of the softmax, gather and division they replace, in
+the same order, so routing and training keep their bits.
+
 ``attention`` and ``rms_norm`` are one node each for a transformer block's
 causal multi-head attention and for an RMS norm. Their forward runs the
 numpy operations of the composed form in the same order, so their outputs
@@ -61,12 +73,11 @@ __all__ = [
     "attention",
     "expert_mix",
     "rms_norm",
-    "softmax",
     "log_softmax",
     "silu",
     "embedding",
+    "route",
     "take_pairs",
-    "stack_columns",
     "zero_grads",
 ]
 
@@ -160,12 +171,6 @@ class Tensor:
             out._backward = lambda g: (-g,)
         return out
 
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         out = _node(self.data * other.data, (self, other))
@@ -178,33 +183,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out = _node(self.data / other.data, (self, other))
-        if out._parents:
-            a, b = self, other
-            out._backward = lambda g: (
-                _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
-                (
-                    _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-                    if b.requires_grad
-                    else None
-                ),
-            )
-        return out
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = _node(self.data**exponent, (self,))
-        if out._parents:
-            a = self
-            out._backward = lambda g: (g * exponent * a.data ** (exponent - 1),)
-        return out
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -234,36 +212,27 @@ class Tensor:
             out._backward = lambda g: (g.reshape(old),)
         return out
 
-    def transpose(self, axes) -> "Tensor":
-        out = _node(np.transpose(self.data, axes), (self,))
-        if out._parents:
-            inverse = tuple(np.argsort(axes))
-            out._backward = lambda g: (np.transpose(g, inverse),)
-        return out
-
     # -- reductions --------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = _node(self.data.sum(axis=axis, keepdims=keepdims), (self,))
+    def sum(self, axis=None) -> "Tensor":
+        out = _node(self.data.sum(axis=axis), (self,))
         if out._parents:
             shape = self.data.shape
 
             def bw(g):
-                if axis is None:
-                    return (np.broadcast_to(g, shape).copy(),)
-                if not keepdims:
+                if axis is not None:
                     g = np.expand_dims(g, axis)
                 return (np.broadcast_to(g, shape).copy(),)
 
             out._backward = bw
         return out
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis=None) -> "Tensor":
         if axis is None:
             count = self.data.size
         else:
             count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return self.sum(axis=axis) * (1.0 / count)
 
     # -- elementwise functions ----------------------------------------------
 
@@ -272,12 +241,6 @@ class Tensor:
         if out._parents:
             a = self
             out._backward = lambda g: (g / a.data,)
-        return out
-
-    def exp(self) -> "Tensor":
-        out = _node(np.exp(self.data), (self,))
-        if out._parents:
-            out._backward = lambda g: (g * out.data,)
         return out
 
 
@@ -341,15 +304,6 @@ def _softmax(a: np.ndarray) -> np.ndarray:
 
 def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (g - (g * y).sum(axis=-1, keepdims=True)) * y
-
-
-def softmax(t: Tensor) -> Tensor:
-    """Max-subtracted softmax over the last axis."""
-    y = _softmax(t.data.copy())
-    out = _node(y, (t,))
-    if out._parents:
-        out._backward = lambda g: (_softmax_grad(g, y),)
-    return out
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
@@ -555,12 +509,41 @@ def expert_mix(
     return out
 
 
-def stack_columns(columns: Sequence[Tensor]) -> Tensor:
-    """Stack 1-d tensors of length h into an (h, n) matrix."""
-    out = _node(np.stack([c.data for c in columns], axis=1), tuple(columns))
-    if out._parents:
-        out._backward = lambda g: tuple(g[:, i] for i in range(len(columns)))
-    return out
+def route(x: Tensor, columns: Sequence[Tensor], top_k: int) -> tuple[Tensor, np.ndarray, Tensor]:
+    """Router of one MoE layer (module docstring): ``scores``, the softmax of
+    ``x @ stack(columns)``; ``indices``, each row's ``top_k`` best experts,
+    best first; and ``weights``, their scores renormalised to sum to 1."""
+    w = np.stack([c.data for c in columns], axis=1)
+    y = _softmax(x.data @ w)
+    k = min(top_k, y.shape[1])
+    # Stable, so tied experts (zero router columns) go lowest id first.
+    indices = np.argsort(-y, axis=1, kind="stable")[:, :k]
+    rows = np.arange(len(indices))[:, None]
+    selected = y[rows, indices]
+    total = selected.sum(axis=1, keepdims=True)
+    scores = _node(y, (x, *columns))
+    if scores._parents:
+
+        def scores_bw(g):
+            d = _softmax_grad(g, y)
+            dx = d @ w.T if x.requires_grad else None
+            dw = x.data.T @ d if any(c.requires_grad for c in columns) else None
+            return (dx, *(dw[:, e] if c.requires_grad else None for e, c in enumerate(columns)))
+
+        scores._backward = scores_bw
+    weights = _node(selected / total, (scores,))
+    if weights._parents:
+
+        def weights_bw(g):
+            # The quotient's two terms, summed as the composed tape sums them.
+            dtotal = _unbroadcast(-g * selected / (total * total), total.shape)
+            dsel = g / total + np.broadcast_to(dtotal, selected.shape)
+            ds = np.zeros_like(y)
+            np.add.at(ds, (rows, indices), dsel)
+            return (ds,)
+
+        weights._backward = weights_bw
+    return scores, indices, weights
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

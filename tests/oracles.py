@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against: tape
 gradients against central finite differences, the fast elementwise kernels
-against their plain numpy forms, and the profiler's centroid fast path
-against the quadratic pair loop over exact cosines."""
+against their plain numpy forms, the fused tape nodes against compositions
+of small tape ops, and the profiler's centroid fast path against the
+quadratic pair loop over exact cosines."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from layermoe.errors import DegenerateVectorError, InvalidInputError, NumericalFailureError
-from layermoe.numerics import Tensor
+from layermoe.numerics import Tensor, as_tensor
+from layermoe.numerics.autodiff import _node, _softmax, _softmax_grad, _unbroadcast
 from layermoe.profiler import CandidateSet, _check_comparable
 
 
@@ -83,6 +85,67 @@ def plain_softmax(a: np.ndarray) -> np.ndarray:
     over the last axis, leaving ``a`` as it was."""
     e = np.exp(a - a.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+# Tape ops that only the composed references need: ``attention`` (softmax,
+# transpose), ``rms_norm`` (row sum, power) and ``route`` (softmax, column
+# stack, division, row sum). Each records a node the way the package's own
+# ops do, so a composition of them has the bits the fused node promises.
+
+
+def softmax(t: Tensor) -> Tensor:
+    """Max-subtracted softmax over the last axis."""
+    y = _softmax(t.data.copy())
+    out = _node(y, (t,))
+    if out._parents:
+        out._backward = lambda g: (_softmax_grad(g, y),)
+    return out
+
+
+def transpose(t: Tensor, axes) -> Tensor:
+    out = _node(np.transpose(t.data, axes), (t,))
+    if out._parents:
+        inverse = tuple(np.argsort(axes))
+        out._backward = lambda g: (np.transpose(g, inverse),)
+    return out
+
+
+def row_sum(t: Tensor) -> Tensor:
+    """Sum over the last axis, keeping it as a size-1 axis."""
+    out = _node(t.data.sum(axis=-1, keepdims=True), (t,))
+    if out._parents:
+        out._backward = lambda g: (np.broadcast_to(g, t.data.shape).copy(),)
+    return out
+
+
+def power(t: Tensor, exponent: float) -> Tensor:
+    out = _node(t.data**exponent, (t,))
+    if out._parents:
+        out._backward = lambda g: (g * exponent * t.data ** (exponent - 1),)
+    return out
+
+
+def div(a: Tensor, b) -> Tensor:
+    b = as_tensor(b)
+    out = _node(a.data / b.data, (a, b))
+    if out._parents:
+        out._backward = lambda g: (
+            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+            (
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if b.requires_grad
+                else None
+            ),
+        )
+    return out
+
+
+def stack_columns(columns) -> Tensor:
+    """Stack 1-d tensors of length h into an (h, n) matrix."""
+    out = _node(np.stack([c.data for c in columns], axis=1), tuple(columns))
+    if out._parents:
+        out._backward = lambda g: tuple(g[:, i] for i in range(len(columns)))
+    return out
 
 
 def cosine(u, v) -> float:

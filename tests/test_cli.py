@@ -51,6 +51,15 @@ def test_gen_corpus_rejects_spec_without_groups(tmp_path, capsys):
     assert run_failing(argv, capsys)["error"] == "FormatError"
 
 
+@pytest.mark.parametrize("length", ["0", "-1"])
+def test_gen_corpus_rejects_a_sequence_length_below_two(tmp_path, capsys, length):
+    spec = write_json(tmp_path / "spec.json", {"groups": {"g0": ["a"]}, "block_size": 8})
+    argv = ["gen-corpus", "--spec", spec, "--tokens", "64", "--seq-len", length]
+    record = run_failing(argv + ["--out", str(tmp_path / "corpus.jsonl")], capsys)
+    assert record == {"error": "InvalidInputError", "message": "sequence length must be >= 2"}
+    assert not (tmp_path / "corpus.jsonl").exists()
+
+
 def test_expand_rejects_plan_that_breaks_its_invariants(tmp_path, capsys):
     config = ModelConfig(layers=2, hidden=8, heads=2, vocab=32, ffn=8, context=8)
     model = tmp_path / "dense.lmoe"
@@ -364,6 +373,24 @@ def test_eval_rejects_fewer_than_one_sequence_per_language(tmp_path, capsys):
     record = run_failing(argv + ["--out", str(tmp_path / "metrics.json")], capsys)
     assert record["error"] == "InvalidInputError"
     assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train-base", "eval"])
+def test_corpus_of_one_token_sequences_is_rejected(tmp_path, capsys, command):
+    """A sequence needs an input token and a target; these used to end in a
+    traceback from the forward pass."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"lang": "a", "group": "g0", "tokens": [0]}\n' * 2)
+    if command == "train-base":
+        config = write_json(tmp_path / "model.json", TINY_MODEL)
+        argv = ["train-base", "--config", config, "--group", "g0"]
+    else:
+        model = tmp_path / "dense.lmoe"
+        save_model(DenseModel.create(ModelConfig(**TINY_MODEL), groups=("g0",)), model)
+        argv = ["eval", "--model", str(model)]
+    record = run_failing(argv + ["--corpus", str(corpus), "--out", str(tmp_path / "out")], capsys)
+    assert record["error"] == "InvalidInputError"
+    assert "at least two tokens" in record["message"]
 
 
 def test_profile_names_a_group_missing_from_the_corpus(tmp_path, capsys):

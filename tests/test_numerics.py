@@ -17,13 +17,24 @@ from layermoe.numerics import (
     expert_mix,
     log_softmax,
     rms_norm,
+    route,
     silu,
-    softmax_t,
-    stack_columns,
     take_pairs,
 )
 from layermoe.numerics.autodiff import _sigmoid, _softmax
-from oracles import central_difference, cosine, masked_sigmoid, plain_softmax, value_and_grad
+from oracles import (
+    central_difference,
+    cosine,
+    div,
+    masked_sigmoid,
+    plain_softmax,
+    power,
+    row_sum,
+    softmax,
+    stack_columns,
+    transpose,
+    value_and_grad,
+)
 
 
 def rel_err(a, b, floor=1.0):
@@ -38,33 +49,33 @@ finite_vectors = st.lists(
 )
 
 
-def softmax(values):
-    """The tape softmax of a plain vector."""
-    return softmax_t(Tensor(values)).data
+def softmax_of(values):
+    """The package's softmax kernel on a copy of a plain vector."""
+    return _softmax(np.array(values, dtype=np.float64))
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(softmax_of([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
 
     def test_constant_vector(self):
         for c in (-3.0, 0.0, 17.5):
-            np.testing.assert_allclose(softmax([c, c, c]), [1 / 3] * 3, atol=1e-15)
+            np.testing.assert_allclose(softmax_of([c, c, c]), [1 / 3] * 3, atol=1e-15)
 
     def test_hand_example(self):
         # exp(2), exp(0), exp(1) normalised
         e = np.exp([2.0, 0.0, 1.0])
         expected = e / e.sum()
-        np.testing.assert_allclose(softmax([2.0, 0.0, 1.0]), expected, atol=1e-15)
+        np.testing.assert_allclose(softmax_of([2.0, 0.0, 1.0]), expected, atol=1e-15)
         np.testing.assert_allclose(
-            softmax([2.0, 0.0, 1.0]), [0.66524, 0.09003, 0.24473], atol=1e-5
+            softmax_of([2.0, 0.0, 1.0]), [0.66524, 0.09003, 0.24473], atol=1e-5
         )
 
     @given(finite_vectors, st.floats(min_value=-100, max_value=100, allow_nan=False))
     @settings(max_examples=100)
     def test_shift_invariance(self, values, shift):
-        base = softmax(values)
-        shifted = softmax(np.asarray(values) + shift)
+        base = softmax_of(values)
+        shifted = softmax_of(np.asarray(values) + shift)
         assert np.max(np.abs(base - shifted)) < 1e-12
         assert abs(base.sum() - 1.0) < 1e-12
         assert (base > 0).all()
@@ -76,7 +87,7 @@ class TestSoftmax:
         # top two inputs to be numerically distinguishable.
         ordered = np.sort(values)
         assume(len(values) == 1 or ordered[-1] - ordered[-2] > 1e-9)
-        assert int(np.argmax(softmax(values))) == int(np.argmax(values))
+        assert int(np.argmax(softmax_of(values))) == int(np.argmax(values))
 
 
 class TestCosine:
@@ -151,50 +162,50 @@ class TestOpGradients:
         gen = SeededRng(1).generator()
         a = Tensor(gen.normal(size=(3, 4)))
         b = Tensor(gen.normal(size=(4,)) + 2.0)
-        self.check(lambda: ((a * b + a / b - b) ** 2).sum(), {"a": a, "b": b})
+        self.check(lambda: power(a * b + div(a, b) + -b, 2).sum(), {"a": a, "b": b})
 
     def test_matmul_2d(self):
         gen = SeededRng(2).generator()
         a = Tensor(gen.normal(size=(3, 4)))
         b = Tensor(gen.normal(size=(4, 2)))
-        self.check(lambda: ((a @ b) ** 2).mean(), {"a": a, "b": b})
+        self.check(lambda: power(a @ b, 2).mean(), {"a": a, "b": b})
 
     def test_matmul_batched(self):
         gen = SeededRng(3).generator()
         a = Tensor(gen.normal(size=(2, 3, 4)))
         b = Tensor(gen.normal(size=(2, 4, 3)))
-        self.check(lambda: ((a @ b) ** 2).sum(), {"a": a, "b": b})
+        self.check(lambda: power(a @ b, 2).sum(), {"a": a, "b": b})
 
     def test_softmax_log_exp(self):
         gen = SeededRng(4).generator()
         x = Tensor(gen.normal(size=(3, 5)))
-        self.check(lambda: (softmax_t(x) ** 2).sum(), {"x": x})
+        self.check(lambda: power(softmax(x), 2).sum(), {"x": x})
         self.check(lambda: (log_softmax(x) * 0.1).sum(), {"x": x})
         y = Tensor(gen.normal(size=(4,)) + 3.0)
-        self.check(lambda: (y.log() + y.exp() * 0.01).sum(), {"y": y})
+        self.check(lambda: y.log().sum(), {"y": y})
 
     def test_silu_pow_mean(self):
         gen = SeededRng(5).generator()
         x = Tensor(gen.normal(size=(6,)))
         g = Tensor(gen.normal(size=(6,)) + 2.0)
-        self.check(lambda: (silu(x) * (g**-0.5)).mean(), {"x": x, "g": g})
+        self.check(lambda: (silu(x) * power(g, -0.5)).mean(), {"x": x, "g": g})
 
     def test_reshape_transpose_sum_axis(self):
         gen = SeededRng(6).generator()
         x = Tensor(gen.normal(size=(2, 3, 4)))
         self.check(
-            lambda: (x.transpose((1, 0, 2)).reshape((3, 8)).sum(axis=1, keepdims=True) ** 2).sum(),
-            {"x": x},
+            lambda: power(row_sum(transpose(x, (1, 0, 2)).reshape((3, 8))), 2).sum(), {"x": x}
         )
+        self.check(lambda: power(x.sum(axis=1), 2).sum(), {"x": x})
 
     def test_gather_scatter(self):
         gen = SeededRng(7).generator()
         x = Tensor(gen.normal(size=(5, 3)))
         idx = np.array([[0, 2], [1, 1], [2, 0], [0, 1], [2, 2]])
         rows = np.arange(5)[:, None]  # broadcasts against the (5, 2) columns
-        self.check(lambda: (take_pairs(x, rows, idx) ** 2).sum(), {"x": x})
+        self.check(lambda: power(take_pairs(x, rows, idx), 2).sum(), {"x": x})
         self.check(
-            lambda: (take_pairs(x, np.array([0, 1, 4]), np.array([2, 0, 1])) ** 2).sum(),
+            lambda: power(take_pairs(x, np.array([0, 1, 4]), np.array([2, 0, 1])), 2).sum(),
             {"x": x},
         )
 
@@ -202,10 +213,10 @@ class TestOpGradients:
         gen = SeededRng(9).generator()
         cols = [Tensor(gen.normal(size=(4,))) for _ in range(3)]
         params = {f"c{i}": c for i, c in enumerate(cols)}
-        self.check(lambda: (stack_columns(cols) ** 2).sum(), params)
+        self.check(lambda: power(stack_columns(cols), 2).sum(), params)
         w = Tensor(gen.normal(size=(5, 3)))
         ids = np.array([[0, 1], [4, 1]])
-        self.check(lambda: (embedding(w, ids) ** 2).sum(), {"w": w})
+        self.check(lambda: power(embedding(w, ids), 2).sum(), {"w": w})
 
 
 class TestSeededRng:
@@ -274,14 +285,8 @@ class TestTapeFastPaths:
             ]
         )
         assert _softmax(rows.copy()).tobytes() == plain_softmax(rows).tobytes()
-        # The tape op leaves its input alone; ``_softmax`` overwrites it.
-        t = Tensor(rows)
-        assert softmax_t(t).data.tobytes() == plain_softmax(rows).tobytes()
-        assert t.data.tobytes() == rows.tobytes()
 
-    @pytest.mark.parametrize(
-        "op", [lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b, lambda a, b: a @ b]
-    )
+    @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a @ b])
     def test_binary_ops_give_frozen_operands_no_gradient(self, op):
         gen = SeededRng(10).generator()
         for trainable in (0, 1):
@@ -344,7 +349,7 @@ class TestExpertMix:
         x, weights, indices, experts = mix_case()
         params = mix_params(x, weights, experts)
         TestOpGradients().check(
-            lambda: (expert_mix(x, weights, indices, experts, bypass) ** 2).sum(), params
+            lambda: power(expert_mix(x, weights, indices, experts, bypass), 2).sum(), params
         )
 
     @pytest.mark.parametrize("bypass", [None, BYPASS])
@@ -355,10 +360,10 @@ class TestExpertMix:
         reference = composed_mix(x, weights, indices, experts, bypass)
         assert rel_err(fused.data, reference.data) < 1e-12
         _, got = value_and_grad(
-            lambda: (expert_mix(x, weights, indices, experts, bypass) ** 2).sum(), params
+            lambda: power(expert_mix(x, weights, indices, experts, bypass), 2).sum(), params
         )
         _, want = value_and_grad(
-            lambda: (composed_mix(x, weights, indices, experts, bypass) ** 2).sum(), params
+            lambda: power(composed_mix(x, weights, indices, experts, bypass), 2).sum(), params
         )
         for name in params:
             assert rel_err(got[name], want[name]) < 1e-12, name
@@ -402,18 +407,18 @@ def composed_attention(x, wq, wk, wv, wo, mask, heads):
     flat = x.reshape((b * t, h))
 
     def split(w):
-        return (flat @ w).reshape((b, t, heads, dh)).transpose((0, 2, 1, 3))
+        return transpose((flat @ w).reshape((b, t, heads, dh)), (0, 2, 1, 3))
 
     q, k, v = split(wq), split(wk), split(wv)
-    att = softmax_t(q @ k.transpose((0, 1, 3, 2)) * (dh**-0.5) + Tensor(mask))
-    ctx = (att @ v).transpose((0, 2, 1, 3)).reshape((b * t, h))
+    att = softmax(q @ transpose(k, (0, 1, 3, 2)) * (dh**-0.5) + Tensor(mask))
+    ctx = transpose(att @ v, (0, 2, 1, 3)).reshape((b * t, h))
     return (ctx @ wo).reshape((b, t, h))
 
 
 def composed_rms_norm(x, gain, eps):
     """Reference: the tape composition that ``rms_norm`` fuses."""
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    return x * (ms + eps) ** -0.5 * gain
+    ms = row_sum(x * x) * (1.0 / x.shape[-1])
+    return x * power(ms + eps, -0.5) * gain
 
 
 EPS = 1e-6
@@ -501,3 +506,82 @@ class TestBlockOps:
             out = attention(Tensor(moved), *weights, mask, heads).data
             np.testing.assert_array_equal(out[:, : p + 1], base[:, : p + 1])
             assert (out[:, p + 1] != base[:, p + 1]).all()
+
+
+def composed_route(x, columns, top_k):
+    """Reference: the tape composition that ``route`` fuses."""
+    scores = softmax(x @ stack_columns(columns))
+    k = min(top_k, len(columns))
+    indices = np.argsort(-scores.data, axis=1, kind="stable")[:, :k]
+    selected = take_pairs(scores, np.arange(len(indices))[:, None], indices)
+    return scores, indices, div(selected, row_sum(selected))
+
+
+def route_case(rows=9, hidden=4, experts=5, seed=70):
+    """Router inputs, one column per expert, and loss coefficients for the
+    scores and for the (rows, experts) weights, of which a loss reads the
+    first k columns."""
+    gen = SeededRng(seed).generator()
+    x = Tensor(gen.normal(size=(rows, hidden)))
+    columns = [Tensor(gen.normal(size=hidden)) for _ in range(experts)]
+    return x, columns, gen.normal(size=(rows, experts)), gen.normal(size=(rows, experts))
+
+
+def route_loss(router, x, columns, top_k, cs, cw):
+    """A loss that reads both nodes, as the balance and prior-routing terms
+    read the scores and ``expert_mix`` reads the weights."""
+    scores, indices, weights = router(x, columns, top_k)
+    return (scores * cs).sum() + (weights * cw[:, : indices.shape[1]]).sum()
+
+
+def route_params(x, columns, frozen=()):
+    params = {"x": x}
+    params.update({f"router.{e}": c for e, c in enumerate(columns) if e not in frozen})
+    return params
+
+
+class TestRouteNode:
+    """``route`` against central differences and, bit for bit, against the
+    composition of softmax, gather and renormalisation it replaces."""
+
+    @pytest.mark.parametrize("top_k", [1, 2, 5])
+    def test_matches_central_differences_with_a_frozen_column(self, top_k):
+        x, columns, cs, cw = route_case()
+        params = route_params(x, columns, frozen=(3,))
+        TestOpGradients().check(lambda: route_loss(route, x, columns, top_k, cs, cw), params)
+        for p in params.values():
+            p.requires_grad = True
+        scores, _, weights = route(x, columns, top_k)
+        grads = scores._backward(np.ones(scores.shape))
+        assert [g is None for g in grads] == [False, False, False, False, True, False]
+        assert weights._parents == (scores,)
+
+    @pytest.mark.parametrize("trainable", ["x", "columns", "all"])
+    @pytest.mark.parametrize(
+        "rows, hidden, experts, top_k", [(9, 4, 5, 2), (7, 3, 3, 1), (6, 4, 3, 5), (40, 32, 9, 2)]
+    )
+    def test_bitwise_equal_to_tape_composition(self, rows, hidden, experts, top_k, trainable):
+        x, columns, cs, cw = route_case(rows, hidden, experts, seed=71)
+        columns[-1].data[:] = 0.0  # a new expert's zero column
+        got, want = route(x, columns, top_k), composed_route(x, columns, top_k)
+        assert got[0].data.tobytes() == want[0].data.tobytes()
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2].data.tobytes() == want[2].data.tobytes()
+        params = {"x": x} if trainable == "x" else route_params(x, columns)
+        if trainable == "columns":
+            del params["x"]
+        got = value_and_grad(lambda: route_loss(route, x, columns, top_k, cs, cw), params)
+        want = value_and_grad(lambda: route_loss(composed_route, x, columns, top_k, cs, cw), params)
+        assert got[0] == want[0]
+        for name in params:
+            assert got[1][name].tobytes() == want[1][name].tobytes(), name
+
+    def test_zero_router_ties_pick_lowest_ids(self):
+        gen = SeededRng(72).generator()
+        x = Tensor(gen.normal(size=(30, 8)))
+        columns = [Tensor(np.zeros(8)) for _ in range(9)]
+        scores, indices, weights = route(x, columns, 2)
+        np.testing.assert_array_equal(scores.data, np.full((30, 9), 1.0 / 9.0))
+        np.testing.assert_array_equal(indices, np.tile([0, 1], (30, 1)))
+        np.testing.assert_array_equal(weights.data, 0.5)
+        assert scores._parents == () and weights._parents == ()
