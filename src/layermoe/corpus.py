@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -112,7 +113,15 @@ def required_vocab(specs: Iterable[SyntheticLanguageSpec]) -> int:
 
 
 class LanguageSampler:
-    """Seeded Markov sampler over one language's support."""
+    """Seeded Markov sampler over one language's support.
+
+    Draw-order contract: one uniform per token after BOS, sequence-major. A
+    token is the first support index whose cumulative probability exceeds
+    its draw: ``searchsorted(row, u, side="right")``, the count of entries
+    ``<= u``. A ``(count, length - 1)`` block of ``random`` fills in C order
+    from the same stream as that many scalar draws, so by this contract the
+    batched walk over a language's sequences equals the token-by-token one.
+    """
 
     def __init__(self, spec: SyntheticLanguageSpec, seed: int):
         self.spec = spec
@@ -122,22 +131,20 @@ class LanguageSampler:
         alpha = np.full(size, TRANSITION_CONCENTRATION)
         self.transitions = rng.dirichlet(alpha, size=size)
         self.initial = rng.dirichlet(alpha)
-        self._cum_rows = np.cumsum(self.transitions, axis=1)
-        self._cum_init = np.cumsum(self.initial)
+        # Cumulative transition rows, then the initial distribution as row -1.
+        self._cum = np.cumsum(np.vstack([self.transitions, self.initial]), axis=1)
         self._gen = SeededRng(derive_seed(seed, "sample", spec.language)).generator()
 
-    def sequence(self, length: int) -> np.ndarray:
-        """One sequence of ``length >= 2`` tokens: BOS followed by a chain."""
-        out = np.empty(length, dtype=np.int64)
-        out[0] = BOS_ID
+    def sequences(self, count: int, length: int) -> np.ndarray:
+        """``count`` sequences of ``length >= 2`` tokens, BOS then a chain."""
+        u = self._gen.random((count, length - 1))
         top = len(self.support) - 1
-        u = self._gen.random()
-        state = min(int(np.searchsorted(self._cum_init, u, side="right")), top)
-        out[1] = self.support[state]
-        for pos in range(2, length):
-            u = self._gen.random()
-            state = min(int(np.searchsorted(self._cum_rows[state], u, side="right")), top)
-            out[pos] = self.support[state]
+        out = np.empty((count, length), dtype=np.int64)
+        out[:, 0] = BOS_ID
+        state = np.full(count, -1)
+        for pos in range(1, length):
+            state = np.minimum((self._cum[state] <= u[:, pos - 1 : pos]).sum(axis=1), top)
+            out[:, pos] = self.support[state]
         return out
 
 
@@ -162,6 +169,10 @@ class TaggedCorpus:
             raise InvalidInputError("every sequence needs a language and group tag")
         if seq.size and seq.min() < 0:
             raise InvalidInputError("negative token id")
+        tags = sorted(set(zip(self.languages, self.groups)))
+        for (lang, group), (other, second) in zip(tags, tags[1:]):
+            if lang == other:
+                raise InvalidInputError(f"language {lang!r} is tagged {group!r} and {second!r}")
         seq.setflags(write=False)
         object.__setattr__(self, "sequences", seq)
 
@@ -169,8 +180,7 @@ class TaggedCorpus:
         return len(self.sequences)
 
     def language_set(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(self.languages)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.languages))
 
     def group_of(self) -> dict[str, str]:
         return {lang: grp for lang, grp in zip(self.languages, self.groups)}
@@ -185,12 +195,10 @@ class TaggedCorpus:
 
     def subset_groups(self, groups: Iterable[str]) -> "TaggedCorpus":
         keep = set(groups)
-        idx = [i for i, g in enumerate(self.groups) if g in keep]
-        return self.take(idx)
+        return self.take([i for i, g in enumerate(self.groups) if g in keep])
 
     def subset_language(self, language: str) -> "TaggedCorpus":
-        idx = [i for i, l in enumerate(self.languages) if l == language]
-        return self.take(idx)
+        return self.take([i for i, l in enumerate(self.languages) if l == language])
 
     def take(self, indices: Sequence[int]) -> "TaggedCorpus":
         idx = list(indices)
@@ -256,15 +264,13 @@ def generate(
         raise InvalidInputError("sequence length must be >= 2")
     if tokens_per_language < sequence_length:
         raise InvalidInputError("tokens_per_language must be >= sequence_length")
-    per_language = math.ceil(tokens_per_language / sequence_length)
-    sequences, languages, groups = [], [], []
-    for spec in specs:
-        sampler = LanguageSampler(spec, derive_seed(seed, "language", spec.language))
-        for _ in range(per_language):
-            sequences.append(sampler.sequence(sequence_length))
-            languages.append(spec.language)
-            groups.append(spec.group)
-    return TaggedCorpus(np.stack(sequences), tuple(languages), tuple(groups))
+    n = math.ceil(tokens_per_language / sequence_length)
+    samplers = [LanguageSampler(s, derive_seed(seed, "language", s.language)) for s in specs]
+    return TaggedCorpus(
+        np.concatenate([sampler.sequences(n, sequence_length) for sampler in samplers]),
+        tuple(s.language for s in specs for _ in range(n)),
+        tuple(s.group for s in specs for _ in range(n)),
+    )
 
 
 def review_mixture(
@@ -284,25 +290,16 @@ def review_mixture(
     if set(old.language_set()) & set(new.language_set()):
         raise InvalidInputError("old and new corpora share a language")
 
-    def per_language_counts(corpus: TaggedCorpus) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for lang in corpus.languages:
-            counts[lang] = counts.get(lang, 0) + 1
-        return counts
-
-    unit = math.inf
-    if ratio_old > 0:
-        unit = min(unit, min(per_language_counts(old).values()) // ratio_old)
-    if ratio_new > 0:
-        unit = min(unit, min(per_language_counts(new).values()) // ratio_new)
+    unit = min(
+        min(Counter(corpus.languages).values()) // ratio
+        for corpus, ratio in ((old, ratio_old), (new, ratio_new))
+        if ratio > 0
+    )
     if unit < 1:
         raise InvalidInputError("not enough sequences to honour the requested ratio")
-    unit = int(unit)
 
     picked: list[tuple[TaggedCorpus, int]] = []
     for corpus, take in ((old, ratio_old * unit), (new, ratio_new * unit)):
-        if take == 0:
-            continue
         for lang in corpus.language_set():
             pool = [i for i, l in enumerate(corpus.languages) if l == lang]
             gen = SeededRng(derive_seed(seed, "review-pick", lang)).generator()

@@ -84,7 +84,10 @@ class TrainingRecipe:
             raise ConfigurationError(f"unknown stage {self.stage!r}")
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigurationError("steps must be >= 0 and batch_size >= 1")
-        if min(self.balance_weight, self.lpr_weight, self.cls_weight) < 0:
+        weights = (self.balance_weight, self.lpr_weight, self.cls_weight)
+        if not all(map(math.isfinite, (self.learning_rate, self.momentum, *weights))):
+            raise ConfigurationError("learning rate, momentum and loss weights must be finite")
+        if min(weights) < 0:
             raise ConfigurationError("loss weights must be non-negative")
         if self.cls_mode not in ("standard_ce", "literal_paper"):
             raise ConfigurationError(f"unknown cls_mode {self.cls_mode!r}")

@@ -1,17 +1,20 @@
 """Reference implementations the tests compare the package against: tape
 gradients against central finite differences, the fast elementwise kernels
 against their plain numpy forms, the fused tape nodes against compositions
-of small tape ops, and the profiler's centroid fast path against the
-quadratic pair loop over exact cosines."""
+of small tape ops, the profiler's centroid fast path against the
+quadratic pair loop over exact cosines, and the batched corpus sampler
+against a walk that draws one token at a time."""
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+import math
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from layermoe.corpus import BOS_ID, LanguageSampler, SyntheticLanguageSpec
 from layermoe.errors import DegenerateVectorError, InvalidInputError, NumericalFailureError
-from layermoe.numerics import Tensor, as_tensor
+from layermoe.numerics import Tensor, as_tensor, derive_seed
 from layermoe.numerics.autodiff import _node, _softmax, _softmax_grad, _unbroadcast
 from layermoe.profiler import CandidateSet, _check_comparable
 
@@ -172,3 +175,40 @@ def pair_similarity_exhaustive(a: CandidateSet, b: CandidateSet) -> float:
         for v in b.vectors.astype(np.float64):
             total += cosine(u, v)
     return total / (len(a.vectors) * len(b.vectors))
+
+
+def sample_sequence(sampler: LanguageSampler, length: int) -> np.ndarray:
+    """One sequence from ``sampler``'s stream, one token at a time: a scalar
+    ``random()`` and a scalar ``searchsorted`` per token after BOS."""
+    cum_rows = np.cumsum(sampler.transitions, axis=1)
+    cum_init = np.cumsum(sampler.initial)
+    top = len(sampler.support) - 1
+    out = np.empty(length, dtype=np.int64)
+    out[0] = BOS_ID
+    u = sampler._gen.random()
+    state = min(int(np.searchsorted(cum_init, u, side="right")), top)
+    out[1] = sampler.support[state]
+    for pos in range(2, length):
+        u = sampler._gen.random()
+        state = min(int(np.searchsorted(cum_rows[state], u, side="right")), top)
+        out[pos] = sampler.support[state]
+    return out
+
+
+def generate_reference(
+    specs: Sequence[SyntheticLanguageSpec],
+    tokens_per_language: int,
+    sequence_length: int,
+    seed: int,
+) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
+    """``corpus.generate``'s sequences, language tags and group tags, drawn
+    one sequence at a time with :func:`sample_sequence`."""
+    per_language = math.ceil(tokens_per_language / sequence_length)
+    sequences, languages, groups = [], [], []
+    for spec in specs:
+        sampler = LanguageSampler(spec, derive_seed(seed, "language", spec.language))
+        for _ in range(per_language):
+            sequences.append(sample_sequence(sampler, sequence_length))
+            languages.append(spec.language)
+            groups.append(spec.group)
+    return np.stack(sequences), tuple(languages), tuple(groups)

@@ -294,6 +294,37 @@ def test_train_base_rejects_negative_steps(tmp_path, capsys):
     assert not (tmp_path / "m.lmoe").exists()
 
 
+@pytest.mark.parametrize("option", ["--learning-rate", "--momentum"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_base_rejects_a_rate_that_is_not_finite(tmp_path, capsys, option, value):
+    """A NaN rate used to train one step and save a checkpoint full of NaN."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"lang": "a", "group": "g0", "tokens": [0, 3, 4]}\n')
+    argv = ["train-base", "--config", write_json(tmp_path / "model.json", TINY_MODEL)]
+    argv += ["--corpus", str(corpus), "--group", "g0", "--steps", "1", option, value]
+    record = run_failing(argv + ["--out", str(tmp_path / "m.lmoe")], capsys)
+    assert record["error"] == "ConfigurationError"
+    assert "must be finite" in record["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "model.json"]
+
+
+@pytest.mark.parametrize(
+    "pair", ["base.learning_rate=NaN", "expansions.0.stage2.cls_weight=Infinity"]
+)
+def test_run_pipeline_rejects_a_rate_that_is_not_finite(tmp_path, capsys, pair):
+    """``--set`` values are JSON as Python reads it, which has NaN and
+    Infinity; the config schema turns both away before anything is written."""
+    config = pipeline_config()
+    config["base"]["learning_rate"] = 0.01
+    config["expansions"][0]["stage2"] = {"steps": 1, "batch_size": 2, "cls_weight": 0.1}
+    argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
+    out = tmp_path / "out"
+    record = run_failing(argv + ["--out-dir", str(out), "--set", pair], capsys)
+    assert record["error"] == "FormatError"
+    assert f"wrong type at {pair.split('=')[0]}" in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "manifest, detail",
     [
@@ -391,6 +422,23 @@ def test_corpus_of_one_token_sequences_is_rejected(tmp_path, capsys, command):
     record = run_failing(argv + ["--corpus", str(corpus), "--out", str(tmp_path / "out")], capsys)
     assert record["error"] == "InvalidInputError"
     assert "at least two tokens" in record["message"]
+
+
+def test_eval_rejects_a_language_tagged_with_two_groups(tmp_path, capsys):
+    """``group_of`` kept the last tag, so g0's language went missing from
+    ``languages_in(["g0"])`` while its record still counted as old."""
+    model = tmp_path / "dense.lmoe"
+    save_model(DenseModel.create(ModelConfig(**TINY_MODEL), groups=("g0",)), model)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"lang": "a", "group": "g0", "tokens": [0, 3, 4]}\n'
+        '{"lang": "a", "group": "g1", "tokens": [0, 5, 6]}\n'
+    )
+    argv = ["eval", "--model", str(model), "--corpus", str(corpus), "--old-groups", "g0"]
+    record = run_failing(argv + ["--out", str(tmp_path / "metrics.json")], capsys)
+    assert record["error"] == "InvalidInputError"
+    assert "language 'a' is tagged 'g0' and 'g1'" in record["message"]
+    assert not (tmp_path / "metrics.json").exists()
 
 
 def test_profile_names_a_group_missing_from_the_corpus(tmp_path, capsys):

@@ -15,6 +15,7 @@ from layermoe.corpus import (
     review_mixture,
 )
 from layermoe.errors import InvalidInputError
+from oracles import generate_reference, sample_sequence
 
 
 def two_specs(overlap, block_size=40):
@@ -25,7 +26,7 @@ def two_specs(overlap, block_size=40):
 
 def sampled_token_set(spec, n_tokens, seed=0):
     sampler = LanguageSampler(spec, seed)
-    seq = sampler.sequence(n_tokens)
+    seq = sampler.sequences(1, n_tokens)[0]
     return set(int(t) for t in seq if t >= NUM_SPECIALS)
 
 
@@ -60,8 +61,8 @@ class TestMakeLanguage:
 
     def test_sampler_deterministic(self):
         spec = two_specs(0.0)[0]
-        s1 = LanguageSampler(spec, 9).sequence(64)
-        s2 = LanguageSampler(spec, 9).sequence(64)
+        s1 = LanguageSampler(spec, 9).sequences(1, 64)[0]
+        s2 = LanguageSampler(spec, 9).sequences(1, 64)[0]
         np.testing.assert_array_equal(s1, s2)
         assert s1[0] == BOS_ID
 
@@ -92,6 +93,80 @@ class TestGenerate:
     def test_required_vocab(self):
         specs = language_specs({"g0": ["a", "b"]}, block_size=10, shared_size=6, seed=0)
         assert required_vocab(specs) == NUM_SPECIALS + 6 + 2 * 10
+
+
+LAYOUTS = {
+    "three-languages": ({"g0": ["a", "b"], "g1": ["c"]}, 12),
+    "one-language": ({"g0": ["solo"]}, 48),
+    "one-token-supports": ({"g0": ["x"], "g1": ["y"]}, 1),
+}
+
+
+class TestSamplerMatchesPerTokenReference:
+    """The batched sampler against the one-token-at-a-time walk it replaced:
+    the same draws in the same order give the same bytes."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("overlap", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("length", [2, 3, 16, 50])
+    @pytest.mark.parametrize("seed", [0, 13, 2024])
+    def test_generate_equals_the_reference(self, layout, overlap, length, seed):
+        groups, block_size = LAYOUTS[layout]
+        specs = language_specs(groups, block_size=block_size, overlap=overlap, seed=seed)
+        corpus = generate(specs, 300, length, seed)
+        sequences, languages, tags = generate_reference(specs, 300, length, seed)
+        assert corpus.sequences.dtype == sequences.dtype
+        assert corpus.sequences.shape == sequences.shape
+        assert corpus.sequences.tobytes() == sequences.tobytes()
+        assert corpus.languages == languages
+        assert corpus.groups == tags
+
+    @pytest.mark.parametrize("length", [2, 3, 64])
+    def test_one_sequence_equals_the_reference(self, length):
+        spec = two_specs(0.3)[1]
+        batched = LanguageSampler(spec, 9).sequences(1, length)[0]
+        reference = sample_sequence(LanguageSampler(spec, 9), length)
+        assert batched.tobytes() == reference.tobytes()
+
+    def test_successive_calls_continue_the_stream(self):
+        spec = two_specs(0.0)[0]
+        sampler, reference = LanguageSampler(spec, 4), LanguageSampler(spec, 4)
+        batched = np.concatenate([sampler.sequences(2, 7), sampler.sequences(3, 7)])
+        expected = np.stack([sample_sequence(reference, 7) for _ in range(5)])
+        assert batched.tobytes() == expected.tobytes()
+
+
+    def test_draws_on_a_cumulative_entry_pick_as_the_reference(self):
+        """Draws equal to a cumulative entry (``<`` instead of ``<=``) or to
+        the last one (the clamp to the top index) never come from the real
+        stream, so both samplers replay the same hand-picked draws."""
+        spec = two_specs(0.3, block_size=6)[0]
+        rows = np.cumsum(LanguageSampler(spec, 0).transitions, axis=1)
+        first = np.cumsum(LanguageSampler(spec, 0).initial)
+        picks = np.random.default_rng(5).integers(0, 6, size=(3, 9))
+        draws = []
+        for seq in picks:
+            row = first
+            for j in seq:
+                draws.append(row[j])
+                state = min(int(np.searchsorted(row, row[j], side="right")), 5)
+                row = rows[state]
+        batched, reference = LanguageSampler(spec, 0), LanguageSampler(spec, 0)
+        batched._gen, reference._gen = ReplayedDraws(draws), ReplayedDraws(draws)
+        expected = np.stack([sample_sequence(reference, 10) for _ in range(3)])
+        assert batched.sequences(3, 10).tobytes() == expected.tobytes()
+
+
+class ReplayedDraws:
+    """Stands in for a sampler's generator and hands out fixed uniforms."""
+
+    def __init__(self, draws):
+        self.draws, self.used = np.asarray(draws, dtype=np.float64), 0
+
+    def random(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        out, self.used = self.draws[self.used : self.used + n], self.used + n
+        return out[0] if size is None else out.reshape(size)
 
 
 @pytest.fixture()
@@ -162,6 +237,11 @@ class TestTaggedCorpus:
         group_of = corpus.group_of()
         for lang, group in zip(corpus.languages, corpus.groups):
             assert group_of[lang] == group
+
+    def test_language_tagged_with_two_groups_is_rejected(self):
+        tags = ("a", "b", "a"), ("g0", "g1", "g2")
+        with pytest.raises(InvalidInputError, match=r"language 'a' is tagged 'g0' and 'g2'"):
+            TaggedCorpus(np.zeros((3, 3), dtype=np.int64), *tags)
 
     def test_languages_in_keeps_first_appearance_order(self):
         tags = ("c", "a", "c", "b", "d"), ("g1", "g0", "g1", "g0", "g2")
