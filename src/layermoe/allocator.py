@@ -10,8 +10,6 @@ pre- and post-reconciliation vectors are kept.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, FormatError, UnsupportedSimilarityError
-from .schema import Int, List, by_index, check, load_json, problems
+from .schema import Int, List, by_index, check, load_json, problems, save_csv, save_json
 
 __all__ = [
     "AllocationPlan",
@@ -101,20 +99,13 @@ def validate(plan: AllocationPlan, layer_count: int) -> list[str]:
         )
     if any(c < 1 for c in plan.new_experts):
         problems.append("a layer has fewer than one new expert")
-    if len(plan.similarities) == plan.layer_count and len(plan.pre_reconciliation) == plan.layer_count:
-        for i in range(plan.layer_count):
-            for j in range(plan.layer_count):
-                if (
-                    plan.similarities[i] <= plan.similarities[j]
-                    and plan.pre_reconciliation[i] < plan.pre_reconciliation[j]
-                ):
-                    problems.append(
-                        f"pre-reconciliation counts not anti-monotone at layers {i},{j}"
-                    )
-                    break
-            else:
-                continue
-            break
+    sims, pre, n = plan.similarities, plan.pre_reconciliation, plan.layer_count
+    if len(sims) == n and len(pre) == n:
+        pairs = (f"{i},{j}" for i in range(n) for j in range(n)
+                 if sims[i] <= sims[j] and pre[i] < pre[j])
+        first = next(pairs, None)
+        if first:
+            problems.append(f"pre-reconciliation counts not anti-monotone at layers {first}")
     return problems
 
 
@@ -135,12 +126,12 @@ def save_plan(plan: AllocationPlan, path: str | Path) -> None:
         "classifier_layers": list(plan.classifier_layers),
         "mode": plan.meta,
     }
-    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with open(Path(path).with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "similarity", "new_experts"])
-        for i in range(plan.layer_count):
-            writer.writerow([i, repr(plan.similarities[i]), plan.new_experts[i]])
+    save_json(path, record)
+    save_csv(
+        Path(path).with_suffix(".csv"),
+        ["layer", "similarity", "new_experts"],
+        ([i, repr(plan.similarities[i]), plan.new_experts[i]] for i in range(plan.layer_count)),
+    )
 
 
 _LAYER = {"index": int, "similarity": lambda v: not problems(v, float) and v > 0,

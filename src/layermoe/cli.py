@@ -34,7 +34,7 @@ from .errors import ConfigurationError, FormatError, InvalidInputError, LayerMoE
 from .model import DenseModel, ModelConfig, MoEModel, load_model, save_model
 from .numerics import derive_seed
 from .profiler import load_profile, profile_similarity, save_profile
-from .schema import Int, List, Map, check, load_json, problems
+from .schema import Int, List, Map, check, load_json, problems, save_json
 from .trainer import (
     TrainingRecipe,
     evaluate,
@@ -63,7 +63,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(command: str, args: dict, outputs: dict[str, Path]) -> Path:
+def _write_manifest(command: str, args: dict, outputs: dict[str, Path]) -> None:
     primary = next(iter(outputs.values()))
     manifest = {
         "command": command,
@@ -73,9 +73,7 @@ def _write_manifest(command: str, args: dict, outputs: dict[str, Path]) -> Path:
             name: {"path": str(path), "sha256": _sha256(path)} for name, path in outputs.items()
         },
     }
-    path = Path(str(primary) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    save_json(f"{primary}.manifest.json", manifest)
 
 
 # A language layout, as in gen-corpus --spec and a pipeline's "languages".
@@ -360,7 +358,7 @@ def _cmd_run_pipeline(args) -> dict[str, Path]:
     config = _resolve_pipeline_config(args)
     outputs = run_pipeline(config, Path(args.out_dir))
     resolved = Path(args.out_dir) / "pipeline.config.json"
-    resolved.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    save_json(resolved, config)
     return {"config": resolved, **outputs}
 
 

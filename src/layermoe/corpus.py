@@ -88,24 +88,24 @@ def language_specs(
         raise InvalidInputError("block_size must be >= 1")
     shared_size = block_size if shared_size is None else shared_size
     shared = (NUM_SPECIALS, NUM_SPECIALS + shared_size)
-    specs = []
+    specs: dict[str, SyntheticLanguageSpec] = {}
     cursor = shared[1]
     for group, languages in groups.items():
         for language in languages:
-            specs.append(
-                SyntheticLanguageSpec(
-                    language=language,
-                    group=group,
-                    block=(cursor, cursor + block_size),
-                    shared_block=shared,
-                    overlap=overlap,
-                    transition_seed=derive_seed(seed, "transition", language),
-                )
+            if language in specs:
+                raise InvalidInputError(f"language {language!r} is listed twice")
+            specs[language] = SyntheticLanguageSpec(
+                language=language,
+                group=group,
+                block=(cursor, cursor + block_size),
+                shared_block=shared,
+                overlap=overlap,
+                transition_seed=derive_seed(seed, "transition", language),
             )
             cursor += block_size
     if not specs:
         raise InvalidInputError("the language groups name no language")
-    return specs
+    return list(specs.values())
 
 
 def required_vocab(specs: Iterable[SyntheticLanguageSpec]) -> int:

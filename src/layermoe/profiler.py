@@ -1,10 +1,13 @@
 """Hidden-state similarity profiling across layers.
 
 The router of every layer sees the normalised post-attention state; this
-module samples those states per language (a candidate set), measures mean
-pairwise cosine similarity between languages per layer, folds the pair
+module samples those states per language (its candidates: one
+``(layers, q, hidden)`` float32 array of ``q`` sampled positions), measures
+mean pairwise cosine similarity between languages per layer, folds the pair
 matrix into one indicated-similarity value per layer, and picks the layers
-that get a routing classifier.
+that get a routing classifier. Profile values are defined on the
+float32-rounded taps, upcast to float64 for the arithmetic: keeping more
+precision would change the bytes of every saved profile.
 
 Mean pairwise cosine over two sets factorises: it equals the dot product of
 the two sets' mean unit-normalised vectors. That algebraic fast path is the
@@ -13,9 +16,8 @@ production implementation; the quadratic double loop is the tests' oracle.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
+from itertools import permutations
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,44 +32,15 @@ from .errors import (
 )
 from .model import Model, forward
 from .numerics import SeededRng, derive_seed
-from .schema import List, Map, by_index, check, load_json, problems
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Sampled router-input vectors for one language at one layer.
-
-    Vectors are rounded to float32 and similarity arithmetic upcasts them
-    to float64. Profile values are defined on these float32-rounded taps:
-    keeping more precision would change the bytes of every saved profile.
-    """
-
-    language: str
-    layer: int
-    vectors: np.ndarray  # (Q, hidden) float32
-
-    def __post_init__(self):
-        vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
-        if vectors.ndim != 2 or vectors.shape[0] < 1:
-            raise InvalidInputError("candidate set needs a (Q, hidden) array with Q >= 1")
-        if not np.isfinite(vectors).all():
-            raise InvalidInputError("candidate vectors must be finite")
-        norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
-        if (norms == 0.0).any():
-            raise DegenerateVectorError("candidate set contains a zero-norm vector")
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
-
-    @property
-    def width(self) -> int:
-        return self.vectors.shape[1]
+from .schema import List, Map, by_index, check, load_json, problems, save_csv, save_json
 
 
 def collect_candidates(
     model: Model, corpus: TaggedCorpus, language: str, q: int, seed: int
-) -> list[CandidateSet]:
+) -> np.ndarray:
     """Uniformly sample ``q`` token positions of one language (BOS and padding
-    excluded) and return their router inputs at every layer."""
+    excluded) and return their router inputs at every layer, a
+    ``(layers, q, hidden)`` float32 array of finite, nonzero rows."""
     if q < 2:
         raise InvalidInputError("q must be >= 2")
     part = corpus.subset_language(language)
@@ -92,29 +65,21 @@ def collect_candidates(
     taps = np.concatenate(taps_rows, axis=1)  # (layers, seqs, length, hidden)
 
     rows, cols = np.searchsorted(needed, chosen[:, 0]), chosen[:, 1]
-    return [
-        CandidateSet(language, layer, tap[rows, cols].astype(np.float32))
-        for layer, tap in enumerate(taps)
-    ]
+    vectors = taps[:, rows, cols].astype(np.float32)
+    if not np.isfinite(vectors).all():
+        raise InvalidInputError("candidate vectors must be finite")
+    if (np.linalg.norm(vectors.astype(np.float64), axis=-1) == 0.0).any():
+        raise DegenerateVectorError("candidate set contains a zero-norm vector")
+    return vectors
 
 
-def _check_comparable(a: CandidateSet, b: CandidateSet) -> None:
-    if a.layer != b.layer:
-        raise InvalidInputError(f"layer mismatch: {a.layer} vs {b.layer}")
-    if a.width != b.width:
-        raise InvalidInputError(f"width mismatch: {a.width} vs {b.width}")
+def pair_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean cosine over all ordered row pairs of two ``(q, hidden)``
+    candidate arrays of one layer, via the centroid identity."""
 
-
-def pair_similarity(a: CandidateSet, b: CandidateSet) -> float:
-    """Mean cosine over all ordered vector pairs, via the centroid identity."""
-    _check_comparable(a, b)
-
-    def centroid(s: CandidateSet) -> np.ndarray:
-        rows = s.vectors.astype(np.float64)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        if (norms == 0.0).any():
-            raise DegenerateVectorError("zero-norm vector in candidate set")
-        return (rows / norms).mean(axis=0)
+    def centroid(vectors: np.ndarray) -> np.ndarray:
+        rows = vectors.astype(np.float64)
+        return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).mean(axis=0)
 
     return float(np.clip(np.dot(centroid(a), centroid(b)), -1.0, 1.0))
 
@@ -157,8 +122,6 @@ def indicated_similarity(
     published denominator. With a single new language the new_new term is
     undefined and the indicated similarity is new_old alone.
     """
-    old_languages = tuple(old_languages)
-    new_languages = tuple(new_languages)
     if not new_languages:
         raise InvalidInputError("no new languages to profile")
     if not old_languages:
@@ -175,16 +138,9 @@ def indicated_similarity(
     )
     if len(new_languages) < 2:
         return new_old, None, new_old.copy()
-    total = None
-    for j, a in enumerate(new_languages):
-        for k, b in enumerate(new_languages):
-            if j == k:
-                continue
-            term = lookup(a, b)
-            total = term if total is None else total + term
-    ordered_pairs = len(new_languages) * (len(new_languages) - 1)
-    denominator = 2 * ordered_pairs if literal_new_new else ordered_pairs
-    new_new = total / denominator
+    pairs = [lookup(a, b) for a, b in permutations(new_languages, 2)]
+    denominator = 2 * len(pairs) if literal_new_new else len(pairs)
+    new_new = sum(pairs[1:], pairs[0]) / denominator
     return new_old, new_new, (new_old + new_new) / 2.0
 
 
@@ -198,29 +154,19 @@ def profile_similarity(
     seed: int = 0,
     literal_new_new: bool = False,
 ) -> SimilarityProfile:
-    """Collect candidate sets on ``model`` and compute the per-layer profile."""
+    """Collect candidates on ``model`` and compute the per-layer profile."""
     old_languages = tuple(old_languages)
     new_languages = tuple(new_languages)
     if set(old_languages) & set(new_languages):
         raise InvalidInputError("a language cannot be both old and new")
+    languages = old_languages + new_languages
     candidates = {
-        lang: collect_candidates(model, corpus, lang, q, seed)
-        for lang in dict.fromkeys(old_languages + new_languages)
+        lang: collect_candidates(model, corpus, lang, q, seed) for lang in dict.fromkeys(languages)
     }
-    layers = len(next(iter(candidates.values())))
-
-    wanted: set[tuple[str, str]] = set()
-    for n in new_languages:
-        for o in old_languages:
-            wanted.add(_pair_key(n, o))
-        for n2 in new_languages:
-            if n2 != n:
-                wanted.add(_pair_key(n, n2))
+    wanted = {_pair_key(n, b) for n in new_languages for b in languages if b != n}
     pair_sims = {
-        key: np.array(
-            [pair_similarity(candidates[key[0]][i], candidates[key[1]][i]) for i in range(layers)]
-        )
-        for key in sorted(wanted)
+        (a, b): np.array([pair_similarity(x, y) for x, y in zip(candidates[a], candidates[b])])
+        for a, b in sorted(wanted)
     }
     new_old, new_new, indicated = indicated_similarity(
         pair_sims, old_languages, new_languages, literal_new_new=literal_new_new
@@ -272,19 +218,11 @@ def save_profile(profile: SimilarityProfile, path: str | Path) -> None:
         "new_languages": list(profile.new_languages),
         "meta": profile.meta,
     }
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with open(path.with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "s_new_old", "s_new_new", "s"])
-        for i in range(profile.layer_count):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(profile.new_old[i])),
-                    "" if profile.new_new is None else repr(float(profile.new_new[i])),
-                    repr(float(profile.indicated[i])),
-                ]
-            )
+    save_json(path, record)
+    names = ["s_new_old", "s_new_new", "s"]
+    rows = [[row["index"], *("" if row[n] is None else repr(row[n]) for n in names)]
+            for row in record["layers"]]
+    save_csv(path.with_suffix(".csv"), ["layer", *names], rows)
 
 
 _LAYER = {"index": int, "s_new_old": float, "s": float,

@@ -1,4 +1,5 @@
-"""One declarative checker for the JSON artifacts the program reads.
+"""One declarative checker for the JSON artifacts the program reads, and the
+one format every JSON and CSV artifact is written in.
 
 A spec is a literal: ``int``, ``float`` (a finite int or float), ``str``, a
 set of strings (one of them), ``[item]`` (a list of ``item``), a tuple (a
@@ -10,11 +11,12 @@ spec); any other callable is a predicate. A bool is never an int or a number.
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from .errors import FormatError
 
@@ -135,3 +137,16 @@ def load_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
+
+
+def save_json(path: str | Path, value) -> None:
+    """Write ``value`` as JSON: indent 2, sorted keys, a final newline, UTF-8."""
+    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def save_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a header row and ``rows`` as UTF-8 CSV with ``\\r\\n`` line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

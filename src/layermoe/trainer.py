@@ -20,8 +20,6 @@ from the prior-routing and classifier losses.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -29,6 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import schema
 from .allocator import AllocationPlan, allocate
 from .corpus import TaggedCorpus, review_mixture
 from .errors import ConfigurationError, InvalidInputError, NumericalFailureError
@@ -354,21 +353,16 @@ class EvalMetrics:
         return asdict(self)
 
     def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        schema.save_json(path, self.to_dict())
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "key", "value"])
-            for lang in sorted(self.perplexity):
-                writer.writerow(["perplexity", lang, repr(self.perplexity[lang])])
-            for name in ("routing_old_fraction", "classifier_accuracy"):
-                values = getattr(self, name) or {}
-                writer.writerows([name, layer, repr(values[layer])] for layer in sorted(values))
-            for layer, counts in sorted((self.expert_utilization or {}).items()):
-                writer.writerow(["expert_utilization", layer, " ".join(map(str, counts))])
+        rows = [["perplexity", lang, repr(self.perplexity[lang])] for lang in sorted(self.perplexity)]
+        for name in ("routing_old_fraction", "classifier_accuracy"):
+            values = getattr(self, name) or {}
+            rows += [[name, layer, repr(values[layer])] for layer in sorted(values)]
+        for layer, counts in sorted((self.expert_utilization or {}).items()):
+            rows.append(["expert_utilization", layer, " ".join(map(str, counts))])
+        schema.save_csv(path, ["metric", "key", "value"], rows)
 
 
 def evaluate(
@@ -463,6 +457,14 @@ def default_classifier_count(lifelong: bool, layer_count: int) -> int:
     return min(base, layer_count)
 
 
+def _proficient(model: Model, new_group: str) -> tuple[str, ...]:
+    """The groups ``model`` knows, which must not include ``new_group``."""
+    proficient = model.proficient_groups if isinstance(model, MoEModel) else model.groups
+    if new_group in proficient:
+        raise InvalidInputError(f"group {new_group!r} is already proficient")
+    return proficient
+
+
 def expand(
     model: Model,
     plan,
@@ -476,6 +478,7 @@ def expand(
     upcycling a dense model (``init`` as in :func:`upcycle`) or extending an
     MoE one (new experts always copy expert 0), then train them on the
     group's sequences in ``corpus``."""
+    _proficient(model, group)
     if isinstance(model, MoEModel):
         expanded = extend_expansion(model, plan, group)
     else:
@@ -500,6 +503,10 @@ def review(
     classifier term is dropped. Then review the routers on ``review_ratio``
     (old, new) sequences per language of old and new groups. Returns the
     model, the profile (None without classifiers) and the losses."""
+    if not 0 <= classifier_count <= model.config.layers:
+        raise ConfigurationError(
+            f"classifier_count {classifier_count} outside 0..{model.config.layers}"
+        )
     new_group = model.expansion_history[-1].group
     profile = None
     layers: tuple[int, ...] = ()
@@ -539,9 +546,7 @@ def lifelong_expand(
     term of stage 2.
     """
     lifelong = isinstance(model, MoEModel)
-    proficient = model.proficient_groups if lifelong else model.groups
-    if new_group in proficient:
-        raise InvalidInputError(f"group {new_group!r} is already proficient")
+    proficient = _proficient(model, new_group)
     profile_before = profile_similarity(
         model,
         corpus,
@@ -568,10 +573,6 @@ def lifelong_expand(
 
 
 def save_reports_csv(reports: Sequence[LossReport], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "total", "ntp", "balance", "lpr", "cls"])
-        for r in reports:
-            writer.writerow(
-                [r.step, repr(r.total), repr(r.ntp), repr(r.balance), repr(r.lpr), repr(r.cls)]
-            )
+    header = ["step", "total", "ntp", "balance", "lpr", "cls"]
+    rows = ([r.step, *(repr(getattr(r, name)) for name in header[1:])] for r in reports)
+    schema.save_csv(path, header, rows)

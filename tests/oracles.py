@@ -16,7 +16,6 @@ from layermoe.corpus import BOS_ID, LanguageSampler, SyntheticLanguageSpec
 from layermoe.errors import DegenerateVectorError, InvalidInputError, NumericalFailureError
 from layermoe.numerics import Tensor, as_tensor, derive_seed
 from layermoe.numerics.autodiff import _node, _softmax, _softmax_grad, _unbroadcast
-from layermoe.profiler import CandidateSet, _check_comparable
 
 
 def value_and_grad(
@@ -167,14 +166,14 @@ def cosine(u, v) -> float:
     return float(np.clip(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0))
 
 
-def pair_similarity_exhaustive(a: CandidateSet, b: CandidateSet) -> float:
-    """Quadratic reference: average cosine over every pair, one at a time."""
-    _check_comparable(a, b)
+def pair_similarity_exhaustive(a: np.ndarray, b: np.ndarray) -> float:
+    """Quadratic reference: average cosine over every pair of rows of two
+    ``(q, hidden)`` arrays, one pair at a time."""
     total = 0.0
-    for u in a.vectors.astype(np.float64):
-        for v in b.vectors.astype(np.float64):
+    for u in np.asarray(a, dtype=np.float64):
+        for v in np.asarray(b, dtype=np.float64):
             total += cosine(u, v)
-    return total / (len(a.vectors) * len(b.vectors))
+    return total / (len(a) * len(b))
 
 
 def sample_sequence(sampler: LanguageSampler, length: int) -> np.ndarray:

@@ -106,6 +106,13 @@ class TestValidate:
         broken = replace(plan, pre_reconciliation=(1, 3), similarities=(0.4, 0.5))
         assert any("anti-monotone" in v for v in validate(broken, 2))
 
+    def test_reports_the_first_anti_monotone_pair_in_row_major_order(self):
+        # Violations (0, 2), (1, 0) and (1, 2); scanning j before i would give (1, 0).
+        plan = allocate([0.5, 0.4, 0.3], 6)
+        broken = replace(plan, similarities=(0.2, 0.1, 0.3), pre_reconciliation=(2, 1, 3))
+        found = [v for v in validate(broken, 3) if "anti-monotone" in v]
+        assert found == ["pre-reconciliation counts not anti-monotone at layers 0,2"]
+
     def test_detects_layer_count_mismatch(self):
         plan = allocate([0.5, 0.4], 5)
         assert any("layers" in v for v in validate(plan, 3))

@@ -453,6 +453,40 @@ def test_profile_names_a_group_missing_from_the_corpus(tmp_path, capsys):
     assert not (tmp_path / "profile.json").exists()
 
 
+def test_expand_rejects_a_group_the_base_already_knows(artifacts, tmp_path, capsys):
+    argv = ["expand", "--model", artifacts["base.lmoe"], "--plan", artifacts["plan.json"]]
+    argv += ["--corpus", artifacts["c.jsonl"], "--group", "g0", "--steps", "1"]
+    record = run_failing(argv + ["--out", str(tmp_path / "moe.lmoe")], capsys)
+    assert record == {"error": "InvalidInputError", "message": "group 'g0' is already proficient"}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("count", ["-1", "3"])
+def test_review_rejects_a_classifier_count_outside_the_layers(artifacts, tmp_path, capsys, count):
+    argv = ["review", "--model", artifacts["moe.lmoe"], "--corpus", artifacts["c.jsonl"]]
+    argv += ["--classifier-count", count, "--q", "8", "--steps", "1"]
+    record = run_failing(argv + ["--out", str(tmp_path / "rev.lmoe")], capsys)
+    message = f"classifier_count {count} outside 0..2"
+    assert record == {"error": "ConfigurationError", "message": message}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_corpus_rejects_a_language_listed_twice(tmp_path, capsys):
+    spec = {"groups": {"g0": ["a", "a"], "g1": ["b"]}, "block_size": 8}
+    argv = ["gen-corpus", "--spec", write_json(tmp_path / "spec.json", spec), "--tokens", "64"]
+    record = run_failing(argv + ["--seq-len", "8", "--out", str(tmp_path / "c.jsonl")], capsys)
+    assert record == {"error": "InvalidInputError", "message": "language 'a' is listed twice"}
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_run_pipeline_rejects_a_language_listed_twice(tmp_path, capsys):
+    config = pipeline_config(languages={"groups": {"g0": ["a"], "g1": ["b", "b"]}, "block_size": 8})
+    argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
+    record = run_failing(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert record == {"error": "InvalidInputError", "message": "language 'b' is listed twice"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_pipeline_records_environment_overrides_and_replays_without_them(
     tmp_path, capsys, monkeypatch
 ):

@@ -94,6 +94,11 @@ class TestGenerate:
         specs = language_specs({"g0": ["a", "b"]}, block_size=10, shared_size=6, seed=0)
         assert required_vocab(specs) == NUM_SPECIALS + 6 + 2 * 10
 
+    @pytest.mark.parametrize("groups", [{"g0": ["a", "a"], "g1": ["b"]}, {"g0": ["a"], "g1": ["b", "a"]}])
+    def test_language_listed_twice_is_rejected(self, groups):
+        with pytest.raises(InvalidInputError, match=r"^language 'a' is listed twice$"):
+            language_specs(groups, block_size=8)
+
 
 LAYOUTS = {
     "three-languages": ({"g0": ["a", "b"], "g1": ["c"]}, 12),

@@ -1,4 +1,4 @@
-"""Candidate sets, pairwise similarity (fast path vs brute force), indicated
+"""Candidate arrays, pairwise similarity (fast path vs brute force), indicated
 similarity, classifier-layer selection, and profile files."""
 
 import numpy as np
@@ -15,7 +15,6 @@ from layermoe.errors import (
 from layermoe.model import DenseModel, ModelConfig
 from layermoe.numerics import SeededRng
 from layermoe.profiler import (
-    CandidateSet,
     collect_candidates,
     indicated_similarity,
     load_profile,
@@ -27,8 +26,8 @@ from layermoe.profiler import (
 from oracles import pair_similarity_exhaustive
 
 
-def candidate(vectors, language="x", layer=0):
-    return CandidateSet(language, layer, np.asarray(vectors, dtype=np.float32))
+def candidate(vectors):
+    return np.asarray(vectors, dtype=np.float32)
 
 
 class TestPairSimilarity:
@@ -38,7 +37,7 @@ class TestPairSimilarity:
 
     def test_orthogonal_singletons(self):
         a = candidate([[1.0, 0.0]])
-        b = candidate([[0.0, 1.0]], language="y")
+        b = candidate([[0.0, 1.0]])
         assert pair_similarity(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_by_two_enumeration(self):
@@ -47,22 +46,12 @@ class TestPairSimilarity:
         assert pair_similarity(a, a) == pytest.approx(0.5, abs=1e-12)
         assert pair_similarity_exhaustive(a, a) == pytest.approx(0.5, abs=1e-12)
 
-    def test_layer_mismatch_rejected(self):
-        a = candidate([[1.0, 0.0]], layer=0)
-        b = candidate([[1.0, 0.0]], layer=1)
-        with pytest.raises(InvalidInputError):
-            pair_similarity(a, b)
-
-    def test_zero_vector_rejected_at_construction(self):
-        with pytest.raises(DegenerateVectorError):
-            candidate([[0.0, 0.0]])
-
     @given(st.integers(0, 2**32 - 1), st.integers(2, 24), st.integers(2, 16))
     @settings(max_examples=60, deadline=None)
     def test_fast_path_matches_brute_force(self, seed, q, width):
         gen = SeededRng(seed).generator()
         a = candidate(gen.normal(size=(q, width)) + 0.1)
-        b = candidate(gen.normal(size=(q // 2 + 1, width)), language="y")
+        b = candidate(gen.normal(size=(q // 2 + 1, width)))
         fast = pair_similarity(a, b)
         brute = pair_similarity_exhaustive(a, b)
         assert fast == pytest.approx(brute, abs=1e-10)
@@ -75,7 +64,7 @@ class TestPairSimilarity:
         scales = gen.uniform(0.5, 10.0, size=(8, 1))
         a = candidate(rows)
         b = candidate(rows * scales)
-        other = candidate(gen.normal(size=(5, 6)), language="y")
+        other = candidate(gen.normal(size=(5, 6)))
         assert pair_similarity(a, other) == pytest.approx(
             pair_similarity(b, other), abs=1e-6
         )
@@ -126,6 +115,17 @@ class TestIndicatedSimilarity:
         )
         assert new_new[0] == pytest.approx(0.4)
 
+    def test_new_new_adds_ordered_pairs_in_row_major_order(self):
+        new = ["n1", "n2", "n3"]
+        values = {("n1", "n2"): 0.1, ("n1", "n3"): 1e16, ("n2", "n3"): -1e16}
+        pair_sims = {key: np.array([v]) for key, v in values.items()}
+        pair_sims.update({(n, "o"): np.array([0.5]) for n in new})
+        _, new_new, _ = indicated_similarity(pair_sims, ["o"], new)
+        total = 0.0
+        for a, b in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]:
+            total += values[tuple(sorted((new[a], new[b])))]
+        assert new_new[0] == total / 6  # the sum depends on its order
+
     def test_errors(self):
         with pytest.raises(InvalidInputError):
             indicated_similarity({}, ["old1"], [])
@@ -165,19 +165,38 @@ def profiled_setup():
 class TestCollectCandidates:
     def test_shapes_and_layers(self, profiled_setup):
         model, corpus = profiled_setup
-        sets = collect_candidates(model, corpus, "a1", q=2, seed=1)
-        assert len(sets) == model.config.layers
-        for layer, s in enumerate(sets):
-            assert s.layer == layer
-            assert s.vectors.shape == (2, model.config.hidden)
-            assert s.language == "a1"
+        vectors = collect_candidates(model, corpus, "a1", q=2, seed=1)
+        assert vectors.shape == (model.config.layers, 2, model.config.hidden)
+        assert vectors.dtype == np.float32
 
     def test_deterministic(self, profiled_setup):
         model, corpus = profiled_setup
         s1 = collect_candidates(model, corpus, "a1", q=16, seed=3)
         s2 = collect_candidates(model, corpus, "a1", q=16, seed=3)
-        for a, b in zip(s1, s2):
-            np.testing.assert_array_equal(a.vectors, b.vectors)
+        np.testing.assert_array_equal(s1, s2)
+
+    def test_zero_norm_row_rejected(self, profiled_setup):
+        model, corpus = profiled_setup
+        model = DenseModel.create(model.config, groups=("g0",))
+        model.params["blocks.0.ffn_norm"].data[:] = 0.0
+        with pytest.raises(DegenerateVectorError, match="candidate set contains a zero-norm vector"):
+            collect_candidates(model, corpus, "a1", q=4, seed=0)
+
+    def test_non_finite_row_rejected(self, profiled_setup):
+        model, corpus = profiled_setup
+        model = DenseModel.create(model.config, groups=("g0",))
+        model.params["blocks.1.ffn_norm"].data[0] = np.nan
+        with pytest.raises(InvalidInputError, match="candidate vectors must be finite"):
+            collect_candidates(model, corpus, "a1", q=4, seed=0)
+
+    def test_pair_matrix_matches_the_exhaustive_oracle(self, profiled_setup):
+        model, corpus = profiled_setup
+        profile = profile_similarity(model, corpus, ["a1"], ["a2", "b1"], q=16, seed=4)
+        taps = {lang: collect_candidates(model, corpus, lang, 16, 4) for lang in ("a1", "a2", "b1")}
+        assert sorted(profile.pair_sims) == [("a1", "a2"), ("a1", "b1"), ("a2", "b1")]
+        for (a, b), values in profile.pair_sims.items():
+            expected = [pair_similarity_exhaustive(x, y) for x, y in zip(taps[a], taps[b])]
+            np.testing.assert_allclose(values, expected, atol=1e-10)
 
     def test_insufficient_tokens(self, profiled_setup):
         model, corpus = profiled_setup
