@@ -129,8 +129,6 @@ def _cmd_train_base(args) -> dict[str, Path]:
     corpus = TaggedCorpus.load_jsonl(args.corpus).subset_groups([args.group])
     if len(corpus) == 0:
         raise InvalidInputError(f"corpus has no sequences in group {args.group!r}")
-    if corpus.sequences.max() >= config.vocab:
-        raise InvalidInputError("corpus token ids exceed the model vocabulary")
     model = DenseModel.create(config, groups=(args.group,))
     recipe = _recipe(vars(args), "dense", derive_seed(args.seed, "train-base"))
     return _save_trained(model, train_dense(model, corpus, recipe), args.out)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import MISSING, asdict, dataclass
 
-from ..errors import ConfigurationError
+import numpy as np
+
+from ..errors import ConfigurationError, InvalidInputError, SequenceLengthError
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,19 @@ class ModelConfig:
             raise ConfigurationError("top_k must be >= 1")
         if min(self.hidden, self.vocab, self.ffn, self.context) < 1:
             raise ConfigurationError("hidden, vocab, ffn and context must be >= 1")
+
+    def check_tokens(self, tokens: np.ndarray, fed: int) -> None:
+        """Raise unless every id in ``tokens`` is a vocabulary id and the
+        ``fed`` positions per sequence that reach the model fit the context.
+        The forward checks its input this way; a corpus is checked whole
+        where it meets a model, so a bad id in a target position, or in a
+        sequence that sampling happens to skip, fails the same way. Training
+        and evaluation feed all of a sequence but its last token, the
+        profiler all of it."""
+        if fed > self.context:
+            raise SequenceLengthError(f"sequence length {fed} exceeds context {self.context}")
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.vocab):
+            raise InvalidInputError(f"token id outside the vocabulary 0..{self.vocab - 1}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -27,6 +27,12 @@ The expert stage works on the ``n = batch * length`` positions flattened to
 rows, in batch-major order: row ``r`` is position ``r % length`` of sequence
 ``r // length``. Each MoE layer's routing decisions are one ``LayerTrace``
 over those rows, the same record for the losses and for evaluation.
+
+``forward(..., logits=False)`` is for callers that read only the taps (the
+profiler): it returns right after the last layer's tap, skipping that
+layer's route and expert stage, ``out_norm`` and the head. Its ``logits``
+are None, and an MoE model's trace has one entry per layer but the last.
+The taps are the bits the full forward gives.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from ..errors import (
     ConfigurationError,
     InvalidInputError,
     PlanMismatchError,
-    SequenceLengthError,
 )
 from ..numerics import (
     SeededRng,
@@ -118,14 +123,14 @@ class ForwardResult:
     """Inference forward. ``trace`` holds one ``LayerTrace`` per layer over
     flat rows (None for dense models); logits and taps keep the batch shape."""
 
-    logits: np.ndarray  # (batch, length, vocab)
+    logits: np.ndarray | None  # (batch, length, vocab); None without logits
     taps: np.ndarray  # (layers, batch, length, hidden) router inputs
     trace: tuple[LayerTrace, ...] | None
 
 
 @dataclass
 class _GraphResult:
-    logits: Tensor  # (batch, length, vocab)
+    logits: Tensor | None  # (batch, length, vocab)
     layers: tuple[LayerTrace, ...] | None
     taps: list[np.ndarray]
 
@@ -367,11 +372,14 @@ def _moe_mix(hsa: Tensor, layer: MoELayer, gated: bool) -> tuple[Tensor, LayerTr
     return out, LayerTrace(scores, indices, weights, cls_logits, gate_old)
 
 
-def forward_graph(model: Model, tokens: np.ndarray, *, mode: str = "plain") -> _GraphResult:
+def forward_graph(
+    model: Model, tokens: np.ndarray, *, mode: str = "plain", logits: bool = True
+) -> _GraphResult:
     """Run the model, keeping the tape alive wherever parameters require
     gradients. Returns tape-connected logits, per-layer router-input taps
     and per-layer routing records. ``mode="gated"`` gates every layer that
-    has a classifier."""
+    has a classifier. With ``logits=False`` it stops at the last layer's tap
+    (see the module docstring)."""
     if mode not in ("plain", "gated"):
         raise InvalidInputError(f"unknown forward mode {mode!r}")
     is_moe = isinstance(model, MoEModel)
@@ -383,12 +391,7 @@ def forward_graph(model: Model, tokens: np.ndarray, *, mode: str = "plain") -> _
     if tokens.ndim != 2:
         raise InvalidInputError("tokens must be one or two dimensional")
     config = model.config
-    if tokens.shape[1] > config.context:
-        raise SequenceLengthError(
-            f"sequence length {tokens.shape[1]} exceeds context {config.context}"
-        )
-    if tokens.min() < 0 or tokens.max() >= config.vocab:
-        raise InvalidInputError("token id out of vocabulary")
+    config.check_tokens(tokens, tokens.shape[1])
 
     b, t = tokens.shape
     h = config.hidden
@@ -401,6 +404,8 @@ def forward_graph(model: Model, tokens: np.ndarray, *, mode: str = "plain") -> _
         x = x + _attention(x, params, prefix, config.heads)
         hsa = rms_norm(x, params[f"{prefix}.ffn_norm"], RMS_EPS).reshape((b * t, h))
         taps.append(hsa.data.reshape(b, t, h))
+        if not logits and i == config.layers - 1:
+            return _GraphResult(None, tuple(layers) if is_moe else None, taps)
         if is_moe:
             layer = model.layer(i)
             out, trace = _moe_mix(hsa, layer, mode == "gated" and layer.classifier is not None)
@@ -409,14 +414,18 @@ def forward_graph(model: Model, tokens: np.ndarray, *, mode: str = "plain") -> _
             out = Expert(*(params[f"{prefix}.ffn.{part}"] for part in _PARTS))(hsa) + hsa
         x = out.reshape((b, t, h))
     final = rms_norm(x, params["out_norm"], RMS_EPS).reshape((b * t, h))
-    logits = (final @ params["head"]).reshape((b, t, config.vocab))
-    return _GraphResult(logits, tuple(layers) if is_moe else None, taps)
+    head = (final @ params["head"]).reshape((b, t, config.vocab))
+    return _GraphResult(head, tuple(layers) if is_moe else None, taps)
 
 
-def forward(model: Model, tokens: np.ndarray, mode: str = "plain") -> ForwardResult:
-    """Inference forward: logits, per-layer router-input taps, routing trace."""
-    result = forward_graph(model, tokens, mode=mode)
-    return ForwardResult(result.logits.data, np.stack(result.taps), result.layers)
+def forward(
+    model: Model, tokens: np.ndarray, mode: str = "plain", *, logits: bool = True
+) -> ForwardResult:
+    """Inference forward: logits, per-layer router-input taps, routing trace.
+    ``logits=False`` stops at the last layer's tap (see the module docstring)."""
+    result = forward_graph(model, tokens, mode=mode, logits=logits)
+    head = None if result.logits is None else result.logits.data
+    return ForwardResult(head, np.stack(result.taps), result.layers)
 
 
 # ---------------------------------------------------------------------------

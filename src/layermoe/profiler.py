@@ -9,6 +9,25 @@ that get a routing classifier. Profile values are defined on the
 float32-rounded taps, upcast to float64 for the arithmetic: keeping more
 precision would change the bytes of every saved profile.
 
+Attention is causal, so the tap at column ``c`` of a sequence reads only
+its columns ``0..c``. The collector therefore forwards each sampled
+sequence only up to its last sampled column, and stops at the last layer's
+tap (``forward(..., logits=False)``): the last expert stage, ``out_norm``
+and the head feed no tap. Sequences go shortest prefix first, in chunks of
+32, so a chunk is as long as its longest prefix; each vector is put back at
+its sampled index, and the sampling itself is the full-length collector's.
+Which columns are drawn must not decide whether a language fails, so the
+language's whole corpus is checked against the model first.
+
+A prefix gives the full-length taps' values but not always their float64
+bits: numpy sums each attention row pairwise in blocks of 8, and a shorter
+row regroups the same nonzero terms. Candidates are the float32-rounded
+taps, and that rounding hid every such difference measured (no candidate
+element and no pipeline output file changed), but a tap that lands within
+its last-bit difference of a float32 rounding boundary can still round the
+other way. The tests hold the collector to the full-length oracle bitwise
+on fixed seeds and to one float32 ulp on any tiny model.
+
 Mean pairwise cosine over two sets factorises: it equals the dot product of
 the two sets' mean unit-normalised vectors. That algebraic fast path is the
 production implementation; the quadratic double loop is the tests' oracle.
@@ -46,6 +65,7 @@ def collect_candidates(
     part = corpus.subset_language(language)
     if len(part) == 0:
         raise SampleSizeError(f"corpus has no sequences for language {language!r}")
+    model.config.check_tokens(part.sequences, part.sequences.shape[1])
     valid = part.token_mask()
     valid[:, 0] = False  # BOS position carries no language token
     positions = np.argwhere(valid)
@@ -56,16 +76,23 @@ def collect_candidates(
     gen = SeededRng(derive_seed(seed, "candidates", language)).generator()
     chosen = positions[gen.choice(len(positions), size=q, replace=False)]
 
-    needed = np.unique(chosen[:, 0])
+    needed, rows = np.unique(chosen[:, 0], return_inverse=True)
+    cols = chosen[:, 1]
+    last = np.zeros(len(needed), dtype=np.int64)  # prefix length each sequence needs
+    np.maximum.at(last, rows, cols + 1)
+    order = np.argsort(last, kind="stable")
+    rank = np.empty_like(order)  # each needed sequence's place in forwarding order
+    rank[order] = np.arange(len(order))
+    slot = rank[rows]  # the place of each sample's sequence
+    config = model.config
+    vectors = np.empty((config.layers, q, config.hidden), dtype=np.float32)
     chunk = 32
-    taps_rows = []
-    for start in range(0, len(needed), chunk):
-        batch = part.sequences[needed[start : start + chunk]]
-        taps_rows.append(forward(model, batch).taps)
-    taps = np.concatenate(taps_rows, axis=1)  # (layers, seqs, length, hidden)
-
-    rows, cols = np.searchsorted(needed, chosen[:, 0]), chosen[:, 1]
-    vectors = taps[:, rows, cols].astype(np.float32)
+    for start in range(0, len(order), chunk):
+        ids = order[start : start + chunk]
+        batch = part.sequences[needed[ids], : last[ids].max()]
+        taps = forward(model, batch, logits=False).taps
+        mine = np.flatnonzero((slot >= start) & (slot < start + chunk))
+        vectors[:, mine] = taps[:, slot[mine] - start, cols[mine]]
     if not np.isfinite(vectors).all():
         raise InvalidInputError("candidate vectors must be finite")
     if (np.linalg.norm(vectors.astype(np.float64), axis=-1) == 0.0).any():

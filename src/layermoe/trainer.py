@@ -267,6 +267,7 @@ def _train(
         raise ConfigurationError(f"recipe is not a {stage} recipe")
     if len(corpus) == 0:
         raise InvalidInputError(f"empty {stage} corpus")
+    model.config.check_tokens(corpus.sequences, corpus.sequences.shape[1] - 1)
     trainable = sorted(model.params) if stage == "dense" else partition_params(model, stage)[0]
     params = {name: model.params[name] for name in trainable}
     gen = SeededRng(derive_seed(recipe.seed, stage)).generator()
@@ -382,6 +383,7 @@ def evaluate(
     """
     if max_sequences_per_language is not None and max_sequences_per_language < 1:
         raise InvalidInputError("max_sequences_per_language must be >= 1")
+    model.config.check_tokens(corpus.sequences, corpus.sequences.shape[1] - 1)
     batch_size = 32  # sequences per forward pass
     is_moe = isinstance(model, MoEModel)
     if old_groups is None:
@@ -507,6 +509,9 @@ def review(
         raise ConfigurationError(
             f"classifier_count {classifier_count} outside 0..{model.config.layers}"
         )
+    # Stage 2 trains on a sample of the corpus; check all of it, so that a
+    # bad sequence fails the same way whether or not the sample draws it.
+    model.config.check_tokens(corpus.sequences, corpus.sequences.shape[1] - 1)
     new_group = model.expansion_history[-1].group
     profile = None
     layers: tuple[int, ...] = ()

@@ -2,8 +2,9 @@
 gradients against central finite differences, the fast elementwise kernels
 against their plain numpy forms, the fused tape nodes against compositions
 of small tape ops, the profiler's centroid fast path against the
-quadratic pair loop over exact cosines, and the batched corpus sampler
-against a walk that draws one token at a time."""
+quadratic pair loop over exact cosines, the prefix-forwarding candidate
+collector against one that forwards every sampled sequence whole, and the
+batched corpus sampler against a walk that draws one token at a time."""
 
 from __future__ import annotations
 
@@ -12,9 +13,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from layermoe.corpus import BOS_ID, LanguageSampler, SyntheticLanguageSpec
+from layermoe.corpus import BOS_ID, LanguageSampler, SyntheticLanguageSpec, TaggedCorpus
 from layermoe.errors import DegenerateVectorError, InvalidInputError, NumericalFailureError
-from layermoe.numerics import Tensor, as_tensor, derive_seed
+from layermoe.model import Model, forward
+from layermoe.numerics import SeededRng, Tensor, as_tensor, derive_seed
 from layermoe.numerics.autodiff import _node, _softmax, _softmax_grad, _unbroadcast
 
 
@@ -174,6 +176,26 @@ def pair_similarity_exhaustive(a: np.ndarray, b: np.ndarray) -> float:
         for v in np.asarray(b, dtype=np.float64):
             total += cosine(u, v)
     return total / (len(a) * len(b))
+
+
+def collect_candidates_full(
+    model: Model, corpus: TaggedCorpus, language: str, q: int, seed: int
+) -> np.ndarray:
+    """Reference for ``profiler.collect_candidates``: the same draw of ``q``
+    positions, with every sampled sequence forwarded whole, through the
+    head, in corpus order and chunks of 32."""
+    part = corpus.subset_language(language)
+    valid = part.token_mask()
+    valid[:, 0] = False
+    positions = np.argwhere(valid)
+    gen = SeededRng(derive_seed(seed, "candidates", language)).generator()
+    chosen = positions[gen.choice(len(positions), size=q, replace=False)]
+    needed = np.unique(chosen[:, 0])
+    taps = np.concatenate(
+        [forward(model, part.sequences[needed[s : s + 32]]).taps for s in range(0, len(needed), 32)],
+        axis=1,
+    )
+    return taps[:, np.searchsorted(needed, chosen[:, 0]), chosen[:, 1]].astype(np.float32)
 
 
 def sample_sequence(sampler: LanguageSampler, length: int) -> np.ndarray:

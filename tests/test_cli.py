@@ -471,6 +471,52 @@ def test_review_rejects_a_classifier_count_outside_the_layers(artifacts, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+def out_of_vocabulary_corpus(artifacts, target):
+    """The artifacts' corpus with the last token of its first ``b`` sequence
+    set to 999, an id no tiny model knows and a position the model reads
+    only as a target."""
+    lines = Path(artifacts["c.jsonl"]).read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if json.loads(line)["lang"] == "b")
+    record = json.loads(lines[index])
+    record["tokens"][-1] = 999
+    lines[index] = json.dumps(record)
+    target.write_text("\n".join(lines) + "\n")
+    return str(target)
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("eval", []),
+        ("eval", ["--max-sequences", "1"]),
+        ("expand", ["--steps", "0"]),
+        ("expand", ["--steps", "1", "--batch-size", "1"]),
+        ("expand", ["--steps", "40"]),
+        ("review", ["--classifier-count", "0", "--steps", "1", "--batch-size", "1"]),
+        ("review", ["--classifier-count", "1", "--q", "2", "--steps", "0"]),
+        ("profile", ["--q", "2"]),
+        ("profile", ["--q", "4"]),
+        ("profile", ["--q", "40"]),
+    ],
+)
+def test_a_token_id_beyond_the_vocabulary_exits_2(artifacts, tmp_path, capsys, command, options):
+    """At the parent ``eval`` and ``expand --steps 40`` ended in an IndexError
+    traceback, while ``expand --steps 1``, ``review`` and ``profile --q 2``
+    exited 0, depending on whether sampling drew the bad sequence."""
+    corpus = out_of_vocabulary_corpus(artifacts, tmp_path / "bad.jsonl")
+    argv = {
+        "eval": ["eval", "--model", artifacts["rev.lmoe"]],
+        "expand": ["expand", "--model", artifacts["base.lmoe"], "--plan", artifacts["plan.json"]]
+        + ["--group", "g1"],
+        "review": ["review", "--model", artifacts["moe.lmoe"]],
+        "profile": ["profile", "--model", artifacts["base.lmoe"], "--old", "g0", "--new", "g1"],
+    }[command]
+    out = tmp_path / "out"
+    record = run_failing(argv + options + ["--corpus", corpus, "--out", str(out)], capsys)
+    assert record == {"error": "InvalidInputError", "message": "token id outside the vocabulary 0..31"}
+    assert not out.exists()
+
+
 def test_gen_corpus_rejects_a_language_listed_twice(tmp_path, capsys):
     spec = {"groups": {"g0": ["a", "a"], "g1": ["b"]}, "block_size": 8}
     argv = ["gen-corpus", "--spec", write_json(tmp_path / "spec.json", spec), "--tokens", "64"]

@@ -361,6 +361,36 @@ class TestForward:
         # layer 1 has no classifier, so it still mixes its routed experts
         assert np.abs(gated.taps[2] - reference.taps[2]).max() > 1e-6
 
+    @pytest.mark.parametrize("kind", ["dense", "plain", "gated"])
+    def test_stopping_at_the_last_tap_keeps_every_tap(self, kind):
+        """``logits=False`` skips the last layer's expert stage and the head
+        but gives the taps of the full forward, bit for bit."""
+        config = tiny_config(layers=3)
+        model = DenseModel.create(config, groups=("g0",))
+        mode = "gated" if kind == "gated" else "plain"
+        if kind != "dense":
+            model = upcycle(model, [2, 3, 1], "g1")
+            gen = SeededRng(24).generator()
+            for name, param in model.params.items():
+                if ".router." in name:
+                    param.data[:] = gen.normal(size=param.data.shape)
+            add_classifiers(model, [0, 2])
+            for i in (0, 2):
+                model.params[f"blocks.{i}.classifier"].data[:] = gen.normal(size=(16, 2))
+        tokens = sample_tokens(config, batch=3, length=9)
+        full = forward(model, tokens, mode=mode)
+        taps_only = forward(model, tokens, mode=mode, logits=False)
+        assert taps_only.logits is None
+        assert taps_only.taps.shape == full.taps.shape
+        assert taps_only.taps.tobytes() == full.taps.tobytes()
+        if kind == "dense":
+            assert taps_only.trace is None
+        else:
+            assert len(taps_only.trace) == config.layers - 1
+            for short, long in zip(taps_only.trace, full.trace):
+                assert short.indices.tobytes() == long.indices.tobytes()
+                assert short.weights.data.tobytes() == long.weights.data.tobytes()
+
 
 class TestPartition:
     def test_stage1_counts_on_uniform_grid(self):

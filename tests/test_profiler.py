@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layermoe.corpus import generate, language_specs
+from layermoe.corpus import TaggedCorpus, generate, language_specs, required_vocab
 from layermoe.errors import (
     DegenerateVectorError,
     InvalidInputError,
     SampleSizeError,
+    SequenceLengthError,
 )
-from layermoe.model import DenseModel, ModelConfig
+from layermoe.model import DenseModel, ModelConfig, upcycle
 from layermoe.numerics import SeededRng
 from layermoe.profiler import (
     collect_candidates,
@@ -23,7 +24,8 @@ from layermoe.profiler import (
     save_profile,
     select_classifier_layers,
 )
-from oracles import pair_similarity_exhaustive
+from oracles import collect_candidates_full, pair_similarity_exhaustive
+from util import gradcheck_setup
 
 
 def candidate(vectors):
@@ -215,6 +217,105 @@ class TestCollectCandidates:
         p1 = profile_similarity(model, corpus, ["a1", "a2"], ["b1"], q=512, seed=1)
         p2 = profile_similarity(model, corpus, ["a1", "a2"], ["b1"], q=512, seed=2)
         assert np.max(np.abs(p1.indicated - p2.indicated)) < 0.05
+
+
+def upcycled(dense, plan, seed):
+    """``dense`` upcycled by ``plan``, with seeded random router columns so
+    that routing is not a tie."""
+    model = upcycle(dense, plan, "g1")
+    gen = SeededRng(seed).generator()
+    for name, param in model.params.items():
+        if ".router." in name:
+            param.data[:] = gen.normal(0.0, 0.3, size=param.data.shape)
+    return model
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    """The dense and MoE ``gradcheck_setup`` models, one with 7 and 10
+    experts per layer, and a context-24 MoE with a corpus of its own."""
+    dense, moe, corpus = gradcheck_setup()
+    wide = gradcheck_setup(plan=(6, 9))[1]
+    config = ModelConfig(layers=2, hidden=16, heads=2, vocab=128, ffn=12, context=24, seed=13)
+    long_context = upcycled(DenseModel.create(config, groups=("g0",)), (3, 2), 17)
+    specs = language_specs({"g0": ["a"], "g1": ["b"]}, block_size=20, seed=5)
+    long_corpus = generate(specs, 3000, config.context, seed=8)
+    return {
+        "dense": (dense, corpus),
+        "moe": (moe, corpus),
+        "wide": (wide, corpus),
+        "long": (long_context, long_corpus),
+    }
+
+
+def tiny_world(draw_seed, layers, heads, head_width, context, plan, top_k):
+    specs = language_specs({"g0": ["a"], "g1": ["b"]}, block_size=8, seed=draw_seed)
+    config = ModelConfig(
+        layers=layers, hidden=heads * head_width, heads=heads, vocab=required_vocab(specs),
+        ffn=8, context=context, top_k=top_k, seed=draw_seed,
+    )
+    model = DenseModel.create(config, groups=("g0",))
+    if plan is not None:
+        model = upcycled(model, plan[:layers], draw_seed)
+    return model, generate(specs, 40 * context, context, seed=draw_seed + 1)
+
+
+class TestPrefixCollector:
+    """``collect_candidates`` forwards each sampled sequence only up to its
+    last sampled column and stops at the last tap; the oracle forwards it
+    whole, through the head."""
+
+    @pytest.mark.parametrize("name", ["dense", "moe", "wide", "long"])
+    @pytest.mark.parametrize("q", [2, 16, 64, 300])
+    def test_equals_the_full_length_oracle_bitwise(self, oracle_models, name, q):
+        model, corpus = oracle_models[name]
+        for seed in range(3):
+            for language in ("a", "b"):
+                got = collect_candidates(model, corpus, language, q, seed)
+                want = collect_candidates_full(model, corpus, language, q, seed)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 3),
+        st.integers(1, 2),
+        st.sampled_from([2, 4, 8]),
+        st.integers(2, 20),
+        st.none() | st.lists(st.integers(0, 4), min_size=3, max_size=3),
+        st.integers(1, 3),
+        st.integers(2, 64),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_within_one_float32_ulp_of_the_oracle(
+        self, seed, layers, heads, head_width, context, plan, top_k, q
+    ):
+        # A prefix's float64 taps may differ from the full-length ones in
+        # their last bits (numpy sums each attention row pairwise in blocks
+        # of 8, and a shorter row regroups the same terms). Rounding to
+        # float32 hides that unless a tap sits at a rounding boundary, where
+        # it moves the candidate by one float32 ulp and never more.
+        model, corpus = tiny_world(seed, layers, heads, head_width, context, plan, top_k)
+        q = min(q, 40 * (context - 1))  # each language has 40 sequences
+        for language in ("a", "b"):
+            got = collect_candidates(model, corpus, language, q, seed)
+            want = collect_candidates_full(model, corpus, language, q, seed)
+            np.testing.assert_array_max_ulp(got, want, maxulp=1)
+
+    @given(st.integers(2, 10**6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_a_part_the_model_cannot_read_fails_for_every_draw(self, oracle_models, q, seed):
+        """Whether the bad sequence is sampled, or how much of it, does not
+        decide the outcome: the language's whole corpus is checked first."""
+        model, corpus = oracle_models["dense"]
+        sequences = corpus.sequences.copy()
+        sequences[corpus.languages.index("b"), -1] = model.config.vocab
+        bad = TaggedCorpus(sequences, corpus.languages, corpus.groups)
+        with pytest.raises(InvalidInputError, match="token id outside the vocabulary"):
+            collect_candidates(model, bad, "b", q, seed)
+        specs = language_specs({"g0": ["a"], "g1": ["b"]}, block_size=10, seed=3)
+        too_long = generate(specs, 400, model.config.context + 1, seed=4)
+        with pytest.raises(SequenceLengthError):
+            collect_candidates(model, too_long, "a", q, seed)
 
 
 class TestProfileIO:
