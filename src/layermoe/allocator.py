@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, FormatError, UnsupportedSimilarityError
-from .schema import Int, List, by_index, check, load_json, problems, save_csv, save_json
+from .schema import OBJECT, Int, List, by_index, check, load_json, problems, save_csv, save_json
 
 __all__ = [
     "AllocationPlan",
@@ -56,9 +56,11 @@ def allocate(similarities: Sequence[float], budget: int) -> AllocationPlan:
     values = np.asarray(similarities, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise UnsupportedSimilarityError("similarity vector must be non-empty and 1-d")
-    if not np.isfinite(values).all() or (values <= 0.0).any():
+    bad = np.flatnonzero(~np.isfinite(values) | (values <= 0.0))
+    if bad.size:
         raise UnsupportedSimilarityError(
-            "inverse-proportional allocation needs strictly positive similarities"
+            "inverse-proportional allocation needs strictly positive similarities: "
+            f"layer {bad[0]} has similarity {float(values[bad[0]])}"
         )
     layers = values.size
     if budget < layers:
@@ -136,7 +138,8 @@ def save_plan(plan: AllocationPlan, path: str | Path) -> None:
 
 _LAYER = {"index": int, "similarity": lambda v: not problems(v, float) and v > 0,
           "new_experts": int, "raw?": float, "pre_reconciliation?": int}
-_PLAN = {"budget": int, "layers": List(_LAYER, lo=1), "classifier_layers?": [Int(0)], "mode?": {}}
+_PLAN = {"budget": int, "layers": List(_LAYER, lo=1), "classifier_layers?": [Int(0)],
+         "mode?": OBJECT}
 
 
 def load_plan(path: str | Path) -> AllocationPlan:

@@ -9,10 +9,8 @@ parses it with the same parser as ``main``, re-runs it, and fails unless
 every output's sha256 matches the recorded one. Errors exit 2 with a
 one-line JSON record on stderr.
 
-Pipeline config precedence: file < LAYERMOE_OVERRIDES environment variable
-(semicolon-separated dotted key=value pairs) < repeated ``--set key=value``.
-``main`` puts the environment's pairs ahead of the ``--set`` ones, so a
-manifest records every override and ``replay`` never reads the environment.
+A pipeline config is the file with each repeated ``--set key=value`` applied
+in order; the manifest records them, and ``replay`` applies them again.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -32,6 +29,7 @@ from .allocator import allocate, load_plan, save_plan
 from .corpus import TaggedCorpus, generate, language_specs, required_vocab
 from .errors import ConfigurationError, FormatError, InvalidInputError, LayerMoEError
 from .model import DenseModel, ModelConfig, MoEModel, load_model, save_model
+from .model.config import MODEL_SPEC
 from .numerics import derive_seed
 from .profiler import load_profile, profile_similarity, save_profile
 from .schema import Int, List, Map, check, load_json, problems, save_json
@@ -110,6 +108,13 @@ def _save_trained(model, reports, out: str) -> dict[str, Path]:
     return {"model": out, "losses": losses}
 
 
+def _save_metrics(metrics, path: Path) -> Path:
+    """Metrics as JSON plus a CSV mirror, whose path is returned."""
+    metrics.save_json(path)
+    metrics.save_csv(path.with_suffix(".csv"))
+    return path.with_suffix(".csv")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -124,8 +129,8 @@ def _cmd_gen_corpus(args) -> dict[str, Path]:
 
 
 def _cmd_train_base(args) -> dict[str, Path]:
-    model_cfg = check(load_json(args.config), {}, f"{args.config}: model config")
-    config = ModelConfig.from_dict({"seed": args.seed, **model_cfg})
+    model_cfg = check(load_json(args.config), MODEL_SPEC, f"{args.config}: model config")
+    config = ModelConfig(**{"seed": args.seed, **model_cfg})
     corpus = TaggedCorpus.load_jsonl(args.corpus).subset_groups([args.group])
     if len(corpus) == 0:
         raise InvalidInputError(f"corpus has no sequences in group {args.group!r}")
@@ -206,10 +211,7 @@ def _cmd_eval(args) -> dict[str, Path]:
         max_sequences_per_language=args.max_sequences,
     )
     out = Path(args.out)
-    metrics.save_json(out)
-    csv_out = out.with_suffix(".csv")
-    metrics.save_csv(csv_out)
-    return {"metrics": out, "metrics_csv": csv_out}
+    return {"metrics": out, "metrics_csv": _save_metrics(metrics, out)}
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +235,14 @@ def _apply_override(config: dict, dotted: str, raw: str) -> None:
         parent[key] = raw
 
 
-def _resolve_pipeline_config(args) -> dict:
-    config = load_json(args.config)
-    for pair in args.set or ():
-        if "=" not in pair:
-            raise InvalidInputError(f"override {pair!r} is not key=value")
-        key, _, value = pair.partition("=")
-        _apply_override(config, key.strip(), value.strip())
-    return config
-
-
 _RATES = ("learning_rate", "momentum", "balance_weight", "lpr_weight", "cls_weight")
 _STAGE = {"steps": int, "batch_size": int, **{f"{key}?": float for key in _RATES},
           "cls_mode?": {"standard_ce", "literal_paper"}}
-# Every value run_pipeline reads; ModelConfig.from_dict checks the model's.
+# Every value run_pipeline reads, and nothing else.
 _PIPELINE = {
     "seed?": int,
     "languages": _LANGUAGES,
-    "model": {},
+    "model": MODEL_SPEC,
     "corpus": {"tokens_per_language": int},
     "evaluation?": {"max_sequences_per_language?": Int(1), "mode?": {"plain", "gated"}},
     "base": {"group": str, **_STAGE},
@@ -269,7 +261,7 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     seed = config.get("seed", 0)
 
     specs = _language_specs(config["languages"], seed)
-    model_config = ModelConfig.from_dict({"seed": seed, **config["model"]})
+    model_config = ModelConfig(**{"seed": seed, **config["model"]})
     if required_vocab(specs) > model_config.vocab:
         raise ConfigurationError(
             f"language layout needs vocab {required_vocab(specs)}, model has {model_config.vocab}"
@@ -281,34 +273,26 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
                 f"expansions.{index}.classifier_count {count} outside 0..{model_config.layers}"
             )
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = generate(
-        specs,
-        config["corpus"]["tokens_per_language"],
-        model_config.context,
-        derive_seed(seed, "corpus"),
-    )
-    corpus_path = out_dir / "corpus.jsonl"
-    corpus.save_jsonl(corpus_path)
-    outputs["corpus"] = corpus_path
 
-    base_cfg = config["base"]
-    base_group = base_cfg["group"]
+    def put(name: str, filename: str, save, value) -> None:
+        outputs[name] = out_dir / filename
+        save(value, outputs[name])
+
+    tokens = config["corpus"]["tokens_per_language"]
+    corpus = generate(specs, tokens, model_config.context, derive_seed(seed, "corpus"))
+    put("corpus", "corpus.jsonl", TaggedCorpus.save_jsonl, corpus)
+
+    base_group = config["base"]["group"]
     dense = DenseModel.create(model_config, groups=(base_group,))
-    dense_recipe = _recipe(base_cfg, "dense", derive_seed(seed, "base"))
+    dense_recipe = _recipe(config["base"], "dense", derive_seed(seed, "base"))
     base_reports = train_dense(dense, corpus.subset_groups([base_group]), dense_recipe)
-    base_path = out_dir / "base.lmoe"
-    save_model(dense, base_path)
-    outputs["base"] = base_path
-    save_reports_csv(base_reports, out_dir / "base.losses.csv")
-    outputs["base_losses"] = out_dir / "base.losses.csv"
+    put("base", "base.lmoe", save_model, dense)
+    put("base_losses", "base.losses.csv", save_reports_csv, base_reports)
 
     eval_cfg = config.get("evaluation", {})
     max_sequences = eval_cfg.get("max_sequences_per_language")
     base_metrics = evaluate(dense, corpus, max_sequences_per_language=max_sequences)
-    base_metrics_path = out_dir / "metrics.base.json"
-    base_metrics.save_json(base_metrics_path)
-    base_metrics.save_csv(base_metrics_path.with_suffix(".csv"))
-    outputs["metrics_base"] = base_metrics_path
+    put("metrics_base", "metrics.base.json", _save_metrics, base_metrics)
 
     model = dense
     for index, exp_cfg in enumerate(config.get("expansions", ())):
@@ -327,33 +311,29 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
             classifier_count=exp_cfg.get("classifier_count"),
             review_ratio=tuple(exp_cfg.get("review_ratio", (1, 2))),
         )
-        profile_path = out_dir / f"profile.{tag}.json"
-        save_profile(result.profile_before, profile_path)
-        outputs[f"profile_{tag}"] = profile_path
-        plan_path = out_dir / f"plan.{tag}.json"
-        save_plan(result.plan, plan_path)
-        outputs[f"plan_{tag}"] = plan_path
+        put(f"profile_{tag}", f"profile.{tag}.json", save_profile, result.profile_before)
+        put(f"plan_{tag}", f"plan.{tag}.json", save_plan, result.plan)
         if result.profile_stage1 is not None:
-            stage1_profile_path = out_dir / f"profile.stage1.{tag}.json"
-            save_profile(result.profile_stage1, stage1_profile_path)
-            outputs[f"profile_stage1_{tag}"] = stage1_profile_path
-        save_reports_csv(result.stage1_reports, out_dir / f"stage1.{tag}.losses.csv")
-        save_reports_csv(result.stage2_reports, out_dir / f"stage2.{tag}.losses.csv")
-        model_path = out_dir / f"model.{tag}.lmoe"
-        save_model(model, model_path)
-        outputs[f"model_{tag}"] = model_path
+            stage1_profile = f"profile.stage1.{tag}.json"
+            put(f"profile_stage1_{tag}", stage1_profile, save_profile, result.profile_stage1)
+        for stage, reports in [("stage1", result.stage1_reports),
+                               ("stage2", result.stage2_reports)]:
+            put(f"{stage}_losses_{tag}", f"{stage}.{tag}.losses.csv", save_reports_csv, reports)
+        put(f"model_{tag}", f"model.{tag}.lmoe", save_model, model)
 
         mode = eval_cfg.get("mode", "gated") if model.classifier_layers else "plain"
         metrics = evaluate(model, corpus, mode=mode, max_sequences_per_language=max_sequences)
-        metrics_path = out_dir / f"metrics.{tag}.json"
-        metrics.save_json(metrics_path)
-        metrics.save_csv(metrics_path.with_suffix(".csv"))
-        outputs[f"metrics_{tag}"] = metrics_path
+        put(f"metrics_{tag}", f"metrics.{tag}.json", _save_metrics, metrics)
     return outputs
 
 
 def _cmd_run_pipeline(args) -> dict[str, Path]:
-    config = _resolve_pipeline_config(args)
+    config = load_json(args.config)
+    for pair in args.set or ():
+        if "=" not in pair:
+            raise InvalidInputError(f"override {pair!r} is not key=value")
+        key, _, value = pair.partition("=")
+        _apply_override(config, key.strip(), value.strip())
     outputs = run_pipeline(config, Path(args.out_dir))
     resolved = Path(args.out_dir) / "pipeline.config.json"
     save_json(resolved, config)
@@ -488,7 +468,9 @@ _MANIFEST = {
     "command": set(_COMMANDS) - {"replay"},
     # replay repeats a flag per list item; --set is the one repeatable option.
     "arguments": Map(_ARGUMENT, {"set": lambda v: v is None or not problems(v, [str])}),
-    "outputs": Map({"sha256": str}),
+    # replay reads only each output's sha256; the rest is named so that it loads.
+    "package_version?": str,
+    "outputs": Map({"path?": str, "sha256": str}),
 }
 
 
@@ -496,9 +478,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run-pipeline":
-            env = os.environ.get("LAYERMOE_OVERRIDES", "").split(";")
-            args.set = [pair for pair in env if pair.strip()] + (args.set or []) or None
         # A computation that overflows or turns NaN fails the command with
         # one error record, instead of numpy warnings ahead of a later error.
         with np.errstate(over="raise", invalid="raise", divide="raise"):

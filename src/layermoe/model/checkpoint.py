@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import FormatError
 from ..numerics import Tensor
 from ..schema import Int, List, check, problems
-from .config import ModelConfig
+from .config import MODEL_SPEC, ModelConfig
 from .network import DenseModel, Expansion, Model, MoEModel, param_shapes
 
 MAGIC = b"LMOE"
@@ -63,21 +63,24 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def _header_spec(header) -> dict:
-    """The header's spec. Counts are at most the number of params present, so
+    """The header's spec, with only its kind's keys (the dense ones when the
+    kind is malformed). Counts are at most the number of params present, so
     nothing is enumerated beyond what the file holds; classifier layers and
     history fit ``config.layers`` (taken as 0 when malformed, which is reported)."""
     found = header if isinstance(header, dict) else {}
     n = len(found["params"]) if isinstance(found.get("params"), list) else 0
     layers = found["config"].get("layers") if isinstance(found.get("config"), dict) else 0
     layers = 0 if problems(layers, int) else layers
-    return {
-        "kind": {"dense", "moe"},
-        "config": {"layers?": Int(1, n)},
-        "params": [{"name": str, "shape": [Int(0)]}],
-        "groups?": [str],
+    moe = {
         "base_groups?": [str],
         "expansion_history?": [(str, List(Int(0, n), layers, layers))],
         "classifier_layers?": [Int(0, layers - 1)],
+    }
+    return {
+        "kind": {"dense", "moe"},
+        "config": {**MODEL_SPEC, "layers": Int(1, n)},
+        "params": [{"name": str, "shape": [Int(0)]}],
+        **(moe if found.get("kind") == "moe" else {"groups?": [str]}),
     }
 
 
@@ -116,7 +119,7 @@ def load_model(path: str | Path) -> Model:
             raise FormatError(f"{path}: non-finite values in parameter {entry['name']}")
         params[entry["name"]] = Tensor(data)
 
-    config = ModelConfig.from_dict(header["config"])
+    config = ModelConfig(**header["config"])
     if header["kind"] == "dense":
         model = DenseModel(config, params, header.get("groups", ()))
     else:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from ..errors import ConfigurationError, InvalidInputError, SequenceLengthError
+from ..schema import check
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Build from a mapping of int fields; raises ConfigurationError naming
-        every missing key, unknown key and non-int value."""
-        if not isinstance(d, dict):
-            raise ConfigurationError("a model config is a mapping of its fields")
-        known = cls.__dataclass_fields__
-        missing = [k for k, f in known.items() if f.default is MISSING and k not in d]
-        problems = [f"lacks {', '.join(missing)}"] if missing else []
-        problems += [f"has unknown key {k!r}" for k in d if k not in known]
-        problems += [f"{k} is not an int" for k, v in d.items() if k in known and type(v) is not int]
-        if problems:
-            raise ConfigurationError(f"model config {'; '.join(problems)}")
-        return cls(**d)
+        """Build from a mapping of int fields; one FormatError names every
+        missing key, wrong value and unknown key."""
+        return cls(**check(d, MODEL_SPEC, "model config"))
+
+
+# The one spec of a model config: every field an int, those with a default optional.
+MODEL_SPEC = {f.name + ("?" if f.default is not MISSING else ""): int for f in fields(ModelConfig)}

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .model import Model, forward
 from .numerics import SeededRng, derive_seed
-from .schema import List, Map, by_index, check, load_json, problems, save_csv, save_json
+from .schema import OBJECT, List, Map, by_index, check, load_json, problems, save_csv, save_json
 
 
 def collect_candidates(
@@ -255,7 +255,7 @@ def save_profile(profile: SimilarityProfile, path: str | Path) -> None:
 _LAYER = {"index": int, "s_new_old": float, "s": float,
           "s_new_new": lambda v: v is None or not problems(v, float)}
 _PROFILE = {"layers": List(_LAYER, lo=1), "pairs?": Map([float]), "old_languages?": [str],
-            "new_languages?": [str], "meta?": {}}
+            "new_languages?": [str], "meta?": OBJECT}
 
 
 def load_profile(path: str | Path) -> SimilarityProfile:

@@ -1,12 +1,13 @@
-"""One declarative checker for the JSON artifacts the program reads, and the
+"""One declarative checker for the JSON input the program reads, and the
 one format every JSON and CSV artifact is written in.
 
 A spec is a literal: ``int``, ``float`` (a finite int or float), ``str``, a
 set of strings (one of them), ``[item]`` (a list of ``item``), a tuple (a
-list with one value per spec, in order) or a dict (an object with those
-keys; a key ending in "?" is optional). ``Int``, ``List`` and ``Map`` add
-bounds and objects with any keys (``Map.named`` gives some keys their own
-spec); any other callable is a predicate. A bool is never an int or a number.
+list with one value per spec, in order) or a dict (a closed object: those
+keys and no others; a key ending in "?" is optional). ``Int``, ``List`` and
+``Map`` add bounds and objects with any keys (``Map.named`` gives some keys
+their own spec); ``OBJECT`` is an object whose keys and values are free. Any
+other callable is a predicate. A bool is never an int or a number.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ class List:
 class Map:
     item: Any
     named: dict = field(default_factory=dict)
+
+
+OBJECT = Map(lambda v: True)
 
 
 def _leaf(spec, v) -> bool:
@@ -83,40 +87,51 @@ def _parts(spec, value) -> list | None:
     return [] if _leaf(spec, value) else None
 
 
-def _walk(spec, value, path: str, missing: list, wrong: list) -> None:
+def _walk(spec, value, path: str, missing: list, wrong: list, unknown: list) -> None:
     at = (lambda key: f"{path}.{key}") if path else str
     if isinstance(spec, dict) and isinstance(value, dict):
+        named = 0
         for name, sub in spec.items():
             key = name.rstrip("?")
             if key in value:
-                _walk(sub, value[key], at(key), missing, wrong)
+                named += 1
+                _item(sub, value[key], at, key, missing, wrong, unknown)
             elif key == name:  # a required object is reported by its required keys
                 inner = [k for k in sub if not k.endswith("?")] if isinstance(sub, dict) else []
                 missing += [f"{at(key)}.{k}" for k in inner] or [at(key)]
+        if named < len(value):
+            unknown += [at(k) for k in value
+                        if f"{k}?" not in spec and (k not in spec or k.endswith("?"))]
         return
     parts = None if isinstance(spec, dict) else _parts(spec, value)
     if parts is None:
         wrong.append(path or "the top level")
     for key, sub, item in parts or ():
-        if isinstance(sub, (dict, list, tuple, List, Map)):
-            _walk(sub, item, at(key), missing, wrong)
-        elif not _leaf(sub, item):  # inline: a corpus line has one leaf per token
-            wrong.append(at(key))
+        _item(sub, item, at, key, missing, wrong, unknown)
+
+
+def _item(spec, value, at, key, missing: list, wrong: list, unknown: list) -> None:
+    """Walk into the part ``key`` of an object or list, or check a leaf in place."""
+    if spec is int and type(value) is int:  # the commonest leaf, passed without a call
+        return
+    if isinstance(spec, (dict, list, tuple, List, Map)):
+        _walk(spec, value, at(key), missing, wrong, unknown)
+    elif not _leaf(spec, value):
+        wrong.append(at(key))
 
 
 def problems(value, spec) -> list[str]:
-    """What is wrong with ``value`` under ``spec``: ``lacks a, b`` and
-    ``has a value of the wrong type at x, y``; empty when it matches."""
-    missing: list[str] = []
-    wrong: list[str] = []
-    _walk(spec, value, "", missing, wrong)
-    found = [f"lacks {', '.join(missing)}"] if missing else []
-    return found + ([f"has a value of the wrong type at {', '.join(wrong)}"] if wrong else [])
+    """What is wrong with ``value`` under ``spec``: ``lacks a, b``, ``has a value
+    of the wrong type at x, y`` and ``has unknown keys z``; empty when it matches."""
+    found: tuple[list, list, list] = ([], [], [])  # missing, wrong, unknown
+    _walk(spec, value, "", *found)
+    labels = ("lacks", "has a value of the wrong type at", "has unknown keys")
+    return [f"{label} {', '.join(paths)}" for label, paths in zip(labels, found) if paths]
 
 
 def check(value, spec, what: str):
     """``value`` if it matches ``spec``; otherwise one FormatError that names
-    ``what``, every missing key and every wrong path."""
+    ``what``, every missing key, every wrong path and every unknown key."""
     found = problems(value, spec)
     if found:
         raise FormatError(f"{what} {'; '.join(found)}")

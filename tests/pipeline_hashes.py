@@ -3,6 +3,7 @@ or compare two such listings file by file.
 
     PYTHONPATH=src python tests/pipeline_hashes.py > head.txt
     python tests/pipeline_hashes.py --compare base.txt head.txt
+    PYTHONPATH=src python tests/pipeline_hashes.py --ledger > tests/ledger.json
 
 The first form runs a lifelong-shaped pipeline (a dense base plus two small
 expansions) and a wide-shaped one (one expansion with eight new experts per
@@ -11,13 +12,15 @@ one ``<sha256>  <run>/<file>`` line per output file. The second prints a
 Markdown table of the files whose hashes differ, or that only one listing
 has, and a count of those that match. CI runs it on a pull request's base
 and head to show which output bytes the change moves; it reports, and
-exits 0 either way.
+exits 0 either way. The third form records the hashes with the numpy and
+BLAS build that made them, as the ledger ``test_ledger.py`` checks.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -74,6 +77,23 @@ def hashes() -> list[str]:
     return lines
 
 
+def build() -> dict:
+    """The numpy version and BLAS library that every hash depends on."""
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its build
+        return {"numpy": numpy.__version__, "blas": "unknown"}
+    return {"numpy": numpy.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def ledger() -> dict:
+    """The hashes, keyed by ``<run>/<file>``, with the build that made them."""
+    pairs = (line.split("  ", 1) for line in hashes())
+    return {"build": build(), "files": {name: digest for digest, name in pairs}}
+
+
 def compare(base: Path, head: Path) -> list[str]:
     def read(path: Path) -> dict[str, str]:
         pairs = (line.split("  ", 1) for line in path.read_text().splitlines() if line)
@@ -93,7 +113,11 @@ def compare(base: Path, head: Path) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BASE", "HEAD"))
+    parser.add_argument("--ledger", action="store_true", help="print the hashes as a ledger")
     args = parser.parse_args(argv)
+    if args.ledger:
+        print(json.dumps(ledger(), indent=2, sort_keys=True))
+        return 0
     lines = compare(*args.compare) if args.compare else hashes()
     print("\n".join(lines))
     return 0

@@ -66,6 +66,19 @@ class TestAllocate:
         with pytest.raises(UnsupportedSimilarityError):
             allocate([], 9)
 
+    @pytest.mark.parametrize(
+        "sims, named",
+        [
+            ([0.4, -0.05, 0.2, -0.3], "layer 1 has similarity -0.05"),
+            ([0.4, 0.3, 0.0], "layer 2 has similarity 0.0"),
+            ([float("nan"), -0.1], "layer 0 has similarity nan"),
+        ],
+    )
+    def test_rejection_names_the_first_offending_layer(self, sims, named):
+        with pytest.raises(UnsupportedSimilarityError) as caught:
+            allocate(sims, 9)
+        assert str(caught.value).endswith(named)
+
     def test_rejects_small_budget(self):
         with pytest.raises(BudgetError):
             allocate([0.5, 0.5, 0.5], 2)

@@ -17,6 +17,8 @@ from layermoe.cli import main
 from layermoe.model import DenseModel, ModelConfig, save_model, upcycle
 
 TINY_MODEL = {"layers": 2, "hidden": 8, "heads": 2, "vocab": 32, "ffn": 8, "context": 8}
+# A complete checkpoint-header config, so that a header test fails on its params alone.
+HEADER_CONFIG = {**TINY_MODEL, "layers": 1}
 
 
 def run_failing(argv, capsys) -> dict:
@@ -35,6 +37,17 @@ def test_allocate_rejects_profile_without_layers(tmp_path, capsys):
     profile = write_json(tmp_path / "profile.json", {"pairs": {}})
     argv = ["allocate", "--profile", profile, "--budget", "4", "--out", str(tmp_path / "p.json")]
     assert run_failing(argv, capsys)["error"] == "FormatError"
+
+
+def test_allocate_names_the_layer_whose_similarity_is_not_positive(tmp_path, capsys):
+    layers = [{"index": i, "s_new_old": s, "s_new_new": None, "s": s}
+              for i, s in enumerate([0.4, -0.05, 0.2])]
+    profile = write_json(tmp_path / "profile.json", {"layers": layers})
+    argv = ["allocate", "--profile", profile, "--budget", "4", "--out", str(tmp_path / "p.json")]
+    record = run_failing(argv, capsys)
+    assert record["error"] == "UnsupportedSimilarityError"
+    assert record["message"].endswith("layer 1 has similarity -0.05")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
 
 
 def test_deeply_nested_json_is_rejected(tmp_path, capsys):
@@ -100,6 +113,7 @@ def test_run_pipeline_names_every_missing_stage_key(tmp_path, capsys):
     message = run_failing(argv, capsys)["message"]
     missing = [
         "languages.groups",
+        *(f"model.{key}" for key in TINY_MODEL),
         "base.batch_size",
         "expansions.0.stage1.batch_size",
         "expansions.0.stage2.steps",
@@ -205,8 +219,9 @@ def test_run_pipeline_rejects_an_empty_model_config(tmp_path, capsys):
     config = write_json(tmp_path / "pipeline.json", pipeline_config(model={}))
     argv = ["run-pipeline", "--config", config, "--out-dir", str(tmp_path / "out")]
     record = run_failing(argv, capsys)
-    assert record["error"] == "ConfigurationError"
-    assert "lacks layers, hidden, heads, vocab, ffn, context" in record["message"]
+    assert record["error"] == "FormatError"
+    missing = ", ".join(f"model.{key}" for key in TINY_MODEL)
+    assert record["message"] == f"pipeline config lacks {missing}"
 
 
 @pytest.mark.parametrize(
@@ -214,8 +229,8 @@ def test_run_pipeline_rejects_an_empty_model_config(tmp_path, capsys):
     [
         (
             {**TINY_MODEL, "hidden": 8.0, "dropout": 0.1},
-            "ConfigurationError",
-            ["unknown key 'dropout'", "hidden is not an int"],
+            "FormatError",
+            ["wrong type at hidden", "unknown keys dropout"],
         ),
         ([2, 8], "FormatError", ["model config has a value of the wrong type at the top level"]),
     ],
@@ -230,7 +245,7 @@ def test_train_base_rejects_a_malformed_model_config(tmp_path, capsys, model, er
 
 
 def test_checkpoint_header_without_params_is_rejected(tmp_path, capsys):
-    header = json.dumps({"kind": "dense", "config": {"layers": 1}}).encode("utf-8")
+    header = json.dumps({"kind": "dense", "config": HEADER_CONFIG}).encode("utf-8")
     path = tmp_path / "bad.lmoe"
     path.write_bytes(b"LMOE" + struct.pack("<IQ", 1, len(header)) + header)
     argv = ["eval", "--model", str(path), "--corpus", str(tmp_path / "c.jsonl")]
@@ -253,7 +268,7 @@ def test_checkpoint_header_without_params_is_rejected(tmp_path, capsys):
 def test_checkpoint_header_with_a_malformed_params_entry_is_rejected(
     tmp_path, capsys, params, detail
 ):
-    header = json.dumps({"kind": "dense", "config": {"layers": 1}, "params": params})
+    header = json.dumps({"kind": "dense", "config": HEADER_CONFIG, "params": params})
     path = tmp_path / "bad.lmoe"
     path.write_bytes(b"LMOE" + struct.pack("<IQ", 1, len(header)) + header.encode("utf-8"))
     argv = ["eval", "--model", str(path), "--corpus", str(tmp_path / "c.jsonl")]
@@ -533,13 +548,11 @@ def test_run_pipeline_rejects_a_language_listed_twice(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_pipeline_records_environment_overrides_and_replays_without_them(
-    tmp_path, capsys, monkeypatch
-):
+def test_run_pipeline_records_overrides_and_replays_them(tmp_path, capsys):
     config = write_json(tmp_path / "pipeline.json", pipeline_config())
     out = tmp_path / "out"
-    monkeypatch.setenv("LAYERMOE_OVERRIDES", "seed=5; base.steps=2")
-    run_ok(["run-pipeline", "--config", config, "--out-dir", str(out), "--set", "seed=3"], capsys)
+    argv = ["run-pipeline", "--config", config, "--out-dir", str(out)]
+    run_ok(argv + ["--set", "seed=5", "--set", " base.steps=2", "--set", "seed=3"], capsys)
     manifest = out / "pipeline.config.json.manifest.json"
     recorded = json.loads(manifest.read_text())["arguments"]["set"]
     assert recorded == ["seed=5", " base.steps=2", "seed=3"]
@@ -547,22 +560,53 @@ def test_run_pipeline_records_environment_overrides_and_replays_without_them(
     assert (resolved["seed"], resolved["base"]["steps"]) == (3, 2)
 
     written = {p: p.read_bytes() for p in out.iterdir()}
-    monkeypatch.setenv("LAYERMOE_OVERRIDES", "base.steps=3")
     run_ok(["replay", "--manifest", str(manifest)], capsys)
     assert {p: p.read_bytes() for p in out.iterdir()} == written
 
 
-def test_overrides_step_into_lists_by_index(tmp_path, capsys, monkeypatch):
+def test_overrides_step_into_lists_by_index(tmp_path, capsys):
     config = pipeline_config()
     config["expansions"][0]["classifier_count"] = 0
     path = write_json(tmp_path / "pipeline.json", config)
     out = tmp_path / "out"
-    monkeypatch.setenv("LAYERMOE_OVERRIDES", "expansions.0.classifier_count=1")
     argv = ["run-pipeline", "--config", path, "--out-dir", str(out)]
-    outputs = run_ok(argv + ["--set", "expansions.0.stage2.steps=2"], capsys)
+    argv += ["--set", "expansions.0.classifier_count=1", "--set", "expansions.0.stage2.steps=2"]
+    outputs = run_ok(argv, capsys)
     resolved = json.loads((out / "pipeline.config.json").read_text())["expansions"][0]
     assert (resolved["classifier_count"], resolved["stage2"]["steps"]) == (1, 2)
     assert "profile_stage1_0_g1" in outputs
+
+
+def test_run_pipeline_lists_every_losses_file_it_writes(tmp_path, capsys):
+    """The stage losses used to be written but left out of the outputs, so
+    neither the manifest nor ``replay`` checked them."""
+    config = write_json(tmp_path / "pipeline.json", pipeline_config())
+    out = tmp_path / "out"
+    outputs = run_ok(["run-pipeline", "--config", config, "--out-dir", str(out)], capsys)
+    manifest = json.loads((out / "pipeline.config.json.manifest.json").read_text())
+    listed = {Path(entry["path"]) for entry in manifest["outputs"].values()}
+    assert set(out.glob("*.losses.csv")) <= listed
+    assert {"stage1_losses_0_g1", "stage2_losses_0_g1"} <= outputs.keys()
+
+
+def test_run_pipeline_names_every_misspelled_key_and_writes_nothing(tmp_path, capsys):
+    """Before objects were closed, this trained only the dense base: the
+    expansions hid under a misspelled key and the learning rate was ignored."""
+    config = {
+        "seed": 1,
+        "languages": {"groups": {"g0": ["a"], "g1": ["b"]}, "block_size": 8},
+        "model": TINY_MODEL,
+        "corpus": {"tokens_per_language": 64},
+        "base": {"group": "g0", "steps": 1, "batch_size": 2, "learning_rte": 9.0},
+        "expansion": [{"group": "g1", "budget": 2, "q": 8,
+                       "stage1": {"steps": 1, "batch_size": 2},
+                       "stage2": {"steps": 1, "batch_size": 2}}],
+    }
+    argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
+    record = run_failing(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    message = "pipeline config has unknown keys base.learning_rte, expansion"
+    assert record == {"error": "FormatError", "message": message}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.json"]
 
 
 @pytest.mark.parametrize(
@@ -744,6 +788,36 @@ def extend(path, extra):
     return change
 
 
+def add_unknown(path, key="colour", value="blue"):
+    """Give the object at ``path`` a key that its spec does not name; the
+    error must name that key by its dotted path."""
+    change = edit((*path, key), value)
+    change.named = ".".join(map(str, (*path, key)))
+    return change
+
+
+UNKNOWN_KEYS = [(kind, add_unknown(path)) for kind, path in [
+    ("pipeline-config", ()),
+    ("pipeline-config", ("base",)),
+    ("pipeline-config", ("expansions", 0)),
+    ("pipeline-config", ("evaluation",)),
+    ("pipeline-config", ("languages",)),
+    ("corpus-record", ()),
+    ("dense-header", ()),
+    ("dense-header", ("config",)),
+    ("dense-header", ("params", 0)),
+    ("moe-header", ()),
+    ("moe-header", ("config",)),
+    ("moe-header", ("params", 0)),
+    ("profile", ()),
+    ("profile", ("layers", 0)),
+    ("plan", ()),
+    ("plan", ("layers", 0)),
+    ("manifest", ()),
+    ("manifest", ("outputs", "plan")),
+]]
+
+
 @pytest.mark.parametrize(
     "kind, change",
     [
@@ -759,6 +833,9 @@ def extend(path, extra):
         ("profile", edit(("old_languages",), 5)),
         ("manifest", edit(("arguments", "budget"), "x")),
         ("manifest", edit(("arguments", "out"), None)),
+        *UNKNOWN_KEYS,
+        ("dense-header", add_unknown((), "classifier_layers", [0])),
+        ("moe-header", add_unknown((), "groups", ["g0"])),
     ],
     ids=[
         "string-base-groups",
@@ -773,6 +850,9 @@ def extend(path, extra):
         "int-old-languages",
         "string-budget",
         "null-out",
+        *(f"unknown-key-{kind}-{change.named}" for kind, change in UNKNOWN_KEYS),
+        "dense-header-with-an-moe-key",
+        "moe-header-with-a-dense-key",
     ],
 )
 def test_reported_input_faults_exit_2(tmp_path, capsys, monkeypatch, artifacts, kind, change):
@@ -781,7 +861,10 @@ def test_reported_input_faults_exit_2(tmp_path, capsys, monkeypatch, artifacts, 
     monkeypatch.chdir(tmp_path)
     record, write, command = artifact_kind(kind, artifacts)
     write(str(tmp_path / "artifact"), change(record))
-    assert run_failing(command(str(tmp_path / "artifact")), capsys)["error"] == "FormatError"
+    failure = run_failing(command(str(tmp_path / "artifact")), capsys)
+    assert failure["error"] == "FormatError"
+    named = getattr(change, "named", None)
+    assert named is None or f"has unknown keys {named}" in failure["message"]
 
 
 CAPPED = """
