@@ -111,8 +111,8 @@ def validate(plan: AllocationPlan, layer_count: int) -> list[str]:
     return problems
 
 
-def save_plan(plan: AllocationPlan, path: str | Path) -> None:
-    """JSON plan plus a CSV mirror (``path`` with suffix ``.csv``)."""
+def save_plan(plan: AllocationPlan, path: str | Path) -> Path:
+    """JSON plan plus a CSV mirror (``path`` with suffix ``.csv``), returned."""
     record = {
         "budget": plan.budget,
         "layers": [
@@ -129,7 +129,7 @@ def save_plan(plan: AllocationPlan, path: str | Path) -> None:
         "mode": plan.meta,
     }
     save_json(path, record)
-    save_csv(
+    return save_csv(
         Path(path).with_suffix(".csv"),
         ["layer", "similarity", "new_experts"],
         ([i, repr(plan.similarities[i]), plan.new_experts[i]] for i in range(plan.layer_count)),

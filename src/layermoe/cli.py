@@ -1,6 +1,8 @@
 """Command-line front door: corpus generation, base training, profiling,
-allocation, expansion, review, evaluation, and full pipelines. ``expand``
-and ``review`` run the same two steps as each expansion of ``run-pipeline``.
+allocation, expansion, review, evaluation, and full pipelines. ``profile``,
+``allocate``, ``expand`` and ``review`` run the steps of any expansion of
+``run-pipeline``, a lifelong sequence's later ones included: ``expand``
+upcycles a dense checkpoint or extends an expanded one.
 
 Every artifact-producing command writes a manifest (``<out>.manifest.json``)
 holding the resolved arguments, package version, and output hashes. The
@@ -31,9 +33,12 @@ from .errors import ConfigurationError, FormatError, InvalidInputError, LayerMoE
 from .model import DenseModel, ModelConfig, MoEModel, load_model, save_model
 from .model.config import MODEL_SPEC
 from .numerics import derive_seed
-from .profiler import load_profile, profile_similarity, save_profile
+from .profiler import PROFILE_Q, load_profile, profile_similarity, save_profile
 from .schema import Int, List, Map, check, load_json, problems, save_json
 from .trainer import (
+    CLS_MODES,
+    REVIEW_RATIO,
+    STAGE_SETTINGS,
     TrainingRecipe,
     evaluate,
     expand,
@@ -74,18 +79,9 @@ def _write_manifest(command: str, args: dict, outputs: dict[str, Path]) -> None:
     save_json(f"{primary}.manifest.json", manifest)
 
 
-# A language layout, as in gen-corpus --spec and a pipeline's "languages".
+# A language layout, as in gen-corpus --spec and a pipeline's "languages":
+# the keyword arguments of corpus.language_specs, less the seed.
 _LANGUAGES = {"groups": Map([str]), "block_size?": int, "shared_size?": int, "overlap?": float}
-
-
-def _language_specs(cfg: dict, seed: int):
-    return language_specs(
-        cfg["groups"],
-        block_size=cfg.get("block_size", 48),
-        shared_size=cfg.get("shared_size"),
-        overlap=cfg.get("overlap", 0.0),
-        seed=seed,
-    )
 
 
 def _groups_arg(value: str) -> list[str]:
@@ -111,8 +107,7 @@ def _save_trained(model, reports, out: str) -> dict[str, Path]:
 def _save_metrics(metrics, path: Path) -> Path:
     """Metrics as JSON plus a CSV mirror, whose path is returned."""
     metrics.save_json(path)
-    metrics.save_csv(path.with_suffix(".csv"))
-    return path.with_suffix(".csv")
+    return metrics.save_csv(path.with_suffix(".csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +116,7 @@ def _save_metrics(metrics, path: Path) -> Path:
 
 def _cmd_gen_corpus(args) -> dict[str, Path]:
     spec_cfg = check(load_json(args.spec), _LANGUAGES, f"{args.spec}: corpus spec")
-    specs = _language_specs(spec_cfg, args.seed)
+    specs = language_specs(**spec_cfg, seed=args.seed)
     corpus = generate(specs, args.tokens, args.seq_len, args.seed)
     out = Path(args.out)
     corpus.save_jsonl(out)
@@ -152,8 +147,7 @@ def _cmd_profile(args) -> dict[str, Path]:
         literal_new_new=args.literal_new_new,
     )
     out = Path(args.out)
-    save_profile(profile, out)
-    return {"profile": out, "profile_csv": out.with_suffix(".csv")}
+    return {"profile": out, "profile_csv": save_profile(profile, out)}
 
 
 def _cmd_allocate(args) -> dict[str, Path]:
@@ -161,18 +155,15 @@ def _cmd_allocate(args) -> dict[str, Path]:
     plan = allocate(profile.indicated, args.budget)
     plan = replace(plan, meta={"profile": profile.meta, "mode": "layerwise"})
     out = Path(args.out)
-    save_plan(plan, out)
-    return {"plan": out, "plan_csv": out.with_suffix(".csv")}
+    return {"plan": out, "plan_csv": save_plan(plan, out)}
 
 
 def _cmd_expand(args) -> dict[str, Path]:
-    dense = load_model(args.model)
-    if not isinstance(dense, DenseModel):
-        raise ConfigurationError("expand starts from a dense checkpoint")
+    model = load_model(args.model)
     plan = load_plan(args.plan)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
     recipe = _recipe(vars(args), "stage1", derive_seed(args.seed, "stage1"))
-    model, reports = expand(dense, plan, corpus, args.group, recipe, init=args.init)
+    model, reports = expand(model, plan, corpus, args.group, recipe)
     return _save_trained(model, reports, args.out)
 
 
@@ -194,8 +185,7 @@ def _cmd_review(args) -> dict[str, Path]:
     outputs = _save_trained(model, reports, args.out)
     if profile is not None:
         profile_out = Path(args.out).with_suffix(".profile.json")
-        save_profile(profile, profile_out)
-        outputs.update(profile=profile_out, profile_csv=profile_out.with_suffix(".csv"))
+        outputs.update(profile=profile_out, profile_csv=save_profile(profile, profile_out))
     return outputs
 
 
@@ -235,9 +225,12 @@ def _apply_override(config: dict, dotted: str, raw: str) -> None:
         parent[key] = raw
 
 
-_RATES = ("learning_rate", "momentum", "balance_weight", "lpr_weight", "cls_weight")
-_STAGE = {"steps": int, "batch_size": int, **{f"{key}?": float for key in _RATES},
-          "cls_mode?": {"standard_ce", "literal_paper"}}
+def _stage_spec(stage: str) -> dict:
+    """A pipeline stage: its size, its rates, and the settings it reads."""
+    own = {f"{n}?": set(CLS_MODES) if n == "cls_mode" else float for n in STAGE_SETTINGS[stage]}
+    return {"steps": int, "batch_size": int, "learning_rate?": float, "momentum?": float, **own}
+
+
 # Every value run_pipeline reads, and nothing else.
 _PIPELINE = {
     "seed?": int,
@@ -245,10 +238,11 @@ _PIPELINE = {
     "model": MODEL_SPEC,
     "corpus": {"tokens_per_language": int},
     "evaluation?": {"max_sequences_per_language?": Int(1), "mode?": {"plain", "gated"}},
-    "base": {"group": str, **_STAGE},
+    "base": {"group": str, **_stage_spec("dense")},
     "expansions?": [
         {"group": str, "budget": int, "q?": int, "classifier_count?": int,
-         "review_ratio?": List(Int(0), 2, 2), "stage1": _STAGE, "stage2": _STAGE}
+         "review_ratio?": List(Int(0), 2, 2), "stage1": _stage_spec("stage1"),
+         "stage2": _stage_spec("stage2")}
     ],
 }
 
@@ -260,7 +254,7 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     outputs: dict[str, Path] = {}
     seed = config.get("seed", 0)
 
-    specs = _language_specs(config["languages"], seed)
+    specs = language_specs(**config["languages"], seed=seed)
     model_config = ModelConfig(**{"seed": seed, **config["model"]})
     if required_vocab(specs) > model_config.vocab:
         raise ConfigurationError(
@@ -275,8 +269,11 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def put(name: str, filename: str, save, value) -> None:
+        # A saver that also writes a CSV mirror returns the mirror's path.
         outputs[name] = out_dir / filename
-        save(value, outputs[name])
+        mirror = save(value, outputs[name])
+        if mirror is not None:
+            outputs[f"csv_{name}"] = mirror
 
     tokens = config["corpus"]["tokens_per_language"]
     corpus = generate(specs, tokens, model_config.context, derive_seed(seed, "corpus"))
@@ -306,10 +303,8 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
             exp_cfg["budget"],
             _recipe(exp_cfg["stage1"], "stage1", derive_seed(expansion_seed, "stage1")),
             _recipe(exp_cfg["stage2"], "stage2", derive_seed(expansion_seed, "stage2")),
-            q=exp_cfg.get("q", 512),
             seed=expansion_seed,
-            classifier_count=exp_cfg.get("classifier_count"),
-            review_ratio=tuple(exp_cfg.get("review_ratio", (1, 2))),
+            **{k: exp_cfg[k] for k in ("q", "classifier_count", "review_ratio") if k in exp_cfg},
         )
         put(f"profile_{tag}", f"profile.{tag}.json", save_profile, result.profile_before)
         put(f"plan_{tag}", f"plan.{tag}.json", save_plan, result.plan)
@@ -368,13 +363,15 @@ def _cmd_replay(args) -> dict[str, Path]:
 # argument wiring
 
 
-def _add_training_options(p, steps: int, *weights: str) -> None:
-    """Step and batch options, and the rates with TrainingRecipe's defaults."""
+def _add_training_options(p, stage: str, steps: int) -> None:
+    """Step and batch options, then the rates and the settings that
+    ``stage`` reads (``STAGE_SETTINGS``), with TrainingRecipe's defaults."""
     p.add_argument("--steps", type=int, default=steps)
     p.add_argument("--batch-size", type=int, default=8)
     defaults = {f.name: f.default for f in fields(TrainingRecipe)}
-    for name in ("learning_rate", "momentum", *weights):
-        p.add_argument("--" + name.replace("_", "-"), type=float, default=defaults[name])
+    for name in ("learning_rate", "momentum", *STAGE_SETTINGS[stage]):
+        kind = {"choices": CLS_MODES} if name == "cls_mode" else {"type": float}
+        p.add_argument("--" + name.replace("_", "-"), default=defaults[name], **kind)
 
 
 def _build_parser() -> _Parser:
@@ -392,7 +389,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="JSON model config")
     p.add_argument("--corpus", required=True)
     p.add_argument("--group", required=True)
-    _add_training_options(p, 300)
+    _add_training_options(p, "dense", 300)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 
@@ -401,7 +398,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--old", required=True, help="comma-separated old group ids")
     p.add_argument("--new", required=True, help="comma-separated new group ids")
-    p.add_argument("--q", type=int, default=512)
+    p.add_argument("--q", type=int, default=PROFILE_Q)
     p.add_argument("--literal-new-new", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -411,13 +408,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("expand", help="upcycle a dense model and run stage 1")
+    p = sub.add_parser("expand", help="add a group's experts to a model and run stage 1")
     p.add_argument("--model", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--init", choices=("inherit", "random"), default="inherit")
-    _add_training_options(p, 400, "balance_weight")
+    _add_training_options(p, "stage1", 400)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 
@@ -425,11 +421,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--classifier-count", type=int, default=0)
-    p.add_argument("--q", type=int, default=512)
-    p.add_argument("--ratio-old", type=int, default=1)
-    p.add_argument("--ratio-new", type=int, default=2)
-    _add_training_options(p, 200, "lpr_weight", "cls_weight")
-    p.add_argument("--cls-mode", choices=("standard_ce", "literal_paper"), default="standard_ce")
+    p.add_argument("--q", type=int, default=PROFILE_Q)
+    p.add_argument("--ratio-old", type=int, default=REVIEW_RATIO[0])
+    p.add_argument("--ratio-new", type=int, default=REVIEW_RATIO[1])
+    _add_training_options(p, "stage2", 200)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 

@@ -277,11 +277,10 @@ def _plan_counts(plan, layers: int) -> tuple[int, ...]:
     return counts
 
 
-def _add_experts(model: MoEModel, plan, group: str, init: str) -> MoEModel:
+def _add_experts(model: MoEModel, plan, group: str) -> MoEModel:
     """Copy of ``model`` without classifiers, plus ``group``'s expansion: per
     layer, ``plan`` new experts with zero router columns. A new expert is the
-    layer's expert 0 plus seeded Gaussian noise (``init="inherit"``) or
-    seeded weights drawn from scratch (``"random"``)."""
+    layer's expert 0 plus seeded Gaussian noise."""
     config = model.config
     counts = _plan_counts(plan, config.layers)
     expansion = len(model.expansion_history)
@@ -296,27 +295,22 @@ def _add_experts(model: MoEModel, plan, group: str, init: str) -> MoEModel:
                 base = model.params[f"blocks.{i}.experts.0.{part}"].data
                 tag = ("expansion", expansion, "layer", i, "expert", e, part)
                 rng = SeededRng(derive_seed(config.seed, *tag)).generator()
-                if init == "inherit":
-                    data = base + rng.normal(0.0, NEW_EXPERT_NOISE_STD, size=base.shape)
-                elif init == "random":
-                    data = rng.normal(0.0, INIT_STD, size=base.shape)
-                else:
-                    raise InvalidInputError(f"unknown expert init {init!r}")
+                data = base + rng.normal(0.0, NEW_EXPERT_NOISE_STD, size=base.shape)
                 params[f"blocks.{i}.experts.{e}.{part}"] = Tensor(data)
             params[f"blocks.{i}.router.{e}"] = Tensor(np.zeros(config.hidden))
     history = list(model.expansion_history) + [Expansion(group, counts)]
     return MoEModel(config, params, model.base_groups, history)
 
 
-def upcycle(dense: DenseModel, plan, group: str, *, init: str = "inherit") -> MoEModel:
+def upcycle(dense: DenseModel, plan, group: str) -> MoEModel:
     """Turn a dense model into an MoE: per layer, expert 0 is the original
-    FFN and ``plan`` new experts are added (default: copies of expert 0 plus
-    seeded Gaussian noise). Routers start at zero, so routing begins uniform
+    FFN and ``plan`` new experts are added, each a copy of expert 0 plus
+    seeded Gaussian noise. Routers start at zero, so routing begins uniform
     with deterministic tie-breaking. ``dense`` is left untouched."""
     params = {name.replace(".ffn.", ".experts.0."): p for name, p in dense.params.items()}
     for i in range(dense.config.layers):
         params[f"blocks.{i}.router.0"] = Tensor(np.zeros(dense.config.hidden))
-    return _add_experts(MoEModel(dense.config, params, dense.groups, ()), plan, group, init)
+    return _add_experts(MoEModel(dense.config, params, dense.groups, ()), plan, group)
 
 
 def extend_expansion(model: MoEModel, plan, group: str) -> MoEModel:
@@ -324,7 +318,7 @@ def extend_expansion(model: MoEModel, plan, group: str) -> MoEModel:
     layer's expert 0 (the original dense FFN) plus noise; classifiers from the
     previous expansion are dropped, since the next review stage re-selects
     layers and trains fresh ones against the enlarged old group."""
-    return _add_experts(model, plan, group, "inherit")
+    return _add_experts(model, plan, group)
 
 
 def add_classifiers(model: MoEModel, layers: Sequence[int]) -> MoEModel:

@@ -53,6 +53,9 @@ from .model import Model, forward
 from .numerics import SeededRng, derive_seed
 from .schema import OBJECT, List, Map, by_index, check, load_json, problems, save_csv, save_json
 
+# Token positions sampled per language unless the caller sets q.
+PROFILE_Q = 512
+
 
 def collect_candidates(
     model: Model, corpus: TaggedCorpus, language: str, q: int, seed: int
@@ -177,7 +180,7 @@ def profile_similarity(
     old_languages: Sequence[str],
     new_languages: Sequence[str],
     *,
-    q: int = 512,
+    q: int = PROFILE_Q,
     seed: int = 0,
     literal_new_new: bool = False,
 ) -> SimilarityProfile:
@@ -223,9 +226,9 @@ def select_classifier_layers(new_old: Sequence[float], count: int) -> tuple[int,
 # profile files
 
 
-def save_profile(profile: SimilarityProfile, path: str | Path) -> None:
-    """JSON profile plus a CSV mirror (``path`` with suffix ``.csv``) shaped
-    for per-layer similarity plots."""
+def save_profile(profile: SimilarityProfile, path: str | Path) -> Path:
+    """JSON profile plus a CSV mirror (``path`` with suffix ``.csv``, returned)
+    shaped for per-layer similarity plots."""
     path = Path(path)
     record = {
         "layers": [
@@ -249,7 +252,7 @@ def save_profile(profile: SimilarityProfile, path: str | Path) -> None:
     names = ["s_new_old", "s_new_new", "s"]
     rows = [[row["index"], *("" if row[n] is None else repr(row[n]) for n in names)]
             for row in record["layers"]]
-    save_csv(path.with_suffix(".csv"), ["layer", *names], rows)
+    return save_csv(path.with_suffix(".csv"), ["layer", *names], rows)
 
 
 _LAYER = {"index": int, "s_new_old": float, "s": float,

@@ -159,9 +159,11 @@ def save_json(path: str | Path, value) -> None:
     Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def save_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write a header row and ``rows`` as UTF-8 CSV with ``\\r\\n`` line ends."""
+def save_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> Path:
+    """Write a header row and ``rows`` as UTF-8 CSV with ``\\r\\n`` line ends;
+    returns the path written."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    return Path(path)

@@ -43,7 +43,7 @@ from .model import (
     upcycle,
 )
 from .numerics import SeededRng, Tensor, as_tensor, derive_seed, log_softmax, take_pairs, zero_grads
-from .profiler import SimilarityProfile, profile_similarity, select_classifier_layers
+from .profiler import PROFILE_Q, SimilarityProfile, profile_similarity, select_classifier_layers
 
 # Classifier-layer count defaults: 7 for a single expansion, 5 per step of a
 # lifelong sequence (clipped to the model depth at use).
@@ -54,17 +54,24 @@ LIFELONG_CLASSIFIER_LAYERS = 5
 # 50K/100K review sampling, scaled to desk size).
 REVIEW_RATIO = (1, 2)
 
+# The classifier loss: a two-class cross-entropy over every language token,
+# or the published form that supervises only old tokens.
+STANDARD_CE = "standard_ce"
+CLS_MODES = (STANDARD_CE, "literal_paper")
+
+# The settings each stage reads besides steps, batch size, learning rate and
+# momentum; a pipeline stage and a command accept exactly these.
+STAGE_SETTINGS = {"dense": (), "stage1": ("balance_weight",),
+                  "stage2": ("lpr_weight", "cls_weight", "cls_mode")}
+
 
 @dataclass(frozen=True)
 class TrainingRecipe:
     """Hyperparameters of one training stage: "dense" (pre-training the
     backbone), "stage1" or "stage2". The stage picks the loss terms and the
-    trainable set; a weight the stage does not use is ignored.
-
-    ``balance_weight``, ``lpr_weight`` and ``cls_weight`` are the composite
-    loss weights (defaults 0.01, 0.1, 0.1). ``cls_mode`` selects between a
-    standard two-class cross-entropy over all tokens ("standard_ce") and the
-    published form that supervises only old tokens ("literal_paper").
+    trainable set, and reads only its own :data:`STAGE_SETTINGS`: stage 1
+    the balance weight, stage 2 the prior-routing and classifier weights and
+    ``cls_mode`` (one of :data:`CLS_MODES`), dense training none of them.
     """
 
     stage: str
@@ -76,10 +83,10 @@ class TrainingRecipe:
     balance_weight: float = 0.01
     lpr_weight: float = 0.1
     cls_weight: float = 0.1
-    cls_mode: str = "standard_ce"
+    cls_mode: str = STANDARD_CE
 
     def __post_init__(self):
-        if self.stage not in ("dense", "stage1", "stage2"):
+        if self.stage not in STAGE_SETTINGS:
             raise ConfigurationError(f"unknown stage {self.stage!r}")
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigurationError("steps must be >= 0 and batch_size >= 1")
@@ -88,7 +95,7 @@ class TrainingRecipe:
             raise ConfigurationError("learning rate, momentum and loss weights must be finite")
         if min(weights) < 0:
             raise ConfigurationError("loss weights must be non-negative")
-        if self.cls_mode not in ("standard_ce", "literal_paper"):
+        if self.cls_mode not in CLS_MODES:
             raise ConfigurationError(f"unknown cls_mode {self.cls_mode!r}")
 
 
@@ -167,7 +174,7 @@ def cls_loss(
     layer_logits: Sequence,
     old_mask: np.ndarray,
     valid_mask: np.ndarray,
-    mode: str = "standard_ce",
+    mode: str = STANDARD_CE,
 ) -> Tensor:
     """Classifier loss over the layers that carry a classifier.
 
@@ -177,11 +184,11 @@ def cls_loss(
     """
     if len(layer_logits) == 0:
         raise ConfigurationError("no classifier layers configured")
-    if mode not in ("standard_ce", "literal_paper"):
+    if mode not in CLS_MODES:
         raise InvalidInputError(f"unknown cls mode {mode!r}")
     old_mask = np.asarray(old_mask, dtype=bool).reshape(-1)
     valid_mask = np.asarray(valid_mask, dtype=bool).reshape(-1)
-    if mode == "standard_ce":
+    if mode == STANDARD_CE:
         rows = np.nonzero(valid_mask)[0]
         targets = np.where(old_mask[rows], 0, 1)
     else:
@@ -356,14 +363,14 @@ class EvalMetrics:
     def save_json(self, path: str | Path) -> None:
         schema.save_json(path, self.to_dict())
 
-    def save_csv(self, path: str | Path) -> None:
+    def save_csv(self, path: str | Path) -> Path:
         rows = [["perplexity", lang, repr(self.perplexity[lang])] for lang in sorted(self.perplexity)]
         for name in ("routing_old_fraction", "classifier_accuracy"):
             values = getattr(self, name) or {}
             rows += [[name, layer, repr(values[layer])] for layer in sorted(values)]
         for layer, counts in sorted((self.expert_utilization or {}).items()):
             rows.append(["expert_utilization", layer, " ".join(map(str, counts))])
-        schema.save_csv(path, ["metric", "key", "value"], rows)
+        return schema.save_csv(path, ["metric", "key", "value"], rows)
 
 
 def evaluate(
@@ -473,18 +480,16 @@ def expand(
     corpus: TaggedCorpus,
     group: str,
     recipe: TrainingRecipe,
-    *,
-    init: str,
 ) -> tuple[MoEModel, list[LossReport]]:
     """Stage 1 of an expansion: give ``group`` the experts of ``plan`` by
-    upcycling a dense model (``init`` as in :func:`upcycle`) or extending an
-    MoE one (new experts always copy expert 0), then train them on the
-    group's sequences in ``corpus``."""
+    upcycling a dense model or extending an MoE one (each new expert copies
+    its layer's expert 0), then train them on the group's sequences in
+    ``corpus``."""
     _proficient(model, group)
     if isinstance(model, MoEModel):
         expanded = extend_expansion(model, plan, group)
     else:
-        expanded = upcycle(model, plan, group, init=init)
+        expanded = upcycle(model, plan, group)
     return stage1_train(expanded, corpus.subset_groups([group]), recipe)
 
 
@@ -536,7 +541,7 @@ def lifelong_expand(
     recipe1: TrainingRecipe,
     recipe2: TrainingRecipe,
     *,
-    q: int = 512,
+    q: int = PROFILE_Q,
     seed: int = 0,
     classifier_count: int | None = None,
     review_ratio: tuple[int, int] = REVIEW_RATIO,
@@ -561,7 +566,7 @@ def lifelong_expand(
         seed=derive_seed(seed, "profile-before"),
     )
     plan = allocate(profile_before.indicated, budget)
-    expanded, reports1 = expand(model, plan, corpus, new_group, recipe1, init="inherit")
+    expanded, reports1 = expand(model, plan, corpus, new_group, recipe1)
     if classifier_count is None:
         classifier_count = default_classifier_count(lifelong, model.config.layers)
     expanded, profile_stage1, reports2 = review(

@@ -13,7 +13,8 @@ Markdown table of the files whose hashes differ, or that only one listing
 has, and a count of those that match. CI runs it on a pull request's base
 and head to show which output bytes the change moves; it reports, and
 exits 0 either way. The third form records the hashes with the numpy and
-BLAS build that made them, as the ledger ``test_ledger.py`` checks.
+BLAS build, and the BLAS kernel, that made them, as the ledger
+``test_ledger.py`` checks.
 """
 
 from __future__ import annotations
@@ -77,15 +78,37 @@ def hashes() -> list[str]:
     return lines
 
 
+def _blas_core() -> str:
+    """The kernel that the loaded OpenBLAS runs (``SkylakeX``, ``Haswell``,
+    ...): it picks one for the CPU at load time, ``OPENBLAS_CORETYPE`` can
+    override it, and kernels differ in output bits. ``numpy.show_config()``
+    names only the build target. ``unknown`` where it cannot be read."""
+    import ctypes
+
+    import numpy
+
+    libs = Path(numpy.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:  # the library numpy has loaded, so this reads its state
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def build() -> dict:
-    """The numpy version and BLAS library that every hash depends on."""
+    """The numpy version, BLAS library and BLAS kernel that every hash
+    depends on."""
     import numpy
 
     try:
         blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        library = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26 only prints its build
-        return {"numpy": numpy.__version__, "blas": "unknown"}
-    return {"numpy": numpy.__version__, "blas": f"{blas['name']} {blas['version']}"}
+        library = "unknown"
+    return {"numpy": numpy.__version__, "blas": library, "core": _blas_core()}
 
 
 def ledger() -> dict:

@@ -10,11 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import layermoe
 from layermoe.cli import main
-from layermoe.model import DenseModel, ModelConfig, save_model, upcycle
+from layermoe.model import DenseModel, ModelConfig, load_model, save_model, upcycle
 
 TINY_MODEL = {"layers": 2, "hidden": 8, "heads": 2, "vocab": 32, "ffn": 8, "context": 8}
 # A complete checkpoint-header config, so that a header test fails on its params alone.
@@ -410,6 +411,70 @@ def test_every_command_runs_and_replays_to_the_same_bytes(tmp_path, capsys):
     assert json.loads((tmp_path / "base.lmoe.manifest.json").read_text()) == record
 
 
+def test_the_command_chain_runs_a_second_expansion(tmp_path, capsys):
+    """``expand`` used to accept only a dense checkpoint, so the chain could
+    not add g2 to the model that g1's review left. Each expansion's steps
+    freeze what came before: the dense backbone and g1's experts stay
+    bitwise unchanged."""
+    # Overlapping languages, as in the one-expansion chain above: allocation
+    # needs every layer's similarity to be positive.
+    groups = {"g0": ["a"], "g1": ["b"], "g2": ["c"]}
+    spec = write_json(tmp_path / "spec.json", {"groups": groups, "block_size": 8, "overlap": 0.8})
+    config = write_json(tmp_path / "model.json", {**TINY_MODEL, "vocab": 64})
+    corpus, base = str(tmp_path / "c.jsonl"), str(tmp_path / "base.lmoe")
+    data = ["--corpus", corpus]
+    train = ["--steps", "2", "--batch-size", "4", "--learning-rate", "0.05", "--seed", "3"]
+    run_ok(["gen-corpus", "--spec", spec, "--tokens", "256", "--seq-len", "8", "--out", corpus],
+           capsys)
+    run_ok(["train-base", "--config", config, *data, "--group", "g0", *train, "--out", base],
+           capsys)
+    model = base
+    for group, old in [("g1", "g0"), ("g2", "g0,g1")]:
+        profile, plan, moe, reviewed = (
+            str(tmp_path / f"{kind}.{group}") for kind in ("profile", "plan", "moe", "rev")
+        )
+        for argv in [
+            ["profile", "--model", model, *data, "--old", old, "--new", group, "--q", "16"]
+            + ["--out", profile],
+            ["allocate", "--profile", profile, "--budget", "3", "--out", plan],
+            ["expand", "--model", model, "--plan", plan, *data, "--group", group, *train]
+            + ["--out", moe],
+            ["review", "--model", moe, *data, "--classifier-count", "1", "--q", "16", *train]
+            + ["--out", reviewed],
+        ]:
+            run_ok(argv, capsys)
+        model = reviewed
+
+    dense, first, last = (load_model(tmp_path / name) for name in ("base.lmoe", "rev.g1", "rev.g2"))
+    assert [e.group for e in last.expansion_history] == ["g1", "g2"]
+    for name, param in dense.params.items():
+        assert np.array_equal(param.data, last.params[name.replace(".ffn.", ".experts.0.")].data)
+    g1_experts = [name for name in first.params if ".experts." in name]
+    assert len(first.params) < len(last.params)
+    for name in g1_experts:
+        assert np.array_equal(first.params[name].data, last.params[name].data), name
+
+    written = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    for name in ("moe.g2", "rev.g2"):
+        run_ok(["replay", "--manifest", str(tmp_path / f"{name}.manifest.json")], capsys)
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
+def test_expand_has_one_way_to_add_experts(artifacts, tmp_path, capsys):
+    """New experts always copy their layer's expert 0. ``--init`` is gone,
+    and a manifest that still records it no longer replays."""
+    argv = ["expand", "--model", artifacts["base.lmoe"], "--plan", artifacts["plan.json"]]
+    argv += ["--corpus", artifacts["c.jsonl"], "--group", "g1", "--steps", "1", "--init", "random"]
+    record = run_failing(argv + ["--out", str(tmp_path / "moe.lmoe")], capsys)
+    assert "unrecognized arguments: --init random" in record["message"]
+    manifest = json.loads(Path(artifacts["moe.lmoe"] + ".manifest.json").read_text())
+    manifest["arguments"]["init"] = "inherit"
+    failure = run_failing(["replay", "--manifest", write_json(tmp_path / "m.json", manifest)], capsys)
+    assert failure["error"] == "FormatError"
+    assert "unrecognized arguments: --init=inherit" in failure["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
 def test_eval_rejects_fewer_than_one_sequence_per_language(tmp_path, capsys):
     model = tmp_path / "dense.lmoe"
     save_model(DenseModel.create(ModelConfig(**TINY_MODEL), groups=("g0",)), model)
@@ -577,16 +642,38 @@ def test_overrides_step_into_lists_by_index(tmp_path, capsys):
     assert "profile_stage1_0_g1" in outputs
 
 
-def test_run_pipeline_lists_every_losses_file_it_writes(tmp_path, capsys):
-    """The stage losses used to be written but left out of the outputs, so
-    neither the manifest nor ``replay`` checked them."""
+def test_run_pipeline_lists_every_file_it_writes(tmp_path, capsys):
+    """The stage losses and the CSV mirrors of every profile, plan and
+    metrics file used to be written but left out of the outputs, so neither
+    the manifest nor ``replay`` checked them. A ``metrics_*`` output is
+    always a JSON file: the benchmark reads each one as JSON."""
     config = write_json(tmp_path / "pipeline.json", pipeline_config())
     out = tmp_path / "out"
     outputs = run_ok(["run-pipeline", "--config", config, "--out-dir", str(out)], capsys)
-    manifest = json.loads((out / "pipeline.config.json.manifest.json").read_text())
-    listed = {Path(entry["path"]) for entry in manifest["outputs"].values()}
-    assert set(out.glob("*.losses.csv")) <= listed
-    assert {"stage1_losses_0_g1", "stage2_losses_0_g1"} <= outputs.keys()
+    manifest = out / "pipeline.config.json.manifest.json"
+    listed = {Path(entry["path"]) for entry in json.loads(manifest.read_text())["outputs"].values()}
+    assert set(out.iterdir()) - {manifest} == listed
+    assert {"stage1_losses_0_g1", "csv_profile_stage1_0_g1", "csv_metrics_base"} <= outputs.keys()
+    assert all(p.endswith(".json") for k, p in outputs.items() if k.startswith("metrics_"))
+
+
+def test_run_pipeline_rejects_a_setting_its_stage_does_not_read(tmp_path, capsys):
+    """Each stage accepted every loss setting and silently ignored the ones
+    it does not read: dense training reads none, stage 1 only the balance
+    weight, stage 2 only the prior-routing and classifier settings."""
+    config = pipeline_config()
+    config["base"].update(lpr_weight=50.0, balance_weight=9.0, cls_mode="literal_paper")
+    config["expansions"][0]["stage1"] = {"steps": 1, "batch_size": 2, "lpr_weight": 50.0,
+                                         "cls_weight": 50.0, "cls_mode": "literal_paper"}
+    config["expansions"][0]["stage2"] = {"steps": 1, "batch_size": 2, "balance_weight": 50.0}
+    argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
+    record = run_failing(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    unknown = ["base.lpr_weight", "base.balance_weight", "base.cls_mode",
+               "expansions.0.stage1.lpr_weight", "expansions.0.stage1.cls_weight",
+               "expansions.0.stage1.cls_mode", "expansions.0.stage2.balance_weight"]
+    message = "pipeline config has unknown keys " + ", ".join(unknown)
+    assert record == {"error": "FormatError", "message": message}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.json"]
 
 
 def test_run_pipeline_names_every_misspelled_key_and_writes_nothing(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """The bytes of every file ``cli.run_pipeline`` writes for the small pipelines
 of ``pipeline_hashes.py``, held to the checked-in ledger.
 
-The hashes hold for one numpy and BLAS build, so on any other build the test
-skips and names both. A change that moves output bytes on purpose records a
+The hashes hold for one numpy and BLAS build running one BLAS kernel, so on
+any other build or kernel the test skips and names both. A change that moves output bytes on purpose records a
 new ledger (``pipeline_hashes.py --ledger``) and says which files moved and why.
 """
 

@@ -89,12 +89,6 @@ class TestUpcycle:
         again = upcycle(dense, [1, 1], "g1")
         np.testing.assert_array_equal(added, again.params["blocks.0.experts.1.gate"].data)
 
-    def test_random_init_option(self, dense):
-        model = upcycle(dense, [1, 1], "g1", init="random")
-        base = dense.params["blocks.0.ffn.gate"].data
-        added = model.params["blocks.0.experts.1.gate"].data
-        assert np.abs(added - base).max() > 0.01
-
     def test_plan_mismatch(self, dense):
         with pytest.raises(PlanMismatchError):
             upcycle(dense, [1, 1, 1], "g1")

@@ -506,7 +506,7 @@ class TestLifelongExpand:
         for group, seed in (("g1", 21), ("g2", 22)):
             expanded, result = self.expand(model, corpus, group, seed)
             stage1, stage2 = self.recipes(seed)
-            stepped, _ = expand(model, result.plan, corpus, group, stage1, init="inherit")
+            stepped, _ = expand(model, result.plan, corpus, group, stage1)
             stepped, profile, _ = review(
                 stepped,
                 corpus,
@@ -597,7 +597,7 @@ def stage1_world(request):
     trained = {}
     for lr in (0.0, 2.0):
         stage1 = recipe1(steps=40, seed=seed, learning_rate=lr)
-        trained[lr], _ = expand(dense, (1, 1), corpus, "g1", stage1, init="inherit")
+        trained[lr], _ = expand(dense, (1, 1), corpus, "g1", stage1)
     return seed, corpus, trained
 
 
