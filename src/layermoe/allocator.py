@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, FormatError, UnsupportedSimilarityError
-from .schema import OBJECT, Int, List, by_index, check, load_json, problems, save_csv, save_json
+from .schema import OBJECT, List, by_index, check, load_json, problems, save_csv, save_json
 
 __all__ = [
     "AllocationPlan",
@@ -34,14 +34,15 @@ _ROUNDING_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """Per-layer new-expert counts summing exactly to the budget."""
+    """Per-layer new-expert counts summing exactly to the budget. A plan
+    holds no classifier layers: stage 2 picks them, and the checkpoint
+    records them."""
 
     budget: int
     similarities: tuple[float, ...]
     raw: tuple[float, ...]  # fractional shares before rounding
     pre_reconciliation: tuple[int, ...]  # ceil of raw
     new_experts: tuple[int, ...]
-    classifier_layers: tuple[int, ...] = ()
     meta: dict = field(default_factory=dict)
 
     @property
@@ -125,7 +126,6 @@ def save_plan(plan: AllocationPlan, path: str | Path) -> Path:
             }
             for i in range(plan.layer_count)
         ],
-        "classifier_layers": list(plan.classifier_layers),
         "mode": plan.meta,
     }
     save_json(path, record)
@@ -138,8 +138,7 @@ def save_plan(plan: AllocationPlan, path: str | Path) -> Path:
 
 _LAYER = {"index": int, "similarity": lambda v: not problems(v, float) and v > 0,
           "new_experts": int, "raw?": float, "pre_reconciliation?": int}
-_PLAN = {"budget": int, "layers": List(_LAYER, lo=1), "classifier_layers?": [Int(0)],
-         "mode?": OBJECT}
+_PLAN = {"budget": int, "layers": List(_LAYER, lo=1), "mode?": OBJECT}
 
 
 def load_plan(path: str | Path) -> AllocationPlan:
@@ -155,7 +154,6 @@ def load_plan(path: str | Path) -> AllocationPlan:
             row.get("pre_reconciliation", row["new_experts"]) for row in layers
         ),
         new_experts=tuple(row["new_experts"] for row in layers),
-        classifier_layers=tuple(record.get("classifier_layers", ())),
         meta=record.get("mode", {}),
     )
     violations = validate(plan, plan.layer_count)

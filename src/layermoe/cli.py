@@ -2,7 +2,9 @@
 allocation, expansion, review, evaluation, and full pipelines. ``profile``,
 ``allocate``, ``expand`` and ``review`` run the steps of any expansion of
 ``run-pipeline``, a lifelong sequence's later ones included: ``expand``
-upcycles a dense checkpoint or extends an expanded one.
+upcycles a dense checkpoint or extends an expanded one. Run with their
+defaults, ``review`` and ``eval`` apply the pipeline's classifier count,
+evaluation mode and old groups, each read from the checkpoint.
 
 Every artifact-producing command writes a manifest (``<out>.manifest.json``)
 holding the resolved arguments, package version, and output hashes. The
@@ -30,7 +32,7 @@ from . import __version__
 from .allocator import allocate, load_plan, save_plan
 from .corpus import TaggedCorpus, generate, language_specs, required_vocab
 from .errors import ConfigurationError, FormatError, InvalidInputError, LayerMoEError
-from .model import DenseModel, ModelConfig, MoEModel, load_model, save_model
+from .model import DenseModel, ModelConfig, load_model, save_model
 from .model.config import MODEL_SPEC
 from .numerics import derive_seed
 from .profiler import PROFILE_Q, load_profile, profile_similarity, save_profile
@@ -169,8 +171,6 @@ def _cmd_expand(args) -> dict[str, Path]:
 
 def _cmd_review(args) -> dict[str, Path]:
     model = load_model(args.model)
-    if not isinstance(model, MoEModel):
-        raise ConfigurationError("review needs an expanded checkpoint")
     corpus = TaggedCorpus.load_jsonl(args.corpus)
     model, profile, reports = review(
         model,
@@ -192,14 +192,7 @@ def _cmd_review(args) -> dict[str, Path]:
 def _cmd_eval(args) -> dict[str, Path]:
     model = load_model(args.model)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
-    old_groups = _groups_arg(args.old_groups) if args.old_groups else None
-    metrics = evaluate(
-        model,
-        corpus,
-        mode=args.mode,
-        old_groups=old_groups,
-        max_sequences_per_language=args.max_sequences,
-    )
+    metrics = evaluate(model, corpus, args.mode, max_sequences_per_language=args.max_sequences)
     out = Path(args.out)
     return {"metrics": out, "metrics_csv": _save_metrics(metrics, out)}
 
@@ -261,8 +254,8 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
             f"language layout needs vocab {required_vocab(specs)}, model has {model_config.vocab}"
         )
     for index, exp_cfg in enumerate(config.get("expansions", ())):
-        count = exp_cfg.get("classifier_count", 0)
-        if not 0 <= count <= model_config.layers:
+        count = exp_cfg.get("classifier_count")
+        if count is not None and not 0 <= count <= model_config.layers:
             raise ConfigurationError(
                 f"expansions.{index}.classifier_count {count} outside 0..{model_config.layers}"
             )
@@ -316,7 +309,7 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
             put(f"{stage}_losses_{tag}", f"{stage}.{tag}.losses.csv", save_reports_csv, reports)
         put(f"model_{tag}", f"model.{tag}.lmoe", save_model, model)
 
-        mode = eval_cfg.get("mode", "gated") if model.classifier_layers else "plain"
+        mode = eval_cfg.get("mode") if model.classifier_layers else "plain"
         metrics = evaluate(model, corpus, mode=mode, max_sequences_per_language=max_sequences)
         put(f"metrics_{tag}", f"metrics.{tag}.json", _save_metrics, metrics)
     return outputs
@@ -420,7 +413,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("review", help="stage-2 router review with classifiers")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--classifier-count", type=int, default=0)
+    p.add_argument("--classifier-count", type=int, default=None)
     p.add_argument("--q", type=int, default=PROFILE_Q)
     p.add_argument("--ratio-old", type=int, default=REVIEW_RATIO[0])
     p.add_argument("--ratio-new", type=int, default=REVIEW_RATIO[1])
@@ -431,8 +424,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="per-language perplexity and routing stats")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=("plain", "gated"), default="plain")
-    p.add_argument("--old-groups", default="")
+    p.add_argument("--mode", choices=("plain", "gated"), default=None)
     p.add_argument("--max-sequences", type=int, default=None)
     p.add_argument("--out", required=True)
 

@@ -141,15 +141,17 @@ def balance_loss_layer(scores, indices: np.ndarray) -> Tensor:
     return (scores.mean(axis=0) * frequency).sum()
 
 
+def _layer_mean(terms: Sequence[Tensor], per_layer: int = 1) -> Tensor:
+    """The cross-layer mean: the layers' terms summed in order, each layer's
+    term a sum over ``per_layer`` items."""
+    return sum(terms[1:], terms[0]) * (1.0 / (per_layer * len(terms)))
+
+
 def balance_loss(layers: Sequence[tuple]) -> Tensor:
     """Mean of the per-layer balance values over all MoE layers."""
     if not layers:
         raise InvalidInputError("no layers to balance")
-    total = None
-    for scores, indices in layers:
-        term = balance_loss_layer(scores, indices)
-        total = term if total is None else total + term
-    return total * (1.0 / len(layers))
+    return _layer_mean([balance_loss_layer(scores, indices) for scores, indices in layers])
 
 
 def lpr_loss(layer_scores: Sequence, old_mask: np.ndarray) -> Tensor:
@@ -162,12 +164,8 @@ def lpr_loss(layer_scores: Sequence, old_mask: np.ndarray) -> Tensor:
     if rows.size == 0:
         return Tensor(0.0)
     zeros = np.zeros(rows.size, dtype=np.int64)
-    total = None
-    for scores in layer_scores:
-        g0 = take_pairs(as_tensor(scores), rows, zeros)
-        term = -(g0.log().sum())
-        total = term if total is None else total + term
-    return total * (1.0 / (rows.size * len(layer_scores)))
+    terms = [-(take_pairs(as_tensor(scores), rows, zeros).log().sum()) for scores in layer_scores]
+    return _layer_mean(terms, rows.size)
 
 
 def cls_loss(
@@ -196,12 +194,9 @@ def cls_loss(
         targets = np.zeros(rows.size, dtype=np.int64)
     if rows.size == 0:
         return Tensor(0.0)
-    total = None
-    for logits in layer_logits:
-        picked = take_pairs(log_softmax(as_tensor(logits)), rows, targets)
-        term = -(picked.sum())
-        total = term if total is None else total + term
-    return total * (1.0 / (rows.size * len(layer_logits)))
+    terms = [-(take_pairs(log_softmax(as_tensor(logits)), rows, targets).sum())
+             for logits in layer_logits]
+    return _layer_mean(terms, rows.size)
 
 
 # ---------------------------------------------------------------------------
@@ -376,27 +371,30 @@ class EvalMetrics:
 def evaluate(
     model: Model,
     corpus: TaggedCorpus,
-    mode: str = "plain",
+    mode: str | None = None,
     *,
-    old_groups: Sequence[str] | None = None,
     max_sequences_per_language: int | None = None,
 ) -> EvalMetrics:
     """Per-language perplexity plus routing and classifier statistics.
 
-    Perplexity is exp of the mean next-token negative log-likelihood. The
-    old-to-expert-0 fraction counts old-language tokens whose top-1 routed
-    expert is 0; on gated layers a fired gate counts as expert 0. Dense
-    models have no routing, classifier or utilization statistics.
+    ``mode`` None evaluates gated when the model has classifiers and plain
+    otherwise. Old languages are those of the model's old groups, the ones
+    it knew before its newest expansion. Perplexity is exp of the mean
+    next-token negative log-likelihood. The old-to-expert-0 fraction counts
+    old-language tokens whose top-1 routed expert is 0; on gated layers a
+    fired gate counts as expert 0. Dense models have no routing, classifier
+    or utilization statistics.
     """
     if max_sequences_per_language is not None and max_sequences_per_language < 1:
         raise InvalidInputError("max_sequences_per_language must be >= 1")
     model.config.check_tokens(corpus.sequences, corpus.sequences.shape[1] - 1)
     batch_size = 32  # sequences per forward pass
     is_moe = isinstance(model, MoEModel)
-    if old_groups is None:
-        old_groups = model.old_groups if is_moe else ()
+    old_groups = model.old_groups if is_moe else ()
     counts = model.expert_counts() if is_moe else ()
     classifier_layers = model.classifier_layers if is_moe else ()
+    if mode is None:
+        mode = "gated" if classifier_layers else "plain"
 
     nll_sum: dict[str, float] = {}
     nll_count: dict[str, int] = {}
@@ -498,7 +496,7 @@ def review(
     corpus: TaggedCorpus,
     recipe: TrainingRecipe,
     *,
-    classifier_count: int,
+    classifier_count: int | None = None,
     q: int,
     profile_seed: int,
     mix_seed: int,
@@ -507,9 +505,17 @@ def review(
     """Stage 2 of the newest expansion. With ``classifier_count`` > 0, profile
     the model and place that many classifiers on the layers where the new
     group's languages are most like the old ones; with none, the recipe's
-    classifier term is dropped. Then review the routers on ``review_ratio``
-    (old, new) sequences per language of old and new groups. Returns the
-    model, the profile (None without classifiers) and the losses."""
+    classifier term is dropped. ``classifier_count`` None places
+    :func:`default_classifier_count` of them: 7 on a first expansion, 5 on a
+    later one, clipped to the layer count. Then review the routers on
+    ``review_ratio`` (old, new) sequences per language of old and new
+    groups. Returns the model, the profile (None without classifiers) and
+    the losses."""
+    if not isinstance(model, MoEModel) or not model.expansion_history:
+        raise ConfigurationError("review needs an expanded model")
+    if classifier_count is None:
+        lifelong = len(model.expansion_history) > 1
+        classifier_count = default_classifier_count(lifelong, model.config.layers)
     if not 0 <= classifier_count <= model.config.layers:
         raise ConfigurationError(
             f"classifier_count {classifier_count} outside 0..{model.config.layers}"
@@ -548,14 +554,10 @@ def lifelong_expand(
 ) -> tuple[MoEModel, ExpansionResult]:
     """One full expansion: profile on the current model, allocate the budget,
     :func:`expand` (freezing everything pre-existing) and :func:`review`,
-    with "old" covering every previously known group.
-
-    ``classifier_count`` defaults to 7 when expanding a dense model (single
-    expansion) and 5 when extending an already expanded one (lifelong),
-    clipped to the layer count; 0 disables classifiers and the classifier
-    term of stage 2.
+    with "old" covering every previously known group. ``classifier_count``
+    goes to :func:`review`, which picks the default for None; 0 disables
+    classifiers and the classifier term of stage 2.
     """
-    lifelong = isinstance(model, MoEModel)
     proficient = _proficient(model, new_group)
     profile_before = profile_similarity(
         model,
@@ -567,8 +569,6 @@ def lifelong_expand(
     )
     plan = allocate(profile_before.indicated, budget)
     expanded, reports1 = expand(model, plan, corpus, new_group, recipe1)
-    if classifier_count is None:
-        classifier_count = default_classifier_count(lifelong, model.config.layers)
     expanded, profile_stage1, reports2 = review(
         expanded,
         corpus,

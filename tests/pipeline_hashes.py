@@ -1,5 +1,6 @@
 """Hash every file that ``cli.run_pipeline`` writes for two small pipelines,
-or compare two such listings file by file.
+and every artifact of the command chain, or compare two such listings file
+by file.
 
     PYTHONPATH=src python tests/pipeline_hashes.py > head.txt
     python tests/pipeline_hashes.py --compare base.txt head.txt
@@ -7,8 +8,11 @@ or compare two such listings file by file.
 
 The first form runs a lifelong-shaped pipeline (a dense base plus two small
 expansions) and a wide-shaped one (one expansion with eight new experts per
-layer), each at two seeds, with the ``layermoe`` found on the path, and prints
-one ``<sha256>  <run>/<file>`` line per output file. The second prints a
+layer), each at two seeds, with the ``layermoe`` found on the path. It also
+runs the command chain of one expansion (``gen-corpus`` to ``eval``) at one
+seed, with the defaults of ``review`` and ``eval``. It prints one
+``<sha256>  <run>/<file>`` line per output file; a chain command's manifest
+is left out, because it records absolute temporary paths. The second prints a
 Markdown table of the files whose hashes differ, or that only one listing
 has, and a count of those that match. CI runs it on a pull request's base
 and head to show which output bytes the change moves; it reports, and
@@ -20,15 +24,19 @@ BLAS build, and the BLAS kernel, that made them, as the ledger
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 # Both shapes run to the end at these seeds; at some others a layer's
 # similarity is not positive and allocation rejects the profile.
 SEEDS = (1, 3)
+CHAIN_SEED = 1
 
 
 def _stage(steps: int) -> dict:
@@ -59,20 +67,71 @@ def pipeline_config(shape: str, seed: int) -> dict:
     }
 
 
+def _flags(values: dict) -> list[str]:
+    return [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+
+
+def chain(out: Path) -> None:
+    """The lifelong pipeline's first expansion, run as the command chain
+    into ``out``: sizes, rates and seeds are set, and ``review`` and
+    ``eval`` keep their defaults for the classifier count and the mode."""
+    from layermoe.cli import main
+
+    config = pipeline_config("lifelong", CHAIN_SEED)
+    expansion = config["expansions"][0]
+    seed, old, group = [f"--seed={CHAIN_SEED}"], config["base"]["group"], expansion["group"]
+    corpus, base, profile, plan, moe, reviewed = (
+        str(out / name)
+        for name in ("corpus.jsonl", "base.lmoe", "profile.json", "plan.json", "moe.lmoe",
+                     "rev.lmoe")
+    )
+    with tempfile.TemporaryDirectory() as inputs:
+        spec, model = Path(inputs, "spec.json"), Path(inputs, "model.json")
+        spec.write_text(json.dumps(config["languages"]))
+        model.write_text(json.dumps(config["model"]))
+        base_stage = {k: v for k, v in config["base"].items() if k != "group"}
+        commands = [
+            ["gen-corpus", f"--spec={spec}", f"--tokens={config['corpus']['tokens_per_language']}",
+             f"--seq-len={config['model']['context']}", f"--out={corpus}", *seed],
+            ["train-base", f"--config={model}", f"--corpus={corpus}", f"--group={old}",
+             *_flags(base_stage), f"--out={base}", *seed],
+            ["profile", f"--model={base}", f"--corpus={corpus}", f"--old={old}", f"--new={group}",
+             f"--q={expansion['q']}", f"--out={profile}", *seed],
+            ["allocate", f"--profile={profile}", f"--budget={expansion['budget']}", f"--out={plan}"],
+            ["expand", f"--model={base}", f"--plan={plan}", f"--corpus={corpus}", f"--group={group}",
+             *_flags(expansion["stage1"]), f"--out={moe}", *seed],
+            ["review", f"--model={moe}", f"--corpus={corpus}", f"--q={expansion['q']}",
+             *_flags(expansion["stage2"]), f"--out={reviewed}", *seed],
+            ["eval", f"--model={reviewed}", f"--corpus={corpus}", f"--out={out / 'metrics.json'}",
+             f"--max-sequences={config['evaluation']['max_sequences_per_language']}"],
+        ]
+        for argv in commands:
+            errors = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(errors):
+                code = main(argv)
+            if code != 0:
+                raise RuntimeError(f"{argv[0]} exited {code}: {errors.getvalue().strip()}")
+
+
 def hashes() -> list[str]:
     from layermoe.cli import run_pipeline
 
+    runs = {
+        f"{shape}-{seed}": partial(run_pipeline, pipeline_config(shape, seed))
+        for shape in ("lifelong", "wide")
+        for seed in SEEDS
+    }
+    runs[f"chain-{CHAIN_SEED}"] = chain
     lines = []
-    for shape in ("lifelong", "wide"):
-        for seed in SEEDS:
-            run = f"{shape}-{seed}"
-            with tempfile.TemporaryDirectory() as out:
-                try:
-                    run_pipeline(pipeline_config(shape, seed), Path(out))
-                except Exception as exc:  # reported, so that one run cannot hide the rest
-                    lines.append(f"error  {run}: {exc!r}")
-                    continue
-                for path in sorted(Path(out).iterdir()):
+    for run, make in runs.items():
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                make(Path(out))
+            except Exception as exc:  # reported, so that one run cannot hide the rest
+                lines.append(f"error  {run}: {exc!r}")
+                continue
+            for path in sorted(Path(out).iterdir()):
+                if not path.name.endswith(".manifest.json"):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     lines.append(f"{digest}  {run}/{path.name}")
     return lines

@@ -139,13 +139,12 @@ class TestValidate:
 class TestPlanIO:
     def test_roundtrip(self, tmp_path):
         plan = allocate([0.9, 0.45, 0.3], 11)
-        plan = replace(plan, classifier_layers=(0, 2), meta={"mode": "layerwise"})
+        plan = replace(plan, meta={"mode": "layerwise"})
         path = tmp_path / "plan.json"
         save_plan(plan, path)
         loaded = load_plan(path)
         assert loaded.new_experts == plan.new_experts
         assert loaded.pre_reconciliation == plan.pre_reconciliation
-        assert loaded.classifier_layers == (0, 2)
         assert loaded.budget == 11
         np.testing.assert_allclose(loaded.raw, plan.raw)
         assert (tmp_path / "plan.csv").exists()

@@ -16,6 +16,7 @@ import pytest
 import layermoe
 from layermoe.cli import main
 from layermoe.model import DenseModel, ModelConfig, load_model, save_model, upcycle
+from layermoe.profiler import load_profile, select_classifier_layers
 
 TINY_MODEL = {"layers": 2, "hidden": 8, "heads": 2, "vocab": 32, "ffn": 8, "context": 8}
 # A complete checkpoint-header config, so that a header test fails on its params alone.
@@ -460,6 +461,79 @@ def test_the_command_chain_runs_a_second_expansion(tmp_path, capsys):
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == written
 
 
+def test_the_default_command_chain_reviews_with_classifiers_and_evaluates_gated(tmp_path, capsys):
+    """Run with their defaults, ``review`` placed no classifiers and ``eval``
+    evaluated plain, where ``run-pipeline`` places min(7, layers) and
+    evaluates gated. Now the chain does what the pipeline does: the
+    classifiers go on the layers that the review profile picks."""
+    groups = {"g0": ["a"], "g1": ["b"]}
+    spec = write_json(tmp_path / "spec.json", {"groups": groups, "block_size": 8, "overlap": 0.8})
+    config = write_json(tmp_path / "model.json", {**TINY_MODEL, "layers": 8})
+    corpus, base, profile, plan, moe, reviewed, metrics = (
+        str(tmp_path / name)
+        for name in ("c.jsonl", "base.lmoe", "profile.json", "plan.json", "moe.lmoe", "rev.lmoe",
+                     "m.json")
+    )
+    data = ["--corpus", corpus]
+    train = ["--steps", "2", "--batch-size", "4", "--learning-rate", "0.05", "--seed", "3"]
+    commands = [
+        ["gen-corpus", "--spec", spec, "--tokens", "256", "--seq-len", "8", "--out", corpus],
+        ["train-base", "--config", config, *data, "--group", "g0", *train, "--out", base],
+        ["profile", "--model", base, *data, "--old", "g0", "--new", "g1", "--q", "16"]
+        + ["--out", profile],
+        ["allocate", "--profile", profile, "--budget", "8", "--out", plan],
+        ["expand", "--model", base, "--plan", plan, *data, "--group", "g1", *train, "--out", moe],
+        ["review", "--model", moe, *data, "--q", "16", *train, "--out", reviewed],
+        ["eval", "--model", reviewed, *data, "--out", metrics],
+    ]
+    for argv in commands:
+        run_ok(argv, capsys)
+
+    layers = load_model(reviewed).classifier_layers
+    review_profile = load_profile(tmp_path / "rev.profile.json")
+    assert layers == select_classifier_layers(review_profile.new_old, 7)
+    record = json.loads(Path(metrics).read_text())
+    assert record["mode"] == "gated"
+    assert sorted(record["classifier_accuracy"]) == sorted(map(str, layers))
+
+    written = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    for name in (reviewed, metrics):
+        run_ok(["replay", "--manifest", name + ".manifest.json"], capsys)
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
+def test_expand_rejects_a_plan_that_carries_classifier_layers(artifacts, tmp_path, capsys):
+    """A plan no longer holds classifier layers: nothing set them, and a
+    model's classifier layers live in its checkpoint. A plan file written
+    before that fails on the key."""
+    record = json.loads(Path(artifacts["plan.json"]).read_text())
+    plan = write_json(tmp_path / "plan.json", {**record, "classifier_layers": []})
+    argv = ["expand", "--model", artifacts["base.lmoe"], "--plan", plan]
+    argv += ["--corpus", artifacts["c.jsonl"], "--group", "g1", "--steps", "1"]
+    failure = run_failing(argv + ["--out", str(tmp_path / "moe.lmoe")], capsys)
+    assert failure["error"] == "FormatError"
+    assert failure["message"].endswith("has unknown keys classifier_layers")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
+
+
+def test_eval_takes_its_old_groups_from_the_checkpoint(artifacts, tmp_path, capsys):
+    """``--old-groups`` is gone: every caller passed the model's own old
+    groups. An ``eval`` manifest written before records ``old_groups`` and
+    no longer replays."""
+    metrics = str(tmp_path / "m.json")
+    argv = ["eval", "--model", artifacts["rev.lmoe"], "--corpus", artifacts["c.jsonl"]]
+    argv += ["--out", metrics]
+    record = run_failing(argv + ["--old-groups", "g0"], capsys)
+    assert "unrecognized arguments: --old-groups g0" in record["message"]
+    run_ok(argv, capsys)
+    manifest = json.loads(Path(metrics + ".manifest.json").read_text())
+    manifest["arguments"].update(mode="plain", old_groups="")
+    failure = run_failing(["replay", "--manifest", write_json(tmp_path / "old.json", manifest)],
+                          capsys)
+    assert failure["error"] == "FormatError"
+    assert "unrecognized arguments: --old-groups=" in failure["message"]
+
+
 def test_expand_has_one_way_to_add_experts(artifacts, tmp_path, capsys):
     """New experts always copy their layer's expert 0. ``--init`` is gone,
     and a manifest that still records it no longer replays."""
@@ -514,7 +588,7 @@ def test_eval_rejects_a_language_tagged_with_two_groups(tmp_path, capsys):
         '{"lang": "a", "group": "g0", "tokens": [0, 3, 4]}\n'
         '{"lang": "a", "group": "g1", "tokens": [0, 5, 6]}\n'
     )
-    argv = ["eval", "--model", str(model), "--corpus", str(corpus), "--old-groups", "g0"]
+    argv = ["eval", "--model", str(model), "--corpus", str(corpus)]
     record = run_failing(argv + ["--out", str(tmp_path / "metrics.json")], capsys)
     assert record["error"] == "InvalidInputError"
     assert "language 'a' is tagged 'g0' and 'g1'" in record["message"]

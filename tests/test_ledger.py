@@ -1,5 +1,6 @@
 """The bytes of every file ``cli.run_pipeline`` writes for the small pipelines
-of ``pipeline_hashes.py``, held to the checked-in ledger.
+of ``pipeline_hashes.py``, and of every artifact of its command chain, held
+to the checked-in ledger.
 
 The hashes hold for one numpy and BLAS build running one BLAS kernel, so on
 any other build or kernel the test skips and names both. A change that moves output bytes on purpose records a

@@ -385,7 +385,7 @@ class TestEvaluate:
         _, model, corpus = gradcheck_setup(classifier_layers=(1,), router_noise=0.5)
         # zero the classifier: ties classify everything as old, the gate fires
         model.params["blocks.1.classifier"].data[:] = 0.0
-        metrics = evaluate(model, corpus, mode="gated", old_groups=("g0",))
+        metrics = evaluate(model, corpus, mode="gated")
         assert metrics.routing_old_fraction[1] == 1.0
         assert 0.0 <= metrics.routing_old_fraction[0] <= 1.0
 
@@ -399,7 +399,7 @@ class TestEvaluate:
 
     def test_dense_model_has_no_routing_statistics(self):
         dense, _, corpus = gradcheck_setup()
-        metrics = evaluate(dense, corpus, old_groups=("g0",), max_sequences_per_language=4)
+        metrics = evaluate(dense, corpus, max_sequences_per_language=4)
         assert set(metrics.perplexity) == {"a", "b"}
         assert metrics.routing_old_fraction is None
         assert metrics.classifier_accuracy is None
@@ -424,7 +424,7 @@ class TestEvaluate:
         """50 sequences per language take two forward chunks each; the
         statistics match one forward over each whole language."""
         _, model, corpus = gradcheck_setup(plan=(1, 2), classifier_layers=(0,))
-        metrics = evaluate(model, corpus, mode="gated", old_groups=("g0",))
+        metrics = evaluate(model, corpus, mode="gated")
         fed = {}
         old_e0 = np.zeros(2, dtype=np.int64)
         hits = old_total = valid_total = 0
@@ -577,6 +577,34 @@ class TestLifelongExpand:
         assert default_classifier_count(lifelong=False, layer_count=24) == 7
         assert default_classifier_count(lifelong=True, layer_count=24) == 5
         assert default_classifier_count(lifelong=False, layer_count=4) == 4
+
+    def test_a_default_review_places_the_pipeline_count(self):
+        """Without a count, ``review`` places as many classifiers as a
+        pipeline expansion does: 7 on a first expansion and 5 on a later
+        one, clipped to the layer count. The ``review`` command used to
+        place none."""
+        config = ModelConfig(layers=6, hidden=8, heads=2, vocab=48, ffn=8, context=8, seed=2)
+        specs = language_specs(
+            {"g0": ["a"], "g1": ["b"], "g2": ["c"]}, block_size=10, shared_size=10, overlap=0.8, seed=4
+        )
+        corpus = generate(specs, 200, config.context, seed=6)
+        model, placed = DenseModel.create(config, groups=("g0",)), []
+        for group in ("g1", "g2"):
+            model, _ = expand(model, (1,) * 6, corpus, group, recipe1(steps=1))
+            model, _, _ = review(
+                model, corpus, recipe2(steps=1), q=16, profile_seed=1, mix_seed=2,
+                review_ratio=REVIEW_RATIO,
+            )
+            placed.append(len(model.classifier_layers))
+        assert placed == [6, 5]
+
+    def test_review_rejects_a_model_with_no_expansion(self):
+        """The check sat in the ``review`` command, so a library caller got
+        an AttributeError."""
+        dense, _, corpus = gradcheck_setup()
+        with pytest.raises(ConfigurationError, match="review needs an expanded model"):
+            review(dense, corpus, recipe2(), classifier_count=0, q=8, profile_seed=1,
+                   mix_seed=2, review_ratio=REVIEW_RATIO)
 
 
 @pytest.fixture(scope="module", params=[0, 1])
