@@ -11,14 +11,15 @@ pre- and post-reconciliation vectors are kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetError, FormatError, UnsupportedSimilarityError
-from .schema import OBJECT, List, by_index, check, load_json, problems, save_csv, save_json
+from .schema import List, by_index, check, load_json, save_csv, save_json
 
 __all__ = [
     "AllocationPlan",
@@ -34,16 +35,15 @@ _ROUNDING_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """Per-layer new-expert counts summing exactly to the budget. A plan
-    holds no classifier layers: stage 2 picks them, and the checkpoint
-    records them."""
+    """What :func:`allocate` gives for ``similarities`` and ``budget``, and
+    nothing else: no classifier layers (stage 2 picks them, and the
+    checkpoint records them) and no provenance (a manifest's concern)."""
 
     budget: int
     similarities: tuple[float, ...]
     raw: tuple[float, ...]  # fractional shares before rounding
     pre_reconciliation: tuple[int, ...]  # ceil of raw
     new_experts: tuple[int, ...]
-    meta: dict = field(default_factory=dict)
 
     @property
     def layer_count(self) -> int:
@@ -92,24 +92,22 @@ def allocate(similarities: Sequence[float], budget: int) -> AllocationPlan:
 
 
 def validate(plan: AllocationPlan, layer_count: int) -> list[str]:
-    """Check plan invariants; returns human-readable violations (empty = ok)."""
-    problems: list[str] = []
+    """Violations, empty when ``plan`` has ``layer_count`` layers and equals
+    ``allocate(plan.similarities, plan.budget)``: what ``allocate`` rejects,
+    or the first layer where each of its per-layer fields differs."""
+    found: list[str] = []
     if plan.layer_count != layer_count:
-        problems.append(f"plan covers {plan.layer_count} layers, expected {layer_count}")
-    if sum(plan.new_experts) != plan.budget:
-        problems.append(
-            f"new experts sum to {sum(plan.new_experts)}, budget is {plan.budget}"
-        )
-    if any(c < 1 for c in plan.new_experts):
-        problems.append("a layer has fewer than one new expert")
-    sims, pre, n = plan.similarities, plan.pre_reconciliation, plan.layer_count
-    if len(sims) == n and len(pre) == n:
-        pairs = (f"{i},{j}" for i in range(n) for j in range(n)
-                 if sims[i] <= sims[j] and pre[i] < pre[j])
-        first = next(pairs, None)
+        found.append(f"plan covers {plan.layer_count} layers, expected {layer_count}")
+    try:
+        want = allocate(plan.similarities, plan.budget)
+    except (BudgetError, UnsupportedSimilarityError) as exc:
+        return found + [str(exc)]
+    for name in ("raw", "pre_reconciliation", "new_experts"):
+        pairs = enumerate(zip_longest(getattr(plan, name), getattr(want, name)))
+        first = next(((i, a, b) for i, (a, b) in pairs if a != b), None)
         if first:
-            problems.append(f"pre-reconciliation counts not anti-monotone at layers {first}")
-    return problems
+            found.append("{} at layer {} is {!r}, allocate gives {!r}".format(name, *first))
+    return found
 
 
 def save_plan(plan: AllocationPlan, path: str | Path) -> Path:
@@ -126,7 +124,6 @@ def save_plan(plan: AllocationPlan, path: str | Path) -> Path:
             }
             for i in range(plan.layer_count)
         ],
-        "mode": plan.meta,
     }
     save_json(path, record)
     return save_csv(
@@ -136,25 +133,22 @@ def save_plan(plan: AllocationPlan, path: str | Path) -> Path:
     )
 
 
-_LAYER = {"index": int, "similarity": lambda v: not problems(v, float) and v > 0,
-          "new_experts": int, "raw?": float, "pre_reconciliation?": int}
-_PLAN = {"budget": int, "layers": List(_LAYER, lo=1), "mode?": OBJECT}
+_LAYER = {"index": int, "similarity": float, "new_experts": int, "raw": float,
+          "pre_reconciliation": int}
+_PLAN = {"budget": int, "layers": List(_LAYER, lo=1)}
 
 
 def load_plan(path: str | Path) -> AllocationPlan:
-    """Read a plan file and check it with :func:`validate` against its own
-    layer count; raises FormatError listing every problem."""
+    """Read a plan file that is what :func:`allocate` gives for its own
+    similarities and budget; raises FormatError naming every difference."""
     record = check(load_json(path), _PLAN, f"{path}: plan")
     layers = by_index(record["layers"], f"{path}: plan")
     plan = AllocationPlan(
         budget=record["budget"],
         similarities=tuple(float(row["similarity"]) for row in layers),
-        raw=tuple(float(row.get("raw", row["new_experts"])) for row in layers),
-        pre_reconciliation=tuple(
-            row.get("pre_reconciliation", row["new_experts"]) for row in layers
-        ),
+        raw=tuple(float(row["raw"]) for row in layers),
+        pre_reconciliation=tuple(row["pre_reconciliation"] for row in layers),
         new_experts=tuple(row["new_experts"] for row in layers),
-        meta=record.get("mode", {}),
     )
     violations = validate(plan, plan.layer_count)
     if violations:

@@ -1,16 +1,17 @@
 """Command-line front door: corpus generation, base training, profiling,
 allocation, expansion, review, evaluation, and full pipelines. ``profile``,
 ``allocate``, ``expand`` and ``review`` run the steps of any expansion of
-``run-pipeline``, a lifelong sequence's later ones included: ``expand``
-upcycles a dense checkpoint or extends an expanded one. Run with their
-defaults, ``review`` and ``eval`` apply the pipeline's classifier count,
-evaluation mode and old groups, each read from the checkpoint.
+``run-pipeline``, later ones included (``expand`` upcycles a dense checkpoint
+or extends an expanded one), and write its bytes: ``--seed`` is the pipeline
+seed. Run with their defaults, ``review`` and ``eval`` apply the pipeline's
+classifier count, evaluation mode and old groups, read from the checkpoint.
 
 Every artifact-producing command writes a manifest (``<out>.manifest.json``)
 holding the resolved arguments, package version, and output hashes. The
 ``replay`` command rebuilds a command line from a manifest's arguments,
-parses it with the same parser as ``main``, re-runs it, and fails unless
-every output's sha256 matches the recorded one. Errors exit 2 with a
+parses it with the same parser as ``main``, re-runs it into a fresh
+temporary directory, and fails unless every output's sha256 matches the
+recorded one; it writes none of the recorded files. Errors exit 2 with a
 one-line JSON record on stderr.
 
 A pipeline config is the file with each repeated ``--set key=value`` applied
@@ -23,7 +24,8 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields, replace
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,7 @@ from .trainer import (
     TrainingRecipe,
     evaluate,
     expand,
+    expansion_seed,
     lifelong_expand,
     review,
     save_reports_csv,
@@ -119,7 +122,7 @@ def _save_metrics(metrics, path: Path) -> Path:
 def _cmd_gen_corpus(args) -> dict[str, Path]:
     spec_cfg = check(load_json(args.spec), _LANGUAGES, f"{args.spec}: corpus spec")
     specs = language_specs(**spec_cfg, seed=args.seed)
-    corpus = generate(specs, args.tokens, args.seq_len, args.seed)
+    corpus = generate(specs, args.tokens, args.seq_len, derive_seed(args.seed, "corpus"))
     out = Path(args.out)
     corpus.save_jsonl(out)
     return {"corpus": out}
@@ -132,22 +135,17 @@ def _cmd_train_base(args) -> dict[str, Path]:
     if len(corpus) == 0:
         raise InvalidInputError(f"corpus has no sequences in group {args.group!r}")
     model = DenseModel.create(config, groups=(args.group,))
-    recipe = _recipe(vars(args), "dense", derive_seed(args.seed, "train-base"))
+    recipe = _recipe(vars(args), "dense", derive_seed(args.seed, "base"))
     return _save_trained(model, train_dense(model, corpus, recipe), args.out)
 
 
 def _cmd_profile(args) -> dict[str, Path]:
     model = load_model(args.model)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
-    profile = profile_similarity(
-        model,
-        corpus,
-        corpus.languages_in(_groups_arg(args.old)),
-        corpus.languages_in(_groups_arg(args.new)),
-        q=args.q,
-        seed=args.seed,
-        literal_new_new=args.literal_new_new,
-    )
+    old, new = _groups_arg(args.old), _groups_arg(args.new)
+    seed = derive_seed(expansion_seed(args.seed, model, ",".join(new)), "profile-before")
+    profile = profile_similarity(model, corpus, corpus.languages_in(old), corpus.languages_in(new),
+                                 q=args.q, seed=seed, literal_new_new=args.literal_new_new)
     out = Path(args.out)
     return {"profile": out, "profile_csv": save_profile(profile, out)}
 
@@ -155,7 +153,6 @@ def _cmd_profile(args) -> dict[str, Path]:
 def _cmd_allocate(args) -> dict[str, Path]:
     profile = load_profile(args.profile)
     plan = allocate(profile.indicated, args.budget)
-    plan = replace(plan, meta={"profile": profile.meta, "mode": "layerwise"})
     out = Path(args.out)
     return {"plan": out, "plan_csv": save_plan(plan, out)}
 
@@ -164,22 +161,24 @@ def _cmd_expand(args) -> dict[str, Path]:
     model = load_model(args.model)
     plan = load_plan(args.plan)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
-    recipe = _recipe(vars(args), "stage1", derive_seed(args.seed, "stage1"))
-    model, reports = expand(model, plan, corpus, args.group, recipe)
+    seed = derive_seed(expansion_seed(args.seed, model, args.group), "stage1")
+    model, reports = expand(model, plan, corpus, args.group, _recipe(vars(args), "stage1", seed))
     return _save_trained(model, reports, args.out)
 
 
 def _cmd_review(args) -> dict[str, Path]:
     model = load_model(args.model)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
+    history = getattr(model, "expansion_history", ())
+    seed = expansion_seed(args.seed, model, history[-1].group if history else "")
     model, profile, reports = review(
         model,
         corpus,
-        _recipe(vars(args), "stage2", derive_seed(args.seed, "stage2")),
+        _recipe(vars(args), "stage2", derive_seed(seed, "stage2")),
         classifier_count=args.classifier_count,
         q=args.q,
-        profile_seed=derive_seed(args.seed, "review-profile"),
-        mix_seed=derive_seed(args.seed, "review-mix"),
+        profile_seed=derive_seed(seed, "profile-stage1"),
+        mix_seed=derive_seed(seed, "review"),
         review_ratio=(args.ratio_old, args.ratio_new),
     )
     outputs = _save_trained(model, reports, args.out)
@@ -288,15 +287,15 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     for index, exp_cfg in enumerate(config.get("expansions", ())):
         group = exp_cfg["group"]
         tag = f"{index}_{group}"
-        expansion_seed = derive_seed(seed, "expansion", index, group)
+        own_seed = expansion_seed(seed, model, group)
         model, result = lifelong_expand(
             model,
             corpus,
             group,
             exp_cfg["budget"],
-            _recipe(exp_cfg["stage1"], "stage1", derive_seed(expansion_seed, "stage1")),
-            _recipe(exp_cfg["stage2"], "stage2", derive_seed(expansion_seed, "stage2")),
-            seed=expansion_seed,
+            _recipe(exp_cfg["stage1"], "stage1", derive_seed(own_seed, "stage1")),
+            _recipe(exp_cfg["stage2"], "stage2", derive_seed(own_seed, "stage2")),
+            seed=own_seed,
             **{k: exp_cfg[k] for k in ("q", "classifier_count", "review_ratio") if k in exp_cfg},
         )
         put(f"profile_{tag}", f"profile.{tag}.json", save_profile, result.profile_before)
@@ -342,14 +341,19 @@ def _cmd_replay(args) -> dict[str, Path]:
         replay_args = _build_parser().parse_args(argv)
     except _CliError as exc:
         raise FormatError(f"{args.manifest}: arguments: {exc}") from None
-    outputs = _COMMANDS[replay_args.command](replay_args)
+    # The outputs go to a fresh directory under their recorded names, so
+    # that the recorded files stay as they are whatever the result.
+    with tempfile.TemporaryDirectory() as scratch:
+        for dest in {"out", "out_dir"} & vars(replay_args).keys():
+            setattr(replay_args, dest, str(Path(scratch, Path(getattr(replay_args, dest)).name)))
+        outputs = _COMMANDS[replay_args.command](replay_args)
+        found = {name: _sha256(path) for name, path in outputs.items()}
     want = {name: entry["sha256"] for name, entry in manifest["outputs"].items()}
-    found = {name: _sha256(path) for name, path in outputs.items()}
     differ = sorted(n for n in want.keys() | found.keys() if want.get(n) != found.get(n))
     if differ:
         raise FormatError(f"{args.manifest}: replay does not reproduce {', '.join(differ)}")
-    _write_manifest(replay_args.command, vars(replay_args), outputs)
-    return outputs
+    return {name: Path(entry["path"]) for name, entry in manifest["outputs"].items()
+            if "path" in entry}
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ Layout (little-endian):
 
 The header carries the model kind, config, language groups, expansion
 history, classifier layers, and each parameter's name and shape. Loading
-checks that the parameters are exactly the names and shapes this structure
-implies.
+checks that an MoE model has base groups, that no group is listed twice
+across the base and the history and no classifier layer twice, and that
+the parameters are exactly the names and shapes this structure implies.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +74,7 @@ def _header_spec(header) -> dict:
     layers = found["config"].get("layers") if isinstance(found.get("config"), dict) else 0
     layers = 0 if problems(layers, int) else layers
     moe = {
-        "base_groups?": [str],
+        "base_groups": List(str, 1),
         "expansion_history?": [(str, List(Int(0, n), layers, layers))],
         "classifier_layers?": [Int(0, layers - 1)],
     }
@@ -124,7 +126,12 @@ def load_model(path: str | Path) -> Model:
         model = DenseModel(config, params, header.get("groups", ()))
     else:
         history = [Expansion(g, tuple(c)) for g, c in header.get("expansion_history", [])]
-        groups, layers = header.get("base_groups", ()), header.get("classifier_layers", ())
+        groups, layers = header["base_groups"], header.get("classifier_layers", [])
+        for what, values in [("group", groups + [e.group for e in history]),
+                             ("classifier layer", layers)]:
+            repeated = [str(v) for v, n in Counter(values).items() if n > 1]
+            if repeated:
+                raise FormatError(f"{path}: {what} listed more than once: {', '.join(repeated)}")
         model = MoEModel(config, params, groups, history, layers)
         if sum(model.expert_counts()) > len(params):
             raise FormatError(f"{path}: expansion history has more experts than parameters")

@@ -472,6 +472,14 @@ def _proficient(model: Model, new_group: str) -> tuple[str, ...]:
     return proficient
 
 
+def expansion_seed(seed: int, model: Model, group: str) -> int:
+    """The seed each step of ``group``'s expansion of ``model`` derives its
+    own from; it counts the expansions before ``group``'s in the history."""
+    history = [e.group for e in getattr(model, "expansion_history", ())]
+    index = history.index(group) if group in history else len(history)
+    return derive_seed(seed, "expansion", index, group)
+
+
 def expand(
     model: Model,
     plan,

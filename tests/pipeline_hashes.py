@@ -9,8 +9,10 @@ by file.
 The first form runs a lifelong-shaped pipeline (a dense base plus two small
 expansions) and a wide-shaped one (one expansion with eight new experts per
 layer), each at two seeds, with the ``layermoe`` found on the path. It also
-runs the command chain of one expansion (``gen-corpus`` to ``eval``) at one
-seed, with the defaults of ``review`` and ``eval``. It prints one
+runs the command chain of the lifelong pipeline's first expansion
+(``gen-corpus`` to ``eval``) at that pipeline's config and first seed, with
+the defaults of ``review`` and ``eval``; every chain file but the stage-1
+model has a byte-equal namesake in ``lifelong-1``. It prints one
 ``<sha256>  <run>/<file>`` line per output file; a chain command's manifest
 is left out, because it records absolute temporary paths. The second prints a
 Markdown table of the files whose hashes differ, or that only one listing
@@ -73,8 +75,8 @@ def _flags(values: dict) -> list[str]:
 
 def chain(out: Path) -> None:
     """The lifelong pipeline's first expansion, run as the command chain
-    into ``out``: sizes, rates and seeds are set, and ``review`` and
-    ``eval`` keep their defaults for the classifier count and the mode."""
+    into ``out``: sizes, rates and the pipeline seed are set, and ``review``
+    and ``eval`` keep their defaults for the classifier count and the mode."""
     from layermoe.cli import main
 
     config = pipeline_config("lifelong", CHAIN_SEED)

@@ -109,42 +109,53 @@ class TestAllocate:
 
 
 class TestValidate:
+    """A plan is valid if and only if it is what ``allocate`` gives for its
+    own similarities and budget."""
+
     def test_detects_budget_violation(self):
         plan = allocate([0.5, 0.4], 5)
         broken = replace(plan, new_experts=(1, 1))
-        assert any("budget" in v or "sum" in v for v in validate(broken, 2))
+        assert validate(broken, 2) == ["new_experts at layer 0 is 1, allocate gives 2"]
 
     def test_detects_monotonicity_violation(self):
         plan = allocate([0.5, 0.4], 5)
         broken = replace(plan, pre_reconciliation=(1, 3), similarities=(0.4, 0.5))
-        assert any("anti-monotone" in v for v in validate(broken, 2))
+        assert "pre_reconciliation at layer 0 is 1, allocate gives 3" in validate(broken, 2)
 
-    def test_reports_the_first_anti_monotone_pair_in_row_major_order(self):
-        # Violations (0, 2), (1, 0) and (1, 2); scanning j before i would give (1, 0).
+    def test_names_the_first_layer_of_each_field_that_differs(self):
         plan = allocate([0.5, 0.4, 0.3], 6)
-        broken = replace(plan, similarities=(0.2, 0.1, 0.3), pre_reconciliation=(2, 1, 3))
-        found = [v for v in validate(broken, 3) if "anti-monotone" in v]
-        assert found == ["pre-reconciliation counts not anti-monotone at layers 0,2"]
+        nudged = plan.raw[1] + 1e-15  # a few ulps off, with every count unchanged
+        assert validate(replace(plan, raw=(plan.raw[0], nudged, plan.raw[2])), 3) == [
+            f"raw at layer 1 is {nudged!r}, allocate gives {plan.raw[1]!r}"
+        ]
+        broken = replace(plan, pre_reconciliation=(2, 1, 3), new_experts=(1, 3, 2))
+        assert validate(broken, 3) == [
+            "pre_reconciliation at layer 1 is 1, allocate gives 2",
+            "new_experts at layer 1 is 3, allocate gives 2",
+        ]
+
+    def test_reports_what_allocate_rejects(self):
+        plan = allocate([0.5, 0.4, 0.3], 6)
+        assert validate(replace(plan, budget=2), 3) == [
+            "budget 2 cannot give 3 layers one expert each"
+        ]
+        found = validate(replace(plan, similarities=(0.5, -7.0, 0.3)), 3)
+        assert len(found) == 1 and found[0].endswith("layer 1 has similarity -7.0")
 
     def test_detects_layer_count_mismatch(self):
         plan = allocate([0.5, 0.4], 5)
-        assert any("layers" in v for v in validate(plan, 3))
+        assert validate(plan, 3) == ["plan covers 2 layers, expected 3"]
 
     def test_detects_sub_one_layer(self):
         plan = allocate([0.5, 0.4], 5)
         broken = replace(plan, new_experts=(5, 0))
-        assert any("fewer than one" in v for v in validate(broken, 2))
+        assert validate(broken, 2) == ["new_experts at layer 0 is 5, allocate gives 2"]
 
 
 class TestPlanIO:
     def test_roundtrip(self, tmp_path):
         plan = allocate([0.9, 0.45, 0.3], 11)
-        plan = replace(plan, meta={"mode": "layerwise"})
         path = tmp_path / "plan.json"
         save_plan(plan, path)
-        loaded = load_plan(path)
-        assert loaded.new_experts == plan.new_experts
-        assert loaded.pre_reconciliation == plan.pre_reconciliation
-        assert loaded.budget == 11
-        np.testing.assert_allclose(loaded.raw, plan.raw)
+        assert load_plan(path) == plan
         assert (tmp_path / "plan.csv").exists()

@@ -83,13 +83,20 @@ def test_expand_rejects_plan_that_breaks_its_invariants(tmp_path, capsys):
         {"index": 0, "similarity": 0.5, "new_experts": 7},
         {"index": 1, "similarity": 0.4, "new_experts": 0},
     ]
-    plan = write_json(tmp_path / "plan.json", {"budget": 99, "layers": layers})
-    argv = ["expand", "--model", str(model), "--plan", plan, "--corpus", str(tmp_path / "c.jsonl")]
-    argv += ["--group", "g1", "--steps", "1", "--out", str(tmp_path / "moe.lmoe")]
+    plan = tmp_path / "plan.json"
+    argv = ["expand", "--model", str(model), "--plan", str(plan), "--group", "g1"]
+    argv += ["--corpus", str(tmp_path / "c.jsonl"), "--steps", "1", "--out", str(tmp_path / "m")]
+    write_json(plan, {"budget": 99, "layers": layers})
     record = run_failing(argv, capsys)
     assert record["error"] == "FormatError"
-    assert "budget is 99" in record["message"]
-    assert "fewer than one" in record["message"]
+    assert "lacks layers.0.raw, layers.0.pre_reconciliation" in record["message"]
+
+    for row in layers:
+        row.update(raw=float(row["new_experts"]), pre_reconciliation=row["new_experts"])
+    write_json(plan, {"budget": 99, "layers": layers})
+    record = run_failing(argv, capsys)
+    assert record["error"] == "FormatError"
+    assert "new_experts at layer 0 is 7, allocate gives 44" in record["message"]
 
 
 def test_run_pipeline_rejects_config_without_languages(tmp_path, capsys):
@@ -410,6 +417,41 @@ def test_every_command_runs_and_replays_to_the_same_bytes(tmp_path, capsys):
     assert failure["error"] == "FormatError"
     assert failure["message"].endswith("replay does not reproduce losses, model")
     assert json.loads((tmp_path / "base.lmoe.manifest.json").read_text()) == record
+
+
+@pytest.mark.parametrize(
+    "command, tamper, differ",
+    [("gen-corpus", {"seed": 5}, "corpus"), ("run-pipeline", {"set": ["base.steps=2"]}, "base,")],
+    ids=["gen-corpus", "run-pipeline"],
+)
+def test_a_replay_leaves_every_recorded_file_as_it_was(tmp_path, capsys, command, tamper, differ):
+    """``replay`` used to re-run a command into its recorded paths, so a
+    replay that failed had already overwritten the files it was checking,
+    and one that passed rewrote the manifest."""
+    if command == "gen-corpus":
+        spec = write_json(tmp_path / "spec.json", {"groups": {"g0": ["a"]}, "block_size": 8})
+        argv = ["--spec", spec, "--tokens", "64", "--seq-len", "8", "--seed", "1"]
+        manifest = tmp_path / "c.jsonl.manifest.json"
+        run_ok([command, *argv, "--out", str(tmp_path / "c.jsonl")], capsys)
+    else:
+        config = write_json(tmp_path / "pipeline.json", pipeline_config())
+        manifest = tmp_path / "out" / "pipeline.config.json.manifest.json"
+        run_ok([command, "--config", config, "--out-dir", str(tmp_path / "out")], capsys)
+
+    def files():
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    record, written = json.loads(manifest.read_text()), files()
+    replayed = run_ok(["replay", "--manifest", str(manifest)], capsys)
+    assert replayed == {name: entry["path"] for name, entry in record["outputs"].items()}
+    assert files() == written
+
+    record["arguments"].update(tamper)
+    write_json(manifest, record)
+    written = files()
+    failure = run_failing(["replay", "--manifest", str(manifest)], capsys)
+    assert failure["message"].startswith(f"{manifest}: replay does not reproduce {differ}")
+    assert files() == written
 
 
 def test_the_command_chain_runs_a_second_expansion(tmp_path, capsys):
@@ -989,6 +1031,8 @@ UNKNOWN_KEYS = [(kind, add_unknown(path)) for kind, path in [
         ("plan", extend(("layers", 0, "new_experts"), 0.5)),
         ("plan", edit(("layers", 1, "index"), 0)),
         ("plan", edit(("classifier_layers",), "x")),
+        ("plan", edit(("layers", 0, "raw"), -7.0)),
+        ("plan", edit(("layers", 0, "similarity"), 1e-9)),
         ("profile", edit(("layers", 0, "s"), True)),
         ("profile", edit(("old_languages",), "abc")),
         ("profile", edit(("old_languages",), 5)),
@@ -1006,6 +1050,8 @@ UNKNOWN_KEYS = [(kind, add_unknown(path)) for kind, path in [
         "fractional-new-experts",
         "repeated-index",
         "string-plan-classifier-layers",
+        "plan-raw-that-allocate-does-not-give",
+        "plan-similarity-that-its-counts-do-not-follow",
         "bool-similarity",
         "string-old-languages",
         "int-old-languages",
@@ -1026,6 +1072,28 @@ def test_reported_input_faults_exit_2(tmp_path, capsys, monkeypatch, artifacts, 
     assert failure["error"] == "FormatError"
     named = getattr(change, "named", None)
     assert named is None or f"has unknown keys {named}" in failure["message"]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (edit(("base_groups",), []), "has a value of the wrong type at base_groups"),
+        (edit(("expansion_history", 0, 0), "g0"), "group listed more than once: g0"),
+        (edit(("classifier_layers",), [1, 1]), "classifier layer listed more than once: 1"),
+    ],
+    ids=["no-base-group", "history-repeats-the-base-group", "repeated-classifier-layer"],
+)
+def test_a_checkpoint_is_checked_against_its_own_history(
+    tmp_path, capsys, artifacts, change, message
+):
+    """The first two loaded, and ``eval`` ran on a model that knew the groups
+    ('g1',) or ('g0', 'g0'); the third failed on the shape of a classifier
+    parameter, not on the repeat."""
+    record, write, command = artifact_kind("moe-header", artifacts)
+    write(str(tmp_path / "model.lmoe"), change(record))
+    failure = run_failing(command(str(tmp_path / "model.lmoe")), capsys)
+    assert failure["error"] == "FormatError"
+    assert failure["message"].endswith(message)
 
 
 CAPPED = """
