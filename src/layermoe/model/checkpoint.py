@@ -10,9 +10,10 @@ Layout (little-endian):
 
 The header carries the model kind, config, language groups, expansion
 history, classifier layers, and each parameter's name and shape. Loading
-checks that an MoE model has base groups, that no group is listed twice
-across the base and the history and no classifier layer twice, and that
-the parameters are exactly the names and shapes this structure implies.
+checks that a model has groups (a dense model's ``groups``, an MoE's
+``base_groups``), that no group is listed twice across them and the
+history and no classifier layer twice, and that the parameters are exactly
+the names and shapes this structure implies.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _header_spec(header) -> dict:
         "kind": {"dense", "moe"},
         "config": {**MODEL_SPEC, "layers": Int(1, n)},
         "params": [{"name": str, "shape": [Int(0)]}],
-        **(moe if found.get("kind") == "moe" else {"groups?": [str]}),
+        **(moe if found.get("kind") == "moe" else {"groups": List(str, 1)}),
     }
 
 
@@ -122,17 +123,18 @@ def load_model(path: str | Path) -> Model:
         params[entry["name"]] = Tensor(data)
 
     config = ModelConfig(**header["config"])
-    if header["kind"] == "dense":
-        model = DenseModel(config, params, header.get("groups", ()))
+    dense = header["kind"] == "dense"
+    history = [Expansion(g, tuple(c)) for g, c in header.get("expansion_history", [])]
+    groups = header["groups" if dense else "base_groups"] + [e.group for e in history]
+    layers = header.get("classifier_layers", [])
+    for what, values in [("group", groups), ("classifier layer", layers)]:
+        repeated = [str(v) for v, n in Counter(values).items() if n > 1]
+        if repeated:
+            raise FormatError(f"{path}: {what} listed more than once: {', '.join(repeated)}")
+    if dense:
+        model = DenseModel(config, params, groups)
     else:
-        history = [Expansion(g, tuple(c)) for g, c in header.get("expansion_history", [])]
-        groups, layers = header["base_groups"], header.get("classifier_layers", [])
-        for what, values in [("group", groups + [e.group for e in history]),
-                             ("classifier layer", layers)]:
-            repeated = [str(v) for v, n in Counter(values).items() if n > 1]
-            if repeated:
-                raise FormatError(f"{path}: {what} listed more than once: {', '.join(repeated)}")
-        model = MoEModel(config, params, groups, history, layers)
+        model = MoEModel(config, params, header["base_groups"], history, layers)
         if sum(model.expert_counts()) > len(params):
             raise FormatError(f"{path}: expansion history has more experts than parameters")
     expected = param_shapes(model)

@@ -22,6 +22,28 @@ exactly 1.0 and gives its routing weights a zero gradient. The backward
 returns ``None`` for a frozen expert weight and skips an expert's inner
 gradients when neither ``x`` nor that expert's ``gate``/``up`` needs one.
 
+With a tape the backward reads every intermediate, so ``a = x @ gate``,
+``u = x @ up``, ``s = sigmoid(a)``, ``sa = a * s`` and ``m = sa * u`` are
+each one ``(pairs, ffn)`` array for the layer, one row per routed (row,
+slot) pair, grouped by expert. Each expert's products go into its block of
+rows with ``matmul(out=)``, which gives the bytes of ``@``; then each
+elementwise step runs once for the layer instead of once per expert on
+blocks of a few rows. The backward does the same: each expert's
+``gy @ down.T`` goes into one ``dm``, and ``du`` and ``da`` run once over
+the experts that need inner gradients. The matmuls stay one per expert;
+every grouped form measured was slower. Without a tape (inference,
+evaluation, profiling) each expert's block is still built in place and
+dropped: serving batches route about 1,920 rows, whose layer-wide arrays
+fall out of cache, and grouping that path too cut ``serve_gated``
+throughput by about 10%. Output rows are gathered, not scattered into a
+zero-filled (row, slot) buffer: ``slots[r, j]`` is the pair row of row
+``r``'s slot ``j``, and an inactive bypass slot points at one extra zero
+row. Row ``r`` of the output, and of the gradient of ``x``, is
+``0 + v[slots[r, 0]] + v[slots[r, 1]] + ...`` in slot order. For k <= 7
+that is numpy's middle-axis reduce bit for bit, signed zeros included;
+from 8 slots numpy may sum pairwise (it does at width 1), and this order
+stays the same for every k.
+
 ``route`` is an MoE layer's router as two nodes. ``scores`` is the softmax
 of ``x @ stack(columns)`` over every expert. ``weights`` holds each row's
 top-k scores, renormalised to sum to 1; the top-k comes from a stable sort
@@ -423,11 +445,12 @@ def take_pairs(t: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     return out
 
 
-def _slot_sum(values: np.ndarray, pairs: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Put values[i] at flat (row, slot) pairs[i] of zeros (n, k, w); sum the slots."""
-    slots = np.zeros((n * k, values.shape[1]))
-    slots[pairs] = values
-    return slots.reshape(n, k, -1).sum(axis=1)
+def _slot_sum(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Row ``r`` is ``0 + values[slots[r, 0]] + values[slots[r, 1]] + ...``, in slot order."""
+    out = np.zeros((slots.shape[0], values.shape[1]))
+    for j in range(slots.shape[1]):
+        out += values[slots[:, j]]
+    return out
 
 
 def expert_mix(
@@ -438,71 +461,101 @@ def expert_mix(
     n, k = indices.shape
     if weights.data.shape != (n, k) or x.data.shape[0] != n:
         raise ValueError("x, weights and indices disagree on rows or slots")
-    chosen, w, active = indices.copy(), weights.data.copy(), np.ones((n, k), dtype=bool)
+    chosen, w, pairs = indices, weights.data, np.arange(n * k)
     if bypass is not None:
+        chosen, w, active = indices.copy(), w.copy(), np.ones((n, k), dtype=bool)
         chosen[bypass, 0] = 0
         w[bypass, 0] = 1.0
         active[bypass, 1:] = False
-    pairs = np.flatnonzero(active)
+        pairs = np.flatnonzero(active)
     owner = chosen.reshape(-1)[pairs]
     # Stable, so each expert's rows stay in ascending order.
     pairs = pairs[np.argsort(owner, kind="stable")]
-    ends = np.cumsum(np.bincount(owner, minlength=len(experts)))
-    rows, ws = pairs // k, w.reshape(-1)[pairs][:, None]
+    counts = np.bincount(owner, minlength=len(experts))
+    ends = np.cumsum(counts)
+    # Each expert with rows, and its block of the pair axis.
+    spans = [(e, ends[e] - c, ends[e]) for e, c in enumerate(counts) if c]
+    npairs = pairs.size
+    rows, ws = pairs // k, np.append(w.reshape(-1)[pairs], 0.0)[:, None]
+    # Each (row, slot)'s row of ys; an inactive bypass slot reads the zero row npairs.
+    slots = np.full(n * k, npairs)
+    slots[pairs] = np.arange(npairs)
+    slots = slots.reshape(n, k)
     xs = x.data[rows]
-    ys = np.empty((pairs.size, experts[0].down.data.shape[1]))
+    ys = np.empty((npairs + 1, experts[0].down.data.shape[1]))
+    ys[npairs] = 0.0
     params = tuple(p for ex in experts for p in (ex.gate, ex.up, ex.down))
-    # Without a tape, drop each expert's intermediates as soon as it is done.
     tape = x.requires_grad or weights.requires_grad or any(p.requires_grad for p in params)
-    blocks = []
-    for e, (start, end) in enumerate(zip(np.concatenate(([0], ends[:-1])), ends)):
-        if end > start:
+    if tape:
+        # The backward reads every factor, so each is one (pairs, ffn) array
+        # and its elementwise math runs once for the layer.
+        a, u = (np.empty((npairs, experts[0].gate.data.shape[1])) for _ in range(2))
+        for e, start, end in spans:
+            np.matmul(xs[start:end], experts[e].gate.data, out=a[start:end])
+            np.matmul(xs[start:end], experts[e].up.data, out=u[start:end])
+        s = _sigmoid(a)
+        sa = a * s
+        m = sa * u
+        for e, start, end in spans:
+            np.matmul(m[start:end], experts[e].down.data, out=ys[start:end])
+    else:
+        # Drop each expert's intermediates as soon as it is done.
+        for e, start, end in spans:
             ex = experts[e]
             a = xs[start:end] @ ex.gate.data
-            s = _sigmoid(a)
+            m = _sigmoid(a)
             u = xs[start:end] @ ex.up.data
-            if tape:
-                sa = a * s
-                m = sa * u
-                blocks.append((e, start, end, a, s, sa, u, m))
-            else:
-                # s * a is a * s bit for bit; no backward needs the factors.
-                m = s
-                m *= a
-                m *= u
+            # s * a is a * s bit for bit.
+            m *= a
+            m *= u
             np.matmul(m, ex.down.data, out=ys[start:end])
     # The backward reads the unweighted ys; without one, weight them in place.
     weighted = ys * ws if tape else np.multiply(ys, ws, out=ys)
-    out = _node(_slot_sum(weighted, pairs, n, k), (x, weights) + params)
+    out = _node(_slot_sum(weighted, slots), (x, weights) + params)
     if out._parents:
 
         def bw(g):
             gs = g[rows]
             dw = None
             if weights.requires_grad:
-                dw = np.zeros((n, k))
-                dw.reshape(-1)[pairs] = (gs * ys).sum(axis=1)
+                dw = np.append((gs * ys[:npairs]).sum(axis=1), 0.0)[slots]
                 if bypass is not None:
                     dw[bypass] = 0.0
-            gys = gs * ws
-            dxs = np.empty_like(xs) if x.requires_grad else None
+            gys = gs * ws[:npairs]
             dparams: list = [None] * len(params)
-            for e, start, end, a, s, sa, u, m in blocks:
-                ex, gy, xe = experts[e], gys[start:end], xs[start:end]
-                if ex.down.requires_grad:
-                    dparams[3 * e + 2] = m.T @ gy
-                if dxs is None and not (ex.gate.requires_grad or ex.up.requires_grad):
-                    continue
-                dm = gy @ ex.down.data.T
-                du = dm * sa
-                da = (dm * u) * (s * (1.0 + a * (1.0 - s)))
+            for e, start, end in spans:
+                if experts[e].down.requires_grad:
+                    dparams[3 * e + 2] = m[start:end].T @ gys[start:end]
+            inner = [
+                (e, start, end)
+                for e, start, end in spans
+                if x.requires_grad or experts[e].gate.requires_grad or experts[e].up.requires_grad
+            ]
+            if not inner:
+                return (None, dw, *dparams)
+            # One elementwise pass over the pairs from the first expert that
+            # needs inner gradients to the last (every expert when x does).
+            lo, hi = inner[0][1], inner[-1][2]
+            dm = np.empty((hi - lo, a.shape[1]))
+            for e, start, end in spans:
+                if lo <= start < hi:
+                    np.matmul(gys[start:end], experts[e].down.data.T, out=dm[start - lo : end - lo])
+            du = dm * sa[lo:hi]
+            da = (dm * u[lo:hi]) * (s[lo:hi] * (1.0 + a[lo:hi] * (1.0 - s[lo:hi])))
+            dxs = None
+            if x.requires_grad:
+                dxs = np.empty((npairs + 1, xs.shape[1]))
+                dxs[npairs] = 0.0
+            for e, start, end in inner:
+                ex, xe, at = experts[e], xs[start:end], slice(start - lo, end - lo)
                 if ex.gate.requires_grad:
-                    dparams[3 * e] = xe.T @ da
+                    dparams[3 * e] = xe.T @ da[at]
                 if ex.up.requires_grad:
-                    dparams[3 * e + 1] = xe.T @ du
+                    dparams[3 * e + 1] = xe.T @ du[at]
                 if dxs is not None:
-                    dxs[start:end] = da @ ex.gate.data.T + du @ ex.up.data.T
-            dx = None if dxs is None else _slot_sum(dxs, pairs, n, k)
+                    np.matmul(da[at], ex.gate.data.T, out=dxs[start:end])
+                    dxs[start:end] += du[at] @ ex.up.data.T
+            dx = None if dxs is None else _slot_sum(dxs, slots)
             return (dx, dw, *dparams)
 
         out._backward = bw

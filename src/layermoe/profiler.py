@@ -51,7 +51,7 @@ from .errors import (
 )
 from .model import Model, forward
 from .numerics import SeededRng, derive_seed
-from .schema import OBJECT, List, Map, by_index, check, load_json, problems, save_csv, save_json
+from .schema import List, Map, by_index, check, load_json, problems, save_csv, save_json
 
 # Token positions sampled per language unless the caller sets q.
 PROFILE_Q = 512
@@ -258,16 +258,28 @@ def save_profile(profile: SimilarityProfile, path: str | Path) -> Path:
 _LAYER = {"index": int, "s_new_old": float, "s": float,
           "s_new_new": lambda v: v is None or not problems(v, float)}
 _PROFILE = {"layers": List(_LAYER, lo=1), "pairs?": Map([float]), "old_languages?": [str],
-            "new_languages?": [str], "meta?": OBJECT}
+            "new_languages?": [str],
+            "meta?": Map(lambda v: True, {"literal_new_new": lambda v: isinstance(v, bool)})}
+_FIELDS = ("s_new_old", "s_new_new", "s")
 
 
 def load_profile(path: str | Path) -> SimilarityProfile:
+    """A profile file, checked against what it was derived from: every value
+    a mean of cosines can take, and, when the file has its ``pairs``, the
+    bits ``indicated_similarity`` gives from them."""
     record = check(load_json(path), _PROFILE, f"{path}: profile")
     layers = by_index(record["layers"], f"{path}: profile")
     new_new = [row["s_new_new"] for row in layers]
     if len({v is None for v in new_new}) > 1:
         raise FormatError(f"{path}: profile s_new_new is null on some layers only")
-    return SimilarityProfile(
+    for row in layers:
+        for name in _FIELDS:
+            if row[name] is not None and not -1.0 <= row[name] <= 1.0:
+                raise FormatError(
+                    f"{path}: profile {name} at layer {row['index']} is {row[name]!r},"
+                    " outside [-1, 1]"
+                )
+    profile = SimilarityProfile(
         np.array([row["s_new_old"] for row in layers], dtype=np.float64),
         None if new_new[0] is None else np.array(new_new, dtype=np.float64),
         np.array([row["s"] for row in layers], dtype=np.float64),
@@ -279,3 +291,39 @@ def load_profile(path: str | Path) -> SimilarityProfile:
         tuple(record.get("new_languages", ())),
         record.get("meta", {}),
     )
+    if "pairs" in record:
+        _check_derivation(profile, path)
+    return profile
+
+
+def _check_derivation(profile: SimilarityProfile, path) -> None:
+    """FormatError unless each per-layer value has the bits that
+    ``indicated_similarity`` gives from the profile's pairs and languages."""
+    for key, values in profile.pair_sims.items():
+        if len(values) != profile.layer_count:
+            raise FormatError(
+                f"{path}: profile pairs {'|'.join(key)} has {len(values)} values"
+                f" for {profile.layer_count} layers"
+            )
+    try:
+        derived = indicated_similarity(
+            profile.pair_sims,
+            profile.old_languages,
+            profile.new_languages,
+            literal_new_new=profile.meta.get("literal_new_new", False),
+        )
+    except InvalidInputError as exc:
+        raise FormatError(f"{path}: profile pairs do not give its layers: {exc}") from None
+    stored = (profile.new_old, profile.new_new, profile.indicated)
+    for name, have, want in zip(_FIELDS, stored, derived):
+        if (have is None) != (want is None):
+            raise FormatError(
+                f"{path}: profile s_new_new is {'null' if have is None else 'set'},"
+                f" but its pairs give {'none' if want is None else 'one'}"
+            )
+        for i in range(0 if have is None else len(have)):
+            if have[i].tobytes() != want[i].tobytes():
+                raise FormatError(
+                    f"{path}: profile {name} at layer {i} is {float(have[i])!r},"
+                    f" its pairs give {float(want[i])!r}"
+                )

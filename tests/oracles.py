@@ -1,10 +1,11 @@
 """Reference implementations the tests compare the package against: tape
 gradients against central finite differences, the fast elementwise kernels
 against their plain numpy forms, the fused tape nodes against compositions
-of small tape ops, the profiler's centroid fast path against the
-quadratic pair loop over exact cosines, the prefix-forwarding candidate
-collector against one that forwards every sampled sequence whole, and the
-batched corpus sampler against a walk that draws one token at a time."""
+of small tape ops, the layer-wide expert mix against the per-expert one it
+replaced, the profiler's centroid fast path against the quadratic pair loop
+over exact cosines, the prefix-forwarding candidate collector against one
+that forwards every sampled sequence whole, and the batched corpus sampler
+against a walk that draws one token at a time."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from layermoe.corpus import BOS_ID, LanguageSampler, SyntheticLanguageSpec, Tagg
 from layermoe.errors import DegenerateVectorError, InvalidInputError, NumericalFailureError
 from layermoe.model import Model, forward
 from layermoe.numerics import SeededRng, Tensor, as_tensor, derive_seed
-from layermoe.numerics.autodiff import _node, _softmax, _softmax_grad, _unbroadcast
+from layermoe.numerics.autodiff import _node, _sigmoid, _softmax, _softmax_grad, _unbroadcast
 
 
 def value_and_grad(
@@ -149,6 +150,114 @@ def stack_columns(columns) -> Tensor:
     out = _node(np.stack([c.data for c in columns], axis=1), tuple(columns))
     if out._parents:
         out._backward = lambda g: tuple(g[:, i] for i in range(len(columns)))
+    return out
+
+
+def padded_slot_sum(values: np.ndarray, pairs: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Put values[i] at flat (row, slot) pairs[i] of zeros (n, k, w) and sum
+    the slots with numpy's middle-axis reduce."""
+    slots = np.zeros((n * k, values.shape[1]))
+    slots[pairs] = values
+    return slots.reshape(n, k, -1).sum(axis=1)
+
+
+def ordered_slot_sum(values: np.ndarray, pairs: np.ndarray, n: int, k: int) -> np.ndarray:
+    """``expert_mix``'s documented slot order on the same zero-filled buffer:
+    ``0 + slot 0 + slot 1 + ...``, one slot at a time. It is numpy's reduce
+    for k <= 7; from 8 slots numpy may sum pairwise instead."""
+    slots = np.zeros((n * k, values.shape[1]))
+    slots[pairs] = values
+    slots = slots.reshape(n, k, -1)
+    out = np.zeros((n, values.shape[1]))
+    for j in range(k):
+        out = out + slots[:, j]
+    return out
+
+
+def per_expert_mix(
+    x: Tensor,
+    weights: Tensor,
+    indices: np.ndarray,
+    experts: Sequence,
+    bypass=None,
+    slot_sum=padded_slot_sum,
+) -> Tensor:
+    """Reference for ``autodiff.expert_mix``: the same result and gradients,
+    with every elementwise pass run once per expert on that expert's rows
+    and the output rows summed from a zero-filled (row, slot) buffer by
+    ``slot_sum``."""
+    indices = np.asarray(indices)
+    n, k = indices.shape
+    if weights.data.shape != (n, k) or x.data.shape[0] != n:
+        raise ValueError("x, weights and indices disagree on rows or slots")
+    chosen, w, active = indices.copy(), weights.data.copy(), np.ones((n, k), dtype=bool)
+    if bypass is not None:
+        chosen[bypass, 0] = 0
+        w[bypass, 0] = 1.0
+        active[bypass, 1:] = False
+    pairs = np.flatnonzero(active)
+    owner = chosen.reshape(-1)[pairs]
+    # Stable, so each expert's rows stay in ascending order.
+    pairs = pairs[np.argsort(owner, kind="stable")]
+    ends = np.cumsum(np.bincount(owner, minlength=len(experts)))
+    rows, ws = pairs // k, w.reshape(-1)[pairs][:, None]
+    xs = x.data[rows]
+    ys = np.empty((pairs.size, experts[0].down.data.shape[1]))
+    params = tuple(p for ex in experts for p in (ex.gate, ex.up, ex.down))
+    # Without a tape, drop each expert's intermediates as soon as it is done.
+    tape = x.requires_grad or weights.requires_grad or any(p.requires_grad for p in params)
+    blocks = []
+    for e, (start, end) in enumerate(zip(np.concatenate(([0], ends[:-1])), ends)):
+        if end > start:
+            ex = experts[e]
+            a = xs[start:end] @ ex.gate.data
+            s = _sigmoid(a)
+            u = xs[start:end] @ ex.up.data
+            if tape:
+                sa = a * s
+                m = sa * u
+                blocks.append((e, start, end, a, s, sa, u, m))
+            else:
+                # s * a is a * s bit for bit; no backward needs the factors.
+                m = s
+                m *= a
+                m *= u
+            np.matmul(m, ex.down.data, out=ys[start:end])
+    # The backward reads the unweighted ys; without one, weight them in place.
+    weighted = ys * ws if tape else np.multiply(ys, ws, out=ys)
+    out = _node(slot_sum(weighted, pairs, n, k), (x, weights) + params)
+    if out._parents:
+
+        def bw(g):
+            gs = g[rows]
+            dw = None
+            if weights.requires_grad:
+                dw = np.zeros((n, k))
+                dw.reshape(-1)[pairs] = (gs * ys).sum(axis=1)
+                if bypass is not None:
+                    dw[bypass] = 0.0
+            gys = gs * ws
+            dxs = np.empty_like(xs) if x.requires_grad else None
+            dparams: list = [None] * len(params)
+            for e, start, end, a, s, sa, u, m in blocks:
+                ex, gy, xe = experts[e], gys[start:end], xs[start:end]
+                if ex.down.requires_grad:
+                    dparams[3 * e + 2] = m.T @ gy
+                if dxs is None and not (ex.gate.requires_grad or ex.up.requires_grad):
+                    continue
+                dm = gy @ ex.down.data.T
+                du = dm * sa
+                da = (dm * u) * (s * (1.0 + a * (1.0 - s)))
+                if ex.gate.requires_grad:
+                    dparams[3 * e] = xe.T @ da
+                if ex.up.requires_grad:
+                    dparams[3 * e + 1] = xe.T @ du
+                if dxs is not None:
+                    dxs[start:end] = da @ ex.gate.data.T + du @ ex.up.data.T
+            dx = None if dxs is None else slot_sum(dxs, pairs, n, k)
+            return (dx, dw, *dparams)
+
+        out._backward = bw
     return out
 
 

@@ -1096,6 +1096,99 @@ def test_a_checkpoint_is_checked_against_its_own_history(
     assert failure["message"].endswith(message)
 
 
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        ([], "has a value of the wrong type at groups"),
+        (["g0", "g0"], "group listed more than once: g0"),
+        (DELETE, "lacks groups"),
+    ],
+    ids=["no-group", "repeated-group", "missing-groups"],
+)
+def test_a_dense_checkpoint_needs_distinct_groups(tmp_path, capsys, artifacts, groups, message):
+    """With ``"groups": []`` the checkpoint loaded: ``eval`` exited 0, and
+    ``expand`` wrote an MoE checkpoint that no command could load (``wrong
+    type at base_groups``)."""
+    record, write, command = artifact_kind("dense-header", artifacts)
+    model, out = tmp_path / "base.lmoe", tmp_path / "moe.lmoe"
+    write(str(model), mutated(record, ("groups",), groups))
+    for argv in [
+        command(str(model)),
+        ["expand", "--model", str(model), "--plan", artifacts["plan.json"]]
+        + ["--corpus", artifacts["c.jsonl"], "--group", "g1", "--steps", "1"]
+        + ["--out", str(out)],
+    ]:
+        failure = run_failing(argv, capsys)
+        assert failure["error"] == "FormatError"
+        assert failure["message"].endswith(message)
+    assert not out.exists()
+
+
+def scale(path, factor):
+    """Multiply the number at ``path`` by ``factor``."""
+
+    def change(record):
+        node = record
+        for key in path:
+            node = node[key]
+        return mutated(record, path, node * factor)
+
+    return change
+
+
+def derived(row, field):
+    """The message for a profile value at ``layers[row][field]`` that its
+    pairs do not give, from the valid record and the changed one."""
+    return lambda old, new: (
+        f"{field} at layer {row} is {new['layers'][row][field]!r},"
+        f" its pairs give {old['layers'][row][field]!r}"
+    )
+
+
+def one_ulp_up(path):
+    return lambda record: mutated(
+        record, path, float(np.nextafter(record[path[0]][path[1]][path[2]], 1.0))
+    )
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (edit(("layers", 1, "s"), 7.5), lambda *_: "s at layer 1 is 7.5, outside [-1, 1]"),
+        (
+            edit(("layers", 0, "s_new_old"), -1.5),
+            lambda *_: "s_new_old at layer 0 is -1.5, outside [-1, 1]",
+        ),
+        (scale(("layers", 1, "s"), 1.5), derived(1, "s")),
+        (one_ulp_up(("layers", 0, "s_new_old")), derived(0, "s_new_old")),
+        (edit(("pairs", "a|b"), [0.5]), lambda *_: "pairs a|b has 1 values for 2 layers"),
+        (
+            edit(("new_languages",), DELETE),
+            lambda *_: "pairs do not give its layers: no new languages to profile",
+        ),
+    ],
+    ids=[
+        "s-7.5",
+        "s_new_old-below-minus-1",
+        "s-1.5-times-its-pairs",
+        "s_new_old-one-ulp-off",
+        "short-pairs",
+        "pairs-without-new-languages",
+    ],
+)
+def test_a_profile_is_checked_against_its_pairs(tmp_path, capsys, artifacts, change, message):
+    """``allocate`` wrote a plan from each of the first four: no mean of
+    cosines is 7.5 or -1.5, and the third and fourth are no longer what
+    their pairs give."""
+    record, write, command = artifact_kind("profile", artifacts)
+    changed = change(record)
+    write(str(tmp_path / "profile.json"), changed)
+    failure = run_failing(command(str(tmp_path / "profile.json")), capsys)
+    assert failure["error"] == "FormatError"
+    assert failure["message"].endswith("profile " + message(record, changed))
+    assert not (tmp_path / "profile.json.plan").exists()
+
+
 CAPPED = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

@@ -21,12 +21,15 @@ from layermoe.numerics import (
     silu,
     take_pairs,
 )
-from layermoe.numerics.autodiff import _sigmoid, _softmax
+from layermoe.numerics.autodiff import _sigmoid, _slot_sum, _softmax
 from oracles import (
     central_difference,
     cosine,
     div,
     masked_sigmoid,
+    ordered_slot_sum,
+    padded_slot_sum,
+    per_expert_mix,
     plain_softmax,
     power,
     row_sum,
@@ -398,6 +401,133 @@ class TestExpertMix:
         _, dw, *_ = out._backward(np.ones(out.shape))
         np.testing.assert_array_equal(dw[BYPASS], 0.0)
         assert (dw[~BYPASS] != 0.0).all()
+
+
+def routed_experts(experts):
+    """Every expert but the last and, from four experts on, expert 1, so
+    both get no rows; expert 0 alone when there is only one."""
+    routed = [e for e in range(experts) if e != experts - 1 and (e != 1 or experts < 4)]
+    return np.array(routed or [0])
+
+
+def wide_mix_case(experts, k, seed, hidden=6, ffn=10, rows=31):
+    """``rows`` rows, each routed to ``k`` of ``routed_experts``. Slot
+    weights come from a softmax, as the router gives them."""
+    gen = SeededRng(seed).generator()
+    shapes = ((hidden, ffn), (hidden, ffn), (ffn, hidden))
+    pool = [
+        Expert(*(Tensor(gen.normal(0.0, 0.5, size=shape)) for shape in shapes))
+        for _ in range(experts)
+    ]
+    routed = routed_experts(experts)
+    picks = np.argsort(-gen.normal(size=(rows, routed.size)), axis=1, kind="stable")[:, :k]
+    weights = Tensor(plain_softmax(gen.normal(size=(rows, k))))
+    bypass = gen.uniform(size=rows) < 0.3
+    return Tensor(gen.normal(size=(rows, hidden))), weights, routed[picks], pool, bypass
+
+
+# Which operands need a gradient: every one; x frozen with the newest
+# experts trainable (layer 0 in stage 1); every expert frozen with x and
+# the weights trainable (stage 2); none (inference, no tape).
+TRAINING = {
+    "all": lambda x, weights, experts: [x, weights, *expert_params(experts)],
+    "newest-experts": lambda x, weights, experts: [
+        weights, *expert_params(experts[len(experts) // 2 :])
+    ],
+    "frozen-experts": lambda x, weights, experts: [x, weights],
+    "no-tape": lambda x, weights, experts: [],
+}
+
+
+def expert_params(experts):
+    return [t for ex in experts for t in (ex.gate, ex.up, ex.down)]
+
+
+def assert_mix_bits(x, weights, indices, experts, bypass, upstream, **reference):
+    """The output and every gradient of ``expert_mix`` have the bytes of the
+    per-expert reference's; a gradient is None in both or in neither."""
+    got = expert_mix(x, weights, indices, experts, bypass)
+    want = per_expert_mix(x, weights, indices, experts, bypass, **reference)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert (got._backward is None) == (want._backward is None)
+    if got._backward is None:
+        return
+    for i, (a, b) in enumerate(zip(got._backward(upstream), want._backward(upstream))):
+        assert (a is None) == (b is None), i
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), i
+
+
+class TestExpertMixKeepsBits:
+    """``expert_mix`` runs its training-time elementwise math once per layer
+    and gathers its output rows; the per-expert form it replaced is the
+    reference, bit for bit, for every k up to 7."""
+
+    @pytest.mark.parametrize("training", sorted(TRAINING))
+    @pytest.mark.parametrize(
+        "experts, k",
+        [
+            (experts, k)
+            for experts in (1, 2, 3, 5, 9, 20)
+            for k in range(1, min(7, routed_experts(experts).size) + 1)
+        ],
+    )
+    def test_output_and_every_gradient(self, experts, k, training):
+        x, weights, indices, pool, bypass = wide_mix_case(experts, k, seed=experts * 10 + k)
+        for t in TRAINING[training](x, weights, pool):
+            t.requires_grad = True
+        upstream = SeededRng(k).generator().normal(size=x.shape)
+        for rows in (None, bypass):
+            assert_mix_bits(x, weights, indices, pool, rows, upstream)
+
+    def test_one_row_blocks(self):
+        """Experts that each get one row, the shape numpy runs as gemv."""
+        x, weights, indices, pool, bypass = wide_mix_case(20, 2, seed=5, rows=4)
+        for t in [x, weights, *expert_params(pool)]:
+            t.requires_grad = True
+        upstream = SeededRng(6).generator().normal(size=x.shape)
+        assert_mix_bits(x, weights, indices, pool, None, upstream)
+        assert_mix_bits(x, weights, indices, pool, bypass, upstream)
+
+    @pytest.mark.parametrize("hidden", [1, 4])
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_eight_or_more_slots_sum_in_slot_order(self, k, hidden):
+        """From 8 slots numpy's reduce may go pairwise (it does at width 1
+        on numpy 2.4); ``expert_mix`` keeps ``0 + slot 0 + slot 1 + ...``."""
+        x, weights, indices, pool, bypass = wide_mix_case(12, k, seed=k, hidden=hidden)
+        for t in [x, weights, *expert_params(pool)]:
+            t.requires_grad = True
+        upstream = SeededRng(k).generator().normal(size=x.shape)
+        for rows in (None, bypass):
+            assert_mix_bits(x, weights, indices, pool, rows, upstream, slot_sum=ordered_slot_sum)
+
+    def test_signed_zero_slot_values(self):
+        """A slot whose weight is -0.0 adds a -0.0 row; a row of only such
+        slots, and a -0.0 upstream gradient, still sum to numpy's +0.0."""
+        x, weights, indices, pool, bypass = wide_mix_case(5, 2, seed=7)
+        weights.data[::3] = -0.0
+        weights.data[1::3, 1] = 0.0
+        upstream = SeededRng(8).generator().normal(size=x.shape)
+        upstream[::2] = -0.0
+        for t in [x, weights, *expert_params(pool)]:
+            t.requires_grad = True
+        for rows in (None, bypass):
+            assert_mix_bits(x, weights, indices, pool, rows, upstream)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_slot_sum_is_zero_then_each_slot_in_order(self, k):
+        """Signed zeros and magnitudes far apart, with some slots inactive:
+        they read the zero row after the values."""
+        gen = SeededRng(k).generator()
+        n, width = 11, 3
+        pairs = gen.permutation(np.flatnonzero(gen.uniform(size=n * k) < 0.8))
+        values = gen.choice([-0.0, 0.0, 1.5, -2.25, 1e-300, -1e300], size=(pairs.size, width))
+        slots = np.full(n * k, pairs.size)
+        slots[pairs] = np.arange(pairs.size)
+        got = _slot_sum(np.concatenate([values, np.zeros((1, width))]), slots.reshape(n, k))
+        assert got.tobytes() == ordered_slot_sum(values, pairs, n, k).tobytes()
+        if k <= 7:
+            assert got.tobytes() == padded_slot_sum(values, pairs, n, k).tobytes()
 
 
 def composed_attention(x, wq, wk, wv, wo, mask, heads):

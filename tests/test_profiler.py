@@ -1,6 +1,8 @@
 """Candidate arrays, pairwise similarity (fast path vs brute force), indicated
 similarity, classifier-layer selection, and profile files."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from layermoe.corpus import TaggedCorpus, generate, language_specs, required_vocab
 from layermoe.errors import (
     DegenerateVectorError,
+    FormatError,
     InvalidInputError,
     SampleSizeError,
     SequenceLengthError,
@@ -330,3 +333,28 @@ class TestProfileIO:
         assert loaded.new_new is None and profile.new_new is None
         assert loaded.new_languages == ("b1",)
         assert (tmp_path / "profile.csv").exists()
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_two_new_languages_load_against_their_pairs(self, profiled_setup, tmp_path, literal):
+        """``load_profile`` recomputes the layers from the pairs with the
+        profile's own ``literal_new_new``; the other setting gives other
+        ``s_new_new`` bits, and the file is rejected at layer 0."""
+        model, corpus = profiled_setup
+        profile = profile_similarity(
+            model, corpus, ["a1"], ["a2", "b1"], q=32, seed=4, literal_new_new=literal
+        )
+        path = tmp_path / "profile.json"
+        save_profile(profile, path)
+        loaded = load_profile(path)
+        for got, want in [
+            (loaded.new_old, profile.new_old),
+            (loaded.new_new, profile.new_new),
+            (loaded.indicated, profile.indicated),
+        ]:
+            assert got.tobytes() == want.tobytes()
+        record = json.loads(path.read_text())
+        record["meta"]["literal_new_new"] = not literal
+        path.write_text(json.dumps(record))
+        message = r"profile s_new_new at layer 0 is .*, its pairs give"
+        with pytest.raises(FormatError, match=message):
+            load_profile(path)
