@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -124,8 +125,13 @@ class ForwardResult:
     flat rows (None for dense models); logits and taps keep the batch shape."""
 
     logits: np.ndarray | None  # (batch, length, vocab); None without logits
-    taps: np.ndarray  # (layers, batch, length, hidden) router inputs
+    layer_taps: list[np.ndarray]  # per layer, (batch, length, hidden) router inputs
     trace: tuple[LayerTrace, ...] | None
+
+    @cached_property
+    def taps(self) -> np.ndarray:
+        """(layers, batch, length, hidden): the layer taps, stacked when first read."""
+        return np.stack(self.layer_taps)
 
 
 @dataclass
@@ -419,7 +425,7 @@ def forward(
     ``logits=False`` stops at the last layer's tap (see the module docstring)."""
     result = forward_graph(model, tokens, mode=mode, logits=logits)
     head = None if result.logits is None else result.logits.data
-    return ForwardResult(head, np.stack(result.taps), result.layers)
+    return ForwardResult(head, result.taps, result.layers)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,21 @@ row. Row ``r`` of the output, and of the gradient of ``x``, is
 ``0 + v[slots[r, 0]] + v[slots[r, 1]] + ...`` in slot order. For k <= 7
 that is numpy's middle-axis reduce bit for bit, signed zeros included;
 from 8 slots numpy may sum pairwise (it does at width 1), and this order
-stays the same for every k.
+stays the same for every k. ``_slot_sum`` starts from slot 0's rows and
+adds +0 last, which gives those bits without a zero-filled buffer (its
+docstring says why). The pairs are grouped by a stable sort of their
+experts' ids as the smallest unsigned type that holds them, which numpy
+sorts by radix, and a bypass is built with ``np.where`` and slices, not
+boolean-mask scatters.
 
 ``route`` is an MoE layer's router as two nodes. ``scores`` is the softmax
 of ``x @ stack(columns)`` over every expert. ``weights`` holds each row's
-top-k scores, renormalised to sum to 1; the top-k comes from a stable sort
-of ``-scores``, so experts whose zero router columns tie go lowest id first.
+top-k scores, renormalised to sum to 1. The top-k comes from k ``argmax``
+passes, the first over the scores and each later one over a copy in which
+the earlier picks are -inf. ``argmax`` takes the first of tied maxima, so
+this is the order of a stable sort of ``-scores``: experts whose zero
+router columns tie go lowest id first. Softmax gives NaN only as whole
+rows, and on such a row ``argmax`` gives 0, 1, ... as the sort does.
 There are two nodes because two kinds of reader need them: the balance and
 prior-routing losses read ``scores``, and ``expert_mix`` reads ``weights``,
 whose gradient flows back through ``scores``. The columns stay one tensor
@@ -446,10 +455,16 @@ def take_pairs(t: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
 
 
 def _slot_sum(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Row ``r`` is ``0 + values[slots[r, 0]] + values[slots[r, 1]] + ...``, in slot order."""
-    out = np.zeros((slots.shape[0], values.shape[1]))
-    for j in range(slots.shape[1]):
-        out += values[slots[:, j]]
+    """Row ``r`` is ``0 + values[slots[r, 0]] + values[slots[r, 1]] + ...``, in
+    slot order, computed as ``values[slots[r, 0]] + ... + 0`` without a zero
+    buffer. The bits agree: the two running sums differ at most in the sign
+    of a zero, until one of them is nonzero and both are the same from then
+    on, and a sum started from +0 is never -0; adding +0 last turns -0 into
+    +0 and keeps every other value."""
+    out = np.take(values, slots[:, 0], axis=0)
+    for j in range(1, slots.shape[1]):
+        out += np.take(values, slots[:, j], axis=0)
+    out += 0.0
     return out
 
 
@@ -463,25 +478,28 @@ def expert_mix(
         raise ValueError("x, weights and indices disagree on rows or slots")
     chosen, w, pairs = indices, weights.data, np.arange(n * k)
     if bypass is not None:
-        chosen, w, active = indices.copy(), w.copy(), np.ones((n, k), dtype=bool)
-        chosen[bypass, 0] = 0
-        w[bypass, 0] = 1.0
-        active[bypass, 1:] = False
+        chosen, w, active = indices.copy(), w.copy(), np.empty((n, k), dtype=bool)
+        chosen[:, 0] = np.where(bypass, 0, indices[:, 0])
+        w[:, 0] = np.where(bypass, 1.0, w[:, 0])
+        active[:, 0] = True
+        active[:, 1:] = ~bypass[:, None]
         pairs = np.flatnonzero(active)
     owner = chosen.reshape(-1)[pairs]
-    # Stable, so each expert's rows stay in ascending order.
-    pairs = pairs[np.argsort(owner, kind="stable")]
+    # Stable, so each expert's rows stay in ascending order; numpy sorts a
+    # key of 16 bits or fewer by radix.
+    owner_key = owner.astype(np.min_scalar_type(len(experts) - 1))
+    pairs = pairs[np.argsort(owner_key, kind="stable")]
     counts = np.bincount(owner, minlength=len(experts))
-    ends = np.cumsum(counts)
-    # Each expert with rows, and its block of the pair axis.
-    spans = [(e, ends[e] - c, ends[e]) for e, c in enumerate(counts) if c]
+    ends = np.cumsum(counts).tolist()
+    # Each expert with rows, and its block of the pair axis, as Python ints.
+    spans = [(e, ends[e] - c, ends[e]) for e, c in enumerate(counts.tolist()) if c]
     npairs = pairs.size
     rows, ws = pairs // k, np.append(w.reshape(-1)[pairs], 0.0)[:, None]
     # Each (row, slot)'s row of ys; an inactive bypass slot reads the zero row npairs.
     slots = np.full(n * k, npairs)
     slots[pairs] = np.arange(npairs)
     slots = slots.reshape(n, k)
-    xs = x.data[rows]
+    xs = np.take(x.data, rows, axis=0)
     ys = np.empty((npairs + 1, experts[0].down.data.shape[1]))
     ys[npairs] = 0.0
     params = tuple(p for ex in experts for p in (ex.gate, ex.up, ex.down))
@@ -568,10 +586,18 @@ def route(x: Tensor, columns: Sequence[Tensor], top_k: int) -> tuple[Tensor, np.
     best first; and ``weights``, their scores renormalised to sum to 1."""
     w = np.stack([c.data for c in columns], axis=1)
     y = _softmax(x.data @ w)
-    k = min(top_k, y.shape[1])
-    # Stable, so tied experts (zero router columns) go lowest id first.
-    indices = np.argsort(-y, axis=1, kind="stable")[:, :k]
-    rows = np.arange(len(indices))[:, None]
+    n, k = y.shape[0], min(top_k, y.shape[1])
+    # k argmax passes pick what a stable sort of -y picks (module docstring).
+    flat, picks = np.arange(n), np.empty((k, n), dtype=np.intp)
+    y.argmax(axis=1, out=picks[0])
+    if k > 1:
+        rest = y.copy()
+        for j in range(1, k):
+            rest[flat, picks[j - 1]] = -np.inf
+            rest.argmax(axis=1, out=picks[j])
+    # C order, so that each row's top-k sum below runs in numpy's row order.
+    indices = picks.T.copy()
+    rows = flat[:, None]
     selected = y[rows, indices]
     total = selected.sum(axis=1, keepdims=True)
     scores = _node(y, (x, *columns))

@@ -279,16 +279,26 @@ def load_profile(path: str | Path) -> SimilarityProfile:
                     f"{path}: profile {name} at layer {row['index']} is {row[name]!r},"
                     " outside [-1, 1]"
                 )
+    old, new = tuple(record.get("old_languages", ())), tuple(record.get("new_languages", ()))
+    both = sorted(set(old) & set(new))
+    if both:
+        raise FormatError(
+            f"{path}: profile old_languages and new_languages both list {both[0]}:"
+            " a language cannot be both old and new"
+        )
+    pairs = {}
+    for key, values in record.get("pairs", {}).items():
+        names = tuple(key.split("|"))
+        if len(names) != 2 or not all(names):
+            raise FormatError(f"{path}: profile pairs key {key!r} is not two names joined by '|'")
+        pairs[names] = np.asarray(values, dtype=np.float64)
     profile = SimilarityProfile(
         np.array([row["s_new_old"] for row in layers], dtype=np.float64),
         None if new_new[0] is None else np.array(new_new, dtype=np.float64),
         np.array([row["s"] for row in layers], dtype=np.float64),
-        {
-            tuple(key.split("|")): np.asarray(values, dtype=np.float64)
-            for key, values in record.get("pairs", {}).items()
-        },
-        tuple(record.get("old_languages", ())),
-        tuple(record.get("new_languages", ())),
+        pairs,
+        old,
+        new,
         record.get("meta", {}),
     )
     if "pairs" in record:

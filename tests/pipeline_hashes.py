@@ -1,6 +1,6 @@
 """Hash every file that ``cli.run_pipeline`` writes for two small pipelines,
-and every artifact of the command chain, or compare two such listings file
-by file.
+every artifact of the command chain and the logits of one served batch, or
+compare two such listings file by file.
 
     PYTHONPATH=src python tests/pipeline_hashes.py > head.txt
     python tests/pipeline_hashes.py --compare base.txt head.txt
@@ -12,7 +12,8 @@ layer), each at two seeds, with the ``layermoe`` found on the path. It also
 runs the command chain of the lifelong pipeline's first expansion
 (``gen-corpus`` to ``eval``) at that pipeline's config and first seed, with
 the defaults of ``review`` and ``eval``; every chain file but the stage-1
-model has a byte-equal namesake in ``lifelong-1``. It prints one
+model has a byte-equal namesake in ``lifelong-1``. And it serves one gated
+batch at the width the benchmark serves (``served``). It prints one
 ``<sha256>  <run>/<file>`` line per output file; a chain command's manifest
 is left out, because it records absolute temporary paths. The second prints a
 Markdown table of the files whose hashes differ, or that only one listing
@@ -39,6 +40,7 @@ from pathlib import Path
 # similarity is not positive and allocation rejects the profile.
 SEEDS = (1, 3)
 CHAIN_SEED = 1
+SERVE_SEED = 1
 
 
 def _stage(steps: int) -> dict:
@@ -115,6 +117,28 @@ def chain(out: Path) -> None:
                 raise RuntimeError(f"{argv[0]} exited {code}: {errors.getvalue().strip()}")
 
 
+def served(out: Path) -> None:
+    """One gated forward at serving width into ``out/logits.f64``: 64
+    sequences of 15 tokens through a 3-layer MoE with hidden 32, ffn 64 and
+    9 experts per layer, seeded non-zero router columns and seeded
+    classifiers on layers 1 and 2, so that the gate fires on some rows of
+    each."""
+    from layermoe.model import DenseModel, ModelConfig, add_classifiers, forward, upcycle
+    from layermoe.numerics import SeededRng, derive_seed
+
+    config = ModelConfig(layers=3, hidden=32, heads=4, vocab=64, ffn=64, context=16, top_k=2,
+                         seed=SERVE_SEED)
+    model = upcycle(DenseModel.create(config, ("g0",)), (8,) * config.layers, "g1")
+    add_classifiers(model, (1, 2))
+    for name in sorted(model.params):
+        if ".router." in name or name.endswith(".classifier"):
+            gen = SeededRng(derive_seed(SERVE_SEED, "served", name)).generator()
+            model.params[name].data[:] = gen.normal(0.0, 0.3, size=model.params[name].shape)
+    gen = SeededRng(derive_seed(SERVE_SEED, "served", "tokens")).generator()
+    tokens = gen.integers(0, config.vocab, size=(64, 15))
+    (out / "logits.f64").write_bytes(forward(model, tokens, mode="gated").logits.tobytes())
+
+
 def hashes() -> list[str]:
     from layermoe.cli import run_pipeline
 
@@ -124,6 +148,7 @@ def hashes() -> list[str]:
         for seed in SEEDS
     }
     runs[f"chain-{CHAIN_SEED}"] = chain
+    runs[f"served-{SERVE_SEED}"] = served
     lines = []
     for run, make in runs.items():
         with tempfile.TemporaryDirectory() as out:

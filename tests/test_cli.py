@@ -1189,6 +1189,43 @@ def test_a_profile_is_checked_against_its_pairs(tmp_path, capsys, artifacts, cha
     assert not (tmp_path / "profile.json.plan").exists()
 
 
+def add_pair(key, like="a|b"):
+    """Add a ``pairs`` entry ``key`` holding the values of ``like``."""
+    return lambda record: mutated(record, ("pairs", key), record["pairs"][like])
+
+
+def old_and_new(record):
+    """``b`` listed as old as well as new, with a ``b|b`` pair equal to
+    ``a|b``, so that the layers recomputed from the pairs keep their bits."""
+    return add_pair("b|b")(mutated(record, ("old_languages",), ["a", "b"]))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (
+            old_and_new,
+            "old_languages and new_languages both list b: a language cannot be both old and new",
+        ),
+        (add_pair("zz"), "pairs key 'zz' is not two names joined by '|'"),
+        (add_pair("q|r|s"), "pairs key 'q|r|s' is not two names joined by '|'"),
+    ],
+    ids=["language-old-and-new", "one-name-pair", "three-name-pair"],
+)
+def test_a_profile_lists_each_language_once_and_pairs_two(
+    tmp_path, capsys, artifacts, change, message
+):
+    """``allocate`` wrote a plan from each: ``profile_similarity`` refuses a
+    language that is both old and new, and a pair key that is not two names
+    was never read."""
+    record, write, command = artifact_kind("profile", artifacts)
+    write(str(tmp_path / "profile.json"), change(record))
+    failure = run_failing(command(str(tmp_path / "profile.json")), capsys)
+    assert failure["error"] == "FormatError"
+    assert failure["message"].endswith("profile " + message)
+    assert not (tmp_path / "profile.json.plan").exists()
+
+
 CAPPED = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

@@ -1,6 +1,7 @@
 """The bytes of every file ``cli.run_pipeline`` writes for the small pipelines
-of ``pipeline_hashes.py``, and of every artifact of its command chain, held
-to the checked-in ledger; and the chain's artifacts held to the pipeline's.
+of ``pipeline_hashes.py``, of every artifact of its command chain and of its
+served batch's logits, held to the checked-in ledger; and the chain's
+artifacts held to the pipeline's.
 
 The ledger's hashes hold for one numpy and BLAS build running one BLAS
 kernel, so on any other build or kernel that test skips and names both. A
