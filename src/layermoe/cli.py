@@ -2,9 +2,12 @@
 allocation, expansion, review, evaluation, and full pipelines. ``profile``,
 ``allocate``, ``expand`` and ``review`` run the steps of any expansion of
 ``run-pipeline``, later ones included (``expand`` upcycles a dense checkpoint
-or extends an expanded one), and write its bytes: ``--seed`` is the pipeline
-seed. Run with their defaults, ``review`` and ``eval`` apply the pipeline's
-classifier count, evaluation mode and old groups, read from the checkpoint.
+or extends an expanded one), and write its bytes. ``--seed`` is the pipeline
+seed, the one seed a caller gives: the model's initialisation is drawn from
+it (a model config has no seed), and each step derives its own from it as
+``trainer.expansion_seed`` lists. The old groups are those the checkpoint
+knows before the expansion. Run with their defaults, ``review`` and ``eval``
+apply the pipeline's classifier count and evaluation mode.
 
 Every artifact-producing command writes a manifest (``<out>.manifest.json``)
 holding the resolved arguments, package version, and output hashes. The
@@ -37,17 +40,16 @@ from .errors import ConfigurationError, FormatError, InvalidInputError, LayerMoE
 from .model import DenseModel, ModelConfig, load_model, save_model
 from .model.config import MODEL_SPEC
 from .numerics import derive_seed
-from .profiler import PROFILE_Q, load_profile, profile_similarity, save_profile
-from .schema import Int, List, Map, check, load_json, problems, save_json
+from .profiler import PROFILE_Q, load_profile, save_profile
+from .schema import Int, Map, check, load_json, problems, save_json
 from .trainer import (
     CLS_MODES,
-    REVIEW_RATIO,
     STAGE_SETTINGS,
     TrainingRecipe,
     evaluate,
     expand,
-    expansion_seed,
     lifelong_expand,
+    profile_before,
     review,
     save_reports_csv,
     train_dense,
@@ -88,16 +90,16 @@ def _write_manifest(command: str, args: dict, outputs: dict[str, Path]) -> None:
 # the keyword arguments of corpus.language_specs, less the seed.
 _LANGUAGES = {"groups": Map([str]), "block_size?": int, "shared_size?": int, "overlap?": float}
 
+# A model config, as in train-base --config and a pipeline's "model": the
+# checkpoint's, less the seed, which is the pipeline seed.
+_MODEL = {key: spec for key, spec in MODEL_SPEC.items() if key != "seed?"}
 
-def _groups_arg(value: str) -> list[str]:
-    return [part for part in value.split(",") if part]
 
-
-def _recipe(values: dict, stage: str, seed: int) -> TrainingRecipe:
+def _recipe(values: dict, stage: str) -> TrainingRecipe:
     """A stage's recipe from a pipeline stage config or a command's
     arguments; a rate that ``values`` lacks keeps its TrainingRecipe default."""
-    names = [f.name for f in fields(TrainingRecipe) if f.name not in ("stage", "seed")]
-    return TrainingRecipe(stage, seed=seed, **{n: values[n] for n in names if n in values})
+    names = [f.name for f in fields(TrainingRecipe) if f.name != "stage"]
+    return TrainingRecipe(stage, **{n: values[n] for n in names if n in values})
 
 
 def _save_trained(model, reports, out: str) -> dict[str, Path]:
@@ -129,23 +131,21 @@ def _cmd_gen_corpus(args) -> dict[str, Path]:
 
 
 def _cmd_train_base(args) -> dict[str, Path]:
-    model_cfg = check(load_json(args.config), MODEL_SPEC, f"{args.config}: model config")
-    config = ModelConfig(**{"seed": args.seed, **model_cfg})
+    model_cfg = check(load_json(args.config), _MODEL, f"{args.config}: model config")
+    config = ModelConfig(**model_cfg, seed=args.seed)
     corpus = TaggedCorpus.load_jsonl(args.corpus).subset_groups([args.group])
     if len(corpus) == 0:
         raise InvalidInputError(f"corpus has no sequences in group {args.group!r}")
     model = DenseModel.create(config, groups=(args.group,))
-    recipe = _recipe(vars(args), "dense", derive_seed(args.seed, "base"))
-    return _save_trained(model, train_dense(model, corpus, recipe), args.out)
+    reports = train_dense(model, corpus, _recipe(vars(args), "dense"), args.seed)
+    return _save_trained(model, reports, args.out)
 
 
 def _cmd_profile(args) -> dict[str, Path]:
     model = load_model(args.model)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
-    old, new = _groups_arg(args.old), _groups_arg(args.new)
-    seed = derive_seed(expansion_seed(args.seed, model, ",".join(new)), "profile-before")
-    profile = profile_similarity(model, corpus, corpus.languages_in(old), corpus.languages_in(new),
-                                 q=args.q, seed=seed, literal_new_new=args.literal_new_new)
+    profile = profile_before(model, corpus, args.group, args.seed, q=args.q,
+                             literal_new_new=args.literal_new_new)
     out = Path(args.out)
     return {"profile": out, "profile_csv": save_profile(profile, out)}
 
@@ -161,26 +161,16 @@ def _cmd_expand(args) -> dict[str, Path]:
     model = load_model(args.model)
     plan = load_plan(args.plan)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
-    seed = derive_seed(expansion_seed(args.seed, model, args.group), "stage1")
-    model, reports = expand(model, plan, corpus, args.group, _recipe(vars(args), "stage1", seed))
+    recipe = _recipe(vars(args), "stage1")
+    model, reports = expand(model, plan, corpus, args.group, recipe, args.seed)
     return _save_trained(model, reports, args.out)
 
 
 def _cmd_review(args) -> dict[str, Path]:
     model = load_model(args.model)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
-    history = getattr(model, "expansion_history", ())
-    seed = expansion_seed(args.seed, model, history[-1].group if history else "")
-    model, profile, reports = review(
-        model,
-        corpus,
-        _recipe(vars(args), "stage2", derive_seed(seed, "stage2")),
-        classifier_count=args.classifier_count,
-        q=args.q,
-        profile_seed=derive_seed(seed, "profile-stage1"),
-        mix_seed=derive_seed(seed, "review"),
-        review_ratio=(args.ratio_old, args.ratio_new),
-    )
+    model, profile, reports = review(model, corpus, _recipe(vars(args), "stage2"), args.seed,
+                                     classifier_count=args.classifier_count, q=args.q)
     outputs = _save_trained(model, reports, args.out)
     if profile is not None:
         profile_out = Path(args.out).with_suffix(".profile.json")
@@ -227,14 +217,13 @@ def _stage_spec(stage: str) -> dict:
 _PIPELINE = {
     "seed?": int,
     "languages": _LANGUAGES,
-    "model": MODEL_SPEC,
+    "model": _MODEL,
     "corpus": {"tokens_per_language": int},
-    "evaluation?": {"max_sequences_per_language?": Int(1), "mode?": {"plain", "gated"}},
+    "evaluation?": {"max_sequences_per_language?": Int(1)},
     "base": {"group": str, **_stage_spec("dense")},
     "expansions?": [
         {"group": str, "budget": int, "q?": int, "classifier_count?": int,
-         "review_ratio?": List(Int(0), 2, 2), "stage1": _stage_spec("stage1"),
-         "stage2": _stage_spec("stage2")}
+         "stage1": _stage_spec("stage1"), "stage2": _stage_spec("stage2")}
     ],
 }
 
@@ -247,7 +236,7 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     seed = config.get("seed", 0)
 
     specs = language_specs(**config["languages"], seed=seed)
-    model_config = ModelConfig(**{"seed": seed, **config["model"]})
+    model_config = ModelConfig(**config["model"], seed=seed)
     if required_vocab(specs) > model_config.vocab:
         raise ConfigurationError(
             f"language layout needs vocab {required_vocab(specs)}, model has {model_config.vocab}"
@@ -273,8 +262,8 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
 
     base_group = config["base"]["group"]
     dense = DenseModel.create(model_config, groups=(base_group,))
-    dense_recipe = _recipe(config["base"], "dense", derive_seed(seed, "base"))
-    base_reports = train_dense(dense, corpus.subset_groups([base_group]), dense_recipe)
+    dense_recipe = _recipe(config["base"], "dense")
+    base_reports = train_dense(dense, corpus.subset_groups([base_group]), dense_recipe, seed)
     put("base", "base.lmoe", save_model, dense)
     put("base_losses", "base.losses.csv", save_reports_csv, base_reports)
 
@@ -287,16 +276,15 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     for index, exp_cfg in enumerate(config.get("expansions", ())):
         group = exp_cfg["group"]
         tag = f"{index}_{group}"
-        own_seed = expansion_seed(seed, model, group)
         model, result = lifelong_expand(
             model,
             corpus,
             group,
             exp_cfg["budget"],
-            _recipe(exp_cfg["stage1"], "stage1", derive_seed(own_seed, "stage1")),
-            _recipe(exp_cfg["stage2"], "stage2", derive_seed(own_seed, "stage2")),
-            seed=own_seed,
-            **{k: exp_cfg[k] for k in ("q", "classifier_count", "review_ratio") if k in exp_cfg},
+            _recipe(exp_cfg["stage1"], "stage1"),
+            _recipe(exp_cfg["stage2"], "stage2"),
+            seed,
+            **{k: exp_cfg[k] for k in ("q", "classifier_count") if k in exp_cfg},
         )
         put(f"profile_{tag}", f"profile.{tag}.json", save_profile, result.profile_before)
         put(f"plan_{tag}", f"plan.{tag}.json", save_plan, result.plan)
@@ -308,8 +296,7 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
             put(f"{stage}_losses_{tag}", f"{stage}.{tag}.losses.csv", save_reports_csv, reports)
         put(f"model_{tag}", f"model.{tag}.lmoe", save_model, model)
 
-        mode = eval_cfg.get("mode") if model.classifier_layers else "plain"
-        metrics = evaluate(model, corpus, mode=mode, max_sequences_per_language=max_sequences)
+        metrics = evaluate(model, corpus, max_sequences_per_language=max_sequences)
         put(f"metrics_{tag}", f"metrics.{tag}.json", _save_metrics, metrics)
     return outputs
 
@@ -393,8 +380,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("profile", help="per-layer similarity profile")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--old", required=True, help="comma-separated old group ids")
-    p.add_argument("--new", required=True, help="comma-separated new group ids")
+    p.add_argument("--group", required=True, help="the new group; the model's groups are old")
     p.add_argument("--q", type=int, default=PROFILE_Q)
     p.add_argument("--literal-new-new", action="store_true")
     p.add_argument("--out", required=True)
@@ -419,8 +405,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--classifier-count", type=int, default=None)
     p.add_argument("--q", type=int, default=PROFILE_Q)
-    p.add_argument("--ratio-old", type=int, default=REVIEW_RATIO[0])
-    p.add_argument("--ratio-new", type=int, default=REVIEW_RATIO[1])
     _add_training_options(p, "stage2", 200)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)

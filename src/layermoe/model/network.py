@@ -283,10 +283,12 @@ def _plan_counts(plan, layers: int) -> tuple[int, ...]:
     return counts
 
 
-def _add_experts(model: MoEModel, plan, group: str) -> MoEModel:
-    """Copy of ``model`` without classifiers, plus ``group``'s expansion: per
-    layer, ``plan`` new experts with zero router columns. A new expert is the
-    layer's expert 0 plus seeded Gaussian noise."""
+def extend_expansion(model: MoEModel, plan, group: str) -> MoEModel:
+    """Copy of ``model`` plus ``group``'s expansion: per layer, ``plan`` new
+    experts with zero router columns. A new expert is the layer's expert 0
+    (the original dense FFN) plus seeded Gaussian noise. Classifiers from the
+    previous expansion are dropped, since the next review stage re-selects
+    layers and trains fresh ones against the enlarged old group."""
     config = model.config
     counts = _plan_counts(plan, config.layers)
     expansion = len(model.expansion_history)
@@ -310,21 +312,13 @@ def _add_experts(model: MoEModel, plan, group: str) -> MoEModel:
 
 def upcycle(dense: DenseModel, plan, group: str) -> MoEModel:
     """Turn a dense model into an MoE: per layer, expert 0 is the original
-    FFN and ``plan`` new experts are added, each a copy of expert 0 plus
-    seeded Gaussian noise. Routers start at zero, so routing begins uniform
-    with deterministic tie-breaking. ``dense`` is left untouched."""
+    FFN and ``plan`` new experts are added by :func:`extend_expansion`.
+    Routers start at zero, so routing begins uniform with deterministic
+    tie-breaking. ``dense`` is left untouched."""
     params = {name.replace(".ffn.", ".experts.0."): p for name, p in dense.params.items()}
     for i in range(dense.config.layers):
         params[f"blocks.{i}.router.0"] = Tensor(np.zeros(dense.config.hidden))
-    return _add_experts(MoEModel(dense.config, params, dense.groups, ()), plan, group)
-
-
-def extend_expansion(model: MoEModel, plan, group: str) -> MoEModel:
-    """Add a further expansion to an existing MoE model. New experts copy the
-    layer's expert 0 (the original dense FFN) plus noise; classifiers from the
-    previous expansion are dropped, since the next review stage re-selects
-    layers and trains fresh ones against the enlarged old group."""
-    return _add_experts(model, plan, group)
+    return extend_expansion(MoEModel(dense.config, params, dense.groups, ()), plan, group)
 
 
 def add_classifiers(model: MoEModel, layers: Sequence[int]) -> MoEModel:

@@ -72,12 +72,13 @@ class TrainingRecipe:
     trainable set, and reads only its own :data:`STAGE_SETTINGS`: stage 1
     the balance weight, stage 2 the prior-routing and classifier weights and
     ``cls_mode`` (one of :data:`CLS_MODES`), dense training none of them.
+    A recipe holds no seed: each stage derives its own from the pipeline
+    seed that its training function takes (see :func:`expansion_seed`).
     """
 
     stage: str
     steps: int
     batch_size: int
-    seed: int
     learning_rate: float = 5e-5
     momentum: float = 0.0
     balance_weight: float = 0.01
@@ -260,19 +261,24 @@ def batch_loss(
 
 
 def _train(
-    model: Model, corpus: TaggedCorpus, recipe: TrainingRecipe, stage: str
+    model: Model, corpus: TaggedCorpus, recipe: TrainingRecipe, stage: str, seed: int
 ) -> list[LossReport]:
     """SGD on :func:`batch_loss` for a ``stage`` recipe, over batches drawn
-    from the stage's own stream. Dense training moves every parameter;
+    from the stage's own stream, derived from the pipeline ``seed`` as
+    :func:`expansion_seed` lists. Dense training moves every parameter;
     stages 1 and 2 move the set :func:`partition_params` gives them."""
     if recipe.stage != stage:
         raise ConfigurationError(f"recipe is not a {stage} recipe")
     if len(corpus) == 0:
         raise InvalidInputError(f"empty {stage} corpus")
     model.config.check_tokens(corpus.sequences, corpus.sequences.shape[1] - 1)
-    trainable = sorted(model.params) if stage == "dense" else partition_params(model, stage)[0]
+    if stage == "dense":
+        trainable, seed = sorted(model.params), derive_seed(seed, "base")
+    else:
+        trainable = partition_params(model, stage)[0]
+        seed = expansion_seed(seed, model, _newest_group(model), stage)
     params = {name: model.params[name] for name in trainable}
-    gen = SeededRng(derive_seed(recipe.seed, stage)).generator()
+    gen = SeededRng(derive_seed(seed, stage)).generator()
     masks = ()  # stage 2's old and valid masks over the fed positions
     if stage == "stage2":
         masks = (corpus.old_token_mask(model.old_groups)[:, :-1], corpus.token_mask()[:, :-1])
@@ -299,32 +305,38 @@ def _train(
     return reports
 
 
+def _newest_group(model: Model) -> str:
+    """The group of ``model``'s newest expansion, the one stages 1 and 2 train."""
+    history = getattr(model, "expansion_history", ())
+    if not history:
+        raise ConfigurationError("model has no expansion to train")
+    return history[-1].group
+
+
 def train_dense(
-    model: DenseModel, corpus: TaggedCorpus, recipe: TrainingRecipe
+    model: DenseModel, corpus: TaggedCorpus, recipe: TrainingRecipe, seed: int
 ) -> list[LossReport]:
     """Next-token pre-training of the dense backbone; updates every parameter."""
-    return _train(model, corpus, recipe, "dense")
+    return _train(model, corpus, recipe, "dense", seed)
 
 
 def stage1_train(
-    model: MoEModel, corpus_new: TaggedCorpus, recipe: TrainingRecipe
+    model: MoEModel, corpus_new: TaggedCorpus, recipe: TrainingRecipe, seed: int
 ) -> tuple[MoEModel, list[LossReport]]:
     """New-expert pretraining: only the current expansion's experts and their
     router columns move; the dense backbone and earlier expansions stay
     bitwise unchanged."""
-    if not model.expansion_history:
-        raise ConfigurationError("model has no expansion to train")
-    current_group = model.expansion_history[-1].group
+    current_group = _newest_group(model)
     stray = set(corpus_new.groups) - {current_group}
     if stray:
         raise InvalidInputError(
             f"stage-1 corpus must contain only group {current_group!r}, found {sorted(stray)}"
         )
-    return model, _train(model, corpus_new, recipe, "stage1")
+    return model, _train(model, corpus_new, recipe, "stage1", seed)
 
 
 def stage2_train(
-    model: MoEModel, review_corpus: TaggedCorpus, recipe: TrainingRecipe
+    model: MoEModel, review_corpus: TaggedCorpus, recipe: TrainingRecipe, seed: int
 ) -> tuple[MoEModel, list[LossReport]]:
     """Router review on mixed data: all router columns plus the model's
     classifiers train; experts and backbone stay bitwise unchanged. With
@@ -332,11 +344,12 @@ def stage2_train(
     baseline form). Training always routes plainly; the classifier gate is
     inference-only.
     """
+    _newest_group(model)  # raises on a model with no expansion
     if recipe.cls_weight > 0 and not model.classifier_layers:
         raise ConfigurationError("cls_weight > 0 but no classifier layers configured")
     if not review_corpus.old_token_mask(model.old_groups).any():
         raise InvalidInputError("review corpus has no old-language tokens")
-    return model, _train(model, review_corpus, recipe, "stage2")
+    return model, _train(model, review_corpus, recipe, "stage2", seed)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +485,27 @@ def _proficient(model: Model, new_group: str) -> tuple[str, ...]:
     return proficient
 
 
-def expansion_seed(seed: int, model: Model, group: str) -> int:
-    """The seed each step of ``group``'s expansion of ``model`` derives its
-    own from; it counts the expansions before ``group``'s in the history."""
+def expansion_seed(seed: int, model: Model, group: str, step: str) -> int:
+    """The seed of one ``step`` of ``group``'s expansion of ``model``, derived
+    from the pipeline ``seed`` and the number of expansions before
+    ``group``'s in the model's history. The steps, in the order an expansion
+    runs them: "profile-before" (:func:`profile_before`), "stage1" (stage 1's
+    batches), "profile-stage1" and "review" (the profile that places
+    :func:`review`'s classifiers, and its review mixture), and "stage2"
+    (stage 2's batches). The dense base's batches derive from "base"."""
     history = [e.group for e in getattr(model, "expansion_history", ())]
     index = history.index(group) if group in history else len(history)
-    return derive_seed(seed, "expansion", index, group)
+    return derive_seed(derive_seed(seed, "expansion", index, group), step)
+
+
+def profile_before(model: Model, corpus: TaggedCorpus, group: str, seed: int, *, q: int,
+                   literal_new_new: bool = False) -> SimilarityProfile:
+    """The profile that allocates ``group``'s experts: the languages of every
+    group ``model`` knows, as old, against ``group``'s, on the model as it is
+    before the expansion."""
+    old, new = corpus.languages_in(_proficient(model, group)), corpus.languages_in([group])
+    return profile_similarity(model, corpus, old, new, q=q, literal_new_new=literal_new_new,
+                              seed=expansion_seed(seed, model, group, "profile-before"))
 
 
 def expand(
@@ -486,6 +514,7 @@ def expand(
     corpus: TaggedCorpus,
     group: str,
     recipe: TrainingRecipe,
+    seed: int,
 ) -> tuple[MoEModel, list[LossReport]]:
     """Stage 1 of an expansion: give ``group`` the experts of ``plan`` by
     upcycling a dense model or extending an MoE one (each new expert copies
@@ -496,19 +525,17 @@ def expand(
         expanded = extend_expansion(model, plan, group)
     else:
         expanded = upcycle(model, plan, group)
-    return stage1_train(expanded, corpus.subset_groups([group]), recipe)
+    return stage1_train(expanded, corpus.subset_groups([group]), recipe, seed)
 
 
 def review(
     model: MoEModel,
     corpus: TaggedCorpus,
     recipe: TrainingRecipe,
+    seed: int,
     *,
     classifier_count: int | None = None,
     q: int,
-    profile_seed: int,
-    mix_seed: int,
-    review_ratio: tuple[int, int],
 ) -> tuple[MoEModel, SimilarityProfile | None, list[LossReport]]:
     """Stage 2 of the newest expansion. With ``classifier_count`` > 0, profile
     the model and place that many classifiers on the layers where the new
@@ -516,7 +543,7 @@ def review(
     classifier term is dropped. ``classifier_count`` None places
     :func:`default_classifier_count` of them: 7 on a first expansion, 5 on a
     later one, clipped to the layer count. Then review the routers on
-    ``review_ratio`` (old, new) sequences per language of old and new
+    :data:`REVIEW_RATIO` (old, new) sequences per language of old and new
     groups. Returns the model, the profile (None without classifiers) and
     the losses."""
     if not isinstance(model, MoEModel) or not model.expansion_history:
@@ -536,14 +563,16 @@ def review(
     layers: tuple[int, ...] = ()
     if classifier_count > 0:
         old, new = corpus.languages_in(model.old_groups), corpus.languages_in([new_group])
-        profile = profile_similarity(model, corpus, old, new, q=q, seed=profile_seed)
+        profile = profile_similarity(model, corpus, old, new, q=q,
+                                     seed=expansion_seed(seed, model, new_group, "profile-stage1"))
         layers = select_classifier_layers(profile.new_old, classifier_count)
         add_classifiers(model, layers)
     else:
         recipe = replace(recipe, cls_weight=0.0)
     old_part, new_part = corpus.subset_groups(model.old_groups), corpus.subset_groups([new_group])
-    mixture = review_mixture(old_part, new_part, *review_ratio, mix_seed)
-    model, reports = stage2_train(model, mixture, recipe)
+    mix_seed = expansion_seed(seed, model, new_group, "review")
+    mixture = review_mixture(old_part, new_part, *REVIEW_RATIO, mix_seed)
+    model, reports = stage2_train(model, mixture, recipe, seed)
     return model, profile, reports
 
 
@@ -554,40 +583,25 @@ def lifelong_expand(
     budget: int,
     recipe1: TrainingRecipe,
     recipe2: TrainingRecipe,
+    seed: int,
     *,
     q: int = PROFILE_Q,
-    seed: int = 0,
     classifier_count: int | None = None,
-    review_ratio: tuple[int, int] = REVIEW_RATIO,
 ) -> tuple[MoEModel, ExpansionResult]:
-    """One full expansion: profile on the current model, allocate the budget,
-    :func:`expand` (freezing everything pre-existing) and :func:`review`,
-    with "old" covering every previously known group. ``classifier_count``
-    goes to :func:`review`, which picks the default for None; 0 disables
-    classifiers and the classifier term of stage 2.
+    """One full expansion at pipeline seed ``seed``: :func:`profile_before`
+    on the current model, allocate the budget, :func:`expand` (freezing
+    everything pre-existing) and :func:`review`, with "old" covering every
+    previously known group. ``classifier_count`` goes to :func:`review`,
+    which picks the default for None; 0 disables classifiers and the
+    classifier term of stage 2.
     """
-    proficient = _proficient(model, new_group)
-    profile_before = profile_similarity(
-        model,
-        corpus,
-        corpus.languages_in(proficient),
-        corpus.languages_in([new_group]),
-        q=q,
-        seed=derive_seed(seed, "profile-before"),
-    )
-    plan = allocate(profile_before.indicated, budget)
-    expanded, reports1 = expand(model, plan, corpus, new_group, recipe1)
+    before = profile_before(model, corpus, new_group, seed, q=q)
+    plan = allocate(before.indicated, budget)
+    expanded, reports1 = expand(model, plan, corpus, new_group, recipe1, seed)
     expanded, profile_stage1, reports2 = review(
-        expanded,
-        corpus,
-        recipe2,
-        classifier_count=classifier_count,
-        q=q,
-        profile_seed=derive_seed(seed, "profile-stage1"),
-        mix_seed=derive_seed(seed, "review"),
-        review_ratio=review_ratio,
+        expanded, corpus, recipe2, seed, classifier_count=classifier_count, q=q
     )
-    return expanded, ExpansionResult(plan, profile_before, profile_stage1, reports1, reports2)
+    return expanded, ExpansionResult(plan, before, profile_stage1, reports1, reports2)
 
 
 def save_reports_csv(reports: Sequence[LossReport], path: str | Path) -> None:

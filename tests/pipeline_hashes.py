@@ -99,7 +99,7 @@ def chain(out: Path) -> None:
              f"--seq-len={config['model']['context']}", f"--out={corpus}", *seed],
             ["train-base", f"--config={model}", f"--corpus={corpus}", f"--group={old}",
              *_flags(base_stage), f"--out={base}", *seed],
-            ["profile", f"--model={base}", f"--corpus={corpus}", f"--old={old}", f"--new={group}",
+            ["profile", f"--model={base}", f"--corpus={corpus}", f"--group={group}",
              f"--q={expansion['q']}", f"--out={profile}", *seed],
             ["allocate", f"--profile={profile}", f"--budget={expansion['budget']}", f"--out={plan}"],
             ["expand", f"--model={base}", f"--plan={plan}", f"--corpus={corpus}", f"--group={group}",

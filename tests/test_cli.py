@@ -187,8 +187,6 @@ def test_run_pipeline_rejects_values_of_the_wrong_type(tmp_path, capsys):
             {"evaluation": {"max_sequences_per_language": 0}},
             "evaluation.max_sequences_per_language",
         ),
-        ({"evaluation": {"mode": "routed"}}, "evaluation.mode"),
-        ({"review_ratio": [1]}, "expansions.0.review_ratio"),
     ],
     ids=[
         "seed",
@@ -196,21 +194,43 @@ def test_run_pipeline_rejects_values_of_the_wrong_type(tmp_path, capsys):
         "language-layout",
         "eval-sequences",
         "eval-no-sequences",
-        "eval-mode",
-        "review-ratio",
     ],
 )
 def test_run_pipeline_checks_every_value_it_reads(tmp_path, capsys, change, wrong):
     config = pipeline_config()
-    if "review_ratio" in change:
-        config["expansions"][0].update(change)
-    else:
-        config.update(change)
+    config.update(change)
     argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
     record = run_failing(argv + ["--out-dir", str(tmp_path / "out")], capsys)
     assert record["error"] == "FormatError"
     assert record["message"].endswith("wrong type at " + wrong)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("evaluation", "mode"), "plain"),
+        (("expansions", 0, "review_ratio"), [1, 2]),
+        (("model", "seed"), 7),
+    ],
+    ids=["eval-mode", "review-ratio", "model-seed"],
+)
+def test_run_pipeline_rejects_the_settings_nothing_set(tmp_path, capsys, path, value):
+    """No pipeline set ``evaluation.mode`` or ``review_ratio`` to anything
+    but its default, which is now the only behaviour: evaluation runs gated
+    exactly when the model has classifiers, and a review samples 1:2 old to
+    new. ``model.seed`` overrode the pipeline seed for initialisation alone."""
+    config = pipeline_config(evaluation={}, model=dict(TINY_MODEL))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
+    record = run_failing(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    named = ".".join(map(str, path))
+    assert record == {"error": "FormatError",
+                      "message": f"pipeline config has unknown keys {named}"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.json"]
 
 
 @pytest.mark.parametrize("count", [9, -1])
@@ -251,6 +271,17 @@ def test_train_base_rejects_a_malformed_model_config(tmp_path, capsys, model, er
     record = run_failing(argv + ["--group", "g0", "--out", str(tmp_path / "m.lmoe")], capsys)
     assert record["error"] == error
     assert all(detail in record["message"] for detail in details)
+
+
+def test_train_base_takes_its_seed_from_seed_alone(artifacts, tmp_path, capsys):
+    """A ``seed`` in the model config silently overrode ``--seed`` for the
+    initialisation, and for nothing else."""
+    config = write_json(tmp_path / "model.json", {**TINY_MODEL, "seed": 7})
+    argv = ["train-base", "--config", config, "--corpus", artifacts["c.jsonl"], "--group", "g0"]
+    record = run_failing(argv + ["--steps", "1", "--out", str(tmp_path / "m.lmoe")], capsys)
+    assert record == {"error": "FormatError",
+                      "message": f"{config}: model config has unknown keys seed"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 def test_checkpoint_header_without_params_is_rejected(tmp_path, capsys):
@@ -391,8 +422,7 @@ def test_every_command_runs_and_replays_to_the_same_bytes(tmp_path, capsys):
     commands = [
         ["gen-corpus", "--spec", spec, "--tokens", "256", "--seq-len", "8", "--out", corpus],
         ["train-base", "--config", config, *data, "--group", "g0", *train, "--out", base],
-        ["profile", "--model", base, *data, "--old", "g0", "--new", "g1", "--q", "16"]
-        + ["--out", profile],
+        ["profile", "--model", base, *data, "--group", "g1", "--q", "16", "--out", profile],
         ["allocate", "--profile", profile, "--budget", "3", "--out", plan],
         ["expand", "--model", base, "--plan", plan, *data, "--group", "g1", *train, "--out", moe],
         ["review", "--model", moe, *data, "--classifier-count", "1", "--q", "16", *train]
@@ -472,13 +502,12 @@ def test_the_command_chain_runs_a_second_expansion(tmp_path, capsys):
     run_ok(["train-base", "--config", config, *data, "--group", "g0", *train, "--out", base],
            capsys)
     model = base
-    for group, old in [("g1", "g0"), ("g2", "g0,g1")]:
+    for group in ("g1", "g2"):
         profile, plan, moe, reviewed = (
             str(tmp_path / f"{kind}.{group}") for kind in ("profile", "plan", "moe", "rev")
         )
         for argv in [
-            ["profile", "--model", model, *data, "--old", old, "--new", group, "--q", "16"]
-            + ["--out", profile],
+            ["profile", "--model", model, *data, "--group", group, "--q", "16", "--out", profile],
             ["allocate", "--profile", profile, "--budget", "3", "--out", plan],
             ["expand", "--model", model, "--plan", plan, *data, "--group", group, *train]
             + ["--out", moe],
@@ -521,8 +550,7 @@ def test_the_default_command_chain_reviews_with_classifiers_and_evaluates_gated(
     commands = [
         ["gen-corpus", "--spec", spec, "--tokens", "256", "--seq-len", "8", "--out", corpus],
         ["train-base", "--config", config, *data, "--group", "g0", *train, "--out", base],
-        ["profile", "--model", base, *data, "--old", "g0", "--new", "g1", "--q", "16"]
-        + ["--out", profile],
+        ["profile", "--model", base, *data, "--group", "g1", "--q", "16", "--out", profile],
         ["allocate", "--profile", profile, "--budget", "8", "--out", plan],
         ["expand", "--model", base, "--plan", plan, *data, "--group", "g1", *train, "--out", moe],
         ["review", "--model", moe, *data, "--q", "16", *train, "--out", reviewed],
@@ -574,6 +602,55 @@ def test_eval_takes_its_old_groups_from_the_checkpoint(artifacts, tmp_path, caps
                           capsys)
     assert failure["error"] == "FormatError"
     assert "unrecognized arguments: --old-groups=" in failure["message"]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [("review", ["--ratio-old", "1"]), ("review", ["--ratio-new", "2"]),
+     ("profile", ["--old", "g0"])],
+    ids=["review-ratio-old", "review-ratio-new", "profile-old"],
+)
+def test_the_options_nothing_set_are_gone(artifacts, tmp_path, capsys, command, options):
+    """Every caller gave ``review`` the 1:2 review ratio and ``profile`` the
+    model's own groups as old; both now come from the program."""
+    argv = {
+        "review": ["review", "--model", artifacts["moe.lmoe"], "--steps", "1"],
+        "profile": ["profile", "--model", artifacts["base.lmoe"], "--group", "g1"],
+    }[command]
+    argv += options + ["--corpus", artifacts["c.jsonl"], "--out", str(tmp_path / "out")]
+    record = run_failing(argv, capsys)
+    assert f"unrecognized arguments: {' '.join(options)}" in record["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "change, detail",
+    [({"old": "g0", "new": "g1", "group": None}, "the following arguments are required: --group"),
+     ({"old": "g0"}, "unrecognized arguments: --old=g0")],
+    ids=["old-and-new", "old-beside-group"],
+)
+def test_a_profile_manifest_that_records_old_groups_no_longer_replays(
+    artifacts, tmp_path, capsys, change, detail
+):
+    """``profile --old --new`` became ``profile --group``; a manifest
+    written before records ``old`` and ``new``."""
+    manifest = json.loads(Path(artifacts["profile.json"] + ".manifest.json").read_text())
+    manifest["arguments"].update(change)
+    failure = run_failing(["replay", "--manifest", write_json(tmp_path / "m.json", manifest)],
+                          capsys)
+    assert failure["error"] == "FormatError"
+    assert failure["message"] == f"{tmp_path / 'm.json'}: arguments: {detail}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+@pytest.mark.parametrize("model, group", [("base.lmoe", "g0"), ("rev.lmoe", "g1")])
+def test_profile_rejects_a_group_the_model_knows(artifacts, tmp_path, capsys, model, group):
+    argv = ["profile", "--model", artifacts[model], "--corpus", artifacts["c.jsonl"]]
+    argv += ["--group", group, "--q", "8", "--out", str(tmp_path / "profile.json")]
+    record = run_failing(argv, capsys)
+    assert record == {"error": "InvalidInputError",
+                      "message": f"group {group!r} is already proficient"}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_expand_has_one_way_to_add_experts(artifacts, tmp_path, capsys):
@@ -642,7 +719,7 @@ def test_profile_names_a_group_missing_from_the_corpus(tmp_path, capsys):
     save_model(DenseModel.create(ModelConfig(**TINY_MODEL), groups=("g0",)), model)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"lang": "a", "group": "g0", "tokens": [0, 3, 4]}\n')
-    argv = ["profile", "--model", str(model), "--corpus", str(corpus), "--old", "g0", "--new", "gX"]
+    argv = ["profile", "--model", str(model), "--corpus", str(corpus), "--group", "gX"]
     record = run_failing(argv + ["--out", str(tmp_path / "profile.json")], capsys)
     assert record["error"] == "InvalidInputError"
     assert "['gX']" in record["message"]
@@ -705,7 +782,7 @@ def test_a_token_id_beyond_the_vocabulary_exits_2(artifacts, tmp_path, capsys, c
         "expand": ["expand", "--model", artifacts["base.lmoe"], "--plan", artifacts["plan.json"]]
         + ["--group", "g1"],
         "review": ["review", "--model", artifacts["moe.lmoe"]],
-        "profile": ["profile", "--model", artifacts["base.lmoe"], "--old", "g0", "--new", "g1"],
+        "profile": ["profile", "--model", artifacts["base.lmoe"], "--group", "g1"],
     }[command]
     out = tmp_path / "out"
     record = run_failing(argv + options + ["--corpus", corpus, "--out", str(out)], capsys)
@@ -849,8 +926,8 @@ def artifacts(tmp_path_factory):
         + ["--out", path["c.jsonl"]],
         ["train-base", "--config", path["model.json"], *train, "--group", "g0"]
         + ["--out", path["base.lmoe"]],
-        ["profile", "--model", path["base.lmoe"], "--corpus", path["c.jsonl"], "--old", "g0"]
-        + ["--new", "g1", "--q", "8", "--out", path["profile.json"]],
+        ["profile", "--model", path["base.lmoe"], "--corpus", path["c.jsonl"], "--group", "g1"]
+        + ["--q", "8", "--out", path["profile.json"]],
         ["allocate", "--profile", path["profile.json"], "--budget", "3"]
         + ["--out", path["plan.json"]],
         ["expand", "--model", path["base.lmoe"], "--plan", path["plan.json"], *train]
@@ -881,10 +958,10 @@ def artifact_kind(kind, path):
         Path(target).write_text(json.dumps(record), encoding="utf-8")
 
     if kind == "pipeline-config":
-        config = pipeline_config(evaluation={"max_sequences_per_language": 4, "mode": "plain"})
+        config = pipeline_config(evaluation={"max_sequences_per_language": 4})
         config["languages"].update(shared_size=8, overlap=0.5)
         config["base"].update(learning_rate=0.01, momentum=0.0)
-        config["expansions"][0].update(classifier_count=1, review_ratio=[1, 2])
+        config["expansions"][0].update(classifier_count=1)
         config["expansions"][0]["stage2"] = {"steps": 1, "batch_size": 2, "cls_mode": "standard_ce"}
         return config, json_file, lambda f: ["run-pipeline", "--config", f, "--out-dir", f + ".d"]
     if kind == "corpus-record":
