@@ -2,9 +2,10 @@
 allocation, expansion, review, evaluation, and full pipelines. ``profile``,
 ``allocate``, ``expand`` and ``review`` run the steps of any expansion of
 ``run-pipeline``, later ones included (``expand`` upcycles a dense checkpoint
-or extends an expanded one), and write its bytes. ``--seed`` is the pipeline
-seed, the one seed a caller gives: the model's initialisation is drawn from
-it (a model config has no seed), and each step derives its own from it as
+or extends an expanded one), and write its bytes: they take no setting that
+a pipeline config cannot give. ``--seed`` is the pipeline seed, the one seed
+a caller gives: the model's initialisation is drawn from it (a model config
+has no seed), and each step derives its own from it as
 ``trainer.expansion_seed`` lists. The old groups are those the checkpoint
 knows before the expansion. Run with their defaults, ``review`` and ``eval``
 apply the pipeline's classifier count and evaluation mode.
@@ -43,7 +44,6 @@ from .numerics import derive_seed
 from .profiler import PROFILE_Q, load_profile, save_profile
 from .schema import Int, Map, check, load_json, problems, save_json
 from .trainer import (
-    CLS_MODES,
     STAGE_SETTINGS,
     TrainingRecipe,
     evaluate,
@@ -144,8 +144,7 @@ def _cmd_train_base(args) -> dict[str, Path]:
 def _cmd_profile(args) -> dict[str, Path]:
     model = load_model(args.model)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
-    profile = profile_before(model, corpus, args.group, args.seed, q=args.q,
-                             literal_new_new=args.literal_new_new)
+    profile = profile_before(model, corpus, args.group, args.seed, q=args.q)
     out = Path(args.out)
     return {"profile": out, "profile_csv": save_profile(profile, out)}
 
@@ -209,8 +208,8 @@ def _apply_override(config: dict, dotted: str, raw: str) -> None:
 
 def _stage_spec(stage: str) -> dict:
     """A pipeline stage: its size, its rates, and the settings it reads."""
-    own = {f"{n}?": set(CLS_MODES) if n == "cls_mode" else float for n in STAGE_SETTINGS[stage]}
-    return {"steps": int, "batch_size": int, "learning_rate?": float, "momentum?": float, **own}
+    rates = ("learning_rate", "momentum", *STAGE_SETTINGS[stage])
+    return {"steps": int, "batch_size": int, **{f"{n}?": float for n in rates}}
 
 
 # Every value run_pipeline reads, and nothing else.
@@ -328,6 +327,12 @@ def _cmd_replay(args) -> dict[str, Path]:
         replay_args = _build_parser().parse_args(argv)
     except _CliError as exc:
         raise FormatError(f"{args.manifest}: arguments: {exc}") from None
+    # An argument recorded as None or False adds no flag, so the parser
+    # cannot see it; the command must still take it.
+    unknown = sorted(manifest["arguments"].keys() - vars(replay_args).keys())
+    if unknown:
+        raise FormatError(f"{args.manifest}: arguments: {manifest['command']} takes no"
+                          f" {', '.join(unknown)}")
     # The outputs go to a fresh directory under their recorded names, so
     # that the recorded files stay as they are whatever the result.
     with tempfile.TemporaryDirectory() as scratch:
@@ -354,8 +359,7 @@ def _add_training_options(p, stage: str, steps: int) -> None:
     p.add_argument("--batch-size", type=int, default=8)
     defaults = {f.name: f.default for f in fields(TrainingRecipe)}
     for name in ("learning_rate", "momentum", *STAGE_SETTINGS[stage]):
-        kind = {"choices": CLS_MODES} if name == "cls_mode" else {"type": float}
-        p.add_argument("--" + name.replace("_", "-"), default=defaults[name], **kind)
+        p.add_argument("--" + name.replace("_", "-"), type=float, default=defaults[name])
 
 
 def _build_parser() -> _Parser:
@@ -382,7 +386,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--group", required=True, help="the new group; the model's groups are old")
     p.add_argument("--q", type=int, default=PROFILE_Q)
-    p.add_argument("--literal-new-new", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 

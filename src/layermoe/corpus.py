@@ -273,37 +273,33 @@ def generate(
     )
 
 
-def review_mixture(
-    old: TaggedCorpus,
-    new: TaggedCorpus,
-    ratio_old: int,
-    ratio_new: int,
-    seed: int,
-) -> TaggedCorpus:
+# Review-mix ratio of old to new sequences per language (shape of the
+# 50K/100K review sampling, scaled to desk size).
+REVIEW_RATIO = (1, 2)
+
+
+def review_mixture(old: TaggedCorpus, new: TaggedCorpus, seed: int) -> TaggedCorpus:
     """Mix old- and new-language data with per-language sequence counts in
-    ratio_old : ratio_new, sampled without replacement and shuffled
-    deterministically. One ratio may be zero to drop that side entirely."""
-    if ratio_old < 0 or ratio_new < 0 or (ratio_old == 0 and ratio_new == 0):
-        raise InvalidInputError("ratios must be non-negative and not both zero")
-    if (ratio_old > 0 and len(old) == 0) or (ratio_new > 0 and len(new) == 0):
+    the :data:`REVIEW_RATIO` of old to new, sampled without replacement and
+    shuffled deterministically."""
+    if len(old) == 0 or len(new) == 0:
         raise InvalidInputError("empty source corpus")
     if set(old.language_set()) & set(new.language_set()):
         raise InvalidInputError("old and new corpora share a language")
 
     unit = min(
         min(Counter(corpus.languages).values()) // ratio
-        for corpus, ratio in ((old, ratio_old), (new, ratio_new))
-        if ratio > 0
+        for corpus, ratio in zip((old, new), REVIEW_RATIO)
     )
     if unit < 1:
-        raise InvalidInputError("not enough sequences to honour the requested ratio")
+        raise InvalidInputError("not enough sequences to honour the review ratio")
 
     picked: list[tuple[TaggedCorpus, int]] = []
-    for corpus, take in ((old, ratio_old * unit), (new, ratio_new * unit)):
+    for corpus, ratio in zip((old, new), REVIEW_RATIO):
         for lang in corpus.language_set():
             pool = [i for i, l in enumerate(corpus.languages) if l == lang]
             gen = SeededRng(derive_seed(seed, "review-pick", lang)).generator()
-            chosen = gen.choice(len(pool), size=take, replace=False)
+            chosen = gen.choice(len(pool), size=ratio * unit, replace=False)
             picked.extend((corpus, pool[int(i)]) for i in chosen)
 
     gen = SeededRng(derive_seed(seed, "review-shuffle")).generator()

@@ -184,13 +184,21 @@ class DenseModel:
 
     kind = "dense"
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor], groups: Sequence[str] = ()):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor], groups: Sequence[str]):
         self.config = config
         self.params = params
         self.groups = tuple(groups)
 
     @classmethod
-    def create(cls, config: ModelConfig, groups: Sequence[str] = ()) -> "DenseModel":
+    def create(cls, config: ModelConfig, groups: Sequence[str]) -> "DenseModel":
+        """A freshly initialised model of ``groups``, the language groups its
+        training will cover: at least one, each once, as a checkpoint needs."""
+        groups = tuple(groups)
+        if not groups:
+            raise InvalidInputError("a model needs at least one group")
+        repeated = sorted({g for g in groups if groups.count(g) > 1})
+        if repeated:
+            raise InvalidInputError(f"group listed more than once: {', '.join(repeated)}")
         params: dict[str, Tensor] = {}
         for name, shape, init in _dense_param_specs(config):
             if init == "ones":
@@ -288,7 +296,10 @@ def extend_expansion(model: MoEModel, plan, group: str) -> MoEModel:
     experts with zero router columns. A new expert is the layer's expert 0
     (the original dense FFN) plus seeded Gaussian noise. Classifiers from the
     previous expansion are dropped, since the next review stage re-selects
-    layers and trains fresh ones against the enlarged old group."""
+    layers and trains fresh ones against the enlarged old group. ``group``
+    must be one the model does not know yet."""
+    if group in model.proficient_groups:
+        raise InvalidInputError(f"group {group!r} is already proficient")
     config = model.config
     counts = _plan_counts(plan, config.layers)
     expansion = len(model.expansion_history)

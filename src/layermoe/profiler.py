@@ -51,7 +51,7 @@ from .errors import (
 )
 from .model import Model, forward
 from .numerics import SeededRng, derive_seed
-from .schema import List, Map, by_index, check, load_json, problems, save_csv, save_json
+from .schema import OBJECT, List, Map, by_index, check, load_json, problems, save_csv, save_json
 
 # Token positions sampled per language unless the caller sets q.
 PROFILE_Q = 512
@@ -139,18 +139,14 @@ def indicated_similarity(
     pair_sims: Mapping[tuple[str, str], np.ndarray],
     old_languages: Sequence[str],
     new_languages: Sequence[str],
-    *,
-    literal_new_new: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Fold a language-pair similarity matrix into per-layer values.
 
-    new_old averages over all (new, old) pairs; new_new averages over
-    distinct new-language pairs. The published formula divides the new_new
-    sum by twice the ordered-pair count, which halves its scale relative to
-    new_old; the default here divides by the ordered-pair count so both
-    components live on the same scale. ``literal_new_new`` restores the
-    published denominator. With a single new language the new_new term is
-    undefined and the indicated similarity is new_old alone.
+    new_old averages over all (new, old) pairs; new_new averages over the
+    ordered pairs of distinct new languages, dividing by their count. The
+    published denominator, twice that count, halves new_new's scale against
+    new_old. With a single new language the new_new term is undefined and
+    the indicated similarity is new_old alone.
     """
     if not new_languages:
         raise InvalidInputError("no new languages to profile")
@@ -169,8 +165,7 @@ def indicated_similarity(
     if len(new_languages) < 2:
         return new_old, None, new_old.copy()
     pairs = [lookup(a, b) for a, b in permutations(new_languages, 2)]
-    denominator = 2 * len(pairs) if literal_new_new else len(pairs)
-    new_new = sum(pairs[1:], pairs[0]) / denominator
+    new_new = sum(pairs[1:], pairs[0]) / len(pairs)
     return new_old, new_new, (new_old + new_new) / 2.0
 
 
@@ -182,7 +177,6 @@ def profile_similarity(
     *,
     q: int = PROFILE_Q,
     seed: int = 0,
-    literal_new_new: bool = False,
 ) -> SimilarityProfile:
     """Collect candidates on ``model`` and compute the per-layer profile."""
     old_languages = tuple(old_languages)
@@ -198,15 +192,8 @@ def profile_similarity(
         (a, b): np.array([pair_similarity(x, y) for x, y in zip(candidates[a], candidates[b])])
         for a, b in sorted(wanted)
     }
-    new_old, new_new, indicated = indicated_similarity(
-        pair_sims, old_languages, new_languages, literal_new_new=literal_new_new
-    )
-    meta = {
-        "model": model.fingerprint(),
-        "q": q,
-        "seed": seed,
-        "literal_new_new": literal_new_new,
-    }
+    new_old, new_new, indicated = indicated_similarity(pair_sims, old_languages, new_languages)
+    meta = {"model": model.fingerprint(), "q": q, "seed": seed}
     return SimilarityProfile(
         new_old, new_new, indicated, pair_sims, old_languages, new_languages, meta
     )
@@ -258,8 +245,7 @@ def save_profile(profile: SimilarityProfile, path: str | Path) -> Path:
 _LAYER = {"index": int, "s_new_old": float, "s": float,
           "s_new_new": lambda v: v is None or not problems(v, float)}
 _PROFILE = {"layers": List(_LAYER, lo=1), "pairs?": Map([float]), "old_languages?": [str],
-            "new_languages?": [str],
-            "meta?": Map(lambda v: True, {"literal_new_new": lambda v: isinstance(v, bool)})}
+            "new_languages?": [str], "meta?": OBJECT}
 _FIELDS = ("s_new_old", "s_new_new", "s")
 
 
@@ -317,10 +303,7 @@ def _check_derivation(profile: SimilarityProfile, path) -> None:
             )
     try:
         derived = indicated_similarity(
-            profile.pair_sims,
-            profile.old_languages,
-            profile.new_languages,
-            literal_new_new=profile.meta.get("literal_new_new", False),
+            profile.pair_sims, profile.old_languages, profile.new_languages
         )
     except InvalidInputError as exc:
         raise FormatError(f"{path}: profile pairs do not give its layers: {exc}") from None

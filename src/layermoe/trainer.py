@@ -50,19 +50,10 @@ from .profiler import PROFILE_Q, SimilarityProfile, profile_similarity, select_c
 SINGLE_EXPANSION_CLASSIFIER_LAYERS = 7
 LIFELONG_CLASSIFIER_LAYERS = 5
 
-# Review-mix ratio of old to new sequences per language (shape of the
-# 50K/100K review sampling, scaled to desk size).
-REVIEW_RATIO = (1, 2)
-
-# The classifier loss: a two-class cross-entropy over every language token,
-# or the published form that supervises only old tokens.
-STANDARD_CE = "standard_ce"
-CLS_MODES = (STANDARD_CE, "literal_paper")
-
 # The settings each stage reads besides steps, batch size, learning rate and
 # momentum; a pipeline stage and a command accept exactly these.
 STAGE_SETTINGS = {"dense": (), "stage1": ("balance_weight",),
-                  "stage2": ("lpr_weight", "cls_weight", "cls_mode")}
+                  "stage2": ("lpr_weight", "cls_weight")}
 
 
 @dataclass(frozen=True)
@@ -70,8 +61,8 @@ class TrainingRecipe:
     """Hyperparameters of one training stage: "dense" (pre-training the
     backbone), "stage1" or "stage2". The stage picks the loss terms and the
     trainable set, and reads only its own :data:`STAGE_SETTINGS`: stage 1
-    the balance weight, stage 2 the prior-routing and classifier weights and
-    ``cls_mode`` (one of :data:`CLS_MODES`), dense training none of them.
+    the balance weight, stage 2 the prior-routing and classifier weights,
+    dense training none of them. Every setting is a float.
     A recipe holds no seed: each stage derives its own from the pipeline
     seed that its training function takes (see :func:`expansion_seed`).
     """
@@ -84,7 +75,6 @@ class TrainingRecipe:
     balance_weight: float = 0.01
     lpr_weight: float = 0.1
     cls_weight: float = 0.1
-    cls_mode: str = STANDARD_CE
 
     def __post_init__(self):
         if self.stage not in STAGE_SETTINGS:
@@ -96,8 +86,6 @@ class TrainingRecipe:
             raise ConfigurationError("learning rate, momentum and loss weights must be finite")
         if min(weights) < 0:
             raise ConfigurationError("loss weights must be non-negative")
-        if self.cls_mode not in CLS_MODES:
-            raise ConfigurationError(f"unknown cls_mode {self.cls_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -169,30 +157,17 @@ def lpr_loss(layer_scores: Sequence, old_mask: np.ndarray) -> Tensor:
     return _layer_mean(terms, rows.size)
 
 
-def cls_loss(
-    layer_logits: Sequence,
-    old_mask: np.ndarray,
-    valid_mask: np.ndarray,
-    mode: str = STANDARD_CE,
-) -> Tensor:
-    """Classifier loss over the layers that carry a classifier.
-
-    standard_ce: two-class cross-entropy over every language token, target 0
-    for old and 1 for new. literal_paper: only old tokens contribute (the
-    published indicator form). Both average per token per layer.
+def cls_loss(layer_logits: Sequence, old_mask: np.ndarray, valid_mask: np.ndarray) -> Tensor:
+    """Classifier loss over the layers that carry a classifier: a two-class
+    cross-entropy over every language token, target 0 for old and 1 for new,
+    averaged per token per layer. The published indicator form supervises
+    old tokens only, so a classifier that always answers "old" minimises it.
     """
     if len(layer_logits) == 0:
         raise ConfigurationError("no classifier layers configured")
-    if mode not in CLS_MODES:
-        raise InvalidInputError(f"unknown cls mode {mode!r}")
     old_mask = np.asarray(old_mask, dtype=bool).reshape(-1)
-    valid_mask = np.asarray(valid_mask, dtype=bool).reshape(-1)
-    if mode == STANDARD_CE:
-        rows = np.nonzero(valid_mask)[0]
-        targets = np.where(old_mask[rows], 0, 1)
-    else:
-        rows = np.nonzero(old_mask & valid_mask)[0]
-        targets = np.zeros(rows.size, dtype=np.int64)
+    rows = np.nonzero(np.asarray(valid_mask, dtype=bool).reshape(-1))[0]
+    targets = np.where(old_mask[rows], 0, 1)
     if rows.size == 0:
         return Tensor(0.0)
     terms = [-(take_pairs(log_softmax(as_tensor(logits)), rows, targets).sum())
@@ -254,7 +229,7 @@ def batch_loss(
         parts["lpr"] = lpr.item()
         logits = [g.classifier_logits for g in graph.layers if g.classifier_logits is not None]
         if logits:
-            cls = cls_loss(logits, old_mask, valid_mask, recipe.cls_mode)
+            cls = cls_loss(logits, old_mask, valid_mask)
             total = total + recipe.cls_weight * cls
             parts["cls"] = cls.item()
     return total, parts
@@ -477,14 +452,6 @@ def default_classifier_count(lifelong: bool, layer_count: int) -> int:
     return min(base, layer_count)
 
 
-def _proficient(model: Model, new_group: str) -> tuple[str, ...]:
-    """The groups ``model`` knows, which must not include ``new_group``."""
-    proficient = model.proficient_groups if isinstance(model, MoEModel) else model.groups
-    if new_group in proficient:
-        raise InvalidInputError(f"group {new_group!r} is already proficient")
-    return proficient
-
-
 def expansion_seed(seed: int, model: Model, group: str, step: str) -> int:
     """The seed of one ``step`` of ``group``'s expansion of ``model``, derived
     from the pipeline ``seed`` and the number of expansions before
@@ -498,13 +465,17 @@ def expansion_seed(seed: int, model: Model, group: str, step: str) -> int:
     return derive_seed(derive_seed(seed, "expansion", index, group), step)
 
 
-def profile_before(model: Model, corpus: TaggedCorpus, group: str, seed: int, *, q: int,
-                   literal_new_new: bool = False) -> SimilarityProfile:
+def profile_before(
+    model: Model, corpus: TaggedCorpus, group: str, seed: int, *, q: int
+) -> SimilarityProfile:
     """The profile that allocates ``group``'s experts: the languages of every
     group ``model`` knows, as old, against ``group``'s, on the model as it is
     before the expansion."""
-    old, new = corpus.languages_in(_proficient(model, group)), corpus.languages_in([group])
-    return profile_similarity(model, corpus, old, new, q=q, literal_new_new=literal_new_new,
+    proficient = model.proficient_groups if isinstance(model, MoEModel) else model.groups
+    if group in proficient:
+        raise InvalidInputError(f"group {group!r} is already proficient")
+    old, new = corpus.languages_in(proficient), corpus.languages_in([group])
+    return profile_similarity(model, corpus, old, new, q=q,
                               seed=expansion_seed(seed, model, group, "profile-before"))
 
 
@@ -520,7 +491,6 @@ def expand(
     upcycling a dense model or extending an MoE one (each new expert copies
     its layer's expert 0), then train them on the group's sequences in
     ``corpus``."""
-    _proficient(model, group)
     if isinstance(model, MoEModel):
         expanded = extend_expansion(model, plan, group)
     else:
@@ -543,9 +513,8 @@ def review(
     classifier term is dropped. ``classifier_count`` None places
     :func:`default_classifier_count` of them: 7 on a first expansion, 5 on a
     later one, clipped to the layer count. Then review the routers on
-    :data:`REVIEW_RATIO` (old, new) sequences per language of old and new
-    groups. Returns the model, the profile (None without classifiers) and
-    the losses."""
+    :func:`review_mixture`'s sample of the old and new groups. Returns the
+    model, the profile (None without classifiers) and the losses."""
     if not isinstance(model, MoEModel) or not model.expansion_history:
         raise ConfigurationError("review needs an expanded model")
     if classifier_count is None:
@@ -571,7 +540,7 @@ def review(
         recipe = replace(recipe, cls_weight=0.0)
     old_part, new_part = corpus.subset_groups(model.old_groups), corpus.subset_groups([new_group])
     mix_seed = expansion_seed(seed, model, new_group, "review")
-    mixture = review_mixture(old_part, new_part, *REVIEW_RATIO, mix_seed)
+    mixture = review_mixture(old_part, new_part, mix_seed)
     model, reports = stage2_train(model, mixture, recipe, seed)
     return model, profile, reports
 

@@ -16,7 +16,7 @@ import pytest
 import layermoe
 from layermoe.cli import main
 from layermoe.model import DenseModel, ModelConfig, load_model, save_model, upcycle
-from layermoe.profiler import load_profile, select_classifier_layers
+from layermoe.profiler import indicated_similarity, load_profile, select_classifier_layers
 
 TINY_MODEL = {"layers": 2, "hidden": 8, "heads": 2, "vocab": 32, "ffn": 8, "context": 8}
 # A complete checkpoint-header config, so that a header test fails on its params alone.
@@ -153,7 +153,8 @@ def pipeline_config(**changes):
         "model": TINY_MODEL,
         "corpus": {"tokens_per_language": 64},
         "base": {"group": "g0", **stage},
-        "expansions": [{"group": "g1", "budget": 2, "q": 8, "stage1": stage, "stage2": stage}],
+        "expansions": [{"group": "g1", "budget": 2, "q": 8, "stage1": dict(stage),
+                        "stage2": dict(stage)}],
     }
     record.update(changes)
     return record
@@ -212,14 +213,17 @@ def test_run_pipeline_checks_every_value_it_reads(tmp_path, capsys, change, wron
         (("evaluation", "mode"), "plain"),
         (("expansions", 0, "review_ratio"), [1, 2]),
         (("model", "seed"), 7),
+        (("expansions", 0, "stage2", "cls_mode"), "standard_ce"),
     ],
-    ids=["eval-mode", "review-ratio", "model-seed"],
+    ids=["eval-mode", "review-ratio", "model-seed", "stage2-cls-mode"],
 )
 def test_run_pipeline_rejects_the_settings_nothing_set(tmp_path, capsys, path, value):
-    """No pipeline set ``evaluation.mode`` or ``review_ratio`` to anything
-    but its default, which is now the only behaviour: evaluation runs gated
-    exactly when the model has classifiers, and a review samples 1:2 old to
-    new. ``model.seed`` overrode the pipeline seed for initialisation alone."""
+    """No pipeline set ``evaluation.mode``, ``review_ratio`` or stage 2's
+    ``cls_mode`` to anything but its default, which is now the only
+    behaviour: evaluation runs gated exactly when the model has classifiers,
+    a review samples 1:2 old to new, and the classifier loss is the
+    two-class cross-entropy over every language token. ``model.seed``
+    overrode the pipeline seed for initialisation alone."""
     config = pipeline_config(evaluation={}, model=dict(TINY_MODEL))
     node = config
     for key in path[:-1]:
@@ -607,12 +611,16 @@ def test_eval_takes_its_old_groups_from_the_checkpoint(artifacts, tmp_path, caps
 @pytest.mark.parametrize(
     "command, options",
     [("review", ["--ratio-old", "1"]), ("review", ["--ratio-new", "2"]),
-     ("profile", ["--old", "g0"])],
-    ids=["review-ratio-old", "review-ratio-new", "profile-old"],
+     ("profile", ["--old", "g0"]), ("review", ["--cls-mode", "literal_paper"]),
+     ("profile", ["--literal-new-new"])],
+    ids=["review-ratio-old", "review-ratio-new", "profile-old", "review-cls-mode",
+         "profile-literal-new-new"],
 )
 def test_the_options_nothing_set_are_gone(artifacts, tmp_path, capsys, command, options):
-    """Every caller gave ``review`` the 1:2 review ratio and ``profile`` the
-    model's own groups as old; both now come from the program."""
+    """Every caller gave ``review`` the 1:2 review ratio and the two-class
+    classifier loss, and ``profile`` the model's own groups as old and the
+    new-new denominator of ordered pairs; all of these now come from the
+    program."""
     argv = {
         "review": ["review", "--model", artifacts["moe.lmoe"], "--steps", "1"],
         "profile": ["profile", "--model", artifacts["base.lmoe"], "--group", "g1"],
@@ -640,6 +648,30 @@ def test_a_profile_manifest_that_records_old_groups_no_longer_replays(
                           capsys)
     assert failure["error"] == "FormatError"
     assert failure["message"] == f"{tmp_path / 'm.json'}: arguments: {detail}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+@pytest.mark.parametrize(
+    "manifest, argument, value, detail",
+    [
+        ("rev.lmoe", "cls_mode", "standard_ce", "unrecognized arguments: --cls-mode=standard_ce"),
+        ("profile.json", "literal_new_new", True, "unrecognized arguments: --literal-new-new"),
+        ("profile.json", "literal_new_new", False, "profile takes no literal_new_new"),
+    ],
+    ids=["review-cls-mode", "profile-literal-new-new", "profile-literal-new-new-false"],
+)
+def test_a_manifest_that_records_a_removed_setting_no_longer_replays(
+    artifacts, tmp_path, capsys, manifest, argument, value, detail
+):
+    """``review --cls-mode`` and ``profile --literal-new-new`` are gone. A
+    manifest written before records them, most often at their defaults; a
+    False flag adds nothing to the command line, so replay names it."""
+    record = json.loads(Path(artifacts[manifest] + ".manifest.json").read_text())
+    record["arguments"][argument] = value
+    failure = run_failing(["replay", "--manifest", write_json(tmp_path / "m.json", record)],
+                          capsys)
+    assert failure == {"error": "FormatError",
+                       "message": f"{tmp_path / 'm.json'}: arguments: {detail}"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
@@ -962,7 +994,7 @@ def artifact_kind(kind, path):
         config["languages"].update(shared_size=8, overlap=0.5)
         config["base"].update(learning_rate=0.01, momentum=0.0)
         config["expansions"][0].update(classifier_count=1)
-        config["expansions"][0]["stage2"] = {"steps": 1, "batch_size": 2, "cls_mode": "standard_ce"}
+        config["expansions"][0]["stage2"] = {"steps": 1, "batch_size": 2, "cls_weight": 0.1}
         return config, json_file, lambda f: ["run-pipeline", "--config", f, "--out-dir", f + ".d"]
     if kind == "corpus-record":
         lines = Path(path["c.jsonl"]).read_text().splitlines(keepends=True)
@@ -1264,6 +1296,26 @@ def test_a_profile_is_checked_against_its_pairs(tmp_path, capsys, artifacts, cha
     assert failure["error"] == "FormatError"
     assert failure["message"].endswith("profile " + message(record, changed))
     assert not (tmp_path / "profile.json.plan").exists()
+
+
+def test_allocate_rejects_a_profile_with_the_published_new_new(tmp_path, capsys):
+    """The published ``s_new_new`` divides by twice the ordered-pair count.
+    A profile that says so in its ``meta`` and holds those values no longer
+    loads: its pairs give the ordered-pair mean."""
+    pairs = {("a", "b"): [0.5, 0.4], ("a", "c"): [0.3, 0.2], ("b", "c"): [0.8, 0.6]}
+    new_old, new_new, _ = (v.tolist() for v in indicated_similarity(pairs, ["a"], ["b", "c"]))
+    literal = [v / 2 for v in new_new]
+    layers = [{"index": i, "s_new_old": new_old[i], "s_new_new": literal[i],
+               "s": (new_old[i] + literal[i]) / 2} for i in range(2)]
+    record = {"layers": layers, "pairs": {"|".join(k): v for k, v in pairs.items()},
+              "old_languages": ["a"], "new_languages": ["b", "c"],
+              "meta": {"q": 8, "seed": 0, "literal_new_new": True}}
+    profile = write_json(tmp_path / "profile.json", record)
+    failure = run_failing(["allocate", "--profile", profile, "--budget", "3",
+                           "--out", str(tmp_path / "plan.json")], capsys)
+    message = f"s_new_new at layer 0 is {literal[0]!r}, its pairs give {new_new[0]!r}"
+    assert failure == {"error": "FormatError", "message": f"{profile}: profile {message}"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
 
 
 def add_pair(key, like="a|b"):

@@ -184,20 +184,15 @@ def old_new_corpora():
 class TestReviewMixture:
     def test_ratio_counts(self, old_new_corpora):
         old, new = old_new_corpora
-        mix = review_mixture(old, new, 1, 2, seed=1)
+        mix = review_mixture(old, new, seed=1)
         counts = {}
         for lang in mix.languages:
             counts[lang] = counts.get(lang, 0) + 1
         assert counts["b1"] == counts["b2"] == 2 * counts["a1"] == 2 * counts["a2"]
 
-    def test_old_only(self, old_new_corpora):
-        old, new = old_new_corpora
-        mix = review_mixture(old, new, 1, 0, seed=1)
-        assert set(mix.groups) == {"g0"}
-
     def test_mask_matches_tags_exhaustively(self, old_new_corpora):
         old, new = old_new_corpora
-        mix = review_mixture(old, new, 1, 2, seed=3)
+        mix = review_mixture(old, new, seed=3)
         mask = mix.old_token_mask(["g0"])
         for row in range(len(mix)):
             for col in range(mix.sequences.shape[1]):
@@ -206,19 +201,17 @@ class TestReviewMixture:
 
     def test_deterministic_shuffle(self, old_new_corpora):
         old, new = old_new_corpora
-        m1 = review_mixture(old, new, 1, 2, seed=9)
-        m2 = review_mixture(old, new, 1, 2, seed=9)
+        m1 = review_mixture(old, new, seed=9)
+        m2 = review_mixture(old, new, seed=9)
         np.testing.assert_array_equal(m1.sequences, m2.sequences)
         assert m1.languages == m2.languages
 
     def test_bad_inputs(self, old_new_corpora):
         old, new = old_new_corpora
         with pytest.raises(InvalidInputError):
-            review_mixture(old, new, 0, 0, seed=0)
+            review_mixture(old.take([]), new, seed=0)
         with pytest.raises(InvalidInputError):
-            review_mixture(old.take([]), new, 1, 1, seed=0)
-        with pytest.raises(InvalidInputError):
-            review_mixture(old, old, 1, 1, seed=0)
+            review_mixture(old, old, seed=0)
 
 
 class TestTaggedCorpus:
@@ -238,7 +231,7 @@ class TestTaggedCorpus:
 
     def test_language_group_is_unique(self, old_new_corpora):
         old, new = old_new_corpora
-        corpus = review_mixture(old, new, 1, 1, seed=0)
+        corpus = review_mixture(old, new, seed=0)
         group_of = corpus.group_of()
         for lang, group in zip(corpus.languages, corpus.groups):
             assert group_of[lang] == group

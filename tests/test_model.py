@@ -465,6 +465,37 @@ class TestExtendAndClassifiers:
             add_classifiers(model, [5])
 
 
+class TestGroups:
+    """A model's groups are what its checkpoint records. Each model below
+    was built, and ``save_model`` wrote a checkpoint of it that
+    ``load_model`` refused."""
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [((), "a model needs at least one group"),
+         (("g0", "g0"), "group listed more than once: g0"),
+         (("g1", "g0", "g1", "g0"), "group listed more than once: g0, g1")],
+        ids=["none", "repeated", "two-repeated"],
+    )
+    def test_create_rejects_groups_a_checkpoint_cannot_hold(self, groups, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            DenseModel.create(tiny_config(), groups)
+
+    def test_create_needs_groups(self):
+        with pytest.raises(TypeError):
+            DenseModel.create(tiny_config())
+
+    @pytest.mark.parametrize("group", ["g0", "g1"])
+    def test_an_expansion_of_a_known_group_is_rejected(self, dense, group):
+        model = upcycle(dense, [1, 1], "g1")
+        message = f"^group {group!r} is already proficient$"
+        with pytest.raises(InvalidInputError, match=message):
+            extend_expansion(model, [1, 1], group)
+        if group == "g0":
+            with pytest.raises(InvalidInputError, match=message):
+                upcycle(dense, [1, 1], group)
+
+
 class TestCheckpoint:
     def test_dense_roundtrip_bitwise(self, dense, tmp_path):
         path = tmp_path / "dense.lmoe"

@@ -109,17 +109,6 @@ class TestIndicatedSimilarity:
         np.testing.assert_allclose(new_new, c, atol=1e-12)
         np.testing.assert_allclose(indicated, c, atol=1e-12)
 
-    def test_literal_mode_halves_new_new(self):
-        pair_sims = {
-            ("new1", "old1"): np.array([0.6]),
-            ("new1", "new2"): np.array([0.8]),
-            ("new2", "old1"): np.array([0.6]),
-        }
-        _, new_new, _ = indicated_similarity(
-            pair_sims, ["old1"], ["new1", "new2"], literal_new_new=True
-        )
-        assert new_new[0] == pytest.approx(0.4)
-
     def test_new_new_adds_ordered_pairs_in_row_major_order(self):
         new = ["n1", "n2", "n3"]
         values = {("n1", "n2"): 0.1, ("n1", "n3"): 1e16, ("n2", "n3"): -1e16}
@@ -334,15 +323,12 @@ class TestProfileIO:
         assert loaded.new_languages == ("b1",)
         assert (tmp_path / "profile.csv").exists()
 
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_two_new_languages_load_against_their_pairs(self, profiled_setup, tmp_path, literal):
-        """``load_profile`` recomputes the layers from the pairs with the
-        profile's own ``literal_new_new``; the other setting gives other
-        ``s_new_new`` bits, and the file is rejected at layer 0."""
+    def test_two_new_languages_load_against_their_pairs(self, profiled_setup, tmp_path):
+        """``load_profile`` recomputes the layers from the pairs. A profile in
+        the published form, whose ``s_new_new`` divides by twice the pair
+        count, is rejected at layer 0 whatever its ``meta`` says."""
         model, corpus = profiled_setup
-        profile = profile_similarity(
-            model, corpus, ["a1"], ["a2", "b1"], q=32, seed=4, literal_new_new=literal
-        )
+        profile = profile_similarity(model, corpus, ["a1"], ["a2", "b1"], q=32, seed=4)
         path = tmp_path / "profile.json"
         save_profile(profile, path)
         loaded = load_profile(path)
@@ -353,7 +339,10 @@ class TestProfileIO:
         ]:
             assert got.tobytes() == want.tobytes()
         record = json.loads(path.read_text())
-        record["meta"]["literal_new_new"] = not literal
+        record["meta"]["literal_new_new"] = True
+        for row in record["layers"]:
+            row["s_new_new"] /= 2
+            row["s"] = (row["s_new_old"] + row["s_new_new"]) / 2
         path.write_text(json.dumps(record))
         message = r"profile s_new_new at layer 0 is .*, its pairs give"
         with pytest.raises(FormatError, match=message):

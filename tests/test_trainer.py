@@ -141,19 +141,12 @@ class TestLprLoss:
 class TestClsLoss:
     def test_uniform_logits_old_token(self):
         logits = np.zeros((1, 2))
-        for mode in ("standard_ce", "literal_paper"):
-            assert cls_loss([logits], [True], [True], mode).item() == pytest.approx(
-                math.log(2), abs=1e-12
-            )
+        assert cls_loss([logits], [True], [True]).item() == pytest.approx(math.log(2), abs=1e-12)
 
     def test_confident_correct(self):
         logits = np.array([[40.0, -40.0], [-40.0, 40.0]])
         value = cls_loss([logits], [True, False], [True, True]).item()
         assert value == pytest.approx(0.0, abs=1e-12)
-
-    def test_literal_mode_ignores_new_tokens(self):
-        logits = np.array([[3.0, -1.0], [0.5, 2.0]])
-        assert cls_loss([logits], [False, False], [True, True], "literal_paper").item() == 0.0
 
     def test_specials_excluded(self):
         logits = np.zeros((2, 2))
@@ -191,12 +184,10 @@ class TestGradientContracts:
         old = mixed.old_token_mask(["g0"])[:3, :-1].reshape(-1)
         valid = mixed.token_mask()[:3, :-1].reshape(-1)
         assert old.any() and (~old & valid).any()
-        recipe = recipe2(cls_mode="standard_ce")
+        recipe = recipe2()
         trainable, _ = partition_params(model, "stage2")
         params = {n: model.params[n] for n in trainable}
         self.check(lambda: batch_loss(model, tokens, recipe, old, valid)[0], params)
-        literal = recipe2(cls_mode="literal_paper")
-        self.check(lambda: batch_loss(model, tokens, literal, old, valid)[0], params)
 
     def test_individual_losses_against_stage_sets(self):
         from layermoe.model import forward_graph
