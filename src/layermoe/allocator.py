@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, FormatError, UnsupportedSimilarityError
-from .schema import List, by_index, check, load_json, save_csv, save_json
+from .schema import List, by_index, check, load_json, save_json
 
 __all__ = [
     "AllocationPlan",
@@ -110,8 +110,8 @@ def validate(plan: AllocationPlan, layer_count: int) -> list[str]:
     return found
 
 
-def save_plan(plan: AllocationPlan, path: str | Path) -> Path:
-    """JSON plan plus a CSV mirror (``path`` with suffix ``.csv``), returned."""
+def save_plan(plan: AllocationPlan, path: str | Path) -> None:
+    """The plan as one JSON file, which :func:`load_plan` reads back."""
     record = {
         "budget": plan.budget,
         "layers": [
@@ -126,11 +126,6 @@ def save_plan(plan: AllocationPlan, path: str | Path) -> Path:
         ],
     }
     save_json(path, record)
-    return save_csv(
-        Path(path).with_suffix(".csv"),
-        ["layer", "similarity", "new_experts"],
-        ([i, repr(plan.similarities[i]), plan.new_experts[i]] for i in range(plan.layer_count)),
-    )
 
 
 _LAYER = {"index": int, "similarity": float, "new_experts": int, "raw": float,

@@ -10,13 +10,13 @@ has no seed), and each step derives its own from it as
 knows before the expansion. Run with their defaults, ``review`` and ``eval``
 apply the pipeline's classifier count and evaluation mode.
 
-Every artifact-producing command writes a manifest (``<out>.manifest.json``)
-holding the resolved arguments, package version, and output hashes. The
-``replay`` command rebuilds a command line from a manifest's arguments,
-parses it with the same parser as ``main``, re-runs it into a fresh
-temporary directory, and fails unless every output's sha256 matches the
-recorded one; it writes none of the recorded files. Errors exit 2 with a
-one-line JSON record on stderr.
+Each artifact is one file, save that metrics also get a CSV mirror. Every
+artifact-producing command writes a manifest (``<out>.manifest.json``) holding
+the resolved arguments, package version, and output hashes. The ``replay``
+command rebuilds a command line from a manifest's arguments, parses it with the
+same parser as ``main``, re-runs it into a fresh temporary directory, and fails
+unless every output's sha256 matches the recorded one; it writes none of the
+recorded files. Errors exit 2 with a one-line JSON record on stderr.
 
 A pipeline config is the file with each repeated ``--set key=value`` applied
 in order; the manifest records them, and ``replay`` applies them again.
@@ -112,7 +112,9 @@ def _save_trained(model, reports, out: str) -> dict[str, Path]:
 
 
 def _save_metrics(metrics, path: Path) -> Path:
-    """Metrics as JSON plus a CSV mirror, whose path is returned."""
+    """Metrics as JSON plus a CSV mirror, whose path is returned. The mirror
+    is the one left, and stays until the benchmark no longer wraps
+    ``EvalMetrics.save_csv`` (ROADMAP item 3)."""
     metrics.save_json(path)
     return metrics.save_csv(path.with_suffix(".csv"))
 
@@ -145,15 +147,15 @@ def _cmd_profile(args) -> dict[str, Path]:
     model = load_model(args.model)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
     profile = profile_before(model, corpus, args.group, args.seed, q=args.q)
-    out = Path(args.out)
-    return {"profile": out, "profile_csv": save_profile(profile, out)}
+    save_profile(profile, args.out)
+    return {"profile": Path(args.out)}
 
 
 def _cmd_allocate(args) -> dict[str, Path]:
     profile = load_profile(args.profile)
     plan = allocate(profile.indicated, args.budget)
-    out = Path(args.out)
-    return {"plan": out, "plan_csv": save_plan(plan, out)}
+    save_plan(plan, args.out)
+    return {"plan": Path(args.out)}
 
 
 def _cmd_expand(args) -> dict[str, Path]:
@@ -172,8 +174,8 @@ def _cmd_review(args) -> dict[str, Path]:
                                      classifier_count=args.classifier_count, q=args.q)
     outputs = _save_trained(model, reports, args.out)
     if profile is not None:
-        profile_out = Path(args.out).with_suffix(".profile.json")
-        outputs.update(profile=profile_out, profile_csv=save_profile(profile, profile_out))
+        outputs["profile"] = Path(args.out).with_suffix(".profile.json")
+        save_profile(profile, outputs["profile"])
     return outputs
 
 
@@ -249,10 +251,9 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def put(name: str, filename: str, save, value) -> None:
-        # A saver that also writes a CSV mirror returns the mirror's path.
+        # The metrics saver also writes a CSV mirror and returns its path.
         outputs[name] = out_dir / filename
-        mirror = save(value, outputs[name])
-        if mirror is not None:
+        if (mirror := save(value, outputs[name])) is not None:
             outputs[f"csv_{name}"] = mirror
 
     tokens = config["corpus"]["tokens_per_language"]

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .model import Model, forward
 from .numerics import SeededRng, derive_seed
-from .schema import OBJECT, List, Map, by_index, check, load_json, problems, save_csv, save_json
+from .schema import OBJECT, List, Map, by_index, check, load_json, problems, save_json
 
 # Token positions sampled per language unless the caller sets q.
 PROFILE_Q = 512
@@ -213,10 +213,8 @@ def select_classifier_layers(new_old: Sequence[float], count: int) -> tuple[int,
 # profile files
 
 
-def save_profile(profile: SimilarityProfile, path: str | Path) -> Path:
-    """JSON profile plus a CSV mirror (``path`` with suffix ``.csv``, returned)
-    shaped for per-layer similarity plots."""
-    path = Path(path)
+def save_profile(profile: SimilarityProfile, path: str | Path) -> None:
+    """The profile as one JSON file, which :func:`load_profile` reads back."""
     record = {
         "layers": [
             {
@@ -236,10 +234,6 @@ def save_profile(profile: SimilarityProfile, path: str | Path) -> Path:
         "meta": profile.meta,
     }
     save_json(path, record)
-    names = ["s_new_old", "s_new_new", "s"]
-    rows = [[row["index"], *("" if row[n] is None else repr(row[n]) for n in names)]
-            for row in record["layers"]]
-    return save_csv(path.with_suffix(".csv"), ["layer", *names], rows)
 
 
 _LAYER = {"index": int, "s_new_old": float, "s": float,

@@ -333,6 +333,9 @@ def stage2_train(
 
 @dataclass(frozen=True)
 class EvalMetrics:
+    """``expert_utilization`` counts, per layer, the (row, slot) pairs its
+    experts ran: a row whose gate fired counts expert 0 once, no other slot."""
+
     mode: str
     perplexity: dict[str, float]
     token_counts: dict[str, int]
@@ -413,11 +416,11 @@ def evaluate(
             old_total += int(old_mask.sum())
             valid_total += int(valid.sum())
             for i, trace in enumerate(result.trace or ()):
-                top1 = trace.indices[:, 0]
-                if trace.gate_old is not None:
-                    top1 = np.where(trace.gate_old, 0, top1)
+                top1, rest = trace.indices[:, 0], trace.indices[:, 1:]
+                if trace.gate_old is not None:  # a fired row ran on expert 0 alone
+                    top1, rest = np.where(trace.gate_old, 0, top1), rest[~trace.gate_old]
                 old_top1_e0[i] += int((top1[old_mask] == 0).sum())
-                utilization[i] += np.bincount(trace.indices.reshape(-1), minlength=counts[i])
+                utilization[i] += np.bincount(np.append(top1, rest), minlength=counts[i])
                 if trace.classifier_logits is not None:
                     pred = trace.classifier_logits.data.argmax(axis=1)
                     want = np.where(old_mask, 0, 1)

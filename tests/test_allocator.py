@@ -154,8 +154,9 @@ class TestValidate:
 
 class TestPlanIO:
     def test_roundtrip(self, tmp_path):
+        """A plan is one JSON file: no CSV mirror is written beside it."""
         plan = allocate([0.9, 0.45, 0.3], 11)
         path = tmp_path / "plan.json"
-        save_plan(plan, path)
+        assert save_plan(plan, path) is None
         assert load_plan(path) == plan
-        assert (tmp_path / "plan.csv").exists()
+        assert list(tmp_path.iterdir()) == [path]

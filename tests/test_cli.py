@@ -3,6 +3,7 @@ a malformed input file exits 2 with one JSON line on stderr and no
 traceback."""
 
 import copy
+import hashlib
 import json
 import os
 import struct
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 import layermoe
+from layermoe.allocator import load_plan
 from layermoe.cli import main
 from layermoe.model import DenseModel, ModelConfig, load_model, save_model, upcycle
 from layermoe.profiler import indicated_similarity, load_profile, select_classifier_layers
+from layermoe.schema import save_csv
 
 TINY_MODEL = {"layers": 2, "hidden": 8, "heads": 2, "vocab": 32, "ffn": 8, "context": 8}
 # A complete checkpoint-header config, so that a header test fails on its params alone.
@@ -675,6 +678,28 @@ def test_a_manifest_that_records_a_removed_setting_no_longer_replays(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
+def test_a_manifest_that_records_a_plan_mirror_no_longer_replays(artifacts, tmp_path, capsys):
+    """``allocate`` used to write a CSV mirror of its plan and record it as
+    ``plan_csv``. Replay names that output, and the recorded files stay."""
+    plan = tmp_path / "plan.json"
+    run_ok(["allocate", "--profile", artifacts["profile.json"], "--budget", "3",
+            "--out", str(plan)], capsys)
+    loaded = load_plan(plan)
+    mirror = save_csv(plan.with_suffix(".csv"), ["layer", "similarity", "new_experts"],
+                      ([i, repr(s), n] for i, (s, n) in
+                       enumerate(zip(loaded.similarities, loaded.new_experts))))
+    manifest = Path(f"{plan}.manifest.json")
+    record = json.loads(manifest.read_text())
+    record["outputs"]["plan_csv"] = {"path": str(mirror),
+                                     "sha256": hashlib.sha256(mirror.read_bytes()).hexdigest()}
+    manifest.write_text(json.dumps(record))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    failure = run_failing(["replay", "--manifest", str(manifest)], capsys)
+    assert failure == {"error": "FormatError",
+                       "message": f"{manifest}: replay does not reproduce plan_csv"}
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("model, group", [("base.lmoe", "g0"), ("rev.lmoe", "g1")])
 def test_profile_rejects_a_group_the_model_knows(artifacts, tmp_path, capsys, model, group):
     argv = ["profile", "--model", artifacts[model], "--corpus", artifacts["c.jsonl"]]
@@ -868,17 +893,19 @@ def test_overrides_step_into_lists_by_index(tmp_path, capsys):
 
 
 def test_run_pipeline_lists_every_file_it_writes(tmp_path, capsys):
-    """The stage losses and the CSV mirrors of every profile, plan and
-    metrics file used to be written but left out of the outputs, so neither
-    the manifest nor ``replay`` checked them. A ``metrics_*`` output is
-    always a JSON file: the benchmark reads each one as JSON."""
+    """The stage losses and the CSV mirrors of every metrics file used to be
+    written but left out of the outputs, so neither the manifest nor
+    ``replay`` checked them. A ``metrics_*`` output is always a JSON file:
+    the benchmark reads each one as JSON. Profiles and plans have no mirror."""
     config = write_json(tmp_path / "pipeline.json", pipeline_config())
     out = tmp_path / "out"
     outputs = run_ok(["run-pipeline", "--config", config, "--out-dir", str(out)], capsys)
     manifest = out / "pipeline.config.json.manifest.json"
     listed = {Path(entry["path"]) for entry in json.loads(manifest.read_text())["outputs"].values()}
     assert set(out.iterdir()) - {manifest} == listed
-    assert {"stage1_losses_0_g1", "csv_profile_stage1_0_g1", "csv_metrics_base"} <= outputs.keys()
+    assert {"stage1_losses_0_g1", "profile_stage1_0_g1", "csv_metrics_base"} <= outputs.keys()
+    mirrored = {p.stem for p in out.glob("*.csv")} & {p.stem for p in out.glob("*.json")}
+    assert mirrored == {"metrics.base", "metrics.0_g1"}
     assert all(p.endswith(".json") for k, p in outputs.items() if k.startswith("metrics_"))
 
 

@@ -1,7 +1,8 @@
 """The bytes of every file ``cli.run_pipeline`` writes for the small pipelines
 of ``pipeline_hashes.py``, of every artifact of its command chain and of its
-served batch's logits, held to the checked-in ledger; and the chain's
-artifacts held to the pipeline's.
+served batch's logits, held to the checked-in ledger; the chain's artifacts
+held to the pipeline's; and each pipeline artifact held to what its own
+loader and saver make of it.
 
 The ledger's hashes hold for one numpy and BLAS build running one BLAS
 kernel, so on any other build or kernel that test skips and names both. A
@@ -27,14 +28,11 @@ NAMESAKES = {
     "base.lmoe": "base.lmoe",
     "base.lmoe.losses.csv": "base.losses.csv",
     "profile.json": "profile.0_g1.json",
-    "profile.csv": "profile.0_g1.csv",
     "plan.json": "plan.0_g1.json",
-    "plan.csv": "plan.0_g1.csv",
     "moe.lmoe.losses.csv": "stage1.0_g1.losses.csv",
     "rev.lmoe": "model.0_g1.lmoe",
     "rev.lmoe.losses.csv": "stage2.0_g1.losses.csv",
     "rev.profile.json": "profile.stage1.0_g1.json",
-    "rev.profile.csv": "profile.stage1.0_g1.csv",
     "metrics.json": "metrics.0_g1.json",
     "metrics.csv": "metrics.0_g1.csv",
 }
@@ -66,3 +64,35 @@ def test_the_command_chain_writes_the_pipelines_bytes(tmp_path):
     differ = [name for name, namesake in NAMESAKES.items()
               if (chain / name).read_bytes() != (pipeline / namesake).read_bytes()]
     assert not differ, f"chain files that differ from their pipeline namesakes: {differ}"
+
+
+def test_each_artifact_saves_its_loaded_form_to_the_same_bytes(tmp_path):
+    """One way to write and read each artifact: every profile, plan,
+    checkpoint and corpus a pipeline writes, loaded and saved again, is the
+    same file, so a second writer or a field that a loader drops fails here.
+    It holds on every build."""
+    from layermoe.allocator import load_plan, save_plan
+    from layermoe.cli import run_pipeline
+    from layermoe.corpus import TaggedCorpus
+    from layermoe.model import load_model, save_model
+    from layermoe.profiler import load_profile, save_profile
+
+    codecs = {
+        "corpus": (TaggedCorpus.load_jsonl, TaggedCorpus.save_jsonl),
+        "base": (load_model, save_model),
+        "model": (load_model, save_model),
+        "profile": (load_profile, save_profile),
+        "plan": (load_plan, save_plan),
+    }
+    outputs = run_pipeline(pipeline_hashes.pipeline_config("lifelong", 1), tmp_path / "run")
+    checked = {name: path for name, path in outputs.items()
+               if path.name.split(".")[0] in codecs and path.suffix != ".csv"}
+    differ = []
+    for name, path in checked.items():
+        load, save = codecs[path.name.split(".")[0]]
+        again = tmp_path / path.name
+        save(load(path), again)
+        if again.read_bytes() != path.read_bytes():
+            differ.append(name)
+    assert len(checked) == 10
+    assert not differ, f"saved again from their loaded form, these differ: {differ}"

@@ -312,16 +312,17 @@ class TestPrefixCollector:
 
 class TestProfileIO:
     def test_json_roundtrip(self, profiled_setup, tmp_path):
+        """A profile is one JSON file: no CSV mirror is written beside it."""
         model, corpus = profiled_setup
         profile = profile_similarity(model, corpus, ["a1", "a2"], ["b1"], q=32, seed=4)
         path = tmp_path / "profile.json"
-        save_profile(profile, path)
+        assert save_profile(profile, path) is None
         loaded = load_profile(path)
         np.testing.assert_allclose(loaded.indicated, profile.indicated, atol=1e-15)
         np.testing.assert_allclose(loaded.new_old, profile.new_old, atol=1e-15)
         assert loaded.new_new is None and profile.new_new is None
         assert loaded.new_languages == ("b1",)
-        assert (tmp_path / "profile.csv").exists()
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_two_new_languages_load_against_their_pairs(self, profiled_setup, tmp_path):
         """``load_profile`` recomputes the layers from the pairs. A profile in

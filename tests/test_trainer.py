@@ -431,7 +431,7 @@ class TestEvaluate:
         _, model, corpus = gradcheck_setup(plan=(1, 2), classifier_layers=(0,))
         metrics = evaluate(model, corpus, mode="gated")
         fed = {}
-        old_e0 = np.zeros(2, dtype=np.int64)
+        old_e0, fired = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
         hits = old_total = valid_total = 0
         for language in ("a", "b"):
             part = corpus.subset_language(language)
@@ -444,16 +444,41 @@ class TestEvaluate:
                 top1 = layer.indices[:, 0]
                 if layer.gate_old is not None:
                     top1 = np.where(layer.gate_old, 0, top1)
+                    fired[i] += layer.gate_old.sum()
                 old_e0[i] += (top1[old] == 0).sum()
             pred = trace[0].classifier_logits.data.argmax(axis=1)
             hits += (pred[valid] == np.where(old, 0, 1)[valid]).sum()
             old_total += old.sum()
             valid_total += valid.sum()
         assert metrics.token_counts == fed
-        for counts in metrics.expert_utilization.values():
-            assert sum(counts) == sum(fed.values()) * min(2, len(counts))
+        assert fired[0] > 0 and fired[1] == 0
+        for i, counts in metrics.expert_utilization.items():
+            assert sum(counts) == sum(fed.values()) * 2 - fired[i]
         assert metrics.routing_old_fraction == {i: old_e0[i] / old_total for i in (0, 1)}
         assert metrics.classifier_accuracy == {0: hits / valid_total}
+
+    def test_gated_utilization_counts_the_pairs_the_experts_ran(self):
+        """A row whose gate fired ran on expert 0 alone, so it counts expert 0
+        once and none of its other slots: a gated layer's counts sum to
+        rows·k − fired·(k−1). They used to count every slot of every row."""
+        _, model, corpus = gradcheck_setup(plan=(1, 2), classifier_layers=(0, 1))
+        metrics = evaluate(model, corpus, mode="gated", max_sequences_per_language=8)
+        k, rows = model.config.top_k, 0
+        fired = np.zeros(2, dtype=np.int64)
+        ran = [np.zeros(n, dtype=np.int64) for n in model.expert_counts()]
+        for language in ("a", "b"):
+            part = corpus.subset_language(language).take(range(8))
+            trace = forward(model, part.sequences[:, :-1], mode="gated").trace
+            rows += len(trace[0].indices)
+            for i, layer in enumerate(trace):
+                fired[i] += layer.gate_old.sum()
+                for chosen, gate in zip(layer.indices.tolist(), layer.gate_old.tolist()):
+                    for expert in [0] if gate else chosen:
+                        ran[i][expert] += 1
+        for i in (0, 1):
+            assert 0 < fired[i] < rows
+            assert sum(metrics.expert_utilization[i]) == rows * k - fired[i] * (k - 1)
+            assert metrics.expert_utilization[i] == ran[i].tolist()
 
 
 class TestDenseTraining:
