@@ -4,7 +4,9 @@ A small tape: every operation records its parent tensors and a closure that
 maps the output gradient to parent gradients. Only the operations the toy
 transformer and its losses need are implemented. The correctness contract is
 agreement with central finite differences (the tests' oracle), not any
-property of the internals.
+property of the internals. A graph is walked once: ``backward`` frees each
+interior node's gradient, closure, parents and, unless the caller holds the
+node, its data as it passes it, so a second walk through a freed node raises.
 
 All arithmetic is float64. Graphs are only recorded when some input has
 ``requires_grad`` set, so evaluation with frozen parameters pays no tape
@@ -157,6 +159,8 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed gradient needs a scalar")
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
+            raise ValueError(f"seed gradient shape {np.shape(grad)} != tensor shape {self.data.shape}")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -167,19 +171,26 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _walked:
+                _walked(None)
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = grad if self.grad is None else self.grad + grad
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
                 continue
-            for parent, pgrad in zip(node._parents, node._backward(node.grad)):
-                if pgrad is None or not parent.requires_grad:
-                    continue
-                parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
+            if node.grad is not None:
+                for parent, pgrad in zip(node._parents, node._backward(node.grad)):
+                    if pgrad is None or not parent.requires_grad:
+                        continue
+                    parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
+            if node is not self:
+                node.grad = None
+            node._backward, node._parents = _walked, ()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -277,6 +288,10 @@ class Tensor:
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _walked(grad):
+    raise ValueError("backward already ran through this node")
 
 
 def _node(data: np.ndarray, parents: tuple) -> Tensor:

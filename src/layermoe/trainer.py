@@ -188,7 +188,7 @@ class SGD:
         self.names = sorted(self.params)
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
-        self.velocity = {n: np.zeros_like(self.params[n].data) for n in self.names}
+        self.velocity = {n: np.zeros_like(self.params[n].data) for n in self.names} if self.momentum else {}
 
     def step(self) -> None:
         for name in self.names:
@@ -241,7 +241,8 @@ def _train(
     """SGD on :func:`batch_loss` for a ``stage`` recipe, over batches drawn
     from the stage's own stream, derived from the pipeline ``seed`` as
     :func:`expansion_seed` lists. Dense training moves every parameter;
-    stages 1 and 2 move the set :func:`partition_params` gives them."""
+    stages 1 and 2 move the set :func:`partition_params` gives them. Only
+    one step's graph and gradients are alive at a time."""
     if recipe.stage != stage:
         raise ConfigurationError(f"recipe is not a {stage} recipe")
     if len(corpus) == 0:
@@ -261,7 +262,7 @@ def _train(
     reports: list[LossReport] = []
     try:
         for p in params.values():
-            p.requires_grad = True
+            p.requires_grad, p.grad = True, None
         for step in range(recipe.steps):
             idx = gen.integers(0, len(corpus), size=recipe.batch_size)
             batch_masks = (m[idx].reshape(-1) for m in masks)
@@ -269,9 +270,10 @@ def _train(
             value = total.item()
             if not math.isfinite(value):
                 raise NumericalFailureError(f"{stage} loss became non-finite at step {step}")
-            zero_grads(params.values())
             total.backward()
+            del total
             optimizer.step()
+            zero_grads(params.values())
             reports.append(LossReport(step=step, total=value, **parts))
     finally:
         for p in params.values():

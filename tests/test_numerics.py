@@ -12,6 +12,7 @@ from layermoe.numerics import (
     SeededRng,
     Tensor,
     attention,
+    autodiff,
     derive_seed,
     embedding,
     expert_mix,
@@ -150,6 +151,59 @@ class TestGrad:
         q = Tensor(np.array([3.0]))
         _, grads = value_and_grad(lambda: (p * p).sum(), {"p": p, "q": q})
         np.testing.assert_array_equal(grads["q"], [0.0])
+
+
+class TestBackwardWalk:
+    """A walk frees the graph it walks, and a graph is walked once."""
+
+    def graph(self):
+        x = Tensor(np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]), requires_grad=True)
+        w = Tensor(np.ones((3, 1)), requires_grad=True)
+        h = x @ w
+        y = h * 2.0
+        return x, w, h, y
+
+    def test_frees_every_interior_node(self):
+        x, w, h, y = self.graph()
+        root = y.sum()
+        root.backward()
+        np.testing.assert_array_equal(w.grad, [[6.0], [10.0], [14.0]])
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+        assert root.grad == 1.0
+        for node in (h, y):
+            assert node.grad is None
+            assert node._parents == ()
+            assert node._backward is autodiff._walked
+        with pytest.raises(ValueError, match="already ran"):
+            h._backward(np.ones(h.shape))
+
+    def test_rejects_a_seed_of_the_wrong_shape(self):
+        x, w, _, y = self.graph()
+        with pytest.raises(ValueError, match=r"\(2, 2\).*\(2, 1\)"):
+            y.backward(np.ones((2, 2)))
+        assert x.grad is None and w.grad is None
+        y.backward(np.ones((2, 1)))
+        np.testing.assert_array_equal(w.grad, [[6.0], [10.0], [14.0]])
+
+    def test_a_second_walk_through_the_root_raises(self):
+        x, w, _, y = self.graph()
+        root = y.sum()
+        root.backward()
+        before = x.grad.copy(), w.grad.copy()
+        with pytest.raises(ValueError, match="already ran"):
+            root.backward()
+        np.testing.assert_array_equal(x.grad, before[0])
+        np.testing.assert_array_equal(w.grad, before[1])
+
+    def test_a_walk_through_a_freed_node_raises_before_any_gradient_moves(self):
+        x, w, h, y = self.graph()
+        y.sum().backward()
+        before = x.grad.copy(), w.grad.copy()
+        again = (x * x).sum() + (h * 3.0).sum()
+        with pytest.raises(ValueError, match="already ran"):
+            again.backward()
+        np.testing.assert_array_equal(x.grad, before[0])
+        np.testing.assert_array_equal(w.grad, before[1])
 
 
 class TestOpGradients:

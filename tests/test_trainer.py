@@ -1,6 +1,7 @@
 """Loss anchors, gradient contracts, freeze discipline, and evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from layermoe.model import (
     upcycle,
 )
 from layermoe.numerics import SeededRng, Tensor, autodiff
+from layermoe import trainer
 from layermoe.trainer import (
     LIFELONG_CLASSIFIER_LAYERS,
+    SGD,
     SINGLE_EXPANSION_CLASSIFIER_LAYERS,
     TrainingRecipe,
     balance_loss,
@@ -309,6 +312,46 @@ class TestStage1Train:
         assert hash_params(model, sorted(model.params)) == hash_params(
             twin, sorted(twin.params)
         )
+
+
+class TestStepMemory:
+    """A training step holds one graph and one set of gradients."""
+
+    def test_four_steps_peak_no_higher_than_one(self):
+        def peak(steps):
+            _, model, corpus = gradcheck_setup(plan=(2, 2))
+            new_corpus = corpus.subset_groups(["g1"])
+            tracemalloc.start()
+            try:
+                stage1_train(model, new_corpus, recipe1(steps=steps), SEED)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) <= 1.1 * peak(1)
+
+    def test_batch_loss_starts_with_no_gradients(self, monkeypatch):
+        _, model, corpus = gradcheck_setup()
+        params = [model.params[n] for n in partition_params(model, "stage1")[0]]
+        entered = []
+
+        def watched(*args):
+            entered.append([p.grad is None for p in params])
+            return batch_loss(*args)
+
+        monkeypatch.setattr(trainer, "batch_loss", watched)
+        stage1_train(model, corpus.subset_groups(["g1"]), recipe1(steps=3), SEED)
+        assert entered == [[True] * len(params)] * 3
+
+    def test_momentum_buffers_only_with_momentum(self):
+        p = Tensor(np.array([1.0, 2.0]))
+        assert SGD({"p": p}, 0.5).velocity == {}
+        sgd = SGD({"p": p}, 0.5, momentum=0.5)
+        for grad in ([2.0, 0.0], [0.0, 4.0]):
+            p.grad = np.array(grad)
+            sgd.step()
+        np.testing.assert_array_equal(sgd.velocity["p"], [1.0, 4.0])
+        np.testing.assert_array_equal(p.data, [-0.5, 0.0])
 
 
 class TestStage2Train:
