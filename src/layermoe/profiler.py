@@ -5,7 +5,9 @@ module samples those states per language (its candidates: one
 ``(layers, q, hidden)`` float32 array of ``q`` sampled positions), measures
 mean pairwise cosine similarity between languages per layer, folds the pair
 matrix into one indicated-similarity value per layer, and picks the layers
-that get a routing classifier. Profile values are defined on the
+that get a routing classifier. A profile is its pairs: its per-layer values
+are derived from them when it is built, and a profile file must carry the
+pairs that give its layers. Profile values are defined on the
 float32-rounded taps, upcast to float64 for the arithmetic: keeping more
 precision would change the bytes of every saved profile.
 
@@ -53,7 +55,7 @@ from .model import Model, forward
 from .numerics import SeededRng, derive_seed
 from .schema import OBJECT, List, Map, by_index, check, load_json, problems, save_json
 
-# Token positions sampled per language unless the caller sets q.
+# Token positions sampled per language by default: the commands' --q and lifelong_expand's q.
 PROFILE_Q = 512
 
 
@@ -116,15 +118,22 @@ def pair_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SimilarityProfile:
-    """Per-layer similarity components and the indicated similarity vector."""
+    """What a profile measured: each language pair's per-layer similarity, the
+    old and new languages, and how it sampled. ``new_old``, ``new_new`` and
+    ``indicated`` are derived from those once, by :func:`indicated_similarity`."""
 
-    new_old: np.ndarray  # (layers,)
-    new_new: np.ndarray | None  # (layers,) or None when only one new language
-    indicated: np.ndarray  # (layers,)
     pair_sims: dict[tuple[str, str], np.ndarray]
     old_languages: tuple[str, ...]
     new_languages: tuple[str, ...]
     meta: dict = field(default_factory=dict)
+    new_old: np.ndarray = field(init=False)  # (layers,)
+    new_new: np.ndarray | None = field(init=False)  # (layers,) or None
+    indicated: np.ndarray = field(init=False)  # (layers,)
+
+    def __post_init__(self):
+        derived = indicated_similarity(self.pair_sims, self.old_languages, self.new_languages)
+        for name, values in zip(("new_old", "new_new", "indicated"), derived):
+            object.__setattr__(self, name, values)
 
     @property
     def layer_count(self) -> int:
@@ -175,12 +184,11 @@ def profile_similarity(
     old_languages: Sequence[str],
     new_languages: Sequence[str],
     *,
-    q: int = PROFILE_Q,
-    seed: int = 0,
+    q: int,
+    seed: int,
 ) -> SimilarityProfile:
     """Collect candidates on ``model`` and compute the per-layer profile."""
-    old_languages = tuple(old_languages)
-    new_languages = tuple(new_languages)
+    old_languages, new_languages = tuple(old_languages), tuple(new_languages)
     if set(old_languages) & set(new_languages):
         raise InvalidInputError("a language cannot be both old and new")
     languages = old_languages + new_languages
@@ -192,11 +200,8 @@ def profile_similarity(
         (a, b): np.array([pair_similarity(x, y) for x, y in zip(candidates[a], candidates[b])])
         for a, b in sorted(wanted)
     }
-    new_old, new_new, indicated = indicated_similarity(pair_sims, old_languages, new_languages)
     meta = {"model": model.fingerprint(), "q": q, "seed": seed}
-    return SimilarityProfile(
-        new_old, new_new, indicated, pair_sims, old_languages, new_languages, meta
-    )
+    return SimilarityProfile(pair_sims, old_languages, new_languages, meta)
 
 
 def select_classifier_layers(new_old: Sequence[float], count: int) -> tuple[int, ...]:
@@ -238,28 +243,18 @@ def save_profile(profile: SimilarityProfile, path: str | Path) -> None:
 
 _LAYER = {"index": int, "s_new_old": float, "s": float,
           "s_new_new": lambda v: v is None or not problems(v, float)}
-_PROFILE = {"layers": List(_LAYER, lo=1), "pairs?": Map([float]), "old_languages?": [str],
-            "new_languages?": [str], "meta?": OBJECT}
+_PROFILE = {"layers": List(_LAYER, lo=1), "pairs": Map([float]), "old_languages": [str],
+            "new_languages": [str], "meta?": OBJECT}
 _FIELDS = ("s_new_old", "s_new_new", "s")
 
 
 def load_profile(path: str | Path) -> SimilarityProfile:
-    """A profile file, checked against what it was derived from: every value
-    a mean of cosines can take, and, when the file has its ``pairs``, the
-    bits ``indicated_similarity`` gives from them."""
+    """A profile file, checked against what it was derived from: every pair
+    value a mean of cosines can take, one per layer, and every layer value
+    the bits ``indicated_similarity`` gives from the pairs."""
     record = check(load_json(path), _PROFILE, f"{path}: profile")
     layers = by_index(record["layers"], f"{path}: profile")
-    new_new = [row["s_new_new"] for row in layers]
-    if len({v is None for v in new_new}) > 1:
-        raise FormatError(f"{path}: profile s_new_new is null on some layers only")
-    for row in layers:
-        for name in _FIELDS:
-            if row[name] is not None and not -1.0 <= row[name] <= 1.0:
-                raise FormatError(
-                    f"{path}: profile {name} at layer {row['index']} is {row[name]!r},"
-                    " outside [-1, 1]"
-                )
-    old, new = tuple(record.get("old_languages", ())), tuple(record.get("new_languages", ()))
+    old, new = tuple(record["old_languages"]), tuple(record["new_languages"])
     both = sorted(set(old) & set(new))
     if both:
         raise FormatError(
@@ -267,50 +262,29 @@ def load_profile(path: str | Path) -> SimilarityProfile:
             " a language cannot be both old and new"
         )
     pairs = {}
-    for key, values in record.get("pairs", {}).items():
+    for key, values in record["pairs"].items():
         names = tuple(key.split("|"))
         if len(names) != 2 or not all(names):
             raise FormatError(f"{path}: profile pairs key {key!r} is not two names joined by '|'")
-        pairs[names] = np.asarray(values, dtype=np.float64)
-    profile = SimilarityProfile(
-        np.array([row["s_new_old"] for row in layers], dtype=np.float64),
-        None if new_new[0] is None else np.array(new_new, dtype=np.float64),
-        np.array([row["s"] for row in layers], dtype=np.float64),
-        pairs,
-        old,
-        new,
-        record.get("meta", {}),
-    )
-    if "pairs" in record:
-        _check_derivation(profile, path)
-    return profile
-
-
-def _check_derivation(profile: SimilarityProfile, path) -> None:
-    """FormatError unless each per-layer value has the bits that
-    ``indicated_similarity`` gives from the profile's pairs and languages."""
-    for key, values in profile.pair_sims.items():
-        if len(values) != profile.layer_count:
+        if len(values) != len(layers):
             raise FormatError(
-                f"{path}: profile pairs {'|'.join(key)} has {len(values)} values"
-                f" for {profile.layer_count} layers"
+                f"{path}: profile pairs {key} has {len(values)} values for {len(layers)} layers"
             )
+        for i, value in enumerate(values):
+            if not -1.0 <= value <= 1.0:
+                raise FormatError(
+                    f"{path}: profile pairs {key} at layer {i} is {value!r}, outside [-1, 1]"
+                )
+        pairs[names] = np.asarray(values, dtype=np.float64)
     try:
-        derived = indicated_similarity(
-            profile.pair_sims, profile.old_languages, profile.new_languages
-        )
+        profile = SimilarityProfile(pairs, old, new, record.get("meta", {}))
     except InvalidInputError as exc:
         raise FormatError(f"{path}: profile pairs do not give its layers: {exc}") from None
-    stored = (profile.new_old, profile.new_new, profile.indicated)
-    for name, have, want in zip(_FIELDS, stored, derived):
-        if (have is None) != (want is None):
-            raise FormatError(
-                f"{path}: profile s_new_new is {'null' if have is None else 'set'},"
-                f" but its pairs give {'none' if want is None else 'one'}"
-            )
-        for i in range(0 if have is None else len(have)):
-            if have[i].tobytes() != want[i].tobytes():
+    for name, want in zip(_FIELDS, (profile.new_old, profile.new_new, profile.indicated)):
+        for i, row in enumerate(layers):  # None reads as NaN, which no value here can be
+            have, given = row[name], None if want is None else float(want[i])
+            if np.float64(have).tobytes() != np.float64(given).tobytes():
                 raise FormatError(
-                    f"{path}: profile {name} at layer {i} is {float(have[i])!r},"
-                    f" its pairs give {float(want[i])!r}"
+                    f"{path}: profile {name} at layer {i} is {have!r}, its pairs give {given!r}"
                 )
+    return profile

@@ -84,8 +84,8 @@ class TrainingRecipe:
         weights = (self.balance_weight, self.lpr_weight, self.cls_weight)
         if not all(map(math.isfinite, (self.learning_rate, self.momentum, *weights))):
             raise ConfigurationError("learning rate, momentum and loss weights must be finite")
-        if min(weights) < 0:
-            raise ConfigurationError("loss weights must be non-negative")
+        if min(self.learning_rate, self.momentum, *weights) < 0:
+            raise ConfigurationError("learning rate, momentum and loss weights must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,9 @@ def test_allocate_rejects_profile_without_layers(tmp_path, capsys):
 def test_allocate_names_the_layer_whose_similarity_is_not_positive(tmp_path, capsys):
     layers = [{"index": i, "s_new_old": s, "s_new_new": None, "s": s}
               for i, s in enumerate([0.4, -0.05, 0.2])]
-    profile = write_json(tmp_path / "profile.json", {"layers": layers})
+    profile = write_json(tmp_path / "profile.json", {
+        "layers": layers, "pairs": {"a|b": [0.4, -0.05, 0.2]},
+        "old_languages": ["a"], "new_languages": ["b"]})
     argv = ["allocate", "--profile", profile, "--budget", "4", "--out", str(tmp_path / "p.json")]
     record = run_failing(argv, capsys)
     assert record["error"] == "UnsupportedSimilarityError"
@@ -368,6 +370,33 @@ def test_train_base_rejects_a_rate_that_is_not_finite(tmp_path, capsys, option, 
     assert record["error"] == "ConfigurationError"
     assert "must be finite" in record["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "model.json"]
+
+
+@pytest.mark.parametrize("option, value", [("--learning-rate", "-0.05"), ("--momentum", "-0.9")])
+def test_train_base_rejects_a_negative_rate(tmp_path, capsys, option, value):
+    """A negative learning rate used to run gradient ascent and save its
+    checkpoint."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"lang": "a", "group": "g0", "tokens": [0, 3, 4]}\n')
+    argv = ["train-base", "--config", write_json(tmp_path / "model.json", TINY_MODEL)]
+    argv += ["--corpus", str(corpus), "--group", "g0", "--steps", "1", option, value]
+    record = run_failing(argv + ["--out", str(tmp_path / "m.lmoe")], capsys)
+    assert record == {"error": "ConfigurationError",
+                      "message": "learning rate, momentum and loss weights must be >= 0"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "model.json"]
+
+
+def test_run_pipeline_rejects_a_negative_learning_rate(tmp_path, capsys):
+    """``--set base.learning_rate=-0.05`` used to train the base by gradient
+    ascent and write every checkpoint after it."""
+    config = pipeline_config()
+    config["base"]["learning_rate"] = 0.01
+    argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
+    out = tmp_path / "out"
+    record = run_failing(argv + ["--out-dir", str(out), "--set", "base.learning_rate=-0.05"], capsys)
+    assert record == {"error": "ConfigurationError",
+                      "message": "learning rate, momentum and loss weights must be >= 0"}
+    assert not list(out.glob("*.lmoe"))
 
 
 @pytest.mark.parametrize(
@@ -1290,18 +1319,19 @@ def one_ulp_up(path):
 @pytest.mark.parametrize(
     "change, message",
     [
-        (edit(("layers", 1, "s"), 7.5), lambda *_: "s at layer 1 is 7.5, outside [-1, 1]"),
-        (
-            edit(("layers", 0, "s_new_old"), -1.5),
-            lambda *_: "s_new_old at layer 0 is -1.5, outside [-1, 1]",
-        ),
+        (edit(("layers", 1, "s"), 7.5), derived(1, "s")),
+        (edit(("layers", 0, "s_new_old"), -1.5), derived(0, "s_new_old")),
         (scale(("layers", 1, "s"), 1.5), derived(1, "s")),
         (one_ulp_up(("layers", 0, "s_new_old")), derived(0, "s_new_old")),
         (edit(("pairs", "a|b"), [0.5]), lambda *_: "pairs a|b has 1 values for 2 layers"),
+        (edit(("pairs", "a|b", 1), 1.5), lambda *_: "pairs a|b at layer 1 is 1.5, outside [-1, 1]"),
         (
-            edit(("new_languages",), DELETE),
+            edit(("new_languages",), []),
             lambda *_: "pairs do not give its layers: no new languages to profile",
         ),
+        (edit(("new_languages",), DELETE), lambda *_: "lacks new_languages"),
+        (edit(("pairs",), DELETE), lambda *_: "lacks pairs"),
+        (edit(("old_languages",), DELETE), lambda *_: "lacks old_languages"),
     ],
     ids=[
         "s-7.5",
@@ -1309,13 +1339,17 @@ def one_ulp_up(path):
         "s-1.5-times-its-pairs",
         "s_new_old-one-ulp-off",
         "short-pairs",
+        "pair-value-1.5",
         "pairs-without-new-languages",
+        "no-new-languages-key",
+        "no-pairs-key",
+        "no-old-languages-key",
     ],
 )
 def test_a_profile_is_checked_against_its_pairs(tmp_path, capsys, artifacts, change, message):
-    """``allocate`` wrote a plan from each of the first four: no mean of
-    cosines is 7.5 or -1.5, and the third and fourth are no longer what
-    their pairs give."""
+    """``allocate`` wrote a plan from each of the first four, and from a
+    profile without pairs: no mean of cosines is 7.5 or -1.5, and the third
+    and fourth are no longer what their pairs give."""
     record, write, command = artifact_kind("profile", artifacts)
     changed = change(record)
     write(str(tmp_path / "profile.json"), changed)

@@ -2,6 +2,9 @@
 similarity, classifier-layer selection, and profile files."""
 
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from layermoe.errors import (
 from layermoe.model import DenseModel, ModelConfig, upcycle
 from layermoe.numerics import SeededRng
 from layermoe.profiler import (
+    SimilarityProfile,
     collect_candidates,
     indicated_similarity,
     load_profile,
@@ -204,6 +208,14 @@ class TestCollectCandidates:
         with pytest.raises(InvalidInputError):
             collect_candidates(model, corpus, "a1", q=1, seed=0)
 
+    def test_the_sample_size_and_seed_have_no_default(self, profiled_setup):
+        """A caller that forgets the seed fails instead of sampling with 0."""
+        model, corpus = profiled_setup
+        with pytest.raises(TypeError, match="seed"):
+            profile_similarity(model, corpus, ["a1"], ["b1"], q=16)
+        with pytest.raises(TypeError, match="'q'"):
+            profile_similarity(model, corpus, ["a1"], ["b1"], seed=0)
+
     def test_sampling_stability_across_seeds(self, profiled_setup):
         model, corpus = profiled_setup
         p1 = profile_similarity(model, corpus, ["a1", "a2"], ["b1"], q=512, seed=1)
@@ -348,3 +360,57 @@ class TestProfileIO:
         message = r"profile s_new_new at layer 0 is .*, its pairs give"
         with pytest.raises(FormatError, match=message):
             load_profile(path)
+
+    def test_a_pair_outside_minus_1_to_1_is_rejected_when_its_mean_is_inside(self, tmp_path):
+        """The mean of the two old pairs is 0.5 and 0.3, and the layers hold
+        exactly that, but no mean of cosines is 1.5."""
+        pairs = {("a1", "b"): [1.5, 0.2], ("a2", "b"): [-0.5, 0.4]}
+        s = indicated_similarity(pairs, ["a1", "a2"], ["b"])[2].tolist()
+        layers = [{"index": i, "s_new_old": v, "s_new_new": None, "s": v} for i, v in enumerate(s)]
+        record = {"layers": layers, "pairs": {"|".join(k): v for k, v in pairs.items()},
+                  "old_languages": ["a1", "a2"], "new_languages": ["b"]}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(FormatError, match=r"pairs a1\|b at layer 0 is 1\.5, outside \[-1, 1\]$"):
+            load_profile(path)
+
+
+@st.composite
+def measured_pairs(draw):
+    """Pair values in [-1, 1] for 1-3 old and 1-3 new languages over 1-4
+    layers: every pair of a new language with any other, as profiled."""
+    old = [f"o{i}" for i in range(draw(st.integers(1, 3)))]
+    new = [f"n{i}" for i in range(draw(st.integers(1, 3)))]
+    layers = draw(st.integers(1, 4))
+    keys = sorted({tuple(sorted((n, b))) for n in new for b in old + new if b != n})
+    values = st.lists(st.floats(-1.0, 1.0), min_size=layers, max_size=layers)
+    return {key: np.array(draw(values)) for key in keys}, tuple(old), tuple(new)
+
+
+OUTSIDE = [float(np.nextafter(1.0, 2.0)), float(np.nextafter(-1.0, -2.0))]
+
+
+@given(measured_pairs(), st.integers(0, 2**16), st.sampled_from(OUTSIDE))
+@settings(max_examples=60, deadline=None)
+def test_a_profile_file_is_its_pairs(measured, pick, outside):
+    """Saving, loading and saving again keeps every byte; the loaded layers
+    have the bits ``indicated_similarity`` gives; and one pair value just
+    outside [-1, 1] is rejected by name."""
+    pairs, old, new = measured
+    with tempfile.TemporaryDirectory() as scratch:
+        first, second = Path(scratch, "a.json"), Path(scratch, "b.json")
+        save_profile(SimilarityProfile(pairs, old, new, {"q": 2, "seed": 0}), first)
+        loaded = load_profile(first)
+        save_profile(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        derived = indicated_similarity(pairs, old, new)
+        for have, want in zip((loaded.new_old, loaded.new_new, loaded.indicated), derived):
+            assert (have is None and want is None) or have.tobytes() == want.tobytes()
+
+        record = json.loads(first.read_text())
+        key = sorted(record["pairs"])[pick % len(record["pairs"])]
+        layer = pick % len(record["layers"])
+        record["pairs"][key][layer] = outside
+        first.write_text(json.dumps(record))
+        with pytest.raises(FormatError, match=rf"pairs {re.escape(key)} at layer {layer} is "):
+            load_profile(first)

@@ -61,6 +61,15 @@ def recipe2(**overrides):
     return TrainingRecipe(**base)
 
 
+@pytest.mark.parametrize("setting", ["learning_rate", "momentum"])
+def test_a_recipe_refuses_a_negative_rate_and_keeps_zero(setting):
+    """A negative learning rate ran gradient ascent; a negative momentum
+    flipped the sign of each step's velocity."""
+    with pytest.raises(ConfigurationError, match="must be >= 0"):
+        TrainingRecipe("dense", 1, 1, **{setting: -0.05})
+    assert getattr(TrainingRecipe("dense", 1, 1, **{setting: 0.0}), setting) == 0.0
+
+
 class TestNtpLoss:
     def test_uniform_predictor(self):
         assert ntp_loss(np.zeros((3, 4)), [0, 1, 2]).item() == pytest.approx(
