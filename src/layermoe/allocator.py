@@ -53,7 +53,8 @@ class AllocationPlan:
 def allocate(similarities: Sequence[float], budget: int) -> AllocationPlan:
     """Turn a strictly positive per-layer similarity vector and a total budget
     into an allocation plan. Requires budget >= layer count so every layer
-    keeps at least one new expert."""
+    keeps at least one new expert, and a budget whose float64 shares round
+    back to it (the tests cover budgets up to 10**12)."""
     values = np.asarray(similarities, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise UnsupportedSimilarityError("similarity vector must be non-empty and 1-d")
@@ -72,8 +73,15 @@ def allocate(similarities: Sequence[float], budget: int) -> AllocationPlan:
     # A share that should be a whole number can come out a few ulps above
     # it, depending on the scale of the similarities (equal ones, say);
     # rounding that up would add an expert that reconciliation then takes
-    # from the wrong layer.
-    pre_reconciliation = tuple(int(math.ceil(r - _ROUNDING_SLACK)) for r in raw)
+    # from the wrong layer. A share below the slack still gets one expert.
+    pre_reconciliation = tuple(max(1, math.ceil(r - _ROUNDING_SLACK)) for r in raw)
+    # Ceiling adds less than one expert per layer, and float rounding of a
+    # whole share at most one more; float64 shares that miss the budget by
+    # more fail here, before reconciliation would step over the excess.
+    total = sum(pre_reconciliation)
+    if not budget <= total <= budget + layers:
+        raise BudgetError(f"budget {budget} cannot be split exactly in float64: "
+                          f"its rounded-up shares sum to {total}")
     counts = list(pre_reconciliation)
 
     while sum(counts) > budget:

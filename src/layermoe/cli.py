@@ -242,12 +242,24 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
         raise ConfigurationError(
             f"language layout needs vocab {required_vocab(specs)}, model has {model_config.vocab}"
         )
-    for index, exp_cfg in enumerate(config.get("expansions", ())):
+    expansions = config.get("expansions", [])
+    for index, exp_cfg in enumerate(expansions):
         count = exp_cfg.get("classifier_count")
         if count is not None and not 0 <= count <= model_config.layers:
             raise ConfigurationError(
                 f"expansions.{index}.classifier_count {count} outside 0..{model_config.layers}"
             )
+    # Each group trains once, in order: the base's, then each expansion's.
+    named = [("base.group", config["base"]["group"])]
+    named += [(f"expansions.{i}.group", exp_cfg["group"]) for i, exp_cfg in enumerate(expansions)]
+    for index, (key, group) in enumerate(named):
+        if not config["languages"]["groups"].get(group):
+            raise ConfigurationError(f"{key} {group!r} has no languages in languages.groups")
+        if group in [earlier for _, earlier in named[:index]]:
+            raise ConfigurationError(f"{key} {group!r} is already proficient")
+    dense_recipe = _recipe(config["base"], "dense")
+    stage_recipes = [(_recipe(e["stage1"], "stage1"), _recipe(e["stage2"], "stage2"))
+                     for e in expansions]
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def put(name: str, filename: str, save, value) -> None:
@@ -262,7 +274,6 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
 
     base_group = config["base"]["group"]
     dense = DenseModel.create(model_config, groups=(base_group,))
-    dense_recipe = _recipe(config["base"], "dense")
     base_reports = train_dense(dense, corpus.subset_groups([base_group]), dense_recipe, seed)
     put("base", "base.lmoe", save_model, dense)
     put("base_losses", "base.losses.csv", save_reports_csv, base_reports)
@@ -273,7 +284,7 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     put("metrics_base", "metrics.base.json", _save_metrics, base_metrics)
 
     model = dense
-    for index, exp_cfg in enumerate(config.get("expansions", ())):
+    for index, (exp_cfg, (recipe1, recipe2)) in enumerate(zip(expansions, stage_recipes)):
         group = exp_cfg["group"]
         tag = f"{index}_{group}"
         model, result = lifelong_expand(
@@ -281,8 +292,8 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
             corpus,
             group,
             exp_cfg["budget"],
-            _recipe(exp_cfg["stage1"], "stage1"),
-            _recipe(exp_cfg["stage2"], "stage2"),
+            recipe1,
+            recipe2,
             seed,
             **{k: exp_cfg[k] for k in ("q", "classifier_count") if k in exp_cfg},
         )

@@ -170,7 +170,10 @@ class TaggedCorpus:
         if seq.size and seq.min() < 0:
             raise InvalidInputError("negative token id")
         tags = sorted(set(zip(self.languages, self.groups)))
-        for (lang, group), (other, second) in zip(tags, tags[1:]):
+        for (lang, group), (other, second) in zip(tags, tags[1:] + [(None, None)]):
+            # A profile names a language pair by the two names joined by "|".
+            if not lang or "|" in lang:
+                raise InvalidInputError(f"language name {lang!r} is empty or holds '|'")
             if lang == other:
                 raise InvalidInputError(f"language {lang!r} is tagged {group!r} and {second!r}")
         seq.setflags(write=False)

@@ -9,9 +9,10 @@ Layout (little-endian):
             header's ``params`` order
 
 The header carries the model kind, config, language groups, expansion
-history, classifier layers, and each parameter's name and shape. Loading
-checks that a model has groups (a dense model's ``groups``, an MoE's
-``base_groups``), that no group is listed twice across them and the
+history, classifier layers, and each parameter's name and shape. A dense
+header names its base groups ``groups``; an MoE header names them
+``base_groups`` and records at least one expansion. Loading checks that a
+model has groups, that no group is listed twice across them and the
 history and no classifier layer twice, and that the parameters are exactly
 the names and shapes this structure implies.
 """
@@ -50,7 +51,7 @@ def _header(model: Model) -> dict:
         ]
         header["classifier_layers"] = list(model.classifier_layers)
     else:
-        header["groups"] = list(model.groups)
+        header["groups"] = list(model.base_groups)
     return header
 
 
@@ -76,7 +77,7 @@ def _header_spec(header) -> dict:
     layers = 0 if problems(layers, int) else layers
     moe = {
         "base_groups": List(str, 1),
-        "expansion_history?": [(str, List(Int(0, n), layers, layers))],
+        "expansion_history": List((str, List(Int(0, n), layers, layers)), 1),
         "classifier_layers?": [Int(0, layers - 1)],
     }
     return {

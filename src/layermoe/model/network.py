@@ -1,5 +1,8 @@
 """Toy decoder-only transformer and its per-layer-variable MoE upcycle.
 
+A dense model is a model with no expansion: every model answers the same
+questions (:class:`Model`), and only the parameter layout tells them apart.
+
 Fixed architecture (expert-copy initialisation and the checkpoint format
 depend on it, so it is pinned here):
 
@@ -179,15 +182,38 @@ def param_shapes(model: "Model") -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-class DenseModel:
-    """The plain transformer: one FFN per layer, nothing routed."""
+class Model:
+    """What every model has: its config, its parameters by name, the groups
+    of its dense training (``base_groups``), its expansions and classifier
+    layers. A dense model is a model with no expansion: both are empty by
+    default, and callers read them rather than ask a model its class."""
 
-    kind = "dense"
+    kind: str
+    expansion_history: tuple[Expansion, ...] = ()
+    classifier_layers: tuple[int, ...] = ()
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor], groups: Sequence[str]):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor], base_groups: Sequence[str]):
         self.config = config
         self.params = params
-        self.groups = tuple(groups)
+        self.base_groups = tuple(base_groups)
+
+    @property
+    def proficient_groups(self) -> tuple[str, ...]:
+        return self.base_groups + tuple(e.group for e in self.expansion_history)
+
+    @property
+    def old_groups(self) -> tuple[str, ...]:
+        """Groups the model knew before its most recent expansion."""
+        return self.proficient_groups[:-1] if self.expansion_history else self.base_groups
+
+    def fingerprint(self) -> str:
+        return hash_params(self, sorted(self.params))
+
+
+class DenseModel(Model):
+    """A model with no expansion: one FFN per layer, nothing routed."""
+
+    kind = "dense"
 
     @classmethod
     def create(cls, config: ModelConfig, groups: Sequence[str]) -> "DenseModel":
@@ -209,12 +235,11 @@ class DenseModel:
             params[name] = Tensor(data)
         return cls(config, params, groups)
 
-    def fingerprint(self) -> str:
-        return hash_params(self, sorted(self.params))
 
-
-class MoEModel:
-    """Upcycled transformer with a variable expert count per layer."""
+class MoEModel(Model):
+    """A model with expansions, where a dense model has none: per layer,
+    expert 0 (the dense FFN) plus each expansion's new experts, one router
+    column each, and optional classifiers."""
 
     kind = "moe"
 
@@ -226,24 +251,9 @@ class MoEModel:
         expansion_history: Sequence[Expansion],
         classifier_layers: Sequence[int] = (),
     ):
-        self.config = config
-        self.params = params
-        self.base_groups = tuple(base_groups)
-        self.expansion_history = tuple(
-            Expansion(e[0], tuple(int(c) for c in e[1])) for e in expansion_history
-        )
+        super().__init__(config, params, base_groups)
+        self.expansion_history = tuple(expansion_history)
         self.classifier_layers = tuple(sorted(int(i) for i in classifier_layers))
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def proficient_groups(self) -> tuple[str, ...]:
-        return self.base_groups + tuple(e.group for e in self.expansion_history)
-
-    @property
-    def old_groups(self) -> tuple[str, ...]:
-        """Groups the model knew before its most recent expansion."""
-        return self.proficient_groups[:-1] if self.expansion_history else self.base_groups
 
     def expert_counts(self) -> tuple[int, ...]:
         counts = [1] * self.config.layers
@@ -261,12 +271,6 @@ class MoEModel:
         cols = [self.params[f"blocks.{index}.router.{e}"] for e in range(n)]
         cls = self.params.get(f"blocks.{index}.classifier")
         return MoELayer(experts, cols, self.config.top_k, cls)
-
-    def fingerprint(self) -> str:
-        return hash_params(self, sorted(self.params))
-
-
-Model = DenseModel | MoEModel
 
 
 def hash_params(model: Model, names: Sequence[str]) -> str:
@@ -329,7 +333,7 @@ def upcycle(dense: DenseModel, plan, group: str) -> MoEModel:
     params = {name.replace(".ffn.", ".experts.0."): p for name, p in dense.params.items()}
     for i in range(dense.config.layers):
         params[f"blocks.{i}.router.0"] = Tensor(np.zeros(dense.config.hidden))
-    return extend_expansion(MoEModel(dense.config, params, dense.groups, ()), plan, group)
+    return extend_expansion(MoEModel(dense.config, params, dense.base_groups, ()), plan, group)
 
 
 def add_classifiers(model: MoEModel, layers: Sequence[int]) -> MoEModel:
@@ -387,9 +391,9 @@ def forward_graph(
     (see the module docstring)."""
     if mode not in ("plain", "gated"):
         raise InvalidInputError(f"unknown forward mode {mode!r}")
-    is_moe = isinstance(model, MoEModel)
-    if mode == "gated" and not (is_moe and model.classifier_layers):
+    if mode == "gated" and not model.classifier_layers:
         raise ConfigurationError("gated mode needs a model with classifiers")
+    is_moe = isinstance(model, MoEModel)
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
@@ -437,21 +441,19 @@ def forward(
 # parameter partitions
 
 
-def partition_params(model: MoEModel, stage: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def partition_params(model: Model, stage: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Trainable / frozen parameter names for a training stage.
 
     stage1: the most recent expansion's experts plus their router columns.
     stage2: every router column plus every classifier.
     The two sets are disjoint and jointly cover all parameters.
     """
-    if not isinstance(model, MoEModel):
-        raise ConfigurationError("partition_params needs an upcycled model")
     if stage not in ("stage1", "stage2"):
         raise InvalidInputError(f"unknown stage {stage!r}")
+    if not model.expansion_history:
+        raise ConfigurationError("model has no expansion to train")
     trainable: list[str] = []
     if stage == "stage1":
-        if not model.expansion_history:
-            raise ConfigurationError("model has no expansion to train")
         last = len(model.expansion_history) - 1
         counts = model.expansion_history[last].new_experts
         for i in range(model.config.layers):

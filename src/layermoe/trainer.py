@@ -284,10 +284,9 @@ def _train(
 
 def _newest_group(model: Model) -> str:
     """The group of ``model``'s newest expansion, the one stages 1 and 2 train."""
-    history = getattr(model, "expansion_history", ())
-    if not history:
+    if not model.expansion_history:
         raise ConfigurationError("model has no expansion to train")
-    return history[-1].group
+    return model.expansion_history[-1].group
 
 
 def train_dense(
@@ -375,25 +374,22 @@ def evaluate(
     it knew before its newest expansion. Perplexity is exp of the mean
     next-token negative log-likelihood. The old-to-expert-0 fraction counts
     old-language tokens whose top-1 routed expert is 0; on gated layers a
-    fired gate counts as expert 0. Dense models have no routing, classifier
-    or utilization statistics.
+    fired gate counts as expert 0. A model with no expansion (a dense one)
+    has no routing, classifier or utilization statistics.
     """
     if max_sequences_per_language is not None and max_sequences_per_language < 1:
         raise InvalidInputError("max_sequences_per_language must be >= 1")
     model.config.check_tokens(corpus.sequences, corpus.sequences.shape[1] - 1)
     batch_size = 32  # sequences per forward pass
-    is_moe = isinstance(model, MoEModel)
-    old_groups = model.old_groups if is_moe else ()
-    counts = model.expert_counts() if is_moe else ()
-    classifier_layers = model.classifier_layers if is_moe else ()
+    counts = model.expert_counts() if model.expansion_history else ()
     if mode is None:
-        mode = "gated" if classifier_layers else "plain"
+        mode = "gated" if model.classifier_layers else "plain"
 
     nll_sum: dict[str, float] = {}
     nll_count: dict[str, int] = {}
     old_top1_e0 = np.zeros(len(counts), dtype=np.int64)
     utilization = [np.zeros(n, dtype=np.int64) for n in counts]
-    cls_hits = dict.fromkeys(classifier_layers, 0)
+    cls_hits = dict.fromkeys(model.classifier_layers, 0)
     old_total = valid_total = 0
 
     for language in corpus.language_set():
@@ -402,7 +398,7 @@ def evaluate(
             part = part.take(range(min(len(part), max_sequences_per_language)))
         # The trace is over flat rows; flatten the fed positions' masks to match.
         fed = part.sequences.shape[1] - 1
-        old_all = part.old_token_mask(old_groups)[:, :-1].reshape(-1)
+        old_all = part.old_token_mask(model.old_groups)[:, :-1].reshape(-1)
         valid_all = part.token_mask()[:, :-1].reshape(-1)
         nll_sum[language], nll_count[language] = 0.0, 0
         for start in range(0, len(part), batch_size):
@@ -430,7 +426,7 @@ def evaluate(
 
     perplexity = {lang: math.exp(nll_sum[lang] / nll_count[lang]) for lang in nll_sum}
     routing = accuracy = util_out = None
-    if is_moe and nll_count:
+    if model.expansion_history and nll_count:
         if old_total:
             routing = {i: float(old_top1_e0[i]) / old_total for i in range(len(counts))}
         if cls_hits and valid_total:
@@ -465,7 +461,7 @@ def expansion_seed(seed: int, model: Model, group: str, step: str) -> int:
     batches), "profile-stage1" and "review" (the profile that places
     :func:`review`'s classifiers, and its review mixture), and "stage2"
     (stage 2's batches). The dense base's batches derive from "base"."""
-    history = [e.group for e in getattr(model, "expansion_history", ())]
+    history = [e.group for e in model.expansion_history]
     index = history.index(group) if group in history else len(history)
     return derive_seed(derive_seed(seed, "expansion", index, group), step)
 
@@ -476,10 +472,9 @@ def profile_before(
     """The profile that allocates ``group``'s experts: the languages of every
     group ``model`` knows, as old, against ``group``'s, on the model as it is
     before the expansion."""
-    proficient = model.proficient_groups if isinstance(model, MoEModel) else model.groups
-    if group in proficient:
+    if group in model.proficient_groups:
         raise InvalidInputError(f"group {group!r} is already proficient")
-    old, new = corpus.languages_in(proficient), corpus.languages_in([group])
+    old, new = corpus.languages_in(model.proficient_groups), corpus.languages_in([group])
     return profile_similarity(model, corpus, old, new, q=q,
                               seed=expansion_seed(seed, model, group, "profile-before"))
 
@@ -493,13 +488,10 @@ def expand(
     seed: int,
 ) -> tuple[MoEModel, list[LossReport]]:
     """Stage 1 of an expansion: give ``group`` the experts of ``plan`` by
-    upcycling a dense model or extending an MoE one (each new expert copies
-    its layer's expert 0), then train them on the group's sequences in
-    ``corpus``."""
-    if isinstance(model, MoEModel):
-        expanded = extend_expansion(model, plan, group)
-    else:
-        expanded = upcycle(model, plan, group)
+    upcycling a model with no expansion or extending one with some (each new
+    expert copies its layer's expert 0), then train them on the group's
+    sequences in ``corpus``."""
+    expanded = (extend_expansion if model.expansion_history else upcycle)(model, plan, group)
     return stage1_train(expanded, corpus.subset_groups([group]), recipe, seed)
 
 
@@ -520,7 +512,7 @@ def review(
     later one, clipped to the layer count. Then review the routers on
     :func:`review_mixture`'s sample of the old and new groups. Returns the
     model, the profile (None without classifiers) and the losses."""
-    if not isinstance(model, MoEModel) or not model.expansion_history:
+    if not model.expansion_history:
         raise ConfigurationError("review needs an expanded model")
     if classifier_count is None:
         lifelong = len(model.expansion_history) > 1

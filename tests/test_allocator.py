@@ -1,5 +1,6 @@
 """Inverse-similarity expert allocation and plan validation."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -106,6 +107,37 @@ class TestAllocate:
         scaled = allocate([scale * s for s in sims], budget)
         assert scaled.new_experts == plan.new_experts
         assert validate(plan, len(sims)) == []
+
+    def test_a_share_below_the_rounding_slack_keeps_one_expert(self):
+        """The share 2e-10 used to round to 0 experts, against the docstring."""
+        plan = allocate([1e-10, 1.0], 2)
+        assert plan.pre_reconciliation == (2, 1) and plan.new_experts == (1, 1)
+        assert plan.new_experts == tuple(reference_reconcile([1e-10, 1.0], 2))
+
+    @pytest.mark.parametrize("budget", [10**23, 10**24])
+    def test_a_budget_float64_cannot_split_is_rejected(self, budget):
+        """10**23 gave a plan 4,194,304 experts short of its budget, and
+        10**24 did not return: reconciliation stepped once per excess expert."""
+        with pytest.raises(BudgetError, match=f"^budget {budget} cannot be split exactly"):
+            allocate([0.3, 0.55, 0.71], budget)
+
+    @given(st.lists(st.floats(min_value=1e-12, max_value=1.0), min_size=1, max_size=12),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_layer_keeps_an_expert_and_the_total_is_the_budget(self, sims, data):
+        budget = data.draw(st.integers(min_value=len(sims), max_value=10**12))
+        plan = allocate(sims, budget)
+        assert min(plan.new_experts) >= 1 and sum(plan.new_experts) == budget
+        for i, j in itertools.permutations(range(len(sims)), 2):
+            if sims[i] < sims[j]:  # layer j is more similar, so it gets no more
+                assert plan.new_experts[i] >= plan.new_experts[j]
+        # Beyond float64's reach a plan keeps its contract or is refused, at once.
+        for huge in (10**23, 10**24):
+            try:
+                plan = allocate(sims, huge)
+            except BudgetError:
+                continue
+            assert min(plan.new_experts) >= 1 and sum(plan.new_experts) == huge
 
 
 class TestValidate:

@@ -20,6 +20,7 @@ from layermoe.cli import main
 from layermoe.model import DenseModel, ModelConfig, load_model, save_model, upcycle
 from layermoe.profiler import indicated_similarity, load_profile, select_classifier_layers
 from layermoe.schema import save_csv
+from pipeline_hashes import pipeline_config as pipeline_hashes_config
 
 TINY_MODEL = {"layers": 2, "hidden": 8, "heads": 2, "vocab": 32, "ffn": 8, "context": 8}
 # A complete checkpoint-header config, so that a header test fails on its params alone.
@@ -78,6 +79,19 @@ def test_gen_corpus_rejects_a_sequence_length_below_two(tmp_path, capsys, length
     record = run_failing(argv + ["--out", str(tmp_path / "corpus.jsonl")], capsys)
     assert record == {"error": "InvalidInputError", "message": "sequence length must be >= 2"}
     assert not (tmp_path / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize("name", ["a|1", ""])
+def test_gen_corpus_rejects_a_language_name_a_profile_cannot_hold(tmp_path, capsys, name):
+    """A profile names a language pair by two names joined by "|". Such a
+    name gave a corpus, a base and a profile, and then ``allocate`` exited 2
+    with ``profile pairs key 'a|1|b0' is not two names joined by '|'``."""
+    spec = write_json(tmp_path / "spec.json", {"groups": {"g0": [name, "a2"], "g1": ["b0", "b1"]}})
+    argv = ["gen-corpus", "--spec", spec, "--tokens", "64", "--seq-len", "8"]
+    record = run_failing(argv + ["--out", str(tmp_path / "corpus.jsonl")], capsys)
+    assert record == {"error": "InvalidInputError",
+                      "message": f"language name {name!r} is empty or holds '|'"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 def test_expand_rejects_plan_that_breaks_its_invariants(tmp_path, capsys):
@@ -397,6 +411,29 @@ def test_run_pipeline_rejects_a_negative_learning_rate(tmp_path, capsys):
     assert record == {"error": "ConfigurationError",
                       "message": "learning rate, momentum and loss weights must be >= 0"}
     assert not list(out.glob("*.lmoe"))
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [("base.learning_rate=-0.05", "learning rate, momentum and loss weights must be >= 0"),
+     ("expansions.0.stage1.learning_rate=-0.05",
+      "learning rate, momentum and loss weights must be >= 0"),
+     ("expansions.0.group=zz", "expansions.0.group 'zz' has no languages in languages.groups"),
+     ("expansions.0.group=g0", "expansions.0.group 'g0' is already proficient"),
+     ("expansions.1.group=g1", "expansions.1.group 'g1' is already proficient")],
+    ids=["negative-base-rate", "negative-stage1-rate", "unknown-group", "base-group",
+         "group-expanded-twice"],
+)
+def test_a_pipeline_that_cannot_run_writes_no_file(tmp_path, capsys, pair, message):
+    """Each failed only when its stage came: the first after the corpus was
+    written, the others after the base, its losses and metrics too (and the
+    last after the first expansion's files)."""
+    config = pipeline_hashes_config("lifelong", 1)
+    argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
+    out = tmp_path / "out"
+    record = run_failing(argv + ["--out-dir", str(out), "--set", pair], capsys)
+    assert record == {"error": "ConfigurationError", "message": message}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1245,15 +1282,19 @@ def test_reported_input_faults_exit_2(tmp_path, capsys, monkeypatch, artifacts, 
         (edit(("base_groups",), []), "has a value of the wrong type at base_groups"),
         (edit(("expansion_history", 0, 0), "g0"), "group listed more than once: g0"),
         (edit(("classifier_layers",), [1, 1]), "classifier layer listed more than once: 1"),
+        (edit(("expansion_history",), DELETE), "lacks expansion_history"),
+        (edit(("expansion_history",), []), "has a value of the wrong type at expansion_history"),
     ],
-    ids=["no-base-group", "history-repeats-the-base-group", "repeated-classifier-layer"],
+    ids=["no-base-group", "history-repeats-the-base-group", "repeated-classifier-layer",
+         "no-history", "empty-history"],
 )
 def test_a_checkpoint_is_checked_against_its_own_history(
     tmp_path, capsys, artifacts, change, message
 ):
     """The first two loaded, and ``eval`` ran on a model that knew the groups
     ('g1',) or ('g0', 'g0'); the third failed on the shape of a classifier
-    parameter, not on the repeat."""
+    parameter, not on the repeat. An MoE header records at least one
+    expansion; without one, the last two failed on the parameters instead."""
     record, write, command = artifact_kind("moe-header", artifacts)
     write(str(tmp_path / "model.lmoe"), change(record))
     failure = run_failing(command(str(tmp_path / "model.lmoe")), capsys)

@@ -241,6 +241,14 @@ class TestTaggedCorpus:
         with pytest.raises(InvalidInputError, match=r"language 'a' is tagged 'g0' and 'g2'"):
             TaggedCorpus(np.zeros((3, 3), dtype=np.int64), *tags)
 
+    def test_a_corpus_file_with_a_name_a_profile_cannot_hold_fails_to_load(self, tmp_path):
+        """A profile names a language pair by two names joined by "|"."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"lang":"a|1","group":"g0","tokens":[0,2,3]}\n'
+                        '{"lang":"b0","group":"g1","tokens":[0,4,5]}\n')
+        with pytest.raises(InvalidInputError, match=r"^language name 'a\|1' is empty or holds"):
+            TaggedCorpus.load_jsonl(path)
+
     def test_languages_in_keeps_first_appearance_order(self):
         tags = ("c", "a", "c", "b", "d"), ("g1", "g0", "g1", "g0", "g2")
         corpus = TaggedCorpus(np.zeros((5, 3), dtype=np.int64), *tags)

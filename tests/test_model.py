@@ -14,8 +14,10 @@ from layermoe.model import (
     DenseModel,
     Expansion,
     Expert,
+    Model,
     ModelConfig,
     MoELayer,
+    MoEModel,
     add_classifiers,
     extend_expansion,
     forward,
@@ -47,6 +49,20 @@ def sample_tokens(config, batch=2, length=None, seed=11):
     tokens = gen.integers(2, config.vocab, size=(batch, length))
     tokens[:, 0] = 0
     return tokens
+
+
+class TestModel:
+    """A dense model is a model with no expansion."""
+
+    def test_a_dense_model_answers_as_an_moe_with_no_expansion_would(self, dense):
+        bare = MoEModel(dense.config, dense.params, dense.base_groups, ())
+        assert isinstance(dense, Model) and isinstance(bare, Model)
+        for name in ("base_groups", "proficient_groups", "old_groups", "expansion_history",
+                     "classifier_layers"):
+            assert getattr(dense, name) == getattr(bare, name), name
+        assert dense.fingerprint() == bare.fingerprint()
+        assert dense.base_groups == dense.proficient_groups == dense.old_groups == ("g0",)
+        assert dense.expansion_history == dense.classifier_layers == ()
 
 
 class TestUpcycle:
@@ -505,7 +521,7 @@ class TestCheckpoint:
         save_model(loaded, path)
         assert path.read_bytes() == first
         assert isinstance(loaded, DenseModel)
-        assert loaded.groups == ("g0",)
+        assert loaded.base_groups == ("g0",)
         for name in dense.params:
             np.testing.assert_array_equal(loaded.params[name].data, dense.params[name].data)
 
@@ -577,7 +593,7 @@ class TestCheckpoint:
         assert "wrong type at expansion_history.0.1" in broken(
             lambda m: setattr(m, "expansion_history", (Expansion("g1", (1, 2, 0)),))
         )
-        dense_copy = DenseModel(dense.config, dict(dense.params), dense.groups)
+        dense_copy = DenseModel(dense.config, dict(dense.params), dense.base_groups)
         del dense_copy.params["head"]
         save_model(dense_copy, tmp_path / "dense.lmoe")
         with pytest.raises(FormatError):
