@@ -29,7 +29,7 @@ __all__ = [
     "validate",
 ]
 
-# Far above the rounding error of a share, far below any real fraction.
+# Far above the rounding error of a small share, far below any real fraction.
 _ROUNDING_SLACK = 1e-9
 
 
@@ -67,14 +67,19 @@ def allocate(similarities: Sequence[float], budget: int) -> AllocationPlan:
     layers = values.size
     if budget < layers:
         raise BudgetError(f"budget {budget} cannot give {layers} layers one expert each")
+    if budget > float(np.finfo(np.float64).max):  # an exact int-float comparison
+        raise BudgetError(f"budget of {len(str(budget))} digits is beyond float64's range")
 
     inverse = 1.0 / values
     raw = inverse / inverse.sum() * budget
     # A share that should be a whole number can come out a few ulps above
     # it, depending on the scale of the similarities (equal ones, say);
     # rounding that up would add an expert that reconciliation then takes
-    # from the wrong layer. A share below the slack still gets one expert.
-    pre_reconciliation = tuple(max(1, math.ceil(r - _ROUNDING_SLACK)) for r in raw)
+    # from the wrong layer. So a share within the slack, or 4 of its ulps,
+    # above a whole number is that number. A share below 1 gets one expert.
+    pre_reconciliation = tuple(
+        max(1, math.floor(r) if r % 1 <= max(_ROUNDING_SLACK, 4 * math.ulp(r)) else math.ceil(r))
+        for r in raw)
     # Ceiling adds less than one expert per layer, and float rounding of a
     # whole share at most one more; float64 shares that miss the budget by
     # more fail here, before reconciliation would step over the excess.

@@ -7,8 +7,10 @@ a pipeline config cannot give. ``--seed`` is the pipeline seed, the one seed
 a caller gives: the model's initialisation is drawn from it (a model config
 has no seed), and each step derives its own from it as
 ``trainer.expansion_seed`` lists. The old groups are those the checkpoint
-knows before the expansion. Run with their defaults, ``review`` and ``eval``
-apply the pipeline's classifier count and evaluation mode.
+knows before the expansion. ``review`` places classifiers from the profile
+that ``profile`` wrote, so an expansion is profiled once. Run with their
+defaults, ``review`` and ``eval`` apply the pipeline's classifier count and
+evaluation mode.
 
 Each artifact is one file, save that metrics also get a CSV mirror. Every
 artifact-producing command writes a manifest (``<out>.manifest.json``) holding
@@ -170,13 +172,9 @@ def _cmd_expand(args) -> dict[str, Path]:
 def _cmd_review(args) -> dict[str, Path]:
     model = load_model(args.model)
     corpus = TaggedCorpus.load_jsonl(args.corpus)
-    model, profile, reports = review(model, corpus, _recipe(vars(args), "stage2"), args.seed,
-                                     classifier_count=args.classifier_count, q=args.q)
-    outputs = _save_trained(model, reports, args.out)
-    if profile is not None:
-        outputs["profile"] = Path(args.out).with_suffix(".profile.json")
-        save_profile(profile, outputs["profile"])
-    return outputs
+    model, reports = review(model, corpus, _recipe(vars(args), "stage2"), args.seed,
+                            load_profile(args.profile), classifier_count=args.classifier_count)
+    return _save_trained(model, reports, args.out)
 
 
 def _cmd_eval(args) -> dict[str, Path]:
@@ -299,9 +297,6 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
         )
         put(f"profile_{tag}", f"profile.{tag}.json", save_profile, result.profile_before)
         put(f"plan_{tag}", f"plan.{tag}.json", save_plan, result.plan)
-        if result.profile_stage1 is not None:
-            stage1_profile = f"profile.stage1.{tag}.json"
-            put(f"profile_stage1_{tag}", stage1_profile, save_profile, result.profile_stage1)
         for stage, reports in [("stage1", result.stage1_reports),
                                ("stage2", result.stage2_reports)]:
             put(f"{stage}_losses_{tag}", f"{stage}.{tag}.losses.csv", save_reports_csv, reports)
@@ -418,8 +413,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("review", help="stage-2 router review with classifiers")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
+    p.add_argument("--profile", required=True, help="the expansion's profile, as profile wrote it")
     p.add_argument("--classifier-count", type=int, default=None)
-    p.add_argument("--q", type=int, default=PROFILE_Q)
     _add_training_options(p, "stage2", 200)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)

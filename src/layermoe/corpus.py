@@ -15,7 +15,6 @@ old-language indicator of a token is exactly its sequence's group tag.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -262,12 +261,15 @@ def generate(
     sequence_length: int,
     seed: int,
 ) -> TaggedCorpus:
-    """Equal token budget per language; deterministic given the seed."""
+    """Equal token budget per language; deterministic given the seed. At most
+    2**27 token positions (1 GiB as int64), checked before any sampling."""
     if sequence_length < 2:
         raise InvalidInputError("sequence length must be >= 2")
     if tokens_per_language < sequence_length:
         raise InvalidInputError("tokens_per_language must be >= sequence_length")
-    n = math.ceil(tokens_per_language / sequence_length)
+    n = -(-tokens_per_language // sequence_length)  # ceil, exact at any size
+    if (size := len(specs) * n * sequence_length) > 2**27:
+        raise InvalidInputError(f"a corpus of {size} token positions is over the bound of 2**27")
     samplers = [LanguageSampler(s, derive_seed(seed, "language", s.language)) for s in specs]
     return TaggedCorpus(
         np.concatenate([sampler.sequences(n, sequence_length) for sampler in samplers]),

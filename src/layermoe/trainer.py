@@ -443,7 +443,6 @@ def evaluate(
 class ExpansionResult:
     plan: AllocationPlan
     profile_before: SimilarityProfile
-    profile_stage1: SimilarityProfile | None
     stage1_reports: list[LossReport] = field(repr=False, default_factory=list)
     stage2_reports: list[LossReport] = field(repr=False, default_factory=list)
 
@@ -457,10 +456,10 @@ def expansion_seed(seed: int, model: Model, group: str, step: str) -> int:
     """The seed of one ``step`` of ``group``'s expansion of ``model``, derived
     from the pipeline ``seed`` and the number of expansions before
     ``group``'s in the model's history. The steps, in the order an expansion
-    runs them: "profile-before" (:func:`profile_before`), "stage1" (stage 1's
-    batches), "profile-stage1" and "review" (the profile that places
-    :func:`review`'s classifiers, and its review mixture), and "stage2"
-    (stage 2's batches). The dense base's batches derive from "base"."""
+    runs them: "profile-before" (:func:`profile_before`, whose profile
+    also places :func:`review`'s classifiers), "stage1" (stage 1's
+    batches), "review" (the review mixture) and "stage2" (stage 2's
+    batches). The dense base's batches derive from "base"."""
     history = [e.group for e in model.expansion_history]
     index = history.index(group) if group in history else len(history)
     return derive_seed(derive_seed(seed, "expansion", index, group), step)
@@ -469,9 +468,9 @@ def expansion_seed(seed: int, model: Model, group: str, step: str) -> int:
 def profile_before(
     model: Model, corpus: TaggedCorpus, group: str, seed: int, *, q: int
 ) -> SimilarityProfile:
-    """The profile that allocates ``group``'s experts: the languages of every
-    group ``model`` knows, as old, against ``group``'s, on the model as it is
-    before the expansion."""
+    """The profile that allocates ``group``'s experts and places its
+    classifiers: the languages of every group ``model`` knows, as old,
+    against ``group``'s, on the model as it is before the expansion."""
     if group in model.proficient_groups:
         raise InvalidInputError(f"group {group!r} is already proficient")
     old, new = corpus.languages_in(model.proficient_groups), corpus.languages_in([group])
@@ -500,18 +499,18 @@ def review(
     corpus: TaggedCorpus,
     recipe: TrainingRecipe,
     seed: int,
+    profile: SimilarityProfile,
     *,
     classifier_count: int | None = None,
-    q: int,
-) -> tuple[MoEModel, SimilarityProfile | None, list[LossReport]]:
-    """Stage 2 of the newest expansion. With ``classifier_count`` > 0, profile
-    the model and place that many classifiers on the layers where the new
-    group's languages are most like the old ones; with none, the recipe's
-    classifier term is dropped. ``classifier_count`` None places
-    :func:`default_classifier_count` of them: 7 on a first expansion, 5 on a
-    later one, clipped to the layer count. Then review the routers on
-    :func:`review_mixture`'s sample of the old and new groups. Returns the
-    model, the profile (None without classifiers) and the losses."""
+) -> tuple[MoEModel, list[LossReport]]:
+    """Stage 2 of the newest expansion. With ``classifier_count`` > 0, place
+    that many classifiers on the layers where ``profile``, the expansion's
+    allocation profile (:func:`profile_before`), finds the new languages
+    most like the old; with none, the recipe's classifier term is dropped.
+    ``classifier_count`` None places :func:`default_classifier_count` of
+    them: 7 on a first expansion, 5 on a later one, clipped to the layer
+    count. Then review the routers on :func:`review_mixture`'s sample of
+    the old and new groups. Returns the model and the losses."""
     if not model.expansion_history:
         raise ConfigurationError("review needs an expanded model")
     if classifier_count is None:
@@ -525,21 +524,20 @@ def review(
     # bad sequence fails the same way whether or not the sample draws it.
     model.config.check_tokens(corpus.sequences, corpus.sequences.shape[1] - 1)
     new_group = model.expansion_history[-1].group
-    profile = None
-    layers: tuple[int, ...] = ()
+    old, new = corpus.languages_in(model.old_groups), corpus.languages_in([new_group])
+    layers = model.config.layers
+    if (profile.old_languages, profile.new_languages, profile.layer_count) != (old, new, layers):
+        raise InvalidInputError(
+            f"profile has new {list(profile.new_languages)}, old {list(profile.old_languages)}"
+            f" and {profile.layer_count} layers; review needs new {list(new)}, old {list(old)}"
+            f" and {layers}")
     if classifier_count > 0:
-        old, new = corpus.languages_in(model.old_groups), corpus.languages_in([new_group])
-        profile = profile_similarity(model, corpus, old, new, q=q,
-                                     seed=expansion_seed(seed, model, new_group, "profile-stage1"))
-        layers = select_classifier_layers(profile.new_old, classifier_count)
-        add_classifiers(model, layers)
+        add_classifiers(model, select_classifier_layers(profile.new_old, classifier_count))
     else:
         recipe = replace(recipe, cls_weight=0.0)
     old_part, new_part = corpus.subset_groups(model.old_groups), corpus.subset_groups([new_group])
-    mix_seed = expansion_seed(seed, model, new_group, "review")
-    mixture = review_mixture(old_part, new_part, mix_seed)
-    model, reports = stage2_train(model, mixture, recipe, seed)
-    return model, profile, reports
+    mixture = review_mixture(old_part, new_part, expansion_seed(seed, model, new_group, "review"))
+    return stage2_train(model, mixture, recipe, seed)
 
 
 def lifelong_expand(
@@ -557,17 +555,17 @@ def lifelong_expand(
     """One full expansion at pipeline seed ``seed``: :func:`profile_before`
     on the current model, allocate the budget, :func:`expand` (freezing
     everything pre-existing) and :func:`review`, with "old" covering every
-    previously known group. ``classifier_count`` goes to :func:`review`,
-    which picks the default for None; 0 disables classifiers and the
-    classifier term of stage 2.
+    previously known group. The one profile both allocates and places the
+    classifiers. ``classifier_count`` goes to :func:`review`, which picks
+    the default for None; 0 disables classifiers and the classifier term of
+    stage 2.
     """
     before = profile_before(model, corpus, new_group, seed, q=q)
     plan = allocate(before.indicated, budget)
     expanded, reports1 = expand(model, plan, corpus, new_group, recipe1, seed)
-    expanded, profile_stage1, reports2 = review(
-        expanded, corpus, recipe2, seed, classifier_count=classifier_count, q=q
-    )
-    return expanded, ExpansionResult(plan, before, profile_stage1, reports1, reports2)
+    expanded, reports2 = review(expanded, corpus, recipe2, seed, before,
+                                classifier_count=classifier_count)
+    return expanded, ExpansionResult(plan, before, reports1, reports2)
 
 
 def save_reports_csv(reports: Sequence[LossReport], path: str | Path) -> None:

@@ -77,8 +77,10 @@ def _flags(values: dict) -> list[str]:
 
 def chain(out: Path) -> None:
     """The lifelong pipeline's first expansion, run as the command chain
-    into ``out``: sizes, rates and the pipeline seed are set, and ``review``
-    and ``eval`` keep their defaults for the classifier count and the mode."""
+    into ``out``: sizes, rates and the pipeline seed are set, ``review``
+    places its classifiers from the profile that ``profile`` wrote, and
+    ``review`` and ``eval`` keep their defaults for the classifier count and
+    the mode."""
     from layermoe.cli import main
 
     config = pipeline_config("lifelong", CHAIN_SEED)
@@ -104,7 +106,7 @@ def chain(out: Path) -> None:
             ["allocate", f"--profile={profile}", f"--budget={expansion['budget']}", f"--out={plan}"],
             ["expand", f"--model={base}", f"--plan={plan}", f"--corpus={corpus}", f"--group={group}",
              *_flags(expansion["stage1"]), f"--out={moe}", *seed],
-            ["review", f"--model={moe}", f"--corpus={corpus}", f"--q={expansion['q']}",
+            ["review", f"--model={moe}", f"--corpus={corpus}", f"--profile={profile}",
              *_flags(expansion["stage2"]), f"--out={reviewed}", *seed],
             ["eval", f"--model={reviewed}", f"--corpus={corpus}", f"--out={out / 'metrics.json'}",
              f"--max-sequences={config['evaluation']['max_sequences_per_language']}"],

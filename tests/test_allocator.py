@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layermoe.allocator import allocate, load_plan, save_plan, validate
@@ -138,6 +138,31 @@ class TestAllocate:
             except BudgetError:
                 continue
             assert min(plan.new_experts) >= 1 and sum(plan.new_experts) == huge
+
+    def test_equal_similarities_split_evenly_at_a_large_budget(self):
+        """Each share, 281,608,568, came out one ulp high, above the absolute
+        rounding slack, and rounded up; reconciliation then took all three
+        surplus experts from layer 0: (281608566, 281608569, 281608569)."""
+        plan = allocate([0.7] * 3, 844_825_704)
+        assert plan.pre_reconciliation == plan.new_experts == (281_608_568,) * 3
+
+    @given(st.integers(min_value=1, max_value=12), st.floats(min_value=1e-12, max_value=1.0),
+           st.integers(min_value=12, max_value=10**12))
+    @example(layers=3, sim=0.7, budget=844_825_704)
+    @settings(max_examples=300, deadline=None)
+    def test_equal_similarities_get_equal_shares(self, layers, sim, budget):
+        """Every layer's share rounds up to the same whole number, and
+        reconciliation takes the surplus from the lowest layers down to one
+        expert each (ties go to the lower index), so a budget the layers
+        divide splits evenly."""
+        plan = allocate([sim] * layers, budget)
+        share = -(-budget // layers)
+        assert plan.pre_reconciliation == (share,) * layers
+        want, surplus = [share] * layers, share * layers - budget
+        for i in range(layers):
+            taken = min(surplus, share - 1)
+            want[i], surplus = share - taken, surplus - taken
+        assert plan.new_experts == tuple(want)
 
 
 class TestValidate:

@@ -16,9 +16,16 @@ import pytest
 
 import layermoe
 from layermoe.allocator import load_plan
-from layermoe.cli import main
+from layermoe import trainer
+from layermoe.cli import main, run_pipeline
 from layermoe.model import DenseModel, ModelConfig, load_model, save_model, upcycle
-from layermoe.profiler import indicated_similarity, load_profile, select_classifier_layers
+from layermoe.profiler import (
+    SimilarityProfile,
+    indicated_similarity,
+    load_profile,
+    save_profile,
+    select_classifier_layers,
+)
 from layermoe.schema import save_csv
 from pipeline_hashes import pipeline_config as pipeline_hashes_config
 
@@ -55,6 +62,19 @@ def test_allocate_names_the_layer_whose_similarity_is_not_positive(tmp_path, cap
     record = run_failing(argv, capsys)
     assert record["error"] == "UnsupportedSimilarityError"
     assert record["message"].endswith("layer 1 has similarity -0.05")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
+
+
+def test_allocate_rejects_a_budget_beyond_float64s_range(tmp_path, capsys):
+    """At the parent the budget's conversion to float overflowed: a
+    traceback and exit 1."""
+    profile = write_json(tmp_path / "profile.json", {
+        "layers": [{"index": 0, "s_new_old": 0.5, "s_new_new": None, "s": 0.5}],
+        "pairs": {"a|b": [0.5]}, "old_languages": ["a"], "new_languages": ["b"]})
+    argv = ["allocate", "--profile", profile, "--budget", str(10**400)]
+    record = run_failing(argv + ["--out", str(tmp_path / "p.json")], capsys)
+    assert record == {"error": "BudgetError",
+                      "message": "budget of 401 digits is beyond float64's range"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
 
 
@@ -498,7 +518,7 @@ def test_every_command_runs_and_replays_to_the_same_bytes(tmp_path, capsys):
         ["profile", "--model", base, *data, "--group", "g1", "--q", "16", "--out", profile],
         ["allocate", "--profile", profile, "--budget", "3", "--out", plan],
         ["expand", "--model", base, "--plan", plan, *data, "--group", "g1", *train, "--out", moe],
-        ["review", "--model", moe, *data, "--classifier-count", "1", "--q", "16", *train]
+        ["review", "--model", moe, *data, "--classifier-count", "1", "--profile", profile, *train]
         + ["--out", reviewed],
         ["eval", "--model", reviewed, *data, "--mode", "gated", "--out", str(tmp_path / "m.json")],
     ]
@@ -584,8 +604,8 @@ def test_the_command_chain_runs_a_second_expansion(tmp_path, capsys):
             ["allocate", "--profile", profile, "--budget", "3", "--out", plan],
             ["expand", "--model", model, "--plan", plan, *data, "--group", group, *train]
             + ["--out", moe],
-            ["review", "--model", moe, *data, "--classifier-count", "1", "--q", "16", *train]
-            + ["--out", reviewed],
+            ["review", "--model", moe, *data, "--classifier-count", "1", "--profile", profile]
+            + [*train, "--out", reviewed],
         ]:
             run_ok(argv, capsys)
         model = reviewed
@@ -609,7 +629,8 @@ def test_the_default_command_chain_reviews_with_classifiers_and_evaluates_gated(
     """Run with their defaults, ``review`` placed no classifiers and ``eval``
     evaluated plain, where ``run-pipeline`` places min(7, layers) and
     evaluates gated. Now the chain does what the pipeline does: the
-    classifiers go on the layers that the review profile picks."""
+    classifiers go on the layers that the expansion's one profile, the one
+    that allocated its experts, ranks most similar."""
     groups = {"g0": ["a"], "g1": ["b"]}
     spec = write_json(tmp_path / "spec.json", {"groups": groups, "block_size": 8, "overlap": 0.8})
     config = write_json(tmp_path / "model.json", {**TINY_MODEL, "layers": 8})
@@ -626,15 +647,15 @@ def test_the_default_command_chain_reviews_with_classifiers_and_evaluates_gated(
         ["profile", "--model", base, *data, "--group", "g1", "--q", "16", "--out", profile],
         ["allocate", "--profile", profile, "--budget", "8", "--out", plan],
         ["expand", "--model", base, "--plan", plan, *data, "--group", "g1", *train, "--out", moe],
-        ["review", "--model", moe, *data, "--q", "16", *train, "--out", reviewed],
+        ["review", "--model", moe, *data, "--profile", profile, *train, "--out", reviewed],
         ["eval", "--model", reviewed, *data, "--out", metrics],
     ]
     for argv in commands:
         run_ok(argv, capsys)
 
     layers = load_model(reviewed).classifier_layers
-    review_profile = load_profile(tmp_path / "rev.profile.json")
-    assert layers == select_classifier_layers(review_profile.new_old, 7)
+    assert layers == select_classifier_layers(load_profile(profile).new_old, 7)
+    assert not (tmp_path / "rev.profile.json").exists()
     record = json.loads(Path(metrics).read_text())
     assert record["mode"] == "gated"
     assert sorted(record["classifier_accuracy"]) == sorted(map(str, layers))
@@ -681,17 +702,18 @@ def test_eval_takes_its_old_groups_from_the_checkpoint(artifacts, tmp_path, caps
     "command, options",
     [("review", ["--ratio-old", "1"]), ("review", ["--ratio-new", "2"]),
      ("profile", ["--old", "g0"]), ("review", ["--cls-mode", "literal_paper"]),
-     ("profile", ["--literal-new-new"])],
+     ("profile", ["--literal-new-new"]), ("review", ["--q", "8"])],
     ids=["review-ratio-old", "review-ratio-new", "profile-old", "review-cls-mode",
-         "profile-literal-new-new"],
+         "profile-literal-new-new", "review-q"],
 )
 def test_the_options_nothing_set_are_gone(artifacts, tmp_path, capsys, command, options):
     """Every caller gave ``review`` the 1:2 review ratio and the two-class
     classifier loss, and ``profile`` the model's own groups as old and the
     new-new denominator of ordered pairs; all of these now come from the
-    program."""
+    program. ``review`` no longer profiles, so its sample size went too."""
     argv = {
-        "review": ["review", "--model", artifacts["moe.lmoe"], "--steps", "1"],
+        "review": ["review", "--model", artifacts["moe.lmoe"], "--steps", "1"]
+        + ["--profile", artifacts["profile.json"]],
         "profile": ["profile", "--model", artifacts["base.lmoe"], "--group", "g1"],
     }[command]
     argv += options + ["--corpus", artifacts["c.jsonl"], "--out", str(tmp_path / "out")]
@@ -849,6 +871,50 @@ def test_profile_names_a_group_missing_from_the_corpus(tmp_path, capsys):
     assert not (tmp_path / "profile.json").exists()
 
 
+@pytest.mark.parametrize(
+    "old, new, layers, message",
+    [
+        (("x",), ("b",), 2, "profile has new ['b'], old ['x'] and 2 layers;"
+         " review needs new ['b'], old ['a'] and 2"),
+        (("a",), ("x",), 2, "profile has new ['x'], old ['a'] and 2 layers;"
+         " review needs new ['b'], old ['a'] and 2"),
+        (("a",), ("b",), 3, "profile has new ['b'], old ['a'] and 3 layers;"
+         " review needs new ['b'], old ['a'] and 2"),
+    ],
+    ids=["old-languages", "new-languages", "layer-count"],
+)
+def test_review_rejects_a_profile_of_another_expansion(
+    artifacts, tmp_path, capsys, old, new, layers, message
+):
+    """``review`` places its classifiers from the expansion's allocation
+    profile, so that profile must compare the model's old languages with its
+    newest group's, layer for layer."""
+    pairs = {tuple(sorted((n, o))): np.full(layers, 0.5) for n in new for o in old}
+    profile = tmp_path / "profile.json"
+    save_profile(SimilarityProfile(pairs, old, new), profile)
+    argv = ["review", "--model", artifacts["moe.lmoe"], "--corpus", artifacts["c.jsonl"]]
+    argv += ["--profile", str(profile), "--steps", "1", "--out", str(tmp_path / "rev.lmoe")]
+    assert run_failing(argv, capsys) == {"error": "InvalidInputError", "message": message}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
+
+
+def test_run_pipeline_profiles_each_expansion_once(tmp_path, monkeypatch):
+    """Stage 2 used to profile the expanded model again to place its
+    classifiers, so each expansion ran two profiles and wrote
+    ``profile.stage1.*``. Now the allocation profile places them."""
+    calls, real = [], trainer.profile_similarity
+
+    def counted(model, corpus, old, new, **options):
+        calls.append(tuple(new))
+        return real(model, corpus, old, new, **options)
+
+    monkeypatch.setattr(trainer, "profile_similarity", counted)
+    outputs = run_pipeline(pipeline_hashes_config("lifelong", 1), tmp_path / "out")
+    assert calls == [("b0", "b1"), ("c0", "c1")]
+    assert [name for name in outputs if name.startswith("profile")] == ["profile_0_g1",
+                                                                       "profile_1_g2"]
+
+
 def test_expand_rejects_a_group_the_base_already_knows(artifacts, tmp_path, capsys):
     argv = ["expand", "--model", artifacts["base.lmoe"], "--plan", artifacts["plan.json"]]
     argv += ["--corpus", artifacts["c.jsonl"], "--group", "g0", "--steps", "1"]
@@ -860,7 +926,7 @@ def test_expand_rejects_a_group_the_base_already_knows(artifacts, tmp_path, caps
 @pytest.mark.parametrize("count", ["-1", "3"])
 def test_review_rejects_a_classifier_count_outside_the_layers(artifacts, tmp_path, capsys, count):
     argv = ["review", "--model", artifacts["moe.lmoe"], "--corpus", artifacts["c.jsonl"]]
-    argv += ["--classifier-count", count, "--q", "8", "--steps", "1"]
+    argv += ["--classifier-count", count, "--profile", artifacts["profile.json"], "--steps", "1"]
     record = run_failing(argv + ["--out", str(tmp_path / "rev.lmoe")], capsys)
     message = f"classifier_count {count} outside 0..2"
     assert record == {"error": "ConfigurationError", "message": message}
@@ -889,7 +955,7 @@ def out_of_vocabulary_corpus(artifacts, target):
         ("expand", ["--steps", "1", "--batch-size", "1"]),
         ("expand", ["--steps", "40"]),
         ("review", ["--classifier-count", "0", "--steps", "1", "--batch-size", "1"]),
-        ("review", ["--classifier-count", "1", "--q", "2", "--steps", "0"]),
+        ("review", ["--classifier-count", "1", "--steps", "0"]),
         ("profile", ["--q", "2"]),
         ("profile", ["--q", "4"]),
         ("profile", ["--q", "40"]),
@@ -904,7 +970,8 @@ def test_a_token_id_beyond_the_vocabulary_exits_2(artifacts, tmp_path, capsys, c
         "eval": ["eval", "--model", artifacts["rev.lmoe"]],
         "expand": ["expand", "--model", artifacts["base.lmoe"], "--plan", artifacts["plan.json"]]
         + ["--group", "g1"],
-        "review": ["review", "--model", artifacts["moe.lmoe"]],
+        "review": ["review", "--model", artifacts["moe.lmoe"]]
+        + ["--profile", artifacts["profile.json"]],
         "profile": ["profile", "--model", artifacts["base.lmoe"], "--group", "g1"],
     }[command]
     out = tmp_path / "out"
@@ -955,7 +1022,7 @@ def test_overrides_step_into_lists_by_index(tmp_path, capsys):
     outputs = run_ok(argv, capsys)
     resolved = json.loads((out / "pipeline.config.json").read_text())["expansions"][0]
     assert (resolved["classifier_count"], resolved["stage2"]["steps"]) == (1, 2)
-    assert "profile_stage1_0_g1" in outputs
+    assert len(load_model(outputs["model_0_g1"]).classifier_layers) == 1
 
 
 def test_run_pipeline_lists_every_file_it_writes(tmp_path, capsys):
@@ -969,7 +1036,7 @@ def test_run_pipeline_lists_every_file_it_writes(tmp_path, capsys):
     manifest = out / "pipeline.config.json.manifest.json"
     listed = {Path(entry["path"]) for entry in json.loads(manifest.read_text())["outputs"].values()}
     assert set(out.iterdir()) - {manifest} == listed
-    assert {"stage1_losses_0_g1", "profile_stage1_0_g1", "csv_metrics_base"} <= outputs.keys()
+    assert {"stage1_losses_0_g1", "csv_metrics_base"} <= outputs.keys()
     mirrored = {p.stem for p in out.glob("*.csv")} & {p.stem for p in out.glob("*.json")}
     assert mirrored == {"metrics.base", "metrics.0_g1"}
     assert all(p.endswith(".json") for k, p in outputs.items() if k.startswith("metrics_"))
@@ -1057,8 +1124,8 @@ def artifacts(tmp_path_factory):
         + ["--out", path["plan.json"]],
         ["expand", "--model", path["base.lmoe"], "--plan", path["plan.json"], *train]
         + ["--group", "g1", "--out", path["moe.lmoe"]],
-        ["review", "--model", path["moe.lmoe"], *train, "--classifier-count", "1", "--q", "8"]
-        + ["--out", path["rev.lmoe"]],
+        ["review", "--model", path["moe.lmoe"], *train, "--classifier-count", "1"]
+        + ["--profile", path["profile.json"], "--out", path["rev.lmoe"]],
     ]:
         assert main(argv) == 0, argv
     return path
@@ -1465,6 +1532,21 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def run_capped(argv) -> dict:
+    """Run a command that must fail in a process with a 2 GB address-space
+    limit and a timeout, so that a regression that allocates or hangs fails
+    only its test; returns the one error record."""
+    source = str(Path(layermoe.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED, *argv], capture_output=True, text=True, timeout=20, env=env
+    )
+    assert done.returncode == 2
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
 @pytest.mark.parametrize(
     "kind, path, value",
     [
@@ -1476,19 +1558,20 @@ sys.exit(main(sys.argv[1:]))
 def test_unbounded_header_counts_are_rejected_before_allocating(
     tmp_path, artifacts, kind, path, value
 ):
-    """At the parent these hung or ran out of memory; run them with a 2 GB
-    address-space limit and a timeout so a regression fails only this test."""
+    """At the parent these hung or ran out of memory."""
     record, write, command = artifact_kind(kind, artifacts)
     write(str(tmp_path / "model.lmoe"), mutated(record, path, value))
-    source = str(Path(layermoe.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", CAPPED, *command(str(tmp_path / "model.lmoe"))],
-        capture_output=True,
-        text=True,
-        timeout=20,
-        env=env,
-    )
-    assert done.returncode == 2
-    lines = done.stderr.strip().splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == "FormatError"
+    assert run_capped(command(str(tmp_path / "model.lmoe")))["error"] == "FormatError"
+
+
+@pytest.mark.parametrize("tokens", [10**30, 10**12])
+def test_gen_corpus_rejects_a_corpus_too_large_to_hold(tmp_path, tokens):
+    """At the parent 10**30 tokens raised numpy's ValueError and 10**12 tried
+    to allocate the corpus; each printed a traceback."""
+    spec = write_json(tmp_path / "spec.json", {"groups": {"g0": ["a"]}, "block_size": 8})
+    argv = ["gen-corpus", "--spec", spec, "--tokens", str(tokens), "--seq-len", "8"]
+    record = run_capped(argv + ["--out", str(tmp_path / "c.jsonl")])
+    positions = -(-tokens // 8) * 8
+    message = f"a corpus of {positions} token positions is over the bound of 2**27"
+    assert record == {"error": "InvalidInputError", "message": message}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]

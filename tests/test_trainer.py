@@ -19,6 +19,7 @@ from layermoe.model import (
     upcycle,
 )
 from layermoe.numerics import SeededRng, Tensor, autodiff
+from layermoe.profiler import SimilarityProfile, profile_similarity, select_classifier_layers
 from layermoe import trainer
 from layermoe.trainer import (
     LIFELONG_CLASSIFIER_LAYERS,
@@ -591,18 +592,54 @@ class TestLifelongExpand:
             np.testing.assert_array_equal(before.new_old, result.profile_before.new_old)
             stage1, stage2 = self.recipes()
             stepped, _ = expand(model, result.plan, corpus, group, stage1, 21)
-            stepped, profile, _ = review(stepped, corpus, stage2, 21, classifier_count=1, q=32)
+            stepped, _ = review(stepped, corpus, stage2, 21, before, classifier_count=1)
             assert stepped.fingerprint() == expanded.fingerprint()
             assert stepped.classifier_layers == expanded.classifier_layers
-            np.testing.assert_array_equal(profile.new_old, result.profile_stage1.new_old)
             model = expanded
+
+    def test_classifiers_go_where_the_allocation_profile_is_most_similar(self):
+        """Stage 2 used to profile the expanded model a second time to place
+        its classifiers. Now the profile that allocated the experts places
+        them too, on each expansion of a lifelong sequence."""
+        dense, corpus = self.tiny_world()
+        model = dense
+        for group, seed in (("g1", 21), ("g2", 22)):
+            model, result = self.expand(model, corpus, group, seed, classifier_count=1)
+            want = select_classifier_layers(result.profile_before.new_old, 1)
+            assert model.classifier_layers == want
+
+    @pytest.mark.parametrize("classifier_count", [0, 1])
+    @pytest.mark.parametrize(
+        "old, new, layers, message",
+        [
+            (("c",), ("b",), 2, "profile has new ['b'], old ['c'] and 2 layers;"
+             " review needs new ['b'], old ['a'] and 2"),
+            (("a",), ("c",), 2, "profile has new ['c'], old ['a'] and 2 layers;"
+             " review needs new ['b'], old ['a'] and 2"),
+            (("a",), ("b",), 3, "profile has new ['b'], old ['a'] and 3 layers;"
+             " review needs new ['b'], old ['a'] and 2"),
+        ],
+        ids=["old-languages", "new-languages", "layer-count"],
+    )
+    def test_review_rejects_a_profile_of_another_expansion(
+        self, old, new, layers, message, classifier_count
+    ):
+        dense, corpus = self.tiny_world()
+        model, _ = expand(dense, (1, 1), corpus, "g1", recipe1(steps=1), SEED)
+        pairs = {tuple(sorted((n, o))): np.full(layers, 0.5) for n in new for o in old}
+        profile = SimilarityProfile(pairs, old, new)
+        with pytest.raises(InvalidInputError) as caught:
+            review(model, corpus, recipe2(steps=1), SEED, profile,
+                   classifier_count=classifier_count)
+        assert str(caught.value) == message
+        assert model.classifier_layers == ()
 
     def test_no_classifiers_drop_the_classifier_term(self):
         dense, corpus = self.tiny_world()
         default, result = self.expand(dense, corpus, "g1", seed=21, classifier_count=0)
         zero, _ = self.expand(dense, corpus, "g1", seed=21, classifier_count=0, cls_weight=0.0)
         assert self.recipes()[1].cls_weight > 0
-        assert default.classifier_layers == () and result.profile_stage1 is None
+        assert default.classifier_layers == ()
         assert default.fingerprint() == zero.fingerprint()
 
     def test_two_expansions_structure_and_freeze(self):
@@ -668,8 +705,9 @@ class TestLifelongExpand:
         corpus = generate(specs, 200, config.context, seed=6)
         model, placed = DenseModel.create(config, groups=("g0",)), []
         for group in ("g1", "g2"):
+            profile = profile_before(model, corpus, group, SEED, q=16)
             model, _ = expand(model, (1,) * 6, corpus, group, recipe1(steps=1), SEED)
-            model, _, _ = review(model, corpus, recipe2(steps=1), SEED, q=16)
+            model, _ = review(model, corpus, recipe2(steps=1), SEED, profile)
             placed.append(len(model.classifier_layers))
         assert placed == [6, 5]
 
@@ -678,7 +716,7 @@ class TestLifelongExpand:
         an AttributeError."""
         dense, _, corpus = gradcheck_setup()
         with pytest.raises(ConfigurationError, match="review needs an expanded model"):
-            review(dense, corpus, recipe2(), SEED, classifier_count=0, q=8)
+            review(dense, corpus, recipe2(), SEED, None, classifier_count=0)
 
 
 @pytest.fixture(scope="module", params=[0, 1])
@@ -727,14 +765,15 @@ class TestMethodQuality:
             return np.mean(list(self.metrics(model, corpus).routing_old_fraction.values()))
 
         after = {}
+        profile = profile_similarity(trained[0.0], corpus, ("a",), ("b",), q=16, seed=seed)
         for lpr_weight in (0.0, 1.0):
-            model, _, _ = review(
+            model, _ = review(
                 clone_model(trained[2.0], tmp_path),
                 corpus,
                 recipe2(steps=40, learning_rate=0.5, lpr_weight=lpr_weight),
                 seed,
+                profile,
                 classifier_count=0,
-                q=16,
             )
             after[lpr_weight] = old_to_expert0(model)
         assert after[1.0] > old_to_expert0(trained[2.0]) + 0.1
