@@ -79,7 +79,7 @@ def _write_manifest(command: str, args: dict, outputs: dict[str, Path]) -> None:
     primary = next(iter(outputs.values()))
     manifest = {
         "command": command,
-        "arguments": {k: v for k, v in args.items() if k not in ("func", "command")},
+        "arguments": {k: v for k, v in args.items() if k != "command"},
         "package_version": __version__,
         "outputs": {
             name: {"path": str(path), "sha256": _sha256(path)} for name, path in outputs.items()
@@ -258,6 +258,8 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     dense_recipe = _recipe(config["base"], "dense")
     stage_recipes = [(_recipe(e["stage1"], "stage1"), _recipe(e["stage2"], "stage2"))
                      for e in expansions]
+    base_group = config["base"]["group"]
+    dense = DenseModel.create(model_config, groups=(base_group,))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def put(name: str, filename: str, save, value) -> None:
@@ -270,8 +272,6 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     corpus = generate(specs, tokens, model_config.context, derive_seed(seed, "corpus"))
     put("corpus", "corpus.jsonl", TaggedCorpus.save_jsonl, corpus)
 
-    base_group = config["base"]["group"]
-    dense = DenseModel.create(model_config, groups=(base_group,))
     base_reports = train_dense(dense, corpus.subset_groups([base_group]), dense_recipe, seed)
     put("base", "base.lmoe", save_model, dense)
     put("base_losses", "base.losses.csv", save_reports_csv, base_reports)

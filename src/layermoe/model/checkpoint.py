@@ -9,12 +9,13 @@ Layout (little-endian):
             header's ``params`` order
 
 The header carries the model kind, config, language groups, expansion
-history, classifier layers, and each parameter's name and shape. A dense
-header names its base groups ``groups``; an MoE header names them
-``base_groups`` and records at least one expansion. Loading checks that a
-model has groups, that no group is listed twice across them and the
-history and no classifier layer twice, and that the parameters are exactly
-the names and shapes this structure implies.
+history, classifier layers, and each parameter's name and shape. The kind
+is derived from the history: "moe" for a model with an expansion, "dense"
+for one without. A dense header names its base groups ``groups``; an MoE
+header names them ``base_groups`` and records at least one expansion.
+Loading checks that a model has groups, that no group is listed twice
+across them and the history and no classifier layer twice, and that the
+parameters are exactly the names and shapes this structure implies.
 """
 
 from __future__ import annotations
@@ -39,17 +40,15 @@ VERSION = 1
 
 def _header(model: Model) -> dict:
     names = sorted(model.params)
+    history = [[e.group, list(e.new_experts)] for e in model.expansion_history]
     header = {
-        "kind": model.kind,
+        "kind": "moe" if history else "dense",
         "config": model.config.to_dict(),
         "params": [{"name": n, "shape": list(model.params[n].data.shape)} for n in names],
     }
-    if isinstance(model, MoEModel):
-        header["base_groups"] = list(model.base_groups)
-        header["expansion_history"] = [
-            [e.group, list(e.new_experts)] for e in model.expansion_history
-        ]
-        header["classifier_layers"] = list(model.classifier_layers)
+    if history:
+        header.update(base_groups=list(model.base_groups), expansion_history=history,
+                      classifier_layers=list(model.classifier_layers))
     else:
         header["groups"] = list(model.base_groups)
     return header
@@ -124,20 +123,18 @@ def load_model(path: str | Path) -> Model:
         params[entry["name"]] = Tensor(data)
 
     config = ModelConfig(**header["config"])
-    dense = header["kind"] == "dense"
+    # The spec admits a history exactly when the kind is "moe".
     history = [Expansion(g, tuple(c)) for g, c in header.get("expansion_history", [])]
-    groups = header["groups" if dense else "base_groups"] + [e.group for e in history]
+    base_groups = header["base_groups" if history else "groups"]
     layers = header.get("classifier_layers", [])
-    for what, values in [("group", groups), ("classifier layer", layers)]:
+    for what, values in [("group", base_groups + [e.group for e in history]),
+                         ("classifier layer", layers)]:
         repeated = [str(v) for v, n in Counter(values).items() if n > 1]
         if repeated:
             raise FormatError(f"{path}: {what} listed more than once: {', '.join(repeated)}")
-    if dense:
-        model = DenseModel(config, params, groups)
-    else:
-        model = MoEModel(config, params, header["base_groups"], history, layers)
-        if sum(model.expert_counts()) > len(params):
-            raise FormatError(f"{path}: expansion history has more experts than parameters")
+    model = (MoEModel if history else DenseModel)(config, params, base_groups, history, layers)
+    if sum(model.expert_counts()) > len(params):
+        raise FormatError(f"{path}: expansion history has more experts than parameters")
     expected = param_shapes(model)
     found = {name: p.data.shape for name, p in params.items()}
     wrong = [n for n in sorted(expected.keys() | found.keys()) if found.get(n) != expected.get(n)]

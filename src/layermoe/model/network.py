@@ -1,7 +1,9 @@
 """Toy decoder-only transformer and its per-layer-variable MoE upcycle.
 
 A dense model is a model with no expansion: every model answers the same
-questions (:class:`Model`), and only the parameter layout tells them apart.
+questions (:class:`Model`), and its parameter layout is read from its
+expansion history. A model holds at most 2**27 parameters (1 GiB as
+float64), checked before any of them is allocated.
 
 Fixed architecture (expert-copy initialisation and the checkpoint format
 depend on it, so it is pinned here):
@@ -41,7 +43,8 @@ The taps are the bits the full forward gives.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -168,10 +171,17 @@ def _dense_param_specs(config: ModelConfig):
     yield "head", (h, config.vocab), "normal"
 
 
+def _check_size(count: int) -> None:
+    """Refuse a model of more than 2**27 parameters (1 GiB as float64), the
+    bound :func:`~layermoe.corpus.generate` puts on a corpus."""
+    if count > 2**27:
+        raise InvalidInputError(f"a model of {count} parameters is over the bound of 2**27")
+
+
 def param_shapes(model: "Model") -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter the model's structure implies."""
     shapes = {name: shape for name, shape, _ in _dense_param_specs(model.config)}
-    if isinstance(model, MoEModel):
+    if model.expansion_history:
         h = model.config.hidden
         for i, count in enumerate(model.expert_counts()):
             ffn = {part: shapes.pop(f"blocks.{i}.ffn.{part}") for part in _PARTS}
@@ -188,14 +198,19 @@ class Model:
     layers. A dense model is a model with no expansion: both are empty by
     default, and callers read them rather than ask a model its class."""
 
-    kind: str
-    expansion_history: tuple[Expansion, ...] = ()
-    classifier_layers: tuple[int, ...] = ()
-
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor], base_groups: Sequence[str]):
+    def __init__(
+        self,
+        config: ModelConfig,
+        params: dict[str, Tensor],
+        base_groups: Sequence[str],
+        expansion_history: Sequence[Expansion] = (),
+        classifier_layers: Sequence[int] = (),
+    ):
         self.config = config
         self.params = params
         self.base_groups = tuple(base_groups)
+        self.expansion_history = tuple(expansion_history)
+        self.classifier_layers = tuple(sorted(int(i) for i in classifier_layers))
 
     @property
     def proficient_groups(self) -> tuple[str, ...]:
@@ -209,11 +224,24 @@ class Model:
     def fingerprint(self) -> str:
         return hash_params(self, sorted(self.params))
 
+    def expert_counts(self) -> tuple[int, ...]:
+        """Experts per layer: 1 (the dense FFN) plus each expansion's new ones."""
+        history = self.expansion_history
+        return tuple(1 + sum(e.new_experts[i] for e in history) for i in range(self.config.layers))
+
+    def layer(self, index: int) -> MoELayer:
+        n = self.expert_counts()[index]
+        experts = [
+            Expert(*(self.params[f"blocks.{index}.experts.{e}.{part}"] for part in _PARTS))
+            for e in range(n)
+        ]
+        cols = [self.params[f"blocks.{index}.router.{e}"] for e in range(n)]
+        cls = self.params.get(f"blocks.{index}.classifier")
+        return MoELayer(experts, cols, self.config.top_k, cls)
+
 
 class DenseModel(Model):
     """A model with no expansion: one FFN per layer, nothing routed."""
-
-    kind = "dense"
 
     @classmethod
     def create(cls, config: ModelConfig, groups: Sequence[str]) -> "DenseModel":
@@ -225,6 +253,11 @@ class DenseModel(Model):
         repeated = sorted({g for g in groups if groups.count(g) > 1})
         if repeated:
             raise InvalidInputError(f"group listed more than once: {', '.join(repeated)}")
+        # Every block has the same shapes, so the layout's size is linear in
+        # the layer count: read it off one- and two-block layouts.
+        one, two = (sum(math.prod(s) for _, s, _ in _dense_param_specs(replace(config, layers=n)))
+                    for n in (1, 2))
+        _check_size(one + (config.layers - 1) * (two - one))
         params: dict[str, Tensor] = {}
         for name, shape, init in _dense_param_specs(config):
             if init == "ones":
@@ -240,37 +273,6 @@ class MoEModel(Model):
     """A model with expansions, where a dense model has none: per layer,
     expert 0 (the dense FFN) plus each expansion's new experts, one router
     column each, and optional classifiers."""
-
-    kind = "moe"
-
-    def __init__(
-        self,
-        config: ModelConfig,
-        params: dict[str, Tensor],
-        base_groups: Sequence[str],
-        expansion_history: Sequence[Expansion],
-        classifier_layers: Sequence[int] = (),
-    ):
-        super().__init__(config, params, base_groups)
-        self.expansion_history = tuple(expansion_history)
-        self.classifier_layers = tuple(sorted(int(i) for i in classifier_layers))
-
-    def expert_counts(self) -> tuple[int, ...]:
-        counts = [1] * self.config.layers
-        for exp in self.expansion_history:
-            for i, c in enumerate(exp.new_experts):
-                counts[i] += c
-        return tuple(counts)
-
-    def layer(self, index: int) -> MoELayer:
-        n = self.expert_counts()[index]
-        experts = [
-            Expert(*(self.params[f"blocks.{index}.experts.{e}.{part}"] for part in _PARTS))
-            for e in range(n)
-        ]
-        cols = [self.params[f"blocks.{index}.router.{e}"] for e in range(n)]
-        cls = self.params.get(f"blocks.{index}.classifier")
-        return MoELayer(experts, cols, self.config.top_k, cls)
 
 
 def hash_params(model: Model, names: Sequence[str]) -> str:
@@ -295,7 +297,7 @@ def _plan_counts(plan, layers: int) -> tuple[int, ...]:
     return counts
 
 
-def extend_expansion(model: MoEModel, plan, group: str) -> MoEModel:
+def extend_expansion(model: Model, plan, group: str) -> MoEModel:
     """Copy of ``model`` plus ``group``'s expansion: per layer, ``plan`` new
     experts with zero router columns. A new expert is the layer's expert 0
     (the original dense FFN) plus seeded Gaussian noise. Classifiers from the
@@ -307,11 +309,11 @@ def extend_expansion(model: MoEModel, plan, group: str) -> MoEModel:
     config = model.config
     counts = _plan_counts(plan, config.layers)
     expansion = len(model.expansion_history)
-    params = {
-        name: Tensor(p.data.copy())
-        for name, p in model.params.items()
-        if not name.endswith(".classifier")
-    }
+    kept = {name: p for name, p in model.params.items() if not name.endswith(".classifier")}
+    # A new expert is expert 0's three matrices plus a router column, the same in every layer.
+    expert = sum(kept[f"blocks.0.experts.0.{part}"].data.size for part in _PARTS) + config.hidden
+    _check_size(sum(p.data.size for p in kept.values()) + sum(counts) * expert)
+    params = {name: Tensor(p.data.copy()) for name, p in kept.items()}
     for i, existing in enumerate(model.expert_counts()):
         for e in range(existing, existing + counts[i]):
             for part in _PARTS:
@@ -333,10 +335,10 @@ def upcycle(dense: DenseModel, plan, group: str) -> MoEModel:
     params = {name.replace(".ffn.", ".experts.0."): p for name, p in dense.params.items()}
     for i in range(dense.config.layers):
         params[f"blocks.{i}.router.0"] = Tensor(np.zeros(dense.config.hidden))
-    return extend_expansion(MoEModel(dense.config, params, dense.base_groups, ()), plan, group)
+    return extend_expansion(Model(dense.config, params, dense.base_groups), plan, group)
 
 
-def add_classifiers(model: MoEModel, layers: Sequence[int]) -> MoEModel:
+def add_classifiers(model: Model, layers: Sequence[int]) -> Model:
     """Install zero-initialised two-class classifiers on ``layers``,
     replacing any previous classifier set."""
     layer_ids = tuple(sorted({int(i) for i in layers}))
@@ -393,12 +395,10 @@ def forward_graph(
         raise InvalidInputError(f"unknown forward mode {mode!r}")
     if mode == "gated" and not model.classifier_layers:
         raise ConfigurationError("gated mode needs a model with classifiers")
-    is_moe = isinstance(model, MoEModel)
+    is_moe = bool(model.expansion_history)
     tokens = np.asarray(tokens)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
     if tokens.ndim != 2:
-        raise InvalidInputError("tokens must be one or two dimensional")
+        raise InvalidInputError("tokens must be two dimensional (batch, length)")
     config = model.config
     config.check_tokens(tokens, tokens.shape[1])
 

@@ -32,9 +32,7 @@ from .allocator import AllocationPlan, allocate
 from .corpus import TaggedCorpus, review_mixture
 from .errors import ConfigurationError, InvalidInputError, NumericalFailureError
 from .model import (
-    DenseModel,
     Model,
-    MoEModel,
     add_classifiers,
     extend_expansion,
     forward,
@@ -65,6 +63,8 @@ class TrainingRecipe:
     dense training none of them. Every setting is a float.
     A recipe holds no seed: each stage derives its own from the pipeline
     seed that its training function takes (see :func:`expansion_seed`).
+    ``batch_size`` is at most 2**16 sequences: at context 16 and vocab 128,
+    the logits of such a batch already fill 1 GiB.
     """
 
     stage: str
@@ -79,8 +79,8 @@ class TrainingRecipe:
     def __post_init__(self):
         if self.stage not in STAGE_SETTINGS:
             raise ConfigurationError(f"unknown stage {self.stage!r}")
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigurationError("steps must be >= 0 and batch_size >= 1")
+        if self.steps < 0 or not 1 <= self.batch_size <= 2**16:
+            raise ConfigurationError("steps must be >= 0 and batch_size in 1..2**16")
         weights = (self.balance_weight, self.lpr_weight, self.cls_weight)
         if not all(map(math.isfinite, (self.learning_rate, self.momentum, *weights))):
             raise ConfigurationError("learning rate, momentum and loss weights must be finite")
@@ -290,15 +290,15 @@ def _newest_group(model: Model) -> str:
 
 
 def train_dense(
-    model: DenseModel, corpus: TaggedCorpus, recipe: TrainingRecipe, seed: int
+    model: Model, corpus: TaggedCorpus, recipe: TrainingRecipe, seed: int
 ) -> list[LossReport]:
     """Next-token pre-training of the dense backbone; updates every parameter."""
     return _train(model, corpus, recipe, "dense", seed)
 
 
 def stage1_train(
-    model: MoEModel, corpus_new: TaggedCorpus, recipe: TrainingRecipe, seed: int
-) -> tuple[MoEModel, list[LossReport]]:
+    model: Model, corpus_new: TaggedCorpus, recipe: TrainingRecipe, seed: int
+) -> tuple[Model, list[LossReport]]:
     """New-expert pretraining: only the current expansion's experts and their
     router columns move; the dense backbone and earlier expansions stay
     bitwise unchanged."""
@@ -312,8 +312,8 @@ def stage1_train(
 
 
 def stage2_train(
-    model: MoEModel, review_corpus: TaggedCorpus, recipe: TrainingRecipe, seed: int
-) -> tuple[MoEModel, list[LossReport]]:
+    model: Model, review_corpus: TaggedCorpus, recipe: TrainingRecipe, seed: int
+) -> tuple[Model, list[LossReport]]:
     """Router review on mixed data: all router columns plus the model's
     classifiers train; experts and backbone stay bitwise unchanged. With
     cls_weight 0 and no classifiers this is exactly prior-routing review (the
@@ -381,7 +381,7 @@ def evaluate(
         raise InvalidInputError("max_sequences_per_language must be >= 1")
     model.config.check_tokens(corpus.sequences, corpus.sequences.shape[1] - 1)
     batch_size = 32  # sequences per forward pass
-    counts = model.expert_counts() if model.expansion_history else ()
+    counts = model.expert_counts()
     if mode is None:
         mode = "gated" if model.classifier_layers else "plain"
 
@@ -485,7 +485,7 @@ def expand(
     group: str,
     recipe: TrainingRecipe,
     seed: int,
-) -> tuple[MoEModel, list[LossReport]]:
+) -> tuple[Model, list[LossReport]]:
     """Stage 1 of an expansion: give ``group`` the experts of ``plan`` by
     upcycling a model with no expansion or extending one with some (each new
     expert copies its layer's expert 0), then train them on the group's
@@ -495,14 +495,14 @@ def expand(
 
 
 def review(
-    model: MoEModel,
+    model: Model,
     corpus: TaggedCorpus,
     recipe: TrainingRecipe,
     seed: int,
     profile: SimilarityProfile,
     *,
     classifier_count: int | None = None,
-) -> tuple[MoEModel, list[LossReport]]:
+) -> tuple[Model, list[LossReport]]:
     """Stage 2 of the newest expansion. With ``classifier_count`` > 0, place
     that many classifiers on the layers where ``profile``, the expansion's
     allocation profile (:func:`profile_before`), finds the new languages
@@ -551,7 +551,7 @@ def lifelong_expand(
     *,
     q: int = PROFILE_Q,
     classifier_count: int | None = None,
-) -> tuple[MoEModel, ExpansionResult]:
+) -> tuple[Model, ExpansionResult]:
     """One full expansion at pipeline seed ``seed``: :func:`profile_before`
     on the current model, allocate the budget, :func:`expand` (freezing
     everything pre-existing) and :func:`review`, with "old" covering every

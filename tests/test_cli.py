@@ -5,6 +5,7 @@ traceback."""
 import copy
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -1575,3 +1576,117 @@ def test_gen_corpus_rejects_a_corpus_too_large_to_hold(tmp_path, tokens):
     message = f"a corpus of {positions} token positions is over the bound of 2**27"
     assert record == {"error": "InvalidInputError", "message": message}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+@pytest.mark.parametrize(
+    "key, value, count",
+    [
+        ("hidden", 10**30, 8 * 10**60 + 125 * 10**30),
+        ("vocab", 10**30, 16 * 10**30 + 1000),
+        ("ffn", 10**30, 48 * 10**30 + 1128),
+        ("context", 10**30, 8 * 10**30 + 1448),
+        ("layers", 10**9, 464 * 10**9 + 584),
+    ],
+    ids=["hidden", "vocab", "ffn", "context", "layers"],
+)
+def test_train_base_rejects_a_model_too_large_to_hold(tmp_path, artifacts, key, value, count):
+    """At the parent the 10**30 configs raised numpy's ValueError; a billion
+    layers would have initialised block after block."""
+    config = write_json(tmp_path / "model.json", {**TINY_MODEL, key: value})
+    argv = ["train-base", "--config", config, "--corpus", artifacts["c.jsonl"], "--group", "g0"]
+    record = run_capped(argv + ["--steps", "1", "--batch-size", "2", "--out", str(tmp_path / "m")])
+    message = f"a model of {count} parameters is over the bound of 2**27"
+    assert record == {"error": "InvalidInputError", "message": message}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+def test_expand_rejects_a_plan_too_large_to_hold(tmp_path, artifacts):
+    """At the parent a plan of a billion experts built them one at a time
+    and did not finish."""
+    plan = ["allocate", "--profile", artifacts["profile.json"], "--budget", str(10**9)]
+    assert main(plan + ["--out", str(tmp_path / "plan.json")]) == 0
+    argv = ["expand", "--model", artifacts["base.lmoe"], "--plan", str(tmp_path / "plan.json")]
+    argv += ["--corpus", artifacts["c.jsonl"], "--group", "g1", "--steps", "1"]
+    record = run_capped(argv + ["--out", str(tmp_path / "moe.lmoe")])
+    # The base's 1,512 parameters, a zero router column per layer for expert
+    # 0, and 10**9 new experts of 3 * 8 * 8 weights and an 8-wide router column.
+    count = 1512 + 2 * 8 + 10**9 * (3 * 8 * 8 + 8)
+    message = f"a model of {count} parameters is over the bound of 2**27"
+    assert record == {"error": "InvalidInputError", "message": message}
+    assert not (tmp_path / "moe.lmoe").exists()
+
+
+def test_train_base_rejects_a_batch_too_large_to_hold(tmp_path, artifacts):
+    """At the parent this raised numpy's ValueError."""
+    argv = ["train-base", "--config", artifacts["model.json"], "--corpus", artifacts["c.jsonl"]]
+    argv += ["--group", "g0", "--steps", "1", "--batch-size", str(10**30)]
+    record = run_capped(argv + ["--out", str(tmp_path / "m.lmoe")])
+    message = "steps must be >= 0 and batch_size in 1..2**16"
+    assert record == {"error": "ConfigurationError", "message": message}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "pair, error",
+    [(f"model.hidden={10**30}", "InvalidInputError"),
+     (f"base.batch_size={10**30}", "ConfigurationError"),
+     (f"expansions.0.stage2.batch_size={2**16 + 1}", "ConfigurationError")],
+    ids=["huge-model", "huge-base-batch", "batch-over-the-bound"],
+)
+def test_run_pipeline_rejects_what_it_cannot_hold_before_writing(tmp_path, pair, error):
+    """The first two raised numpy's ValueError after corpus.jsonl was written."""
+    config = write_json(tmp_path / "pipeline.json", pipeline_config())
+    out = tmp_path / "out"
+    record = run_capped(["run-pipeline", "--config", config, "--out-dir", str(out), "--set", pair])
+    assert record["error"] == error
+    assert not out.exists()
+
+
+def checkpoint_bytes(path, header=None, payload=None) -> bytes:
+    """The checkpoint at ``path`` with its header bytes or payload replaced."""
+    raw = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = raw[16 : 16 + hlen] if header is None else header
+    payload = raw[16 + hlen :] if payload is None else payload
+    return raw[:8] + struct.pack("<Q", len(header)) + header + payload
+
+
+def over_long_header(path):
+    raw = Path(path).read_bytes()
+    return raw[:8] + struct.pack("<Q", len(raw)) + raw[16:]
+
+
+def nan_payload(path):
+    _, payload = read_header(path)
+    return checkpoint_bytes(path, payload=struct.pack("<d", math.nan) + payload[8:])
+
+
+def experts_beyond_params(path):
+    """Each count within the parameter count, their sum beyond it."""
+    header, _ = read_header(path)
+    n = len(header["params"])
+    header["expansion_history"][0][1] = [n, n]
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return checkpoint_bytes(path, header=encoded)
+
+
+@pytest.mark.parametrize(
+    "checkpoint, change, message",
+    [
+        ("base.lmoe", over_long_header, "truncated header"),
+        ("base.lmoe", lambda path: checkpoint_bytes(path, header=b"\xff\xfe"),
+         "unreadable header: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ("base.lmoe", nan_payload, "non-finite values in parameter blocks.0.attn_norm"),
+        ("rev.lmoe", experts_beyond_params, "expansion history has more experts than parameters"),
+    ],
+    ids=["header-beyond-the-file", "header-not-utf8", "nan-in-payload", "experts-beyond-params"],
+)
+def test_eval_rejects_a_checkpoint_that_cannot_hold_its_model(
+    tmp_path, capsys, artifacts, checkpoint, change, message
+):
+    path = tmp_path / "model.lmoe"
+    path.write_bytes(change(artifacts[checkpoint]))
+    argv = ["eval", "--model", str(path), "--corpus", artifacts["c.jsonl"]]
+    record = run_failing(argv + ["--out", str(tmp_path / "metrics.json")], capsys)
+    assert record["error"] == "FormatError"
+    assert record["message"].startswith(f"{path}: {message}")

@@ -1,5 +1,7 @@
 """Upcycling, routing, gated forward, partitions, and checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,12 @@ from layermoe.model import (
     save_model,
     upcycle,
 )
-from layermoe.model.network import NEW_EXPERT_NOISE_STD, _moe_mix
+from layermoe.model.network import (
+    NEW_EXPERT_NOISE_STD,
+    _check_size,
+    _dense_param_specs,
+    _moe_mix,
+)
 from layermoe.numerics import SeededRng, Tensor, derive_seed
 
 
@@ -63,6 +70,18 @@ class TestModel:
         assert dense.fingerprint() == bare.fingerprint()
         assert dense.base_groups == dense.proficient_groups == dense.old_groups == ("g0",)
         assert dense.expansion_history == dense.classifier_layers == ()
+        assert dense.expert_counts() == bare.expert_counts() == (1, 1)
+
+    def test_a_checkpoint_reads_its_kind_from_the_history(self, dense, tmp_path):
+        """A plain model with no expansion saves the bytes of a dense one,
+        and loads as one; with an expansion it loads as an MoE model."""
+        models = {"dense": dense, "plain": Model(dense.config, dense.params, dense.base_groups),
+                  "moe": upcycle(dense, [1, 1], "g1")}
+        for name, model in models.items():
+            save_model(model, tmp_path / name)
+        assert (tmp_path / "plain").read_bytes() == (tmp_path / "dense").read_bytes()
+        assert type(load_model(tmp_path / "plain")) is DenseModel
+        assert type(load_model(tmp_path / "moe")) is MoEModel
 
 
 class TestUpcycle:
@@ -259,6 +278,11 @@ class TestMoELayerForward:
 
 
 class TestForward:
+    @pytest.mark.parametrize("shape", [(12,), (1, 2, 12)], ids=["1-d", "3-d"])
+    def test_tokens_are_a_batch_of_sequences(self, dense, shape):
+        with pytest.raises(InvalidInputError, match=r"^tokens must be two dimensional"):
+            forward(dense, np.zeros(shape, dtype=np.int64))
+
     def test_tap_shapes(self, dense):
         model = upcycle(dense, [2, 2], "g1")
         tokens = sample_tokens(dense.config, batch=3, length=7)
@@ -510,6 +534,24 @@ class TestGroups:
         if group == "g0":
             with pytest.raises(InvalidInputError, match=message):
                 upcycle(dense, [1, 1], group)
+
+
+class TestSize:
+    """A model holds at most 2**27 parameters, checked before any is made."""
+
+    def test_the_bound_is_2_to_the_27(self):
+        _check_size(2**27)
+        with pytest.raises(InvalidInputError, match=r"^a model of 134217729 parameters"):
+            _check_size(2**27 + 1)
+
+    def test_create_counts_every_parameter_of_the_layout(self):
+        # numpy cannot allocate these dimensions, so a create that skipped
+        # the check would fail at once with another error.
+        config = tiny_config(layers=3, hidden=10**20, heads=1)
+        count = sum(math.prod(shape) for _, shape, _ in _dense_param_specs(config))
+        message = rf"^a model of {count} parameters is over the bound of 2\*\*27$"
+        with pytest.raises(InvalidInputError, match=message):
+            DenseModel.create(config, ("g0",))
 
 
 class TestCheckpoint:
