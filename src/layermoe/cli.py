@@ -40,7 +40,7 @@ from . import __version__
 from .allocator import allocate, load_plan, save_plan
 from .corpus import TaggedCorpus, generate, language_specs, required_vocab
 from .errors import ConfigurationError, FormatError, InvalidInputError, LayerMoEError
-from .model import DenseModel, ModelConfig, load_model, save_model
+from .model import Model, ModelConfig, load_model, save_model
 from .model.config import MODEL_SPEC
 from .numerics import derive_seed
 from .profiler import PROFILE_Q, load_profile, save_profile
@@ -140,7 +140,7 @@ def _cmd_train_base(args) -> dict[str, Path]:
     corpus = TaggedCorpus.load_jsonl(args.corpus).subset_groups([args.group])
     if len(corpus) == 0:
         raise InvalidInputError(f"corpus has no sequences in group {args.group!r}")
-    model = DenseModel.create(config, groups=(args.group,))
+    model = Model.create(config, groups=(args.group,))
     reports = train_dense(model, corpus, _recipe(vars(args), "dense"), args.seed)
     return _save_trained(model, reports, args.out)
 
@@ -221,7 +221,7 @@ _PIPELINE = {
     "evaluation?": {"max_sequences_per_language?": Int(1)},
     "base": {"group": str, **_stage_spec("dense")},
     "expansions?": [
-        {"group": str, "budget": int, "q?": int, "classifier_count?": int,
+        {"group": str, "budget": int, "q?": Int(2), "classifier_count?": int,
          "stage1": _stage_spec("stage1"), "stage2": _stage_spec("stage2")}
     ],
 }
@@ -241,12 +241,15 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
             f"language layout needs vocab {required_vocab(specs)}, model has {model_config.vocab}"
         )
     expansions = config.get("expansions", [])
+    layers = model_config.layers
     for index, exp_cfg in enumerate(expansions):
-        count = exp_cfg.get("classifier_count")
-        if count is not None and not 0 <= count <= model_config.layers:
+        count, budget = exp_cfg.get("classifier_count"), exp_cfg["budget"]
+        if count is not None and not 0 <= count <= layers:
             raise ConfigurationError(
-                f"expansions.{index}.classifier_count {count} outside 0..{model_config.layers}"
-            )
+                f"expansions.{index}.classifier_count {count} outside 0..{layers}")
+        if budget < layers:
+            raise ConfigurationError(
+                f"expansions.{index}.budget {budget} cannot give {layers} layers one expert each")
     # Each group trains once, in order: the base's, then each expansion's.
     named = [("base.group", config["base"]["group"])]
     named += [(f"expansions.{i}.group", exp_cfg["group"]) for i, exp_cfg in enumerate(expansions)]
@@ -259,7 +262,9 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     stage_recipes = [(_recipe(e["stage1"], "stage1"), _recipe(e["stage2"], "stage2"))
                      for e in expansions]
     base_group = config["base"]["group"]
-    dense = DenseModel.create(model_config, groups=(base_group,))
+    dense = Model.create(model_config, groups=(base_group,))
+    tokens = config["corpus"]["tokens_per_language"]
+    corpus = generate(specs, tokens, model_config.context, derive_seed(seed, "corpus"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def put(name: str, filename: str, save, value) -> None:
@@ -268,8 +273,6 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
         if (mirror := save(value, outputs[name])) is not None:
             outputs[f"csv_{name}"] = mirror
 
-    tokens = config["corpus"]["tokens_per_language"]
-    corpus = generate(specs, tokens, model_config.context, derive_seed(seed, "corpus"))
     put("corpus", "corpus.jsonl", TaggedCorpus.save_jsonl, corpus)
 
     base_reports = train_dense(dense, corpus.subset_groups([base_group]), dense_recipe, seed)

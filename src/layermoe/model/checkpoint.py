@@ -13,9 +13,9 @@ history, classifier layers, and each parameter's name and shape. The kind
 is derived from the history: "moe" for a model with an expansion, "dense"
 for one without. A dense header names its base groups ``groups``; an MoE
 header names them ``base_groups`` and records at least one expansion.
-Loading checks that a model has groups, that no group is listed twice
-across them and the history and no classifier layer twice, and that the
-parameters are exactly the names and shapes this structure implies.
+Loading checks the header against its spec and the payload against the
+header, then builds the model, whose constructor checks the rest: groups,
+classifier layers, and parameters that fit the model's structure.
 """
 
 from __future__ import annotations
@@ -23,16 +23,15 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import FormatError, InvalidInputError
 from ..numerics import Tensor
 from ..schema import Int, List, check, problems
 from .config import MODEL_SPEC, ModelConfig
-from .network import DenseModel, Expansion, Model, MoEModel, param_shapes
+from .network import Expansion, Model, MoEModel
 
 MAGIC = b"LMOE"
 VERSION = 1
@@ -127,18 +126,7 @@ def load_model(path: str | Path) -> Model:
     history = [Expansion(g, tuple(c)) for g, c in header.get("expansion_history", [])]
     base_groups = header["base_groups" if history else "groups"]
     layers = header.get("classifier_layers", [])
-    for what, values in [("group", base_groups + [e.group for e in history]),
-                         ("classifier layer", layers)]:
-        repeated = [str(v) for v, n in Counter(values).items() if n > 1]
-        if repeated:
-            raise FormatError(f"{path}: {what} listed more than once: {', '.join(repeated)}")
-    model = (MoEModel if history else DenseModel)(config, params, base_groups, history, layers)
-    if sum(model.expert_counts()) > len(params):
-        raise FormatError(f"{path}: expansion history has more experts than parameters")
-    expected = param_shapes(model)
-    found = {name: p.data.shape for name, p in params.items()}
-    wrong = [n for n in sorted(expected.keys() | found.keys()) if found.get(n) != expected.get(n)]
-    if wrong:
-        detail = "; ".join(f"{n} {found.get(n)} != {expected.get(n)}" for n in wrong)
-        raise FormatError(f"{path}: parameters do not fit the model (found != expected): {detail}")
-    return model
+    try:
+        return (MoEModel if history else Model)(config, params, base_groups, history, layers)
+    except InvalidInputError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

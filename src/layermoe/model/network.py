@@ -2,8 +2,11 @@
 
 A dense model is a model with no expansion: every model answers the same
 questions (:class:`Model`), and its parameter layout is read from its
-expansion history. A model holds at most 2**27 parameters (1 GiB as
-float64), checked before any of them is allocated.
+expansion history. The constructor checks every model's groups, classifier
+layers and parameter layout; :func:`extend_expansion` makes every
+expansion, the first one too. ``upcycle`` and the dense and MoE class names
+are kept for the benchmark. A model holds at most 2**27 parameters (1 GiB
+as float64), checked before any of them is allocated.
 
 Fixed architecture (expert-copy initialisation and the checkpoint format
 depend on it, so it is pinned here):
@@ -211,6 +214,22 @@ class Model:
         self.base_groups = tuple(base_groups)
         self.expansion_history = tuple(expansion_history)
         self.classifier_layers = tuple(sorted(int(i) for i in classifier_layers))
+        if not self.base_groups:
+            raise InvalidInputError("a model needs at least one group")
+        for what, values in [("group", self.proficient_groups),
+                             ("classifier layer", self.classifier_layers)]:
+            repeated = ", ".join(map(str, sorted({v for v in values if values.count(v) > 1})))
+            if repeated:
+                raise InvalidInputError(f"{what} listed more than once: {repeated}")
+        # Bounds param_shapes, which names every expert the history counts.
+        if sum(self.expert_counts()) > len(params):
+            raise InvalidInputError("expansion history has more experts than parameters")
+        shapes = param_shapes(self)
+        found = {n: p.data.shape for n, p in params.items()}
+        wrong = [n for n in sorted(shapes.keys() | found.keys()) if found.get(n) != shapes.get(n)]
+        if wrong:
+            detail = "; ".join(f"{n} {found.get(n)} != {shapes.get(n)}" for n in wrong)
+            raise InvalidInputError(f"parameters do not fit the model (found != expected): {detail}")
 
     @property
     def proficient_groups(self) -> tuple[str, ...]:
@@ -239,20 +258,10 @@ class Model:
         cls = self.params.get(f"blocks.{index}.classifier")
         return MoELayer(experts, cols, self.config.top_k, cls)
 
-
-class DenseModel(Model):
-    """A model with no expansion: one FFN per layer, nothing routed."""
-
     @classmethod
-    def create(cls, config: ModelConfig, groups: Sequence[str]) -> "DenseModel":
-        """A freshly initialised model of ``groups``, the language groups its
-        training will cover: at least one, each once, as a checkpoint needs."""
-        groups = tuple(groups)
-        if not groups:
-            raise InvalidInputError("a model needs at least one group")
-        repeated = sorted({g for g in groups if groups.count(g) > 1})
-        if repeated:
-            raise InvalidInputError(f"group listed more than once: {', '.join(repeated)}")
+    def create(cls, config: ModelConfig, groups: Sequence[str]) -> "Model":
+        """A freshly initialised model of ``groups``, with no expansion; its
+        size is bounded before anything is allocated."""
         # Every block has the same shapes, so the layout's size is linear in
         # the layer count: read it off one- and two-block layouts.
         one, two = (sum(math.prod(s) for _, s, _ in _dense_param_specs(replace(config, layers=n)))
@@ -267,6 +276,9 @@ class DenseModel(Model):
                 data = _init_rng(config.seed, name).normal(0.0, std, size=shape)
             params[name] = Tensor(data)
         return cls(config, params, groups)
+
+
+DenseModel = Model  # the benchmark builds its base with DenseModel.create
 
 
 class MoEModel(Model):
@@ -300,8 +312,9 @@ def _plan_counts(plan, layers: int) -> tuple[int, ...]:
 def extend_expansion(model: Model, plan, group: str) -> MoEModel:
     """Copy of ``model`` plus ``group``'s expansion: per layer, ``plan`` new
     experts with zero router columns. A new expert is the layer's expert 0
-    (the original dense FFN) plus seeded Gaussian noise. Classifiers from the
-    previous expansion are dropped, since the next review stage re-selects
+    (the original dense FFN) plus seeded Gaussian noise; a first expansion
+    makes each dense FFN expert 0, with a zero router column. Classifiers from
+    the previous expansion are dropped, since the next review stage re-selects
     layers and trains fresh ones against the enlarged old group. ``group``
     must be one the model does not know yet."""
     if group in model.proficient_groups:
@@ -309,15 +322,18 @@ def extend_expansion(model: Model, plan, group: str) -> MoEModel:
     config = model.config
     counts = _plan_counts(plan, config.layers)
     expansion = len(model.expansion_history)
-    kept = {name: p for name, p in model.params.items() if not name.endswith(".classifier")}
+    kept = {name.replace(".ffn.", ".experts.0."): p.data  # ".ffn." only before an expansion
+            for name, p in model.params.items() if not name.endswith(".classifier")}
+    if not model.expansion_history:
+        kept |= {f"blocks.{i}.router.0": np.zeros(config.hidden) for i in range(config.layers)}
     # A new expert is expert 0's three matrices plus a router column, the same in every layer.
-    expert = sum(kept[f"blocks.0.experts.0.{part}"].data.size for part in _PARTS) + config.hidden
-    _check_size(sum(p.data.size for p in kept.values()) + sum(counts) * expert)
-    params = {name: Tensor(p.data.copy()) for name, p in kept.items()}
+    expert = sum(kept[f"blocks.0.experts.0.{part}"].size for part in _PARTS) + config.hidden
+    _check_size(sum(data.size for data in kept.values()) + sum(counts) * expert)
+    params = {name: Tensor(data.copy()) for name, data in kept.items()}
     for i, existing in enumerate(model.expert_counts()):
         for e in range(existing, existing + counts[i]):
             for part in _PARTS:
-                base = model.params[f"blocks.{i}.experts.0.{part}"].data
+                base = kept[f"blocks.{i}.experts.0.{part}"]
                 tag = ("expansion", expansion, "layer", i, "expert", e, part)
                 rng = SeededRng(derive_seed(config.seed, *tag)).generator()
                 data = base + rng.normal(0.0, NEW_EXPERT_NOISE_STD, size=base.shape)
@@ -327,15 +343,10 @@ def extend_expansion(model: Model, plan, group: str) -> MoEModel:
     return MoEModel(config, params, model.base_groups, history)
 
 
-def upcycle(dense: DenseModel, plan, group: str) -> MoEModel:
-    """Turn a dense model into an MoE: per layer, expert 0 is the original
-    FFN and ``plan`` new experts are added by :func:`extend_expansion`.
-    Routers start at zero, so routing begins uniform with deterministic
-    tie-breaking. ``dense`` is left untouched."""
-    params = {name.replace(".ffn.", ".experts.0."): p for name, p in dense.params.items()}
-    for i in range(dense.config.layers):
-        params[f"blocks.{i}.router.0"] = Tensor(np.zeros(dense.config.hidden))
-    return extend_expansion(Model(dense.config, params, dense.base_groups), plan, group)
+def upcycle(dense: Model, plan, group: str) -> MoEModel:
+    """:func:`extend_expansion` of a model with no expansion, under the name
+    the benchmark calls and times (as ``trainer.upcycle``)."""
+    return extend_expansion(dense, plan, group)
 
 
 def add_classifiers(model: Model, layers: Sequence[int]) -> Model:

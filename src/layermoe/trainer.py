@@ -486,10 +486,9 @@ def expand(
     recipe: TrainingRecipe,
     seed: int,
 ) -> tuple[Model, list[LossReport]]:
-    """Stage 1 of an expansion: give ``group`` the experts of ``plan`` by
-    upcycling a model with no expansion or extending one with some (each new
-    expert copies its layer's expert 0), then train them on the group's
-    sequences in ``corpus``."""
+    """Stage 1 of an expansion: give ``group`` the experts of ``plan`` with
+    :func:`extend_expansion` (a first expansion calls it as ``upcycle``, the
+    name the benchmark times), then train them on the group's sequences."""
     expanded = (extend_expansion if model.expansion_history else upcycle)(model, plan, group)
     return stage1_train(expanded, corpus.subset_groups([group]), recipe, seed)
 

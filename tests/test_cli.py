@@ -441,19 +441,44 @@ def test_run_pipeline_rejects_a_negative_learning_rate(tmp_path, capsys):
       "learning rate, momentum and loss weights must be >= 0"),
      ("expansions.0.group=zz", "expansions.0.group 'zz' has no languages in languages.groups"),
      ("expansions.0.group=g0", "expansions.0.group 'g0' is already proficient"),
-     ("expansions.1.group=g1", "expansions.1.group 'g1' is already proficient")],
+     ("expansions.1.group=g1", "expansions.1.group 'g1' is already proficient"),
+     ("expansions.0.budget=2", "expansions.0.budget 2 cannot give 3 layers one expert each"),
+     ("expansions.1.budget=2", "expansions.1.budget 2 cannot give 3 layers one expert each")],
     ids=["negative-base-rate", "negative-stage1-rate", "unknown-group", "base-group",
-         "group-expanded-twice"],
+         "group-expanded-twice", "first-budget-below-layers", "second-budget-below-layers"],
 )
 def test_a_pipeline_that_cannot_run_writes_no_file(tmp_path, capsys, pair, message):
     """Each failed only when its stage came: the first after the corpus was
     written, the others after the base, its losses and metrics too (and the
-    last after the first expansion's files)."""
+    second expansion's after the first expansion's files). A budget below
+    the layer count failed in ``allocate`` with a BudgetError."""
     config = pipeline_hashes_config("lifelong", 1)
     argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
     out = tmp_path / "out"
     record = run_failing(argv + ["--out-dir", str(out), "--set", pair], capsys)
     assert record == {"error": "ConfigurationError", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "pair, error, message",
+    [("model.context=1", "InvalidInputError", "sequence length must be >= 2"),
+     ("corpus.tokens_per_language=4", "InvalidInputError",
+      "tokens_per_language must be >= sequence_length"),
+     ("expansions.0.q=1", "FormatError",
+      "pipeline config has a value of the wrong type at expansions.0.q")],
+    ids=["context-below-two", "corpus-below-one-sequence", "q-below-two"],
+)
+def test_a_pipeline_whose_corpus_or_profile_cannot_be_made_writes_no_file(
+    tmp_path, capsys, pair, error, message
+):
+    """The first two left an empty output directory, made before the corpus;
+    q 1 failed in the first profile, after the corpus and the base's files."""
+    config = pipeline_hashes_config("lifelong", 1)
+    argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
+    out = tmp_path / "out"
+    record = run_failing(argv + ["--out-dir", str(out), "--set", pair], capsys)
+    assert record == {"error": error, "message": message}
     assert not out.exists()
 
 
@@ -1630,16 +1655,84 @@ def test_train_base_rejects_a_batch_too_large_to_hold(tmp_path, artifacts):
     "pair, error",
     [(f"model.hidden={10**30}", "InvalidInputError"),
      (f"base.batch_size={10**30}", "ConfigurationError"),
-     (f"expansions.0.stage2.batch_size={2**16 + 1}", "ConfigurationError")],
-    ids=["huge-model", "huge-base-batch", "batch-over-the-bound"],
+     (f"expansions.0.stage2.batch_size={2**16 + 1}", "ConfigurationError"),
+     (f"corpus.tokens_per_language={10**12}", "InvalidInputError")],
+    ids=["huge-model", "huge-base-batch", "batch-over-the-bound", "huge-corpus"],
 )
 def test_run_pipeline_rejects_what_it_cannot_hold_before_writing(tmp_path, pair, error):
-    """The first two raised numpy's ValueError after corpus.jsonl was written."""
+    """The first two raised numpy's ValueError after corpus.jsonl was written;
+    the huge corpus left an empty output directory."""
     config = write_json(tmp_path / "pipeline.json", pipeline_config())
     out = tmp_path / "out"
     record = run_capped(["run-pipeline", "--config", config, "--out-dir", str(out), "--set", pair])
     assert record["error"] == error
     assert not out.exists()
+
+
+SWEEP = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from layermoe.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:  # a traceback the command let through
+        code, err = None, io.StringIO(repr(exc))
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+INT_VALUES = (-1, 0, 1, 2**31, 2**63, 10**30, 10**400)
+FLOAT_VALUES = ("nan", "inf", "-0.0", "1e308")
+
+
+def test_every_number_option_exits_0_or_2_with_one_json_line(tmp_path, artifacts):
+    """Every int and float option of the file commands, given each edge
+    value, either runs or fails by the error contract. All calls run
+    in-process in one subprocess with a 2 GB address-space limit, so that a
+    value that allocates or hangs fails only this test. ``--steps`` stays 1
+    unless it is under test, where 2**31 and above would only mean a long run."""
+    from layermoe.cli import _build_parser
+
+    spec = write_json(tmp_path / "spec.json", {"groups": {"g0": ["a"], "g1": ["b"]}, "block_size": 8})
+    a = artifacts
+    train = ["--corpus", a["c.jsonl"], "--steps", "1", "--batch-size", "2"]
+    base = {
+        "gen-corpus": ["--spec", spec, "--tokens", "128", "--seq-len", "8"],
+        "train-base": ["--config", a["model.json"], *train, "--group", "g0"],
+        "profile": ["--model", a["base.lmoe"], "--corpus", a["c.jsonl"], "--group", "g1", "--q", "8"],
+        "allocate": ["--profile", a["profile.json"], "--budget", "3"],
+        "expand": ["--model", a["base.lmoe"], "--plan", a["plan.json"], *train, "--group", "g1"],
+        "review": ["--model", a["moe.lmoe"], *train, "--profile", a["profile.json"]],
+        "eval": ["--model", a["rev.lmoe"], "--corpus", a["c.jsonl"]],
+    }
+    commands = next(x for x in _build_parser()._actions if x.dest == "command").choices
+    calls = []
+    for command, argv in base.items():
+        out = ["--out", str(tmp_path / command)]
+        for action in commands[command]._actions:
+            values = {int: INT_VALUES, float: FLOAT_VALUES}.get(action.type, ())
+            for value in values:
+                if action.dest == "steps" and int(value) >= 2**31:
+                    continue
+                calls.append([command, *argv, *out, f"{action.option_strings[0]}={value}"])
+    assert {call[0] for call in calls} == set(base)
+    source = str(Path(layermoe.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", SWEEP], input=json.dumps(calls),
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    broken = []
+    for argv, (code, err) in zip(calls, json.loads(done.stdout)):
+        lines = err.strip().splitlines()
+        if code == 0 and not lines:
+            continue
+        if code == 2 and len(lines) == 1 and json.loads(lines[0]).keys() == {"error", "message"}:
+            continue
+        broken.append((argv[0], argv[-1], code, err[-300:]))
+    assert not broken
 
 
 def checkpoint_bytes(path, header=None, payload=None) -> bytes:

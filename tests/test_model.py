@@ -1,6 +1,7 @@
 """Upcycling, routing, gated forward, partitions, and checkpoints."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,51 @@ class TestModel:
         assert type(load_model(tmp_path / "moe")) is MoEModel
 
 
+def without(params, name):
+    return {n: p for n, p in params.items() if n != name}
+
+
+class TestConstructor:
+    """The constructor checks every model's structure, with the messages a
+    checkpoint that holds the same fault is refused with. Before, only
+    ``load_model`` checked these, and a model built directly took each."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: {**a, "params": without(a["params"], "head")},
+             "parameters do not fit the model (found != expected): head None != (16, 32)"),
+            (lambda a: {**a, "params": {**a["params"], "blocks.0.router.9": Tensor(np.zeros(16))}},
+             "parameters do not fit the model (found != expected): blocks.0.router.9 (16,) != None"),
+            (lambda a: {**a, "params": {**a["params"], "head": Tensor(np.zeros((16, 31)))}},
+             "parameters do not fit the model (found != expected): head (16, 31) != (16, 32)"),
+            (lambda a: {**a, "base_groups": ()}, "a model needs at least one group"),
+            (lambda a: {**a, "base_groups": ("g0", "g1")}, "group listed more than once: g1"),
+            (lambda a: {**a, "classifier_layers": (1, 0, 1)},
+             "classifier layer listed more than once: 1"),
+            (lambda a: {**a, "expansion_history": (Expansion("g1", (10**6, 1)),)},
+             "expansion history has more experts than parameters"),
+        ],
+        ids=["missing-param", "extra-param", "wrong-shape", "no-group", "group-base-and-history",
+             "repeated-classifier-layer", "experts-beyond-params"],
+    )
+    def test_a_structure_a_checkpoint_cannot_hold_is_rejected(self, dense, edit, message):
+        model = add_classifiers(upcycle(dense, [1, 2], "g1"), [0, 1])
+        parts = {"config": model.config, "params": model.params, "base_groups": ("g0",),
+                 "expansion_history": model.expansion_history, "classifier_layers": (0, 1)}
+        MoEModel(**parts)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            MoEModel(**edit(parts))
+
+    def test_a_dense_model_with_expert_names_is_rejected(self, dense):
+        """What ``upcycle`` used to build before it extended it: expert-0
+        names and router columns on a model with no expansion."""
+        params = {n.replace(".ffn.", ".experts.0."): p for n, p in dense.params.items()}
+        params.update({f"blocks.{i}.router.0": Tensor(np.zeros(16)) for i in range(2)})
+        with pytest.raises(InvalidInputError, match="^parameters do not fit the model"):
+            Model(dense.config, params, ("g0",))
+
+
 class TestUpcycle:
     def test_structure(self, dense):
         model = upcycle(dense, [2, 3], "g1")
@@ -134,6 +180,22 @@ class TestUpcycle:
         before = hash_params(dense, sorted(dense.params))
         upcycle(dense, [2, 2], "g1")
         assert hash_params(dense, sorted(dense.params)) == before
+
+    def test_a_first_expansion_is_an_expansion(self, dense):
+        """``extend_expansion`` of a model with no expansion stores each dense
+        FFN as expert 0 with a zero router column; before, it raised
+        ``KeyError: 'blocks.0.experts.0.gate'`` and only ``upcycle`` could."""
+        fresh = Model.create(dense.config, ("g0",))
+        model = extend_expansion(fresh, [2, 1], "g1")
+        assert type(model) is MoEModel and model.expert_counts() == (3, 2)
+        assert fresh.fingerprint() == dense.fingerprint() and not fresh.expansion_history
+        assert model.fingerprint() == upcycle(dense, [2, 1], "g1").fingerprint()
+        for name, param in dense.params.items():
+            kept = model.params[name.replace(".ffn.", ".experts.0.")].data
+            assert kept.tobytes() == param.data.tobytes()
+        for i in range(dense.config.layers):
+            assert model.params[f"blocks.{i}.router.0"].data.tobytes() == bytes(8 * 16)
+        assert not [n for n in model.params if ".ffn." in n]
 
     def test_added_experts_follow_the_seed_scheme(self, dense):
         """Upcycling and extending add experts the same way: expert 0 plus
