@@ -9,7 +9,8 @@ k / (2B - k) = overlap for support size B).
 
 Token ids 0 and 1 are reserved (BOS and padding). Sequences are fixed
 length, start with BOS, and never cross language boundaries, so the
-old-language indicator of a token is exactly its sequence's group tag.
+old-language indicator of a token is exactly its sequence's group tag. A
+corpus checks itself when built; ``load_jsonl`` parses and builds.
 """
 
 from __future__ import annotations
@@ -159,15 +160,19 @@ class TaggedCorpus:
     groups: tuple[str, ...]
 
     def __post_init__(self):
-        seq = np.asarray(self.sequences, dtype=np.int64)
-        if seq.ndim != 2:
-            raise InvalidInputError("sequences must be a (n, length) array")
+        seq = np.asarray(self.sequences)
+        if seq.ndim != 2 or seq.dtype.kind not in "iu":
+            raise InvalidInputError(
+                f"sequences must be a (n, length) integer array, not {seq.ndim}-d {seq.dtype}")
+        seq = seq.astype(np.int64, copy=False)
         if seq.shape[1] < 2:
             raise InvalidInputError("sequences need at least two tokens: an input and a target")
         if len(self.languages) != len(seq) or len(self.groups) != len(seq):
             raise InvalidInputError("every sequence needs a language and group tag")
         if seq.size and seq.min() < 0:
             raise InvalidInputError("negative token id")
+        if not all(isinstance(name, str) for name in (*self.languages, *self.groups)):
+            raise InvalidInputError("language and group names must be strings")
         tags = sorted(set(zip(self.languages, self.groups)))
         for (lang, group), (other, second) in zip(tags, tags[1:] + [(None, None)]):
             # A profile names a language pair by the two names joined by "|".
@@ -222,6 +227,8 @@ class TaggedCorpus:
         return rows[:, None] & self.token_mask()
 
     def save_jsonl(self, path: str | Path) -> None:
+        if not len(self):  # load_jsonl refuses a file of no record
+            raise InvalidInputError("an empty corpus cannot be saved")
         with open(path, "w", encoding="utf-8") as fh:
             for row, lang, group in zip(self.sequences, self.languages, self.groups):
                 fh.write(
@@ -248,11 +255,14 @@ class TaggedCorpus:
                 languages.append(record["lang"])
                 groups.append(record["group"])
         if not sequences:
-            raise InvalidInputError(f"{path}: empty corpus")
+            raise FormatError(f"{path}: empty corpus")
         lengths = {len(s) for s in sequences}
         if len(lengths) != 1:
-            raise InvalidInputError(f"{path}: sequences have mixed lengths {sorted(lengths)}")
-        return cls(np.asarray(sequences, dtype=np.int64), tuple(languages), tuple(groups))
+            raise FormatError(f"{path}: sequences have mixed lengths {sorted(lengths)}")
+        try:
+            return cls(np.asarray(sequences, dtype=np.int64), tuple(languages), tuple(groups))
+        except InvalidInputError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def generate(

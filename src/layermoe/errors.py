@@ -46,5 +46,5 @@ class FormatError(LayerMoEError, ValueError):
     """An artifact or input file that cannot be parsed or breaks its invariants:
     a bad magic number, version or truncated payload, a JSON value that does
     not match its spec in :mod:`layermoe.schema` (the message names every
-    missing key, wrong path and unknown key), an invalid plan, or a manifest
-    whose recorded arguments the CLI parser rejects when ``replay`` parses them."""
+    missing key, wrong path and unknown key), what an artifact's constructor
+    refuses, or a manifest whose arguments the CLI parser rejects in ``replay``."""

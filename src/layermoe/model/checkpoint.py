@@ -13,9 +13,11 @@ history, classifier layers, and each parameter's name and shape. The kind
 is derived from the history: "moe" for a model with an expansion, "dense"
 for one without. A dense header names its base groups ``groups``; an MoE
 header names them ``base_groups`` and records at least one expansion.
-Loading checks the header against its spec and the payload against the
-header, then builds the model, whose constructor checks the rest: groups,
-classifier layers, and parameters that fit the model's structure.
+The model's constructor checks its structure: groups, expansion counts,
+classifier layers, and parameters that fit them. Loading only parses: it
+checks the header against its spec and the payload against the header,
+makes one constructor call, and reports what the constructor refuses as a
+``FormatError`` that names the file.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import FormatError, InvalidInputError
+from ..errors import ConfigurationError, FormatError, InvalidInputError
 from ..numerics import Tensor
-from ..schema import Int, List, check, problems
+from ..schema import Int, List, check
 from .config import MODEL_SPEC, ModelConfig
 from .network import Expansion, Model, MoEModel
 
@@ -67,16 +69,13 @@ def save_model(model: Model, path: str | Path) -> None:
 def _header_spec(header) -> dict:
     """The header's spec, with only its kind's keys (the dense ones when the
     kind is malformed). Counts are at most the number of params present, so
-    nothing is enumerated beyond what the file holds; classifier layers and
-    history fit ``config.layers`` (taken as 0 when malformed, which is reported)."""
+    nothing is enumerated beyond what the file holds."""
     found = header if isinstance(header, dict) else {}
     n = len(found["params"]) if isinstance(found.get("params"), list) else 0
-    layers = found["config"].get("layers") if isinstance(found.get("config"), dict) else 0
-    layers = 0 if problems(layers, int) else layers
     moe = {
         "base_groups": List(str, 1),
-        "expansion_history": List((str, List(Int(0, n), layers, layers)), 1),
-        "classifier_layers?": [Int(0, layers - 1)],
+        "expansion_history": List((str, [Int(0, n)]), 1),
+        "classifier_layers?": [int],
     }
     return {
         "kind": {"dense", "moe"},
@@ -121,12 +120,12 @@ def load_model(path: str | Path) -> Model:
             raise FormatError(f"{path}: non-finite values in parameter {entry['name']}")
         params[entry["name"]] = Tensor(data)
 
-    config = ModelConfig(**header["config"])
     # The spec admits a history exactly when the kind is "moe".
     history = [Expansion(g, tuple(c)) for g, c in header.get("expansion_history", [])]
     base_groups = header["base_groups" if history else "groups"]
     layers = header.get("classifier_layers", [])
     try:
+        config = ModelConfig(**header["config"])
         return (MoEModel if history else Model)(config, params, base_groups, history, layers)
-    except InvalidInputError as exc:
+    except (ConfigurationError, InvalidInputError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

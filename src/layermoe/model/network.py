@@ -49,6 +49,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -213,9 +214,18 @@ class Model:
         self.params = params
         self.base_groups = tuple(base_groups)
         self.expansion_history = tuple(expansion_history)
-        self.classifier_layers = tuple(sorted(int(i) for i in classifier_layers))
         if not self.base_groups:
             raise InvalidInputError("a model needs at least one group")
+        for group, counts in self.expansion_history:
+            if len(counts) != config.layers or not all(isinstance(c, Integral) and c >= 0
+                                                       for c in counts):
+                raise InvalidInputError(f"expansion {group!r} gives {list(counts)}, not one"
+                                        f" count >= 0 for each of {config.layers} layers")
+        moe = range(config.layers if self.expansion_history else 0)  # the layers a classifier gates
+        if wrong := [i for i in classifier_layers if not (isinstance(i, Integral) and i in moe)]:
+            raise InvalidInputError(f"classifier layers {wrong} are not among the model's"
+                                    f" {len(moe)} MoE layers")
+        self.classifier_layers = tuple(sorted(int(i) for i in classifier_layers))
         for what, values in [("group", self.proficient_groups),
                              ("classifier layer", self.classifier_layers)]:
             repeated = ", ".join(map(str, sorted({v for v in values if values.count(v) > 1})))
@@ -352,14 +362,12 @@ def upcycle(dense: Model, plan, group: str) -> MoEModel:
 def add_classifiers(model: Model, layers: Sequence[int]) -> Model:
     """Install zero-initialised two-class classifiers on ``layers``,
     replacing any previous classifier set."""
-    layer_ids = tuple(sorted({int(i) for i in layers}))
-    if layer_ids and not (0 <= layer_ids[0] and layer_ids[-1] < model.config.layers):
-        raise InvalidInputError(f"classifier layers {layer_ids} out of range")
-    for name in [n for n in model.params if n.endswith(".classifier")]:
-        del model.params[name]
-    for i in layer_ids:
-        model.params[f"blocks.{i}.classifier"] = Tensor(np.zeros((model.config.hidden, 2)))
-    model.classifier_layers = layer_ids
+    layer_ids = sorted(set(layers))
+    params = {n: p for n, p in model.params.items() if not n.endswith(".classifier")}
+    params |= {f"blocks.{i}.classifier": Tensor(np.zeros((model.config.hidden, 2)))
+               for i in layer_ids}
+    checked = Model(model.config, params, model.base_groups, model.expansion_history, layer_ids)
+    model.params, model.classifier_layers = checked.params, checked.classifier_layers
     return model
 
 

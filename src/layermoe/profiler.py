@@ -5,9 +5,9 @@ module samples those states per language (its candidates: one
 ``(layers, q, hidden)`` float32 array of ``q`` sampled positions), measures
 mean pairwise cosine similarity between languages per layer, folds the pair
 matrix into one indicated-similarity value per layer, and picks the layers
-that get a routing classifier. A profile is its pairs: its per-layer values
-are derived from them when it is built, and a profile file must carry the
-pairs that give its layers. Profile values are defined on the
+that get a routing classifier. A profile is its pairs: it checks them and
+derives its per-layer values from them when it is built, and a profile file
+must carry the pairs that give its layers. Profile values are defined on the
 float32-rounded taps, upcast to float64 for the arithmetic: keeping more
 precision would change the bytes of every saved profile.
 
@@ -131,9 +131,28 @@ class SimilarityProfile:
     indicated: np.ndarray = field(init=False)  # (layers,)
 
     def __post_init__(self):
-        derived = indicated_similarity(self.pair_sims, self.old_languages, self.new_languages)
-        for name, values in zip(("new_old", "new_new", "indicated"), derived):
-            object.__setattr__(self, name, values)
+        both = sorted(set(self.old_languages) & set(self.new_languages))
+        if both:
+            raise InvalidInputError(f"old_languages and new_languages both list {both[0]}:"
+                                    " a language cannot be both old and new")
+        pairs, layers = {}, None
+        for key, values in self.pair_sims.items():  # named as a profile file keys them
+            name, values = "|".join(key), np.asarray(values, dtype=np.float64)
+            if len(key) != 2 or not all(key) or name.count("|") != 1:
+                raise InvalidInputError(f"pairs key {name!r} is not two names joined by '|'")
+            layers = values.size if layers is None else layers
+            if values.shape != (layers,):
+                raise InvalidInputError(f"pairs {name} has {values.size} values for {layers}"
+                                        " layers")
+            for i, value in enumerate(values.tolist()):
+                if not -1.0 <= value <= 1.0:
+                    raise InvalidInputError(f"pairs {name} at layer {i} is {value!r},"
+                                            " outside [-1, 1]")
+            pairs[key] = values
+        if layers == 0:
+            raise InvalidInputError("pairs hold no layer")
+        derived = indicated_similarity(pairs, self.old_languages, self.new_languages)
+        self.__dict__.update(zip(("new_old", "new_new", "indicated"), derived), pair_sims=pairs)
 
     @property
     def layer_count(self) -> int:
@@ -189,8 +208,6 @@ def profile_similarity(
 ) -> SimilarityProfile:
     """Collect candidates on ``model`` and compute the per-layer profile."""
     old_languages, new_languages = tuple(old_languages), tuple(new_languages)
-    if set(old_languages) & set(new_languages):
-        raise InvalidInputError("a language cannot be both old and new")
     languages = old_languages + new_languages
     candidates = {
         lang: collect_candidates(model, corpus, lang, q, seed) for lang in dict.fromkeys(languages)
@@ -249,37 +266,21 @@ _FIELDS = ("s_new_old", "s_new_new", "s")
 
 
 def load_profile(path: str | Path) -> SimilarityProfile:
-    """A profile file, checked against what it was derived from: every pair
-    value a mean of cosines can take, one per layer, and every layer value
-    the bits ``indicated_similarity`` gives from the pairs."""
+    """A profile file, checked against what it was derived from: the profile
+    its pairs give, one layer row per pair value, and every layer value the
+    bits ``indicated_similarity`` gives from the pairs."""
     record = check(load_json(path), _PROFILE, f"{path}: profile")
     layers = by_index(record["layers"], f"{path}: profile")
-    old, new = tuple(record["old_languages"]), tuple(record["new_languages"])
-    both = sorted(set(old) & set(new))
-    if both:
-        raise FormatError(
-            f"{path}: profile old_languages and new_languages both list {both[0]}:"
-            " a language cannot be both old and new"
-        )
-    pairs = {}
-    for key, values in record["pairs"].items():
-        names = tuple(key.split("|"))
-        if len(names) != 2 or not all(names):
-            raise FormatError(f"{path}: profile pairs key {key!r} is not two names joined by '|'")
-        if len(values) != len(layers):
-            raise FormatError(
-                f"{path}: profile pairs {key} has {len(values)} values for {len(layers)} layers"
-            )
-        for i, value in enumerate(values):
-            if not -1.0 <= value <= 1.0:
-                raise FormatError(
-                    f"{path}: profile pairs {key} at layer {i} is {value!r}, outside [-1, 1]"
-                )
-        pairs[names] = np.asarray(values, dtype=np.float64)
+    pairs = {tuple(key.split("|")): values for key, values in record["pairs"].items()}
     try:
-        profile = SimilarityProfile(pairs, old, new, record.get("meta", {}))
+        profile = SimilarityProfile(pairs, tuple(record["old_languages"]),
+                                    tuple(record["new_languages"]), record.get("meta", {}))
     except InvalidInputError as exc:
-        raise FormatError(f"{path}: profile pairs do not give its layers: {exc}") from None
+        raise FormatError(f"{path}: profile {exc}") from None
+    if len(layers) != profile.layer_count:
+        key, values = next(iter(record["pairs"].items()))
+        raise FormatError(
+            f"{path}: profile pairs {key} has {len(values)} values for {len(layers)} layers")
     for name, want in zip(_FIELDS, (profile.new_old, profile.new_new, profile.indicated)):
         for i, row in enumerate(layers):  # None reads as NaN, which no value here can be
             have, given = row[name], None if want is None else float(want[i])

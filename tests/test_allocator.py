@@ -1,16 +1,18 @@
 """Inverse-similarity expert allocation and plan validation."""
 
 import itertools
+import json
 import math
-from dataclasses import replace
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from layermoe.allocator import allocate, load_plan, save_plan, validate
-from layermoe.errors import BudgetError, UnsupportedSimilarityError
+from layermoe.allocator import AllocationPlan, allocate, load_plan, save_plan, validate
+from layermoe.errors import BudgetError, FormatError, UnsupportedSimilarityError
 from layermoe.numerics import SeededRng
 
 
@@ -165,48 +167,70 @@ class TestAllocate:
         assert plan.new_experts == tuple(want)
 
 
+def plan_faults(directory, plan, **changes) -> list[str]:
+    """What ``load_plan`` refuses in ``plan``'s file with ``changes`` written
+    in: ``budget``, or a per-layer column (``similarity``, ``raw``,
+    ``pre_reconciliation``, ``new_experts``) given one value per layer."""
+    path = directory / "plan.json"
+    save_plan(plan, path)
+    record = json.loads(path.read_text())
+    for name, values in changes.items():
+        if name == "budget":
+            record["budget"] = values
+        else:
+            for row, value in zip(record["layers"], values):
+                row[name] = value
+    path.write_text(json.dumps(record))
+    with pytest.raises(FormatError) as caught:
+        load_plan(path)
+    prefix = f"{path}: invalid plan: "
+    assert str(caught.value).startswith(prefix)
+    return str(caught.value)[len(prefix):].split("; ")
+
+
 class TestValidate:
-    """A plan is valid if and only if it is what ``allocate`` gives for its
-    own similarities and budget."""
+    """A plan file is valid if and only if it holds what ``allocate`` gives
+    for its own similarities and budget; a plan object cannot hold anything
+    else, so ``validate`` checks only its layer count."""
 
-    def test_detects_budget_violation(self):
+    def test_detects_budget_violation(self, tmp_path):
         plan = allocate([0.5, 0.4], 5)
-        broken = replace(plan, new_experts=(1, 1))
-        assert validate(broken, 2) == ["new_experts at layer 0 is 1, allocate gives 2"]
+        found = plan_faults(tmp_path, plan, new_experts=(1, 1))
+        assert found == ["new_experts at layer 0 is 1, allocate gives 2"]
 
-    def test_detects_monotonicity_violation(self):
+    def test_detects_monotonicity_violation(self, tmp_path):
         plan = allocate([0.5, 0.4], 5)
-        broken = replace(plan, pre_reconciliation=(1, 3), similarities=(0.4, 0.5))
-        assert "pre_reconciliation at layer 0 is 1, allocate gives 3" in validate(broken, 2)
+        found = plan_faults(tmp_path, plan, pre_reconciliation=(1, 3), similarity=(0.4, 0.5))
+        assert "pre_reconciliation at layer 0 is 1, allocate gives 3" in found
 
-    def test_names_the_first_layer_of_each_field_that_differs(self):
+    def test_names_the_first_layer_of_each_field_that_differs(self, tmp_path):
         plan = allocate([0.5, 0.4, 0.3], 6)
         nudged = plan.raw[1] + 1e-15  # a few ulps off, with every count unchanged
-        assert validate(replace(plan, raw=(plan.raw[0], nudged, plan.raw[2])), 3) == [
+        assert plan_faults(tmp_path, plan, raw=(plan.raw[0], nudged, plan.raw[2])) == [
             f"raw at layer 1 is {nudged!r}, allocate gives {plan.raw[1]!r}"
         ]
-        broken = replace(plan, pre_reconciliation=(2, 1, 3), new_experts=(1, 3, 2))
-        assert validate(broken, 3) == [
+        found = plan_faults(tmp_path, plan, pre_reconciliation=(2, 1, 3), new_experts=(1, 3, 2))
+        assert found == [
             "pre_reconciliation at layer 1 is 1, allocate gives 2",
             "new_experts at layer 1 is 3, allocate gives 2",
         ]
 
-    def test_reports_what_allocate_rejects(self):
+    def test_reports_what_allocate_rejects(self, tmp_path):
         plan = allocate([0.5, 0.4, 0.3], 6)
-        assert validate(replace(plan, budget=2), 3) == [
+        assert plan_faults(tmp_path, plan, budget=2) == [
             "budget 2 cannot give 3 layers one expert each"
         ]
-        found = validate(replace(plan, similarities=(0.5, -7.0, 0.3)), 3)
+        found = plan_faults(tmp_path, plan, similarity=(0.5, -7.0, 0.3))
         assert len(found) == 1 and found[0].endswith("layer 1 has similarity -7.0")
 
     def test_detects_layer_count_mismatch(self):
         plan = allocate([0.5, 0.4], 5)
         assert validate(plan, 3) == ["plan covers 2 layers, expected 3"]
 
-    def test_detects_sub_one_layer(self):
+    def test_detects_sub_one_layer(self, tmp_path):
         plan = allocate([0.5, 0.4], 5)
-        broken = replace(plan, new_experts=(5, 0))
-        assert validate(broken, 2) == ["new_experts at layer 0 is 5, allocate gives 2"]
+        found = plan_faults(tmp_path, plan, new_experts=(5, 0))
+        assert found == ["new_experts at layer 0 is 5, allocate gives 2"]
 
 
 class TestPlanIO:
@@ -217,3 +241,41 @@ class TestPlanIO:
         assert save_plan(plan, path) is None
         assert load_plan(path) == plan
         assert list(tmp_path.iterdir()) == [path]
+
+
+# A structural fault of a plan file, as an edit of its budget and similarities.
+PLAN_FAULTS = {
+    "budget-below-layers": lambda budget, sims: (len(sims) - 1, sims),
+    "zero-similarity": lambda budget, sims: (budget, [0.0, *sims[1:]]),
+    "negative-similarity": lambda budget, sims: (budget, [*sims[:-1], -sims[-1]]),
+    "nan-similarity": lambda budget, sims: (budget, [math.nan, *sims[1:]]),
+    "infinite-similarity": lambda budget, sims: (budget, [*sims[:-1], math.inf]),
+    "no-layer": lambda budget, sims: (budget, []),
+}
+
+
+@given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(PLAN_FAULTS)))
+@settings(max_examples=40, deadline=None)
+def test_a_plan_saves_what_it_loads_and_builds_nothing_its_loader_refuses(sims, extra, fault):
+    """A plan saves, loads back equal and saves the same bytes. A budget or
+    similarities that ``load_plan`` refuses, the constructor refuses; the
+    derived fields are not the constructor's to take."""
+    plan = AllocationPlan(len(sims) + extra, tuple(sims))
+    budget, broken = PLAN_FAULTS[fault](plan.budget, list(plan.similarities))
+    with tempfile.TemporaryDirectory() as scratch:
+        first, second = Path(scratch, "a.json"), Path(scratch, "b.json")
+        save_plan(plan, first)
+        assert load_plan(first) == plan
+        save_plan(load_plan(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        record = json.loads(first.read_text())
+        record["budget"] = budget
+        record["layers"] = [{**row, "similarity": s} for row, s in zip(record["layers"], broken)]
+        first.write_text(json.dumps(record))
+        with pytest.raises(FormatError):
+            load_plan(first)
+    with pytest.raises((BudgetError, UnsupportedSimilarityError)):
+        AllocationPlan(budget, tuple(broken))
+    with pytest.raises(TypeError):
+        AllocationPlan(plan.budget, plan.similarities, new_experts=plan.new_experts)

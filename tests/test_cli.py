@@ -29,6 +29,7 @@ from layermoe.profiler import (
 )
 from layermoe.schema import save_csv
 from pipeline_hashes import pipeline_config as pipeline_hashes_config
+from util import read_header, write_checkpoint
 
 TINY_MODEL = {"layers": 2, "hidden": 8, "heads": 2, "vocab": 32, "ffn": 8, "context": 8}
 # A complete checkpoint-header config, so that a header test fails on its params alone.
@@ -864,7 +865,8 @@ def test_corpus_of_one_token_sequences_is_rejected(tmp_path, capsys, command):
         save_model(DenseModel.create(ModelConfig(**TINY_MODEL), groups=("g0",)), model)
         argv = ["eval", "--model", str(model)]
     record = run_failing(argv + ["--corpus", str(corpus), "--out", str(tmp_path / "out")], capsys)
-    assert record["error"] == "InvalidInputError"
+    assert record["error"] == "FormatError"
+    assert record["message"].startswith(f"{corpus}: ")
     assert "at least two tokens" in record["message"]
 
 
@@ -880,8 +882,8 @@ def test_eval_rejects_a_language_tagged_with_two_groups(tmp_path, capsys):
     )
     argv = ["eval", "--model", str(model), "--corpus", str(corpus)]
     record = run_failing(argv + ["--out", str(tmp_path / "metrics.json")], capsys)
-    assert record["error"] == "InvalidInputError"
-    assert "language 'a' is tagged 'g0' and 'g1'" in record["message"]
+    assert record == {"error": "FormatError",
+                      "message": f"{corpus}: language 'a' is tagged 'g0' and 'g1'"}
     assert not (tmp_path / "metrics.json").exists()
 
 
@@ -1157,17 +1159,6 @@ def artifacts(tmp_path_factory):
     return path
 
 
-def read_header(path):
-    raw = Path(path).read_bytes()
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    return json.loads(raw[16 : 16 + hlen]), raw[16 + hlen :]
-
-
-def write_checkpoint(path, header, payload):
-    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    Path(path).write_bytes(b"LMOE" + struct.pack("<IQ", 1, len(encoded)) + encoded + payload)
-
-
 def artifact_kind(kind, path):
     """(a valid record, how to write a mutated one to a file, the command
     that reads that file) for one artifact kind."""
@@ -1336,6 +1327,7 @@ UNKNOWN_KEYS = [(kind, add_unknown(path)) for kind, path in [
         *UNKNOWN_KEYS,
         ("dense-header", add_unknown((), "classifier_layers", [0])),
         ("moe-header", add_unknown((), "groups", ["g0"])),
+        ("dense-header", edit(("config", "heads"), 3)),
     ],
     ids=[
         "string-base-groups",
@@ -1355,6 +1347,7 @@ UNKNOWN_KEYS = [(kind, add_unknown(path)) for kind, path in [
         *(f"unknown-key-{kind}-{change.named}" for kind, change in UNKNOWN_KEYS),
         "dense-header-with-an-moe-key",
         "moe-header-with-a-dense-key",
+        "heads-that-do-not-divide-hidden",
     ],
 )
 def test_reported_input_faults_exit_2(tmp_path, capsys, monkeypatch, artifacts, kind, change):
@@ -1461,7 +1454,7 @@ def one_ulp_up(path):
         (edit(("pairs", "a|b", 1), 1.5), lambda *_: "pairs a|b at layer 1 is 1.5, outside [-1, 1]"),
         (
             edit(("new_languages",), []),
-            lambda *_: "pairs do not give its layers: no new languages to profile",
+            lambda *_: "no new languages to profile",
         ),
         (edit(("new_languages",), DELETE), lambda *_: "lacks new_languages"),
         (edit(("pairs",), DELETE), lambda *_: "lacks pairs"),

@@ -1,7 +1,14 @@
 """Synthetic language construction, corpus generation, and review mixing."""
 
+import json
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layermoe.corpus import (
     BOS_ID,
@@ -14,7 +21,7 @@ from layermoe.corpus import (
     required_vocab,
     review_mixture,
 )
-from layermoe.errors import InvalidInputError
+from layermoe.errors import FormatError, InvalidInputError
 from oracles import generate_reference, sample_sequence
 
 
@@ -246,7 +253,43 @@ class TestTaggedCorpus:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"lang":"a|1","group":"g0","tokens":[0,2,3]}\n'
                         '{"lang":"b0","group":"g1","tokens":[0,4,5]}\n')
-        with pytest.raises(InvalidInputError, match=r"^language name 'a\|1' is empty or holds"):
+        message = rf"^{re.escape(str(path))}: language name 'a\|1' is empty or holds"
+        with pytest.raises(FormatError, match=message):
+            TaggedCorpus.load_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "sequences, languages, groups, message",
+        [
+            ([[0, 2, 3]], (7,), ("g0",), "language and group names must be strings"),
+            ([[0, 2, 3]], ("a",), (None,), "language and group names must be strings"),
+            ([[0, 2.5, 3]], ("a",), ("g0",),
+             "sequences must be a (n, length) integer array, not 2-d float64"),
+        ],
+        ids=["int-language", "null-group", "fractional-token"],
+    )
+    def test_a_corpus_is_refused_what_no_file_can_hold(self, sequences, languages, groups, message):
+        """The first two raised TypeError, and token 2.5 silently became 2."""
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            TaggedCorpus(np.array(sequences), languages, groups)
+
+    def test_an_empty_corpus_is_not_saved(self, tmp_path, old_new_corpora):
+        """``load_jsonl`` refuses a file with no record, so no such file is written."""
+        path = tmp_path / "corpus.jsonl"
+        with pytest.raises(InvalidInputError, match="^an empty corpus cannot be saved$"):
+            old_new_corpora[0].take([]).save_jsonl(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("\n", "empty corpus"),
+         ('{"lang":"a","group":"g0","tokens":[0,2]}\n{"lang":"a","group":"g0","tokens":[0]}\n',
+          "sequences have mixed lengths [1, 2]")],
+        ids=["empty", "mixed-lengths"],
+    )
+    def test_a_corpus_file_that_holds_no_corpus_fails_as_a_file(self, tmp_path, text, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
             TaggedCorpus.load_jsonl(path)
 
     def test_languages_in_keeps_first_appearance_order(self):
@@ -256,3 +299,45 @@ class TestTaggedCorpus:
         assert corpus.languages_in(("g2",)) == ("d",)
         with pytest.raises(InvalidInputError, match=r"no languages in groups \['g3', 'g4'\]"):
             corpus.languages_in(["g4", "g3"])
+
+
+# A structural fault of a corpus, as an edit of its records.
+CORPUS_FAULTS = {
+    "empty-language": lambda r: [{**r[0], "lang": ""}] + r[1:],
+    "language-with-a-bar": lambda r: [{**r[0], "lang": "a|b"}] + r[1:],
+    "language-in-two-groups": lambda r: r + [{**r[0], "group": r[0]["group"] + "x"}],
+    "one-token-sequences": lambda r: [{**row, "tokens": row["tokens"][:1]} for row in r],
+    "negative-token": lambda r: [{**r[0], "tokens": [-1] + r[0]["tokens"][1:]}] + r[1:],
+}
+
+
+@st.composite
+def corpus_records(draw):
+    """1-6 records of one length in 2-5, over languages a-c with one group each."""
+    length, group_of = draw(st.integers(2, 5)), {"a": "g0", "b": "g1", "c": "g0"}
+    tokens = st.lists(st.integers(0, 2**63 - 1), min_size=length, max_size=length)
+    return [{"lang": lang, "group": group_of[lang], "tokens": draw(tokens)}
+            for lang in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=6))]
+
+
+def corpus_of(records):
+    return TaggedCorpus(np.array([r["tokens"] for r in records], dtype=np.int64),
+                        tuple(r["lang"] for r in records), tuple(r["group"] for r in records))
+
+
+@given(corpus_records(), st.sampled_from(sorted(CORPUS_FAULTS)))
+@settings(max_examples=40, deadline=None)
+def test_a_corpus_saves_what_it_loads_and_builds_nothing_its_loader_refuses(records, fault):
+    """A corpus the constructor accepts saves, loads back and saves the same
+    bytes; a record fault that ``load_jsonl`` refuses, the constructor refuses."""
+    broken = CORPUS_FAULTS[fault](records)
+    with tempfile.TemporaryDirectory() as scratch:
+        first, second = Path(scratch, "a.jsonl"), Path(scratch, "b.jsonl")
+        corpus_of(records).save_jsonl(first)
+        TaggedCorpus.load_jsonl(first).save_jsonl(second)
+        assert first.read_bytes() == second.read_bytes()
+        first.write_text("".join(json.dumps(r) + "\n" for r in broken))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(first))}:"):
+            TaggedCorpus.load_jsonl(first)
+    with pytest.raises(InvalidInputError):
+        corpus_of(broken)

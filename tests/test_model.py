@@ -2,9 +2,13 @@
 
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from layermoe.errors import (
     ConfigurationError,
@@ -38,6 +42,7 @@ from layermoe.model.network import (
     _moe_mix,
 )
 from layermoe.numerics import SeededRng, Tensor, derive_seed
+from util import read_header, write_checkpoint
 
 
 def tiny_config(**overrides):
@@ -109,9 +114,21 @@ class TestConstructor:
              "classifier layer listed more than once: 1"),
             (lambda a: {**a, "expansion_history": (Expansion("g1", (10**6, 1)),)},
              "expansion history has more experts than parameters"),
+            (lambda a: {**a, "classifier_layers": (0, 1, 5)},
+             "classifier layers [5] are not among the model's 2 MoE layers"),
+            (lambda a: {**a, "classifier_layers": (-1, 0, 1)},
+             "classifier layers [-1] are not among the model's 2 MoE layers"),
+            (lambda a: {**a, "classifier_layers": (0, 1.7)},
+             "classifier layers [1.7] are not among the model's 2 MoE layers"),
+            (lambda a: {**a, "expansion_history": (Expansion("g1", (1,)),)},
+             "expansion 'g1' gives [1], not one count >= 0 for each of 2 layers"),
+            (lambda a: {**a, "expansion_history": (Expansion("g1", (4, -1)),)},
+             "expansion 'g1' gives [4, -1], not one count >= 0 for each of 2 layers"),
         ],
         ids=["missing-param", "extra-param", "wrong-shape", "no-group", "group-base-and-history",
-             "repeated-classifier-layer", "experts-beyond-params"],
+             "repeated-classifier-layer", "experts-beyond-params", "classifier-beyond-layers",
+             "negative-classifier-layer", "fractional-classifier-layer", "short-expansion",
+             "negative-expert-count"],
     )
     def test_a_structure_a_checkpoint_cannot_hold_is_rejected(self, dense, edit, message):
         model = add_classifiers(upcycle(dense, [1, 2], "g1"), [0, 1])
@@ -120,6 +137,17 @@ class TestConstructor:
         MoEModel(**parts)
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             MoEModel(**edit(parts))
+
+    def test_a_model_with_no_expansion_takes_no_classifier(self, dense):
+        """``add_classifiers`` gave a dense model ``blocks.1.classifier``, and
+        ``save_model`` wrote a checkpoint that ``load_model`` refused."""
+        model = Model(dense.config, dict(dense.params), dense.base_groups)
+        message = r"^classifier layers \[1\] are not among the model's 0 MoE layers$"
+        with pytest.raises(InvalidInputError, match=message):
+            add_classifiers(model, [1])
+        with pytest.raises(InvalidInputError, match=message):
+            Model(dense.config, dense.params, dense.base_groups, (), (1,))
+        assert model.params.keys() == dense.params.keys() and model.classifier_layers == ()
 
     def test_a_dense_model_with_expert_names_is_rejected(self, dense):
         """What ``upcycle`` used to build before it extended it: expert-0
@@ -562,9 +590,11 @@ class TestExtendAndClassifiers:
         np.testing.assert_array_equal(model.params["blocks.1.classifier"].data, 0.0)
 
     def test_out_of_range_rejected(self, dense):
-        model = upcycle(dense, [1, 1], "g1")
+        model = add_classifiers(upcycle(dense, [1, 1], "g1"), [0])
         with pytest.raises(InvalidInputError):
-            add_classifiers(model, [5])
+            add_classifiers(model, [1, 5])
+        assert model.classifier_layers == (0,)
+        assert [n for n in model.params if n.endswith(".classifier")] == ["blocks.0.classifier"]
 
 
 class TestGroups:
@@ -694,7 +724,8 @@ class TestCheckpoint:
         assert "experts.3" in broken(
             lambda m: setattr(m, "expansion_history", (Expansion("g1", (1, 3)),))
         )
-        assert "wrong type at expansion_history.0.1" in broken(
+        message = "expansion 'g1' gives [1, 2, 0], not one count >= 0 for each of 2 layers"
+        assert message in broken(
             lambda m: setattr(m, "expansion_history", (Expansion("g1", (1, 2, 0)),))
         )
         dense_copy = DenseModel(dense.config, dict(dense.params), dense.base_groups)
@@ -702,3 +733,67 @@ class TestCheckpoint:
         save_model(dense_copy, tmp_path / "dense.lmoe")
         with pytest.raises(FormatError):
             load_model(tmp_path / "dense.lmoe")
+
+
+# A structural fault of a saved MoE header, as an edit of its expansion
+# history ([[group, counts], ...]) and classifier layers, given the layer count.
+HEADER_FAULTS = {
+    "classifier-beyond-layers": lambda h, c, n: (h, c + [n + 3]),
+    "negative-classifier-layer": lambda h, c, n: (h, c + [-1]),
+    "fractional-classifier-layer": lambda h, c, n: (h, c + [n - 0.3]),
+    "repeated-classifier-layer": lambda h, c, n: (h, c + c[:1] if c else [0, 0]),
+    "short-counts": lambda h, c, n: ([[h[0][0], h[0][1][:-1]]] + h[1:], c),
+    "long-counts": lambda h, c, n: ([[h[0][0], h[0][1] + [0]]] + h[1:], c),
+    "negative-count": lambda h, c, n: ([[h[0][0], [-1] + h[0][1][1:]]] + h[1:], c),
+    "group-of-the-base": lambda h, c, n: ([["g0", h[0][1]]] + h[1:], c),
+}
+
+
+@st.composite
+def model_recipes(draw):
+    """(layers, seed, new experts per expansion, classifier layers) of a tiny
+    model with 0-2 expansions, and classifiers only on a model with one."""
+    layers = draw(st.integers(1, 3))
+    counts = st.tuples(*[st.integers(0, 2)] * layers)
+    expansions = draw(st.lists(counts, max_size=2).map(tuple))
+    classifiers = draw(st.sets(st.integers(0, layers - 1))) if expansions else set()
+    return layers, draw(st.integers(0, 2**16)), expansions, tuple(sorted(classifiers))
+
+
+@given(model_recipes(), st.sampled_from(sorted(HEADER_FAULTS)))
+@example((2, 0, ((1, 1),), ()), "classifier-beyond-layers")
+@example((2, 0, ((1, 1),), (0,)), "short-counts")
+@example((2, 0, ((1, 1),), ()), "fractional-classifier-layer")
+@settings(max_examples=40, deadline=None)
+def test_a_model_saves_what_it_loads_and_builds_nothing_a_checkpoint_refuses(recipe, fault):
+    """A model the constructor accepts saves, loads back and saves the same
+    bytes. A header fault that ``load_model`` refuses is one the constructor
+    refuses too; the examples are models that used to build and save, and
+    whose checkpoints then failed to load."""
+    layers, seed, expansions, classifiers = recipe
+    config = ModelConfig(layers=layers, hidden=4, heads=1, vocab=8, ffn=4, context=4, top_k=1,
+                         seed=seed)
+    model = Model.create(config, ("g0",))
+    for e, counts in enumerate(expansions):
+        model = extend_expansion(model, counts, f"g{e + 1}")
+    if expansions:
+        add_classifiers(model, classifiers)
+    with tempfile.TemporaryDirectory() as scratch:
+        first, second = Path(scratch, "a.lmoe"), Path(scratch, "b.lmoe")
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        if not expansions:  # a dense header holds no history and no classifier layer
+            return
+        header, payload = read_header(first)
+        history, cls = HEADER_FAULTS[fault](
+            header["expansion_history"], header["classifier_layers"], layers)
+        write_checkpoint(first, {**header, "expansion_history": history,
+                                 "classifier_layers": cls}, payload)
+        with pytest.raises(FormatError):
+            load_model(first)
+    # Each classifier layer gets its parameter, so that only the layer list is at fault.
+    params = {n: p for n, p in model.params.items() if not n.endswith(".classifier")}
+    params |= {f"blocks.{int(i)}.classifier": Tensor(np.zeros((4, 2))) for i in cls}
+    with pytest.raises(InvalidInputError):
+        Model(config, params, model.base_groups, [Expansion(g, tuple(c)) for g, c in history], cls)

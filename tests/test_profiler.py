@@ -2,6 +2,7 @@
 similarity, classifier-layer selection, and profile files."""
 
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -414,3 +415,40 @@ def test_a_profile_file_is_its_pairs(measured, pick, outside):
         first.write_text(json.dumps(record))
         with pytest.raises(FormatError, match=rf"pairs {re.escape(key)} at layer {layer} is "):
             load_profile(first)
+
+
+def first(pairs):
+    return next(iter(pairs.values()))
+
+
+# A structural fault of a profile, as an edit of its pairs and languages.
+PROFILE_FAULTS = {
+    "language-old-and-new": lambda p, old, new: (p, old + new[:1], new),
+    "one-name-key": lambda p, old, new: ({**p, ("zz",): first(p)}, old, new),
+    "three-name-key": lambda p, old, new: ({**p, ("q", "r", "s"): first(p)}, old, new),
+    "empty-name-key": lambda p, old, new: ({**p, ("", "b"): first(p)}, old, new),
+    "ragged-pairs": lambda p, old, new: ({**p, ("y", "z"): [0.0, *first(p)]}, old, new),
+    "no-layer": lambda p, old, new: ({key: [] for key in p}, old, new),
+    "nan-value": lambda p, old, new: ({**p, min(p): [math.nan, *p[min(p)][1:]]}, old, new),
+    "missing-pair": lambda p, old, new: ({key: p[key] for key in sorted(p)[1:]}, old, new),
+    "no-new-language": lambda p, old, new: (p, old, ()),
+}
+
+
+@given(measured_pairs(), st.sampled_from(sorted(PROFILE_FAULTS)))
+@settings(max_examples=40, deadline=None)
+def test_a_profile_builds_nothing_its_loader_refuses(measured, fault):
+    """A profile file with a fault in its pairs or languages fails to load,
+    and the same pairs and languages fail to build a profile."""
+    pairs, old, new = PROFILE_FAULTS[fault](*measured)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "profile.json")
+        save_profile(SimilarityProfile(*measured), path)
+        record = json.loads(path.read_text())
+        record.update(pairs={"|".join(key): list(values) for key, values in pairs.items()},
+                      old_languages=list(old), new_languages=list(new))
+        path.write_text(json.dumps(record))
+        with pytest.raises(FormatError):
+            load_profile(path)
+    with pytest.raises(InvalidInputError):
+        SimilarityProfile(pairs, old, new)

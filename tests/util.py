@@ -1,6 +1,9 @@
 """Shared helpers for the test suite."""
 
 import io
+import json
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +19,19 @@ def rel_err(a, b, floor=1.0):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(floor, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def read_header(path):
+    """A checkpoint's JSON header and the payload bytes after it."""
+    raw = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    return json.loads(raw[16 : 16 + hlen]), raw[16 + hlen :]
+
+
+def write_checkpoint(path, header, payload):
+    """A version-1 checkpoint of ``header`` and ``payload``, as ``save_model`` lays it out."""
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    Path(path).write_bytes(b"LMOE" + struct.pack("<IQ", 1, len(encoded)) + encoded + payload)
 
 
 def clone_model(model, tmp_path, name="clone.lmoe"):
