@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
@@ -35,11 +36,11 @@ _ROUNDING_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """The plan for a strictly positive per-layer ``similarities`` vector and
-    a total ``budget``; the other fields are derived from those two. Requires
+    """The plan for a strictly positive per-layer ``similarities`` vector and an
+    integer ``budget``; the other fields are derived from those two. Requires
     budget >= layer count so every layer keeps at least one new expert, and a
-    budget whose float64 shares round back to it (the tests cover budgets up
-    to 10**12). It holds no classifier layers (stage 2 picks them, and the
+    budget whose float64 shares round back to it (the tests cover budgets up to
+    10**12). It holds no classifier layers (stage 2 picks them, and the
     checkpoint records them) and no provenance (a manifest's concern)."""
 
     budget: int
@@ -59,6 +60,8 @@ class AllocationPlan:
                 f"layer {bad[0]} has similarity {float(values[bad[0]])}"
             )
         budget, layers = self.budget, values.size
+        if not isinstance(budget, Integral):
+            raise BudgetError(f"budget {budget!r} is not an integer")
         if budget < layers:
             raise BudgetError(f"budget {budget} cannot give {layers} layers one expert each")
         if budget > float(np.finfo(np.float64).max):  # an exact int-float comparison

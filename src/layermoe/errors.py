@@ -25,10 +25,6 @@ class NumericalFailureError(LayerMoEError, ArithmeticError):
     """A loss or gradient became non-finite."""
 
 
-class PlanMismatchError(LayerMoEError, ValueError):
-    """An allocation plan does not fit the model it is applied to."""
-
-
 class ConfigurationError(LayerMoEError, ValueError):
     """A model or recipe is not configured for the requested operation."""
 

@@ -2,22 +2,23 @@
 
 Layout (little-endian):
     magic   4 bytes  b"LMOE"
-    version u32      currently 1
+    version u32      currently 2
     hlen    u64      byte length of the JSON header
     header  hlen bytes of canonical JSON (sorted keys, no whitespace)
     payload concatenated float64 parameter blobs, row-major, in the
             header's ``params`` order
 
-The header carries the model kind, config, language groups, expansion
-history, classifier layers, and each parameter's name and shape. The kind
-is derived from the history: "moe" for a model with an expansion, "dense"
-for one without. A dense header names its base groups ``groups``; an MoE
-header names them ``base_groups`` and records at least one expansion.
-The model's constructor checks its structure: groups, expansion counts,
-classifier layers, and parameters that fit them. Loading only parses: it
-checks the header against its spec and the payload against the header,
-makes one constructor call, and reports what the constructor refuses as a
-``FormatError`` that names the file.
+Every model has one header, whose keys are its constructor's arguments: its
+config, each parameter's name and shape, ``base_groups``,
+``expansion_history`` and ``classifier_layers``, the last two empty for a
+model with no expansion. Version 2 has that one header and one parameter
+layout, in which a dense model's FFN is expert 0 and no block has an
+attention norm; version 1 files are refused as such. The model's
+constructor checks its structure: groups, expansion counts, classifier
+layers, and parameters that fit them. Loading only parses: it checks the
+header against its spec and the payload against the header, refuses a
+parameter named twice, makes one constructor call, and reports what the
+constructor refuses as a ``FormatError`` that names the file.
 """
 
 from __future__ import annotations
@@ -33,26 +34,21 @@ from ..errors import ConfigurationError, FormatError, InvalidInputError
 from ..numerics import Tensor
 from ..schema import Int, List, check
 from .config import MODEL_SPEC, ModelConfig
-from .network import Expansion, Model, MoEModel
+from .network import Model, MoEModel
 
 MAGIC = b"LMOE"
-VERSION = 1
+VERSION = 2
 
 
 def _header(model: Model) -> dict:
     names = sorted(model.params)
-    history = [[e.group, list(e.new_experts)] for e in model.expansion_history]
-    header = {
-        "kind": "moe" if history else "dense",
+    return {
         "config": model.config.to_dict(),
         "params": [{"name": n, "shape": list(model.params[n].data.shape)} for n in names],
+        "base_groups": list(model.base_groups),
+        "expansion_history": [[e.group, list(e.new_experts)] for e in model.expansion_history],
+        "classifier_layers": list(model.classifier_layers),
     }
-    if history:
-        header.update(base_groups=list(model.base_groups), expansion_history=history,
-                      classifier_layers=list(model.classifier_layers))
-    else:
-        header["groups"] = list(model.base_groups)
-    return header
 
 
 def save_model(model: Model, path: str | Path) -> None:
@@ -67,21 +63,16 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def _header_spec(header) -> dict:
-    """The header's spec, with only its kind's keys (the dense ones when the
-    kind is malformed). Counts are at most the number of params present, so
+    """The header's spec. Counts are at most the number of params present, so
     nothing is enumerated beyond what the file holds."""
     found = header if isinstance(header, dict) else {}
     n = len(found["params"]) if isinstance(found.get("params"), list) else 0
-    moe = {
-        "base_groups": List(str, 1),
-        "expansion_history": List((str, [Int(0, n)]), 1),
-        "classifier_layers?": [int],
-    }
     return {
-        "kind": {"dense", "moe"},
         "config": {**MODEL_SPEC, "layers": Int(1, n)},
         "params": [{"name": str, "shape": [Int(0)]}],
-        **(moe if found.get("kind") == "moe" else {"groups": List(str, 1)}),
+        "base_groups": List(str, 1),
+        "expansion_history": [(str, [Int(0, n)])],
+        "classifier_layers": [int],
     }
 
 
@@ -111,6 +102,8 @@ def load_model(path: str | Path) -> Model:
     params: dict[str, Tensor] = {}
     offset = 0
     for entry in header["params"]:
+        if entry["name"] in params:
+            raise FormatError(f"{path}: parameter listed more than once: {entry['name']}")
         shape = tuple(entry["shape"])
         count = math.prod(shape)
         block = np.frombuffer(payload, dtype="<f8", count=count, offset=offset * 8)
@@ -120,12 +113,8 @@ def load_model(path: str | Path) -> Model:
             raise FormatError(f"{path}: non-finite values in parameter {entry['name']}")
         params[entry["name"]] = Tensor(data)
 
-    # The spec admits a history exactly when the kind is "moe".
-    history = [Expansion(g, tuple(c)) for g, c in header.get("expansion_history", [])]
-    base_groups = header["base_groups" if history else "groups"]
-    layers = header.get("classifier_layers", [])
-    try:
-        config = ModelConfig(**header["config"])
-        return (MoEModel if history else Model)(config, params, base_groups, history, layers)
+    try:  # the header's keys are the constructor's arguments
+        header.update(config=ModelConfig(**header["config"]), params=params)
+        return (MoEModel if header["expansion_history"] else Model)(**header)
     except (ConfigurationError, InvalidInputError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

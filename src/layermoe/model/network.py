@@ -2,11 +2,15 @@
 
 A dense model is a model with no expansion: every model answers the same
 questions (:class:`Model`), and its parameter layout is read from its
-expansion history. The constructor checks every model's groups, classifier
-layers and parameter layout; :func:`extend_expansion` makes every
-expansion, the first one too. ``upcycle`` and the dense and MoE class names
-are kept for the benchmark. A model holds at most 2**27 parameters (1 GiB
-as float64), checked before any of them is allocated.
+expansion history. Each layer's dense FFN is expert 0,
+``blocks.i.experts.0.*``, from :meth:`Model.create` on: a dense model calls
+it directly and has no router column. It is drawn from the init stream of
+its version-1 checkpoint name, so that its values keep their bits. The
+constructor checks every model's groups, classifier layers and parameter
+layout; :func:`extend_expansion` makes every expansion, the first one too.
+``upcycle`` and the dense and MoE class names are kept for the benchmark. A
+model holds at most 2**27 parameters (1 GiB as float64), checked before any
+of them is allocated.
 
 Fixed architecture (expert-copy initialisation and the checkpoint format
 depend on it, so it is pinned here):
@@ -16,10 +20,9 @@ depend on it, so it is pinned here):
   on the raw residual stream, then ``h = rmsnorm(x)`` and the block output
   is ``experts(h) + h``. That normalised post-attention state ``h`` is
   exactly what the router, the classifier, the profiler tap, and the expert
-  inputs all see. Each block's ``attn_norm`` gain is created and stored in
-  checkpoints, but nothing reads it. Each attention and each rmsnorm is
-  one tape node (``autodiff.attention``, ``autodiff.rms_norm``), each
-  router two (``autodiff.route``: the scores and the top-k weights);
+  inputs all see; attention has no norm of its own. Each attention and each
+  rmsnorm is one tape node (``autodiff.attention``, ``autodiff.rms_norm``),
+  each router two (``autodiff.route``: the scores and the top-k weights);
 - experts are SiLU-gated FFNs ``down(silu(h @ gate) * (h @ up))``;
 - final rmsnorm, untied linear head.
 
@@ -54,11 +57,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import (
-    ConfigurationError,
-    InvalidInputError,
-    PlanMismatchError,
-)
+from ..errors import ConfigurationError, InvalidInputError
 from ..numerics import (
     SeededRng,
     Tensor,
@@ -156,7 +155,8 @@ class _GraphResult:
 
 
 def _init_rng(seed: int, name: str) -> np.random.Generator:
-    return SeededRng(derive_seed(seed, "init", name)).generator()
+    # Expert 0 draws from the stream of its version-1 name, so its values keep their bits.
+    return SeededRng(derive_seed(seed, "init", name.replace(".experts.0.", ".ffn."))).generator()
 
 
 def _dense_param_specs(config: ModelConfig):
@@ -164,15 +164,22 @@ def _dense_param_specs(config: ModelConfig):
     yield "tok_emb", (config.vocab, h), "token_emb"
     yield "pos_emb", (config.context, h), "normal"
     for i in range(config.layers):
-        yield f"blocks.{i}.attn_norm", (h,), "ones"
         for name in ("wq", "wk", "wv", "wo"):
             yield f"blocks.{i}.{name}", (h, h), "normal"
         yield f"blocks.{i}.ffn_norm", (h,), "ones"
-        yield f"blocks.{i}.ffn.gate", (h, f), "normal"
-        yield f"blocks.{i}.ffn.up", (h, f), "normal"
-        yield f"blocks.{i}.ffn.down", (f, h), "normal"
+        for part, shape in zip(_PARTS, [(h, f), (h, f), (f, h)]):
+            yield f"blocks.{i}.experts.0.{part}", shape, "normal"
     yield "out_norm", (h,), "ones"
     yield "head", (h, config.vocab), "normal"
+
+
+def _checked_counts(group: str, counts, layers: int) -> tuple[int, ...]:
+    """``counts`` as ints, if they are one count >= 0 for each of ``layers`` layers."""
+    counts = tuple(counts)
+    if len(counts) != layers or not all(isinstance(c, Integral) and c >= 0 for c in counts):
+        raise InvalidInputError(f"expansion {group!r} gives {list(counts)}, not one"
+                                f" count >= 0 for each of {layers} layers")
+    return tuple(map(int, counts))
 
 
 def _check_size(count: int) -> None:
@@ -188,9 +195,9 @@ def param_shapes(model: "Model") -> dict[str, tuple[int, ...]]:
     if model.expansion_history:
         h = model.config.hidden
         for i, count in enumerate(model.expert_counts()):
-            ffn = {part: shapes.pop(f"blocks.{i}.ffn.{part}") for part in _PARTS}
+            expert = {p: shapes[f"blocks.{i}.experts.0.{p}"] for p in _PARTS}
             for e in range(count):
-                shapes.update({f"blocks.{i}.experts.{e}.{p}": s for p, s in ffn.items()})
+                shapes.update({f"blocks.{i}.experts.{e}.{p}": s for p, s in expert.items()})
                 shapes[f"blocks.{i}.router.{e}"] = (h,)
         shapes.update({f"blocks.{i}.classifier": (h, 2) for i in model.classifier_layers})
     return shapes
@@ -213,14 +220,10 @@ class Model:
         self.config = config
         self.params = params
         self.base_groups = tuple(base_groups)
-        self.expansion_history = tuple(expansion_history)
         if not self.base_groups:
             raise InvalidInputError("a model needs at least one group")
-        for group, counts in self.expansion_history:
-            if len(counts) != config.layers or not all(isinstance(c, Integral) and c >= 0
-                                                       for c in counts):
-                raise InvalidInputError(f"expansion {group!r} gives {list(counts)}, not one"
-                                        f" count >= 0 for each of {config.layers} layers")
+        self.expansion_history = tuple(Expansion(g, _checked_counts(g, counts, config.layers))
+                                       for g, counts in expansion_history)
         moe = range(config.layers if self.expansion_history else 0)  # the layers a classifier gates
         if wrong := [i for i in classifier_layers if not (isinstance(i, Integral) and i in moe)]:
             raise InvalidInputError(f"classifier layers {wrong} are not among the model's"
@@ -310,30 +313,21 @@ def hash_params(model: Model, names: Sequence[str]) -> str:
 # upcycling and expansion
 
 
-def _plan_counts(plan, layers: int) -> tuple[int, ...]:
-    counts = tuple(int(c) for c in getattr(plan, "new_experts", plan))
-    if len(counts) != layers:
-        raise PlanMismatchError(f"plan covers {len(counts)} layers, model has {layers}")
-    if any(c < 0 for c in counts):
-        raise PlanMismatchError("negative expert counts")
-    return counts
-
-
 def extend_expansion(model: Model, plan, group: str) -> MoEModel:
     """Copy of ``model`` plus ``group``'s expansion: per layer, ``plan`` new
-    experts with zero router columns. A new expert is the layer's expert 0
-    (the original dense FFN) plus seeded Gaussian noise; a first expansion
-    makes each dense FFN expert 0, with a zero router column. Classifiers from
-    the previous expansion are dropped, since the next review stage re-selects
-    layers and trains fresh ones against the enlarged old group. ``group``
-    must be one the model does not know yet."""
+    experts with zero router columns. ``plan`` is an allocation plan or its
+    counts, one int >= 0 per layer, checked before anything is allocated. A
+    new expert is the layer's expert 0 (the original dense FFN) plus seeded
+    Gaussian noise; a first expansion also gives expert 0 a zero router
+    column. Classifiers from the previous expansion are dropped, since the
+    next review stage re-selects layers and trains fresh ones against the
+    enlarged old group. ``group`` must be one the model does not know yet."""
     if group in model.proficient_groups:
         raise InvalidInputError(f"group {group!r} is already proficient")
     config = model.config
-    counts = _plan_counts(plan, config.layers)
+    counts = _checked_counts(group, getattr(plan, "new_experts", plan), config.layers)
     expansion = len(model.expansion_history)
-    kept = {name.replace(".ffn.", ".experts.0."): p.data  # ".ffn." only before an expansion
-            for name, p in model.params.items() if not name.endswith(".classifier")}
+    kept = {name: p.data for name, p in model.params.items() if not name.endswith(".classifier")}
     if not model.expansion_history:
         kept |= {f"blocks.{i}.router.0": np.zeros(config.hidden) for i in range(config.layers)}
     # A new expert is expert 0's three matrices plus a router column, the same in every layer.
@@ -439,7 +433,7 @@ def forward_graph(
             out, trace = _moe_mix(hsa, layer, mode == "gated" and layer.classifier is not None)
             layers.append(trace)
         else:
-            out = Expert(*(params[f"{prefix}.ffn.{part}"] for part in _PARTS))(hsa) + hsa
+            out = Expert(*(params[f"{prefix}.experts.0.{part}"] for part in _PARTS))(hsa) + hsa
         x = out.reshape((b, t, h))
     final = rms_norm(x, params["out_norm"], RMS_EPS).reshape((b * t, h))
     head = (final @ params["head"]).reshape((b, t, config.vocab))

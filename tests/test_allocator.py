@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -85,6 +86,15 @@ class TestAllocate:
     def test_rejects_small_budget(self):
         with pytest.raises(BudgetError):
             allocate([0.5, 0.5, 0.5], 2)
+
+    @pytest.mark.parametrize("budget", [5.7, 6.0, np.float64(6.0), "6"],
+                             ids=["fractional", "whole-float", "numpy-float", "string"])
+    def test_a_budget_that_is_not_an_integer_is_rejected(self, budget):
+        """``AllocationPlan(5.7, (0.5, 0.5))`` was a plan of budget 5, and a
+        string budget raised ``TypeError``."""
+        with pytest.raises(BudgetError, match=rf"^budget {re.escape(repr(budget))} is not an integer$"):
+            AllocationPlan(budget, (0.5, 0.5))
+        assert AllocationPlan(np.int64(6), (0.5, 0.5)).budget == 6
 
     @given(
         st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=16),
@@ -251,11 +261,13 @@ PLAN_FAULTS = {
     "nan-similarity": lambda budget, sims: (budget, [math.nan, *sims[1:]]),
     "infinite-similarity": lambda budget, sims: (budget, [*sims[:-1], math.inf]),
     "no-layer": lambda budget, sims: (budget, []),
+    "fractional-budget": lambda budget, sims: (budget + 0.5, sims),
 }
 
 
 @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=8),
        st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(PLAN_FAULTS)))
+@example([0.5, 0.5], 3, "fractional-budget")  # its constructor used to truncate the budget to 5
 @settings(max_examples=40, deadline=None)
 def test_a_plan_saves_what_it_loads_and_builds_nothing_its_loader_refuses(sims, extra, fault):
     """A plan saves, loads back equal and saves the same bytes. A budget or

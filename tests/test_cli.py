@@ -20,6 +20,7 @@ from layermoe.allocator import load_plan
 from layermoe import trainer
 from layermoe.cli import main, run_pipeline
 from layermoe.model import DenseModel, ModelConfig, load_model, save_model, upcycle
+from layermoe.model.checkpoint import VERSION
 from layermoe.profiler import (
     SimilarityProfile,
     indicated_similarity,
@@ -32,8 +33,9 @@ from pipeline_hashes import pipeline_config as pipeline_hashes_config
 from util import read_header, write_checkpoint
 
 TINY_MODEL = {"layers": 2, "hidden": 8, "heads": 2, "vocab": 32, "ffn": 8, "context": 8}
-# A complete checkpoint-header config, so that a header test fails on its params alone.
-HEADER_CONFIG = {**TINY_MODEL, "layers": 1}
+# A complete checkpoint header but for its params, so that a header test fails on them alone.
+HEADER = {"config": {**TINY_MODEL, "layers": 1}, "base_groups": ["g0"], "expansion_history": [],
+          "classifier_layers": []}
 
 
 def run_failing(argv, capsys) -> dict:
@@ -330,13 +332,33 @@ def test_train_base_takes_its_seed_from_seed_alone(artifacts, tmp_path, capsys):
 
 
 def test_checkpoint_header_without_params_is_rejected(tmp_path, capsys):
-    header = json.dumps({"kind": "dense", "config": HEADER_CONFIG}).encode("utf-8")
+    header = json.dumps(HEADER).encode("utf-8")
     path = tmp_path / "bad.lmoe"
-    path.write_bytes(b"LMOE" + struct.pack("<IQ", 1, len(header)) + header)
+    path.write_bytes(b"LMOE" + struct.pack("<IQ", VERSION, len(header)) + header)
     argv = ["eval", "--model", str(path), "--corpus", str(tmp_path / "c.jsonl")]
     record = run_failing(argv + ["--out", str(tmp_path / "metrics.json")], capsys)
     assert record["error"] == "FormatError"
     assert "lacks params" in record["message"]
+
+
+def test_a_version_1_checkpoint_exits_2(tmp_path, capsys, artifacts):
+    """Version 1 named a dense model's base groups ``groups`` beside a
+    ``kind``, stored its FFN as ``blocks.i.ffn.*`` and gave every block an
+    ``attn_norm``. Such a file is refused by its version, not by its keys."""
+    header, payload = read_header(artifacts["base.lmoe"])
+    hidden, layers = header["config"]["hidden"], header["config"]["layers"]
+    params = [{**e, "name": e["name"].replace(".experts.0.", ".ffn.")} for e in header["params"]]
+    params += [{"name": f"blocks.{i}.attn_norm", "shape": [hidden]} for i in range(layers)]
+    v1 = {"kind": "dense", "config": header["config"], "groups": header["base_groups"],
+          "params": params}
+    encoded = json.dumps(v1, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload += struct.pack(f"<{hidden * layers}d", *[1.0] * (hidden * layers))
+    path = tmp_path / "v1.lmoe"
+    path.write_bytes(b"LMOE" + struct.pack("<IQ", 1, len(encoded)) + encoded + payload)
+    argv = ["eval", "--model", str(path), "--corpus", artifacts["c.jsonl"]]
+    record = run_failing(argv + ["--out", str(tmp_path / "metrics.json")], capsys)
+    assert record == {"error": "FormatError",
+                      "message": f"{path}: unsupported checkpoint version 1"}
 
 
 @pytest.mark.parametrize(
@@ -353,9 +375,9 @@ def test_checkpoint_header_without_params_is_rejected(tmp_path, capsys):
 def test_checkpoint_header_with_a_malformed_params_entry_is_rejected(
     tmp_path, capsys, params, detail
 ):
-    header = json.dumps({"kind": "dense", "config": HEADER_CONFIG, "params": params})
+    header = json.dumps({**HEADER, "params": params})
     path = tmp_path / "bad.lmoe"
-    path.write_bytes(b"LMOE" + struct.pack("<IQ", 1, len(header)) + header.encode("utf-8"))
+    path.write_bytes(b"LMOE" + struct.pack("<IQ", VERSION, len(header)) + header.encode("utf-8"))
     argv = ["eval", "--model", str(path), "--corpus", str(tmp_path / "c.jsonl")]
     record = run_failing(argv + ["--out", str(tmp_path / "metrics.json")], capsys)
     assert record["error"] == "FormatError"
@@ -640,7 +662,7 @@ def test_the_command_chain_runs_a_second_expansion(tmp_path, capsys):
     dense, first, last = (load_model(tmp_path / name) for name in ("base.lmoe", "rev.g1", "rev.g2"))
     assert [e.group for e in last.expansion_history] == ["g1", "g2"]
     for name, param in dense.params.items():
-        assert np.array_equal(param.data, last.params[name.replace(".ffn.", ".experts.0.")].data)
+        assert np.array_equal(param.data, last.params[name].data)
     g1_experts = [name for name in first.params if ".experts." in name]
     assert len(first.params) < len(last.params)
     for name in g1_experts:
@@ -1325,7 +1347,7 @@ UNKNOWN_KEYS = [(kind, add_unknown(path)) for kind, path in [
         ("manifest", edit(("arguments", "budget"), "x")),
         ("manifest", edit(("arguments", "out"), None)),
         *UNKNOWN_KEYS,
-        ("dense-header", add_unknown((), "classifier_layers", [0])),
+        ("dense-header", edit(("classifier_layers",), [0])),
         ("moe-header", add_unknown((), "groups", ["g0"])),
         ("dense-header", edit(("config", "heads"), 3)),
     ],
@@ -1369,7 +1391,8 @@ def test_reported_input_faults_exit_2(tmp_path, capsys, monkeypatch, artifacts, 
         (edit(("expansion_history", 0, 0), "g0"), "group listed more than once: g0"),
         (edit(("classifier_layers",), [1, 1]), "classifier layer listed more than once: 1"),
         (edit(("expansion_history",), DELETE), "lacks expansion_history"),
-        (edit(("expansion_history",), []), "has a value of the wrong type at expansion_history"),
+        (edit(("expansion_history",), []),
+         "classifier layers [1] are not among the model's 0 MoE layers"),
     ],
     ids=["no-base-group", "history-repeats-the-base-group", "repeated-classifier-layer",
          "no-history", "empty-history"],
@@ -1379,8 +1402,9 @@ def test_a_checkpoint_is_checked_against_its_own_history(
 ):
     """The first two loaded, and ``eval`` ran on a model that knew the groups
     ('g1',) or ('g0', 'g0'); the third failed on the shape of a classifier
-    parameter, not on the repeat. An MoE header records at least one
-    expansion; without one, the last two failed on the parameters instead."""
+    parameter, not on the repeat. Every header records a history; without
+    one, the fourth failed on the parameters instead, and a model with an
+    empty history has no layer for a classifier."""
     record, write, command = artifact_kind("moe-header", artifacts)
     write(str(tmp_path / "model.lmoe"), change(record))
     failure = run_failing(command(str(tmp_path / "model.lmoe")), capsys)
@@ -1391,19 +1415,20 @@ def test_a_checkpoint_is_checked_against_its_own_history(
 @pytest.mark.parametrize(
     "groups, message",
     [
-        ([], "has a value of the wrong type at groups"),
+        ([], "has a value of the wrong type at base_groups"),
         (["g0", "g0"], "group listed more than once: g0"),
-        (DELETE, "lacks groups"),
+        (DELETE, "lacks base_groups"),
     ],
     ids=["no-group", "repeated-group", "missing-groups"],
 )
 def test_a_dense_checkpoint_needs_distinct_groups(tmp_path, capsys, artifacts, groups, message):
-    """With ``"groups": []`` the checkpoint loaded: ``eval`` exited 0, and
-    ``expand`` wrote an MoE checkpoint that no command could load (``wrong
-    type at base_groups``)."""
+    """With ``"groups": []`` (version 1's name for a dense model's base
+    groups) the checkpoint loaded: ``eval`` exited 0, and ``expand`` wrote an
+    MoE checkpoint that no command could load (``wrong type at
+    base_groups``)."""
     record, write, command = artifact_kind("dense-header", artifacts)
     model, out = tmp_path / "base.lmoe", tmp_path / "moe.lmoe"
-    write(str(model), mutated(record, ("groups",), groups))
+    write(str(model), mutated(record, ("base_groups",), groups))
     for argv in [
         command(str(model)),
         ["expand", "--model", str(model), "--plan", artifacts["plan.json"]]
@@ -1599,11 +1624,11 @@ def test_gen_corpus_rejects_a_corpus_too_large_to_hold(tmp_path, tokens):
 @pytest.mark.parametrize(
     "key, value, count",
     [
-        ("hidden", 10**30, 8 * 10**60 + 125 * 10**30),
-        ("vocab", 10**30, 16 * 10**30 + 1000),
-        ("ffn", 10**30, 48 * 10**30 + 1128),
-        ("context", 10**30, 8 * 10**30 + 1448),
-        ("layers", 10**9, 464 * 10**9 + 584),
+        ("hidden", 10**30, 8 * 10**60 + 123 * 10**30),
+        ("vocab", 10**30, 16 * 10**30 + 984),
+        ("ffn", 10**30, 48 * 10**30 + 1112),
+        ("context", 10**30, 8 * 10**30 + 1432),
+        ("layers", 10**9, 456 * 10**9 + 584),
     ],
     ids=["hidden", "vocab", "ffn", "context", "layers"],
 )
@@ -1626,9 +1651,9 @@ def test_expand_rejects_a_plan_too_large_to_hold(tmp_path, artifacts):
     argv = ["expand", "--model", artifacts["base.lmoe"], "--plan", str(tmp_path / "plan.json")]
     argv += ["--corpus", artifacts["c.jsonl"], "--group", "g1", "--steps", "1"]
     record = run_capped(argv + ["--out", str(tmp_path / "moe.lmoe")])
-    # The base's 1,512 parameters, a zero router column per layer for expert
+    # The base's 1,496 parameters, a zero router column per layer for expert
     # 0, and 10**9 new experts of 3 * 8 * 8 weights and an 8-wide router column.
-    count = 1512 + 2 * 8 + 10**9 * (3 * 8 * 8 + 8)
+    count = 1496 + 2 * 8 + 10**9 * (3 * 8 * 8 + 8)
     message = f"a model of {count} parameters is over the bound of 2**27"
     assert record == {"error": "InvalidInputError", "message": message}
     assert not (tmp_path / "moe.lmoe").exists()
@@ -1762,7 +1787,7 @@ def experts_beyond_params(path):
         ("base.lmoe", over_long_header, "truncated header"),
         ("base.lmoe", lambda path: checkpoint_bytes(path, header=b"\xff\xfe"),
          "unreadable header: 'utf-8' codec can't decode byte 0xff in position 0"),
-        ("base.lmoe", nan_payload, "non-finite values in parameter blocks.0.attn_norm"),
+        ("base.lmoe", nan_payload, "non-finite values in parameter blocks.0.experts.0.down"),
         ("rev.lmoe", experts_beyond_params, "expansion history has more experts than parameters"),
     ],
     ids=["header-beyond-the-file", "header-not-utf8", "nan-in-payload", "experts-beyond-params"],

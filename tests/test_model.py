@@ -14,7 +14,6 @@ from layermoe.errors import (
     ConfigurationError,
     FormatError,
     InvalidInputError,
-    PlanMismatchError,
     SequenceLengthError,
 )
 from layermoe.model import (
@@ -36,13 +35,14 @@ from layermoe.model import (
     upcycle,
 )
 from layermoe.model.network import (
+    INIT_STD,
     NEW_EXPERT_NOISE_STD,
     _check_size,
     _dense_param_specs,
     _moe_mix,
 )
 from layermoe.numerics import SeededRng, Tensor, derive_seed
-from util import read_header, write_checkpoint
+from util import clone_model, read_header, write_checkpoint
 
 
 def tiny_config(**overrides):
@@ -150,9 +150,9 @@ class TestConstructor:
         assert model.params.keys() == dense.params.keys() and model.classifier_layers == ()
 
     def test_a_dense_model_with_expert_names_is_rejected(self, dense):
-        """What ``upcycle`` used to build before it extended it: expert-0
-        names and router columns on a model with no expansion."""
-        params = {n.replace(".ffn.", ".experts.0."): p for n, p in dense.params.items()}
+        """What ``upcycle`` used to build before it extended it: router
+        columns beside expert 0 on a model with no expansion."""
+        params = dict(dense.params)
         params.update({f"blocks.{i}.router.0": Tensor(np.zeros(16)) for i in range(2)})
         with pytest.raises(InvalidInputError, match="^parameters do not fit the model"):
             Model(dense.config, params, ("g0",))
@@ -191,7 +191,7 @@ class TestUpcycle:
 
     def test_new_experts_start_near_original(self, dense):
         model = upcycle(dense, [1, 1], "g1")
-        base = dense.params["blocks.0.ffn.gate"].data
+        base = dense.params["blocks.0.experts.0.gate"].data
         added = model.params["blocks.0.experts.1.gate"].data
         delta = added - base
         assert 0 < np.abs(delta).max() < 0.1
@@ -199,10 +199,26 @@ class TestUpcycle:
         np.testing.assert_array_equal(added, again.params["blocks.0.experts.1.gate"].data)
 
     def test_plan_mismatch(self, dense):
-        with pytest.raises(PlanMismatchError):
+        with pytest.raises(InvalidInputError):
             upcycle(dense, [1, 1, 1], "g1")
-        with pytest.raises(PlanMismatchError):
+        with pytest.raises(InvalidInputError):
             upcycle(dense, [-1, 2], "g1")
+
+    @pytest.mark.parametrize("counts", [[1.5, 1], [1, 2.0], [np.float64(1.0), 1], ["1", 1]],
+                             ids=["fractional", "whole-float", "numpy-float", "string"])
+    def test_counts_that_are_not_ints_are_rejected(self, dense, counts):
+        """``extend_expansion(model, [1.5], "g1")`` made an expansion of 1
+        expert: each count was truncated with ``int()``. It is checked with
+        the constructor's rule, before any expert is made."""
+        message = rf"^expansion 'g1' gives \[.*\], not one count >= 0 for each of 2 layers$"
+        with pytest.raises(InvalidInputError, match=message):
+            extend_expansion(dense, counts, "g1")
+
+    def test_numpy_int_counts_are_stored_as_ints(self, dense, tmp_path):
+        model = extend_expansion(dense, np.array([1, 2]), "g1")
+        assert model.expansion_history == (Expansion("g1", (1, 2)),)
+        assert all(type(c) is int for c in model.expansion_history[0].new_experts)
+        assert clone_model(model, tmp_path).fingerprint() == model.fingerprint()
 
     def test_frozen_dense_untouched(self, dense):
         before = hash_params(dense, sorted(dense.params))
@@ -210,8 +226,8 @@ class TestUpcycle:
         assert hash_params(dense, sorted(dense.params)) == before
 
     def test_a_first_expansion_is_an_expansion(self, dense):
-        """``extend_expansion`` of a model with no expansion stores each dense
-        FFN as expert 0 with a zero router column; before, it raised
+        """``extend_expansion`` of a model with no expansion keeps each dense
+        FFN as expert 0 and gives it a zero router column; before, it raised
         ``KeyError: 'blocks.0.experts.0.gate'`` and only ``upcycle`` could."""
         fresh = Model.create(dense.config, ("g0",))
         model = extend_expansion(fresh, [2, 1], "g1")
@@ -219,11 +235,23 @@ class TestUpcycle:
         assert fresh.fingerprint() == dense.fingerprint() and not fresh.expansion_history
         assert model.fingerprint() == upcycle(dense, [2, 1], "g1").fingerprint()
         for name, param in dense.params.items():
-            kept = model.params[name.replace(".ffn.", ".experts.0.")].data
-            assert kept.tobytes() == param.data.tobytes()
+            assert model.params[name].data.tobytes() == param.data.tobytes()
         for i in range(dense.config.layers):
             assert model.params[f"blocks.{i}.router.0"].data.tobytes() == bytes(8 * 16)
         assert not [n for n in model.params if ".ffn." in n]
+
+    def test_expert_0_is_drawn_from_the_init_stream_of_the_dense_ffn(self, dense):
+        """Expert 0 was ``blocks.i.ffn.*`` before checkpoint version 2, and
+        is still drawn from that name's stream: renaming the stream would
+        move every trained bit."""
+        for i in range(dense.config.layers):
+            for part in ("gate", "up", "down"):
+                param = dense.params[f"blocks.{i}.experts.0.{part}"].data
+                stream = derive_seed(dense.config.seed, "init", f"blocks.{i}.ffn.{part}")
+                want = SeededRng(stream).generator().normal(0.0, INIT_STD, size=param.shape)
+                assert param.tobytes() == want.tobytes()
+        assert not [n for n in dense.params if "ffn." in n or "attn_norm" in n]
+        assert not [n for n in dense.params if ".router." in n]
 
     def test_added_experts_follow_the_seed_scheme(self, dense):
         """Upcycling and extending add experts the same way: expert 0 plus
@@ -235,7 +263,7 @@ class TestUpcycle:
             for e in range(1, 4):
                 expansion = 0 if e <= first_count else 1
                 for part in ("gate", "up", "down"):
-                    base = dense.params[f"blocks.{i}.ffn.{part}"].data
+                    base = dense.params[f"blocks.{i}.experts.0.{part}"].data
                     tag = ("expansion", expansion, "layer", i, "expert", e, part)
                     gen = SeededRng(derive_seed(dense.config.seed, *tag)).generator()
                     want = (base + gen.normal(0.0, NEW_EXPERT_NOISE_STD, size=base.shape)).tobytes()
@@ -747,6 +775,16 @@ HEADER_FAULTS = {
     "negative-count": lambda h, c, n: ([[h[0][0], [-1] + h[0][1][1:]]] + h[1:], c),
     "group-of-the-base": lambda h, c, n: ([["g0", h[0][1]]] + h[1:], c),
 }
+# A header that lists its first parameter twice, with that parameter's
+# payload block twice. A model's parameters are a dict, which cannot hold
+# the fault, so it is the loader's alone to refuse.
+REPEATED_PARAMETER = "repeated-parameter"
+
+
+def repeat_first_parameter(header, payload):
+    first = header["params"][0]
+    size = 8 * math.prod(first["shape"])
+    return {**header, "params": [first] + header["params"]}, payload[:size] + payload
 
 
 @st.composite
@@ -760,16 +798,18 @@ def model_recipes(draw):
     return layers, draw(st.integers(0, 2**16)), expansions, tuple(sorted(classifiers))
 
 
-@given(model_recipes(), st.sampled_from(sorted(HEADER_FAULTS)))
+@given(model_recipes(), st.sampled_from(sorted(HEADER_FAULTS) + [REPEATED_PARAMETER]))
 @example((2, 0, ((1, 1),), ()), "classifier-beyond-layers")
 @example((2, 0, ((1, 1),), (0,)), "short-counts")
 @example((2, 0, ((1, 1),), ()), "fractional-classifier-layer")
+@example((1, 0, (), ()), REPEATED_PARAMETER)
 @settings(max_examples=40, deadline=None)
 def test_a_model_saves_what_it_loads_and_builds_nothing_a_checkpoint_refuses(recipe, fault):
     """A model the constructor accepts saves, loads back and saves the same
     bytes. A header fault that ``load_model`` refuses is one the constructor
-    refuses too; the examples are models that used to build and save, and
-    whose checkpoints then failed to load."""
+    refuses too; the first three examples are models that used to build and
+    save, and whose checkpoints then failed to load. A repeated parameter
+    loaded, and the loaded model saved one parameter fewer than it read."""
     layers, seed, expansions, classifiers = recipe
     config = ModelConfig(layers=layers, hidden=4, heads=1, vocab=8, ffn=4, context=4, top_k=1,
                          seed=seed)
@@ -783,9 +823,15 @@ def test_a_model_saves_what_it_loads_and_builds_nothing_a_checkpoint_refuses(rec
         save_model(model, first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
-        if not expansions:  # a dense header holds no history and no classifier layer
-            return
         header, payload = read_header(first)
+        if fault == REPEATED_PARAMETER:
+            write_checkpoint(first, *repeat_first_parameter(header, payload))
+            message = f"^{re.escape(str(first))}: parameter listed more than once: "
+            with pytest.raises(FormatError, match=message + header["params"][0]["name"] + "$"):
+                load_model(first)
+            return
+        if not expansions:  # the history faults edit an expansion
+            return
         history, cls = HEADER_FAULTS[fault](
             header["expansion_history"], header["classifier_layers"], layers)
         write_checkpoint(first, {**header, "expansion_history": history,

@@ -9,7 +9,7 @@ import numpy as np
 
 from layermoe.corpus import generate, language_specs
 from layermoe.model import DenseModel, ModelConfig, add_classifiers, upcycle
-from layermoe.model.checkpoint import load_model, save_model
+from layermoe.model.checkpoint import VERSION, load_model, save_model
 from layermoe.numerics import SeededRng
 
 
@@ -29,9 +29,10 @@ def read_header(path):
 
 
 def write_checkpoint(path, header, payload):
-    """A version-1 checkpoint of ``header`` and ``payload``, as ``save_model`` lays it out."""
+    """A checkpoint of ``header`` and ``payload`` at the current version, as
+    ``save_model`` lays it out."""
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    Path(path).write_bytes(b"LMOE" + struct.pack("<IQ", 1, len(encoded)) + encoded + payload)
+    Path(path).write_bytes(b"LMOE" + struct.pack("<IQ", VERSION, len(encoded)) + encoded + payload)
 
 
 def clone_model(model, tmp_path, name="clone.lmoe"):
