@@ -43,7 +43,7 @@ from .errors import ConfigurationError, FormatError, InvalidInputError, LayerMoE
 from .model import Model, ModelConfig, load_model, save_model
 from .model.config import MODEL_SPEC
 from .numerics import derive_seed
-from .profiler import PROFILE_Q, load_profile, save_profile
+from .profiler import PROFILE_Q, draw_sequences, load_profile, save_profile
 from .schema import Int, Map, check, load_json, problems, save_json
 from .trainer import (
     STAGE_SETTINGS,
@@ -265,6 +265,9 @@ def run_pipeline(config: dict, out_dir: Path) -> dict[str, Path]:
     dense = Model.create(model_config, groups=(base_group,))
     tokens = config["corpus"]["tokens_per_language"]
     corpus = generate(specs, tokens, model_config.context, derive_seed(seed, "corpus"))
+    for index, exp_cfg in enumerate(expansions):  # each profile's languages hold its sample
+        for language in corpus.languages_in([group for _, group in named[: index + 2]]):
+            draw_sequences(corpus, language, exp_cfg.get("q", PROFILE_Q), seed)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def put(name: str, filename: str, save, value) -> None:
@@ -395,7 +398,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--group", required=True, help="the new group; the model's groups are old")
-    p.add_argument("--q", type=int, default=PROFILE_Q)
+    p.add_argument("--q", type=int, default=PROFILE_Q,
+                   help="at least Q token positions per language, taken as whole sequences")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 

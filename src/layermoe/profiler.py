@@ -2,37 +2,26 @@
 
 The router of every layer sees the normalised post-attention state; this
 module samples those states per language (its candidates: one
-``(layers, q, hidden)`` float32 array of ``q`` sampled positions), measures
-mean pairwise cosine similarity between languages per layer, folds the pair
-matrix into one indicated-similarity value per layer, and picks the layers
-that get a routing classifier. A profile is its pairs: it checks them and
-derives its per-layer values from them when it is built, and a profile file
-must carry the pairs that give its layers. Profile values are defined on the
-float32-rounded taps, upcast to float64 for the arithmetic: keeping more
-precision would change the bytes of every saved profile.
+``(layers, rows, hidden)`` float32 array), measures mean pairwise cosine
+similarity between languages per layer, folds the pair matrix into one
+indicated-similarity value per layer, and picks the layers that get a
+routing classifier. A profile is its pairs: it checks them and derives its
+per-layer values from them when it is built, and a profile file must carry
+the pairs that give its layers. Profile values are defined on the
+float32-rounded taps, upcast to float64 for the arithmetic.
 
-Attention is causal, so the tap at column ``c`` of a sequence reads only
-its columns ``0..c``. The collector therefore forwards each sampled
-sequence only up to its last sampled column, and stops at the last layer's
-tap (``forward(..., logits=False)``): the last expert stage, ``out_norm``
-and the head feed no tap. Sequences go shortest prefix first, in chunks of
-32, so a chunk is as long as its longest prefix; each vector is put back at
-its sampled index, and the sampling itself is the full-length collector's.
-Which columns are drawn must not decide whether a language fails, so the
-language's whole corpus is checked against the model first.
-
-A prefix gives the full-length taps' values but not always their float64
-bits: numpy sums each attention row pairwise in blocks of 8, and a shorter
-row regroups the same nonzero terms. Candidates are the float32-rounded
-taps, and that rounding hid every such difference measured (no candidate
-element and no pipeline output file changed), but a tap that lands within
-its last-bit difference of a float32 rounding boundary can still round the
-other way. The tests hold the collector to the full-length oracle bitwise
-on fixed seeds and to one float32 ulp on any tiny model.
+A profile samples whole sequences, as :func:`draw_sequences` states, and
+forwards them in one batch that stops at the last layer's tap
+(``forward(..., logits=False)``); every usable position of them is a
+candidate. Which sequences are drawn must not decide whether a language
+fails, so the language's whole corpus is checked against the model first.
 
 Mean pairwise cosine over two sets factorises: it equals the dot product of
 the two sets' mean unit-normalised vectors. That algebraic fast path is the
 production implementation; the quadratic double loop is the tests' oracle.
+It also gives each layer's standard error (``meta["se"]``), a stratified
+delete-one-sequence jackknife (Efron, 1982) over the languages: leaving a
+sequence out drops its rows from its language's mean, with no forward.
 """
 
 from __future__ import annotations
@@ -45,12 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import TaggedCorpus
-from .errors import (
-    DegenerateVectorError,
-    FormatError,
-    InvalidInputError,
-    SampleSizeError,
-)
+from .errors import DegenerateVectorError, FormatError, InvalidInputError, SampleSizeError
 from .model import Model, forward
 from .numerics import SeededRng, derive_seed
 from .schema import OBJECT, List, Map, by_index, check, load_json, problems, save_json
@@ -59,45 +43,39 @@ from .schema import OBJECT, List, Map, by_index, check, load_json, problems, sav
 PROFILE_Q = 512
 
 
-def collect_candidates(
-    model: Model, corpus: TaggedCorpus, language: str, q: int, seed: int
-) -> np.ndarray:
-    """Uniformly sample ``q`` token positions of one language (BOS and padding
-    excluded) and return their router inputs at every layer, a
-    ``(layers, q, hidden)`` float32 array of finite, nonzero rows."""
+def draw_sequences(
+    corpus: TaggedCorpus, language: str, q: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sequences of ``language`` a profile reads, in corpus order, and
+    their usable positions (BOS and padding are not): those that hold one, in
+    the order ``derive_seed(seed, "candidates", language)`` permutes them, up
+    to the first at which they hold ``q`` positions and number 2 or more. A
+    language that cannot fill that raises SampleSizeError for every seed."""
     if q < 2:
         raise InvalidInputError("q must be >= 2")
     part = corpus.subset_language(language)
-    if len(part) == 0:
-        raise SampleSizeError(f"corpus has no sequences for language {language!r}")
-    model.config.check_tokens(part.sequences, part.sequences.shape[1])
-    valid = part.token_mask()
-    valid[:, 0] = False  # BOS position carries no language token
-    positions = np.argwhere(valid)
-    if len(positions) < q:
-        raise SampleSizeError(
-            f"language {language!r} has {len(positions)} usable tokens, need {q}"
-        )
-    gen = SeededRng(derive_seed(seed, "candidates", language)).generator()
-    chosen = positions[gen.choice(len(positions), size=q, replace=False)]
+    usable = part.token_mask()
+    usable[:, 0] = False  # BOS position carries no language token
+    held = usable.sum(axis=1)
+    if held.sum() < q or np.count_nonzero(held) < 2:
+        raise SampleSizeError(f"language {language!r} has {held.sum()} usable tokens in"
+                              f" {np.count_nonzero(held)} sequences, need {q} in 2 or more")
+    order = SeededRng(derive_seed(seed, "candidates", language)).generator().permutation(
+        np.flatnonzero(held))
+    chosen = np.sort(order[: max(2, np.searchsorted(np.cumsum(held[order]), q) + 1)])
+    return part.sequences[chosen], usable[chosen]
 
-    needed, rows = np.unique(chosen[:, 0], return_inverse=True)
-    cols = chosen[:, 1]
-    last = np.zeros(len(needed), dtype=np.int64)  # prefix length each sequence needs
-    np.maximum.at(last, rows, cols + 1)
-    order = np.argsort(last, kind="stable")
-    rank = np.empty_like(order)  # each needed sequence's place in forwarding order
-    rank[order] = np.arange(len(order))
-    slot = rank[rows]  # the place of each sample's sequence
-    config = model.config
-    vectors = np.empty((config.layers, q, config.hidden), dtype=np.float32)
-    chunk = 32
-    for start in range(0, len(order), chunk):
-        ids = order[start : start + chunk]
-        batch = part.sequences[needed[ids], : last[ids].max()]
-        taps = forward(model, batch, logits=False).taps
-        mine = np.flatnonzero((slot >= start) & (slot < start + chunk))
-        vectors[:, mine] = taps[:, slot[mine] - start, cols[mine]]
+
+def collect_candidates(
+    model: Model, corpus: TaggedCorpus, language: str, q: int, seed: int
+) -> np.ndarray:
+    """The router inputs at every layer of the usable positions, at least
+    ``q``, of the sequences :func:`draw_sequences` draws: a ``(layers, rows,
+    hidden)`` float32 array of finite, nonzero rows, in corpus order."""
+    whole = corpus.subset_language(language).sequences
+    model.config.check_tokens(whole, whole.shape[1])
+    sequences, usable = draw_sequences(corpus, language, q, seed)
+    vectors = forward(model, sequences, logits=False).taps[:, usable].astype(np.float32)
     if not np.isfinite(vectors).all():
         raise InvalidInputError("candidate vectors must be finite")
     if (np.linalg.norm(vectors.astype(np.float64), axis=-1) == 0.0).any():
@@ -206,7 +184,7 @@ def profile_similarity(
     q: int,
     seed: int,
 ) -> SimilarityProfile:
-    """Collect candidates on ``model`` and compute the per-layer profile."""
+    """Collect candidates on ``model`` and compute the per-layer profile and errors."""
     old_languages, new_languages = tuple(old_languages), tuple(new_languages)
     languages = old_languages + new_languages
     candidates = {
@@ -217,8 +195,32 @@ def profile_similarity(
         (a, b): np.array([pair_similarity(x, y) for x, y in zip(candidates[a], candidates[b])])
         for a, b in sorted(wanted)
     }
-    meta = {"model": model.fingerprint(), "q": q, "seed": seed}
+    sizes = {lang: draw_sequences(corpus, lang, q, seed)[1].sum(axis=1) for lang in candidates}
+    se = _jackknife_se(candidates, sizes, pair_sims, old_languages, new_languages)
+    meta = {"model": model.fingerprint(), "q": q, "seed": seed, "se": se}
     return SimilarityProfile(pair_sims, old_languages, new_languages, meta)
+
+
+def _jackknife_se(candidates: dict, sizes: dict, pair_sims: dict,
+                  old_languages: Sequence[str], new_languages: Sequence[str]) -> list[float]:
+    """Each layer's stratified delete-one-sequence jackknife standard error of
+    ``indicated``; ``sizes[lang]`` counts the rows of each sequence in
+    ``candidates[lang]``. Row products stay float32 (an upcast copy costs
+    more than the rest); sums are float64."""
+    inverse = {lang: 1 / np.sqrt(np.einsum("lrh,lrh->lr", x, x)) for lang, x in candidates.items()}
+    centroids = {k: (inverse[k][:, None] @ x)[:, 0] / x.shape[1] for k, x in candidates.items()}
+    variance = 0.0
+    for lang, x in candidates.items():
+        size = sizes[lang]
+        replicas = {key: np.broadcast_to(v, (len(size), len(v))) for key, v in pair_sims.items()}
+        for a, b in [key for key in pair_sims if lang in key]:
+            # A row's mean cosine with the other language; a replicate leaves out a sequence.
+            cosine = (x @ centroids[b if a == lang else a][..., None])[..., 0] * inverse[lang]
+            sums = np.add.reduceat(cosine.astype(np.float64), np.cumsum(size) - size, axis=1)
+            replicas[a, b] = ((sums.sum(axis=1)[:, None] - sums) / (x.shape[1] - size)).T
+        theta = indicated_similarity(replicas, old_languages, new_languages)[2]
+        variance = variance + (len(size) - 1) * theta.var(axis=0)  # (n - 1) / n * squares
+    return np.sqrt(variance).tolist()
 
 
 def select_classifier_layers(new_old: Sequence[float], count: int) -> tuple[int, ...]:

@@ -3,8 +3,9 @@ gradients against central finite differences, the fast elementwise kernels
 against their plain numpy forms, the fused tape nodes against compositions
 of small tape ops, the layer-wide expert mix against the per-expert one it
 replaced, the profiler's centroid fast path against the quadratic pair loop
-over exact cosines, the prefix-forwarding candidate collector against one
-that forwards every sampled sequence whole, and the batched corpus sampler
+over exact cosines, the candidate collector against a draw of whole
+sequences read one position at a time, the vectorised jackknife against
+one that measures every replicate again, and the batched corpus sampler
 against a walk that draws one token at a time."""
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from layermoe.errors import DegenerateVectorError, InvalidInputError, NumericalF
 from layermoe.model import Model, forward
 from layermoe.numerics import SeededRng, Tensor, as_tensor, derive_seed
 from layermoe.numerics.autodiff import _node, _sigmoid, _softmax, _softmax_grad, _unbroadcast
+from layermoe.profiler import indicated_similarity, pair_similarity
 
 
 def value_and_grad(
@@ -287,24 +289,65 @@ def pair_similarity_exhaustive(a: np.ndarray, b: np.ndarray) -> float:
     return total / (len(a) * len(b))
 
 
-def collect_candidates_full(
+def collect_candidates_whole(
     model: Model, corpus: TaggedCorpus, language: str, q: int, seed: int
 ) -> np.ndarray:
-    """Reference for ``profiler.collect_candidates``: the same draw of ``q``
-    positions, with every sampled sequence forwarded whole, through the
-    head, in corpus order and chunks of 32."""
+    """Reference for ``profiler.collect_candidates``: the language's sequences
+    that hold a usable position (neither BOS nor padding), in the order that
+    one ``permutation`` of their indices by ``derive_seed(seed, "candidates",
+    language)`` gives, taken one at a time until they hold ``q`` positions
+    and number at least 2; forwarded in corpus order, through the head, and
+    read one usable position at a time."""
     part = corpus.subset_language(language)
-    valid = part.token_mask()
-    valid[:, 0] = False
-    positions = np.argwhere(valid)
-    gen = SeededRng(derive_seed(seed, "candidates", language)).generator()
-    chosen = positions[gen.choice(len(positions), size=q, replace=False)]
-    needed = np.unique(chosen[:, 0])
-    taps = np.concatenate(
-        [forward(model, part.sequences[needed[s : s + 32]]).taps for s in range(0, len(needed), 32)],
-        axis=1,
-    )
-    return taps[:, np.searchsorted(needed, chosen[:, 0]), chosen[:, 1]].astype(np.float32)
+    usable = part.token_mask()
+    usable[:, 0] = False
+    holding = [i for i in range(len(part)) if usable[i].any()]
+    order = SeededRng(derive_seed(seed, "candidates", language)).generator().permutation(holding)
+    chosen, count = [], 0
+    for i in order:
+        if count >= q and len(chosen) >= 2:
+            break
+        chosen.append(int(i))
+        count += int(usable[i].sum())
+    chosen.sort()
+    taps = forward(model, part.sequences[chosen]).taps
+    width = part.sequences.shape[1]
+    rows = [taps[:, k, c] for k, i in enumerate(chosen) for c in range(width) if usable[i, c]]
+    return np.stack(rows, axis=1).astype(np.float32)
+
+
+def jackknife_se_loop(
+    candidates: Mapping[str, np.ndarray],
+    sizes: Mapping[str, Sequence[int]],
+    old_languages: Sequence[str],
+    new_languages: Sequence[str],
+) -> np.ndarray:
+    """Reference for a profile's ``meta["se"]``: for each language and each
+    of its sequences, drop that sequence's rows, measure every pair again
+    with ``pair_similarity`` and fold them with ``indicated_similarity``;
+    each language adds ``(n - 1) / n`` times its replicates' sum of squared
+    deviations from their mean, and the error is the root of the total."""
+    languages = list(dict.fromkeys([*old_languages, *new_languages]))
+    keys = sorted({tuple(sorted((n, b))) for n in new_languages for b in languages if b != n})
+
+    def indicated(sample):
+        pairs = {
+            (a, b): np.array([pair_similarity(x, y) for x, y in zip(sample[a], sample[b])])
+            for a, b in keys
+        }
+        return indicated_similarity(pairs, old_languages, new_languages)[2]
+
+    variance = 0.0
+    for language in languages:
+        n, start, replicates = len(sizes[language]), 0, []
+        for size in sizes[language]:
+            rows = np.delete(candidates[language], np.s_[start : start + size], axis=1)
+            replicates.append(indicated({**candidates, language: rows}))
+            start += size
+        replicates = np.array(replicates)
+        deviations = replicates - replicates.mean(axis=0)
+        variance = variance + (n - 1) / n * (deviations**2).sum(axis=0)
+    return np.sqrt(variance)
 
 
 def sample_sequence(sampler: LanguageSampler, length: int) -> np.ndarray:

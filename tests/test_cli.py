@@ -1046,8 +1046,48 @@ def test_run_pipeline_rejects_a_language_listed_twice(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def with_second_expansion(config):
+    config["languages"]["groups"]["g2"] = ["c"]
+    config["model"] = {**TINY_MODEL, "vocab": 40}
+    config["expansions"].append({**config["expansions"][0], "group": "g2"})
+    return config
+
+
+@pytest.mark.parametrize(
+    "config, overrides, message",
+    [
+        (pipeline_config(), ["expansions.0.q=100000"],
+         "language 'a' has 56 usable tokens in 8 sequences, need 100000 in 2 or more"),
+        (with_second_expansion(pipeline_config()), ["expansions.1.q=57"],
+         "language 'a' has 56 usable tokens in 8 sequences, need 57 in 2 or more"),
+        (pipeline_config(corpus={"tokens_per_language": 8}), [],
+         "language 'a' has 7 usable tokens in 1 sequences, need 8 in 2 or more"),
+        (pipeline_config(corpus={"tokens_per_language": 8}), ["expansions.0.q=2"],
+         "language 'a' has 7 usable tokens in 1 sequences, need 2 in 2 or more"),
+    ],
+    ids=["first-expansion", "old-language-of-a-later-expansion", "too-few-tokens",
+         "one-sequence"],
+)
+def test_run_pipeline_refuses_a_q_its_corpus_cannot_fill_before_writing(
+    tmp_path, capsys, config, overrides, message
+):
+    """``run_pipeline`` raised SampleSizeError only in the first profile,
+    after it had written the corpus, the base checkpoint, its losses and its
+    metrics. Each profile draws whole sequences, so whether every language
+    it reads can fill ``q`` is known from the corpus alone."""
+    argv = ["run-pipeline", "--config", write_json(tmp_path / "pipeline.json", config)]
+    argv += [arg for pair in overrides for arg in ("--set", pair)]
+    record = run_failing(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert record == {"error": "SampleSizeError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_pipeline_records_overrides_and_replays_them(tmp_path, capsys):
-    config = write_json(tmp_path / "pipeline.json", pipeline_config())
+    record = pipeline_config()
+    # Every usable position of a language (8 sequences of 7), a profile that
+    # no seed moves: at q 8, seed 3's layer 0 reads -0.0018 and is refused.
+    record["expansions"][0]["q"] = 56
+    config = write_json(tmp_path / "pipeline.json", record)
     out = tmp_path / "out"
     argv = ["run-pipeline", "--config", config, "--out-dir", str(out)]
     run_ok(argv + ["--set", "seed=5", "--set", " base.steps=2", "--set", "seed=3"], capsys)
@@ -1392,7 +1432,7 @@ def test_reported_input_faults_exit_2(tmp_path, capsys, monkeypatch, artifacts, 
         (edit(("classifier_layers",), [1, 1]), "classifier layer listed more than once: 1"),
         (edit(("expansion_history",), DELETE), "lacks expansion_history"),
         (edit(("expansion_history",), []),
-         "classifier layers [1] are not among the model's 0 MoE layers"),
+         "classifier layers {classifier_layers} are not among the model's 0 MoE layers"),
     ],
     ids=["no-base-group", "history-repeats-the-base-group", "repeated-classifier-layer",
          "no-history", "empty-history"],
@@ -1409,7 +1449,7 @@ def test_a_checkpoint_is_checked_against_its_own_history(
     write(str(tmp_path / "model.lmoe"), change(record))
     failure = run_failing(command(str(tmp_path / "model.lmoe")), capsys)
     assert failure["error"] == "FormatError"
-    assert failure["message"].endswith(message)
+    assert failure["message"].endswith(message.format(**record))  # the fixture's layers
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layermoe.corpus import TaggedCorpus, generate, language_specs, required_vocab
+from layermoe import profiler
+from layermoe.corpus import PAD_ID, TaggedCorpus, generate, language_specs, required_vocab
 from layermoe.errors import (
     DegenerateVectorError,
     FormatError,
@@ -20,11 +21,12 @@ from layermoe.errors import (
     SampleSizeError,
     SequenceLengthError,
 )
-from layermoe.model import DenseModel, ModelConfig, upcycle
+from layermoe.model import DenseModel, ModelConfig, forward, upcycle
 from layermoe.numerics import SeededRng
 from layermoe.profiler import (
     SimilarityProfile,
     collect_candidates,
+    draw_sequences,
     indicated_similarity,
     load_profile,
     pair_similarity,
@@ -32,7 +34,7 @@ from layermoe.profiler import (
     save_profile,
     select_classifier_layers,
 )
-from oracles import collect_candidates_full, pair_similarity_exhaustive
+from oracles import collect_candidates_whole, jackknife_se_loop, pair_similarity_exhaustive
 from util import gradcheck_setup
 
 
@@ -165,7 +167,8 @@ class TestCollectCandidates:
     def test_shapes_and_layers(self, profiled_setup):
         model, corpus = profiled_setup
         vectors = collect_candidates(model, corpus, "a1", q=2, seed=1)
-        assert vectors.shape == (model.config.layers, 2, model.config.hidden)
+        layers, rows, hidden = vectors.shape
+        assert (layers, hidden) == (model.config.layers, model.config.hidden) and rows >= 2
         assert vectors.dtype == np.float32
 
     def test_deterministic(self, profiled_setup):
@@ -224,6 +227,43 @@ class TestCollectCandidates:
         assert np.max(np.abs(p1.indicated - p2.indicated)) < 0.05
 
 
+class TestStandardError:
+    """``meta["se"]``: each layer's stratified delete-one-sequence jackknife
+    standard error of ``indicated``."""
+
+    @pytest.mark.parametrize("old, new", [(["a1", "a2"], ["b1"]), (["a1"], ["a2", "b1"])],
+                             ids=["one-new", "two-new"])
+    @pytest.mark.parametrize("q", [2, 64, 300])
+    def test_equals_the_replicate_loop(self, profiled_setup, old, new, q):
+        model, corpus = profiled_setup
+        profile = profile_similarity(model, corpus, old, new, q=q, seed=6)
+        candidates = {lang: collect_candidates(model, corpus, lang, q, 6) for lang in old + new}
+        sizes = {lang: draw_sequences(corpus, lang, q, 6)[1].sum(axis=1) for lang in candidates}
+        want = jackknife_se_loop(candidates, sizes, old, new)
+        assert len(profile.meta["se"]) == model.config.layers
+        np.testing.assert_allclose(profile.meta["se"], want, rtol=1e-5)
+
+    @pytest.mark.parametrize(
+        "old, new, measured",
+        [(["a1", "a2"], ["b1"], 0.68), (["a1"], ["a2", "b1"], 0.79)],
+        ids=["one-new", "two-new"],
+    )
+    def test_the_spread_over_profile_seeds_is_near_the_reported_error(
+        self, profiled_setup, old, new, measured
+    ):
+        """Over 8 profile seeds at q 64 (3 sequences a language), the
+        standard deviation of ``indicated`` is ``measured`` times the mean
+        reported error at both layers. Over 36 blocks of 8 seeds on four tiny
+        models and q 16-200 that ratio read 0.40-1.48, so it must stay within
+        a factor of 2.5 of 1 each way."""
+        model, corpus = profiled_setup
+        profiles = [profile_similarity(model, corpus, old, new, q=64, seed=s) for s in range(8)]
+        spread = np.std([p.indicated for p in profiles], axis=0, ddof=1)
+        reported = np.mean([p.meta["se"] for p in profiles], axis=0)
+        np.testing.assert_allclose(spread / reported, measured, atol=0.01)
+        assert ((spread > reported / 2.5) & (spread < 2.5 * reported)).all()
+
+
 def upcycled(dense, plan, seed):
     """``dense`` upcycled by ``plan``, with seeded random router columns so
     that routing is not a tie."""
@@ -265,20 +305,44 @@ def tiny_world(draw_seed, layers, heads, head_width, context, plan, top_k):
     return model, generate(specs, 40 * context, context, seed=draw_seed + 1)
 
 
-class TestPrefixCollector:
-    """``collect_candidates`` forwards each sampled sequence only up to its
-    last sampled column and stops at the last tap; the oracle forwards it
-    whole, through the head."""
+def padded(corpus, seed):
+    """``corpus`` with about half its sequences cut short by padding, some
+    down to BOS alone, at seeded lengths."""
+    sequences = corpus.sequences.copy()
+    width = sequences.shape[1]
+    for row, end in enumerate(SeededRng(seed).generator().integers(1, 2 * width, len(sequences))):
+        sequences[row, end:] = PAD_ID
+    return TaggedCorpus(sequences, corpus.languages, corpus.groups)
+
+
+class TestWholeSequenceCollector:
+    """``collect_candidates`` reads every usable position of the whole
+    sequences :func:`draw_sequences` draws, forwarded in one batch that stops
+    at the last tap; the oracle forwards them through the head and reads one
+    position at a time."""
 
     @pytest.mark.parametrize("name", ["dense", "moe", "wide", "long"])
     @pytest.mark.parametrize("q", [2, 16, 64, 300])
-    def test_equals_the_full_length_oracle_bitwise(self, oracle_models, name, q):
+    def test_equals_the_whole_sequence_oracle_bitwise(self, oracle_models, name, q):
         model, corpus = oracle_models[name]
         for seed in range(3):
             for language in ("a", "b"):
                 got = collect_candidates(model, corpus, language, q, seed)
-                want = collect_candidates_full(model, corpus, language, q, seed)
+                want = collect_candidates_whole(model, corpus, language, q, seed)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(st.sampled_from(["dense", "moe", "wide", "long"]), st.integers(0, 2**32 - 1),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_every_usable_position_is_the_same_sample_for_every_seed(
+        self, oracle_models, name, first, second
+    ):
+        model, corpus = oracle_models[name]
+        for language in ("a", "b"):
+            usable = int(corpus.subset_language(language).token_mask()[:, 1:].sum())
+            one = collect_candidates(model, corpus, language, usable, first)
+            other = collect_candidates(model, corpus, language, usable, second)
+            assert one.shape[1] == usable and one.tobytes() == other.tobytes()
 
     @given(
         st.integers(0, 2**16),
@@ -289,22 +353,47 @@ class TestPrefixCollector:
         st.none() | st.lists(st.integers(0, 4), min_size=3, max_size=3),
         st.integers(1, 3),
         st.integers(2, 64),
+        st.none() | st.integers(0, 2**16),
     )
     @settings(max_examples=25, deadline=None)
-    def test_within_one_float32_ulp_of_the_oracle(
-        self, seed, layers, heads, head_width, context, plan, top_k, q
+    def test_reads_every_usable_position_of_at_least_two_whole_sequences(
+        self, seed, layers, heads, head_width, context, plan, top_k, q, pad_seed
     ):
-        # A prefix's float64 taps may differ from the full-length ones in
-        # their last bits (numpy sums each attention row pairwise in blocks
-        # of 8, and a shorter row regroups the same terms). Rounding to
-        # float32 hides that unless a tap sits at a rounding boundary, where
-        # it moves the candidate by one float32 ulp and never more.
+        """The one forward batch holds 2 or more of the language's sequences,
+        whole, each with a usable position, and no more of them than ``q``
+        needs; the candidates are the taps at their usable positions, at
+        least ``q``, and at no BOS or padding position. They equal the
+        oracle's bitwise on any tiny model, padded or not."""
         model, corpus = tiny_world(seed, layers, heads, head_width, context, plan, top_k)
-        q = min(q, 40 * (context - 1))  # each language has 40 sequences
+        corpus = corpus if pad_seed is None else padded(corpus, pad_seed)
         for language in ("a", "b"):
-            got = collect_candidates(model, corpus, language, q, seed)
-            want = collect_candidates_full(model, corpus, language, q, seed)
-            np.testing.assert_array_max_ulp(got, want, maxulp=1)
+            part = corpus.subset_language(language).sequences
+            need = min(q, int((part[:, 1:] != PAD_ID).sum()))
+            if need < 2 or ((part[:, 1:] != PAD_ID).any(axis=1)).sum() < 2:
+                with pytest.raises(InvalidInputError):  # SampleSizeError is one
+                    collect_candidates(model, corpus, language, need, seed)
+                continue
+            batches = []
+
+            def spy(model, tokens, **options):
+                result = forward(model, tokens, **options)
+                batches.append((tokens, result.taps))
+                return result
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(profiler, "forward", spy)
+                got = collect_candidates(model, corpus, language, need, seed)
+            [(tokens, taps)] = batches
+            usable = tokens != PAD_ID
+            usable[:, 0] = False
+            held = usable.sum(axis=1)
+            assert tokens.shape[1] == part.shape[1] and len(tokens) >= 2 and (held > 0).all()
+            assert all((part == row).all(axis=1).any() for row in tokens)
+            assert held.sum() >= need and (len(held) == 2 or held.sum() - held.max() < need)
+            want = [taps[:, r, c] for r, c in zip(*np.nonzero(usable))]
+            assert got.tobytes() == np.stack(want, axis=1).astype(np.float32).tobytes()
+            oracle = collect_candidates_whole(model, corpus, language, need, seed)
+            assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes()
 
     @given(st.integers(2, 10**6), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
